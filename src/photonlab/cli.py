@@ -54,7 +54,6 @@ from .pipeline import FLAT_TOL, MASS_TOL, run_rigidity_pipeline
 from .radial import (
     BuchdahlError,
     DomainError,
-    EndpointDegeneracyError,
     RadialProfile,
     buchdahl_ratio,
     load_profile,
@@ -411,7 +410,7 @@ def main(argv=None) -> int:
     except GluingRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except (DomainError, EndpointDegeneracyError) as exc:
+    except DomainError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ReportIOError as exc:

@@ -143,14 +143,15 @@ def conformal_transform(
     ``perturbation``, if given, is a :class:`RadialFunction` added to u on
     every chart — the hook used by corruption drills; the untouched
     transform requires u > 0, which holds automatically when |psi| < 1.
+    A probe value that is not finite and positive refuses the transform.
     """
     charts = tuple(_conformal_chart(c, perturbation) for c in manifold.charts)
     for cc in charts:
         lo, hi = cc.hat.interior_window(pad=1e-6)
         probe = np.linspace(lo, hi, 64)
-        if np.any(np.asarray(cc.u(probe), dtype=float) <= 0.0):
+        if not np.all(np.asarray(cc.u(probe), dtype=float) > 0.0):
             raise DomainError(
-                f"conformal factor not positive on chart {cc.base.chart_id}"
+                f"conformal factor not finite and positive on chart {cc.base.chart_id}"
             )
     return ConformalManifold(charts=charts, source=manifold)
 
@@ -252,16 +253,28 @@ def _inverted_profile(cc: ConformalChart) -> RadialProfile:
     )
 
 
-def _fd_scalar_refined(profile: RadialProfile, t: float, h: float) -> float:
+def _fd_scalar_refined(profile: RadialProfile, t, h):
     """One Richardson step on the second-order oracle scalar.
 
     Combining the oracle at steps h and h/2 cancels the leading quadratic
-    truncation term; both evaluations are plain oracle runs on the same
-    profile, so the result still derives from metric values only.
+    truncation term; both evaluations are plain oracle passes over the
+    same samples, so the result still derives from metric values only.
     """
     d1 = fd_curvature_oracle(profile, t, h).scalar
     d2 = fd_curvature_oracle(profile, t, 0.5 * h).scalar
     return (4.0 * d2 - d1) / 3.0
+
+
+def _worst_sample(vals, chart_ids, rs) -> tuple[float, tuple[str, float]]:
+    """Largest per-sample value and where it is, over charts scanned in order.
+
+    ``np.argmax`` picks the first NaN if there is one, so a non-finite
+    sample surfaces as the certificate instead of being skipped.
+    """
+    vals = np.concatenate(vals)
+    i = int(np.argmax(vals))
+    ids = np.repeat(chart_ids, [len(r) for r in rs])
+    return float(vals[i]), (str(ids[i]), float(np.concatenate(rs)[i]))
 
 
 def conformal_scalar_residual(
@@ -280,8 +293,11 @@ def conformal_scalar_residual(
     (see the module docstring) with an empirically calibrated step:
     ``rel_step * r`` on outward exterior charts (plain oracle),
     ``iso_step * mu`` on isotropic neck charts and ``inv_step / m`` on
-    inverted reflected-end charts (both Richardson-refined), all shrunk
-    near chart edges so the stencil stays inside.
+    inverted reflected-end charts (both Richardson-refined).  Each sample
+    carries its own step, shrunk to 0.45 times its distance from the
+    nearer chart edge so the stencil stays inside, and each presentation
+    is one array pass of the oracle over all its samples (two on refined
+    charts).  A non-finite sample is reported as the maximum.
 
     Reflected-end coverage: close to the puncture the sphere areal radius
     R_hat -> 0 and assembling the scalar divides by R_hat^2, so *any*
@@ -294,29 +310,22 @@ def conformal_scalar_residual(
     records the r-interval actually sampled per chart; ``argmax`` is in
     manifold coordinates (chart id, r).
     """
-    worst = 0.0
-    arg = ("", math.nan)
     per = max(8, n_samples // max(1, len(conformal.charts)))
-    total = 0
+    chart_ids, vals, radii = [], [], []
     coverage: dict[str, tuple[float, float]] = {}
 
-    def scan(profile, coords, steps, chart_id, to_r, refined):
-        nonlocal worst, arg, total
+    def scan(profile, t, h, chart_id, to_r, refined):
         lo, hi = profile.r_lo, profile.r_hi
-        rs = []
-        for t, h in zip(coords, steps):
-            t = float(t)
-            h = min(float(h), 0.45 * (t - lo), 0.45 * (hi - t))
-            if refined:
-                val = abs(_fd_scalar_refined(profile, t, h))
-            else:
-                val = abs(fd_curvature_oracle(profile, t, h).scalar)
-            total += 1
-            rs.append(to_r(t))
-            if val > worst:
-                worst = val
-                arg = (chart_id, rs[-1])
-        coverage[chart_id] = (min(rs), max(rs))
+        h = np.minimum(np.minimum(h, 0.45 * (t - lo)), 0.45 * (hi - t))
+        if refined:
+            val = np.abs(_fd_scalar_refined(profile, t, h))
+        else:
+            val = np.abs(fd_curvature_oracle(profile, t, h).scalar)
+        rs = np.asarray(to_r(t), dtype=float)
+        chart_ids.append(chart_id)
+        vals.append(val)
+        radii.append(rs)
+        coverage[chart_id] = (float(np.min(rs)), float(np.max(rs)))
 
     for cc in conformal.charts:
         cid = cc.base.chart_id
@@ -326,7 +335,7 @@ def conformal_scalar_residual(
             pad = guard * (hi - lo)
             rho = np.linspace(lo + pad, hi - pad, per)
             scan(prof, rho, np.full(per, iso_step * prof.mass), cid,
-                 lambda t: float(r_of_rho(t)), refined=True)
+                 r_of_rho, refined=True)
         elif cc.base.orientation == "reflected":
             prof = _inverted_profile(cc)
             m = prof.mass if prof.mass else 1.0
@@ -341,10 +350,11 @@ def conformal_scalar_residual(
         else:
             rs = guarded_chart_samples(cc.base, per, guard=guard)
             scan(cc.hat, rs, rel_step * rs, cid, lambda t: t, refined=False)
+    worst, arg = _worst_sample(vals, chart_ids, radii)
     return {
         "max_abs_scalar": worst,
         "argmax": arg,
-        "n_samples": total,
+        "n_samples": sum(len(v) for v in vals),
         "fd_coverage": coverage,
     }
 
@@ -358,19 +368,21 @@ def flatness_check(
 
     Flatness of the curvature tensor itself (not just the scalar): the
     largest of |Ric(nn)|, |Ric(tt)|, |Scal| over guarded samples of every
-    chart.  In the radial family vanishing Ricci is vanishing Riemann.
+    chart, each chart evaluated as one array.  In the radial family
+    vanishing Ricci is vanishing Riemann.  A non-finite sample is reported
+    as the maximum.
     """
-    worst = 0.0
-    arg = ("", math.nan)
     per = max(8, n_samples // max(1, len(conformal.charts)))
+    chart_ids, vals, radii = [], [], []
     for cc in conformal.charts:
         rs = guarded_chart_samples(cc.base, per, guard=guard)
-        for r in rs:
-            s = curvature_at(cc.hat, float(r))
-            val = max(abs(s.ric_nn), abs(s.ric_tt), abs(s.scalar))
-            if val > worst:
-                worst = val
-                arg = (cc.base.chart_id, float(r))
+        s = curvature_at(cc.hat, rs)
+        chart_ids.append(cc.base.chart_id)
+        vals.append(
+            np.maximum(np.maximum(np.abs(s.ric_nn), np.abs(s.ric_tt)), np.abs(s.scalar))
+        )
+        radii.append(rs)
+    worst, arg = _worst_sample(vals, chart_ids, radii)
     return {"max_curvature": worst, "argmax": arg, "n_samples": per * len(conformal.charts)}
 
 

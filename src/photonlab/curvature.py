@@ -11,6 +11,15 @@ Two routes to the same tensors, deliberately kept apart:
 
 The oracle works internally in extended precision (``np.longdouble``) so
 its truncation error, not roundoff, dominates down to step sizes of 1e-4.
+
+Both routes are array-shaped: given an array of radii (and, for the
+oracle, a matching array of per-sample steps) they evaluate every sample
+in one pass and return a :class:`CurvatureSample` whose fields are float
+arrays; a scalar radius gives float fields.  Oracle samples are
+bit-identical whichever way they are requested, since extended-precision
+arithmetic runs the same scalar operations in both.  Closed-form samples
+on arrays may differ from scalar calls in the last bits, because numpy's
+vectorized float64 ``**`` does not round exactly like the scalar one.
 """
 
 from __future__ import annotations
@@ -121,8 +130,36 @@ def _frame_data(profile: RadialProfile, r):
     return n, a, da, rr, r_s, r_ss, n_s, n_ss, dn, d2n, drr, d2rr
 
 
-def curvature_at(profile: RadialProfile, r: float) -> CurvatureSample:
-    """Closed-form curvature sample at radius r (open interior only)."""
+def _sample(r, n, ric_nn, ric_tt, scalar, hess_nn, hess_tt, lap_n) -> CurvatureSample:
+    """Package assembled components, forming the vacuum residuals in their
+    own precision first: floats for a scalar ``r``, float arrays for an
+    array ``r``."""
+    if isinstance(r, np.ndarray):
+        def cast(x):
+            return np.array(x, dtype=float)
+    else:
+        cast = float
+    return CurvatureSample(
+        r=cast(r),
+        ric_nn=cast(ric_nn),
+        ric_tt=cast(ric_tt),
+        scalar=cast(scalar),
+        hess_nn=cast(hess_nn),
+        hess_tt=cast(hess_tt),
+        lap_N=cast(lap_n),
+        vac_residual_nn=cast(n * ric_nn - hess_nn),
+        vac_residual_tt=cast(n * ric_tt - hess_tt),
+        scalar_residual=cast(scalar),
+        lap_residual=cast(lap_n),
+    )
+
+
+def curvature_at(profile: RadialProfile, r) -> CurvatureSample:
+    """Closed-form curvature sample at radius r (open interior only).
+
+    ``r`` may also be an array of radii, evaluated in one pass; the
+    sample's fields are then float arrays of the same shape.
+    """
     profile.ensure_evaluable(r, open_interior=True)
     n, a, da, rr, r_s, r_ss, n_s, n_ss, dn, d2n, drr, d2rr = _frame_data(profile, r)
 
@@ -136,20 +173,7 @@ def curvature_at(profile: RadialProfile, r: float) -> CurvatureSample:
     hess_tt = n_s * r_s / rr
     # Divergence-form Laplacian (independent grouping from hess_nn + 2 hess_tt).
     lap_n = (d2n + 2.0 * drr * dn / rr - dn * da / a) / (a * a)
-
-    return CurvatureSample(
-        r=float(r),
-        ric_nn=float(ric_nn),
-        ric_tt=float(ric_tt),
-        scalar=float(scalar),
-        hess_nn=float(hess_nn),
-        hess_tt=float(hess_tt),
-        lap_N=float(lap_n),
-        vac_residual_nn=float(n * ric_nn - hess_nn),
-        vac_residual_tt=float(n * ric_tt - hess_tt),
-        scalar_residual=float(scalar),
-        lap_residual=float(lap_n),
-    )
+    return _sample(r, n, ric_nn, ric_tt, scalar, hess_nn, hess_tt, lap_n)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +182,11 @@ def curvature_at(profile: RadialProfile, r: float) -> CurvatureSample:
 
 
 def _metric_lapse(profile: RadialProfile, r, th):
-    """Coordinate metric diag(A^2, R^2, R^2 sin^2 th) and lapse, values only."""
+    """Coordinate metric diag(A^2, R^2, R^2 sin^2 th) and lapse, values only.
+
+    ``r`` and ``th`` broadcast together; the three metric components are
+    stacked on a leading axis.
+    """
     a = profile.A(r)
     rr = profile.Rareal(r)
     s = np.sin(th)
@@ -168,127 +196,102 @@ def _metric_lapse(profile: RadialProfile, r, th):
 def _christoffel(profile, r, th, h):
     """Christoffel symbols at (r, th) from centered differences of the metric.
 
-    Returns gamma[c, a, b]; coordinate order (r, th, ph).  The metric is
-    diagonal, so the inverse is taken entrywise.
+    Returns gamma[c, a, b, ...] in coordinate order (r, th, ph), trailing
+    axes following ``r`` and ``h``, together with the five-point stencil it
+    was built from: (metric, lapse) value pairs at (r, th), (r + h, th),
+    (r - h, th), (r, th + h) and (r, th - h).  The metric is diagonal, so
+    the inverse is taken entrywise.
     """
-    g0, _ = _metric_lapse(profile, r, th)
-    gr_p, _ = _metric_lapse(profile, r + h, th)
-    gr_m, _ = _metric_lapse(profile, r - h, th)
-    gt_p, _ = _metric_lapse(profile, r, th + h)
-    gt_m, _ = _metric_lapse(profile, r, th - h)
-    dg = np.zeros((3, 3, 3), dtype=g0.dtype)  # dg[e, a, a] = d_e g_aa
-    for i in range(3):
-        dg[0, i, i] = (gr_p[i] - gr_m[i]) / (2.0 * h)
-        dg[1, i, i] = (gt_p[i] - gt_m[i]) / (2.0 * h)
+    stencil = [
+        _metric_lapse(profile, rv, tv)
+        for rv, tv in ((r, th), (r + h, th), (r - h, th), (r, th + h), (r, th - h))
+    ]
+    (g0, _), (gr_p, _), (gr_m, _), (gt_p, _), (gt_m, _) = stencil
+    i = np.arange(3)
+    dg = np.zeros((3, 3) + g0.shape, dtype=g0.dtype)  # dg[e, a, a] = d_e g_aa
+    dg[0, i, i] = (gr_p - gr_m) / (2.0 * h)
+    dg[1, i, i] = (gt_p - gt_m) / (2.0 * h)
     ginv = 1.0 / g0
-    gamma = np.zeros((3, 3, 3), dtype=g0.dtype)
-    for c in range(3):
-        for a in range(3):
-            for b in range(3):
-                # diagonal metric: only the d-th = c-th inverse entry acts
-                gamma[c, a, b] = (
-                    0.5
-                    * ginv[c]
-                    * (
-                        (dg[a, b, c] if b == c else 0.0)
-                        + (dg[b, a, c] if a == c else 0.0)
-                        - (dg[c, a, b] if a == b else 0.0)
-                    )
-                )
-    return gamma
+    # gamma[c, a, b] = g^cc (d_a g_bc + d_b g_ac - d_c g_ab) / 2: with a
+    # diagonal metric only the d = c inverse entry acts, and each term is
+    # present only where its metric index pair is diagonal.
+    eye = np.eye(3, dtype=bool).reshape((3, 3) + (1,) * (g0.ndim - 1))
+    term = (
+        np.where(eye[:, None], np.moveaxis(dg, 2, 0), 0.0)  # d_a g_bc, b == c
+        + np.where(eye[:, :, None], np.swapaxes(dg, 0, 2), 0.0)  # d_b g_ac, a == c
+        - np.where(eye[None], dg, 0.0)  # d_c g_ab, a == b
+    )
+    return 0.5 * ginv[:, None, None] * term, stencil
 
 
-def fd_curvature_oracle(
-    profile: RadialProfile, r: float, h: float = 1e-3
-) -> CurvatureSample:
+def fd_curvature_oracle(profile: RadialProfile, r, h=1e-3) -> CurvatureSample:
     """Curvature sample rebuilt from finite differences of metric values.
 
     Centered differences everywhere: Christoffel symbols from first
     differences of the metric, their derivatives from differences of
     Christoffel symbols at displaced stencils, the lapse Hessian from
-    second differences of N.  Requires [r - 2h, r + 2h] inside the domain.
-    Truncation error is O(h^2); internals run in extended precision so the
-    O(eps/h^2) roundoff floor sits well below truncation for h >= 1e-4.
+    second differences of N on the central stencil.  Requires
+    [r - 2h, r + 2h] inside the domain.  Truncation error is O(h^2);
+    internals run in extended precision so the O(eps/h^2) roundoff floor
+    sits well below truncation for h >= 1e-4.
+
+    ``r`` may be an array of radii and ``h`` a matching array of
+    per-sample steps (or one step for all).  Every stencil is then one
+    array pass over all samples, each sample bit-identical to its own
+    scalar call, and the fields of the returned sample are float arrays.
     """
     profile.ensure_evaluable(r, open_interior=True)
-    if not (profile.r_lo < r - 2.0 * h and r + 2.0 * h < profile.r_hi):
+    if not np.all((profile.r_lo < r - 2.0 * h) & (r + 2.0 * h < profile.r_hi)):
         raise DomainError("finite-difference stencil leaves the profile domain")
 
     ld = np.longdouble
-    rl, hl = ld(r), ld(h)
+    rl, hl = np.asarray(r, dtype=ld), np.asarray(h, dtype=ld)
     th = ld(np.pi) / 2.0
 
-    g0, _ = _metric_lapse(profile, rl, th)
+    gam, stencil = _christoffel(profile, rl, th, hl)
+    (g0, n0), (_, n_rp), (_, n_rm), (_, n_tp), (_, n_tm) = stencil
     ginv = 1.0 / g0
+    dgam = np.zeros((3,) + gam.shape, dtype=gam.dtype)  # dgam[e, c, a, b]
+    dgam[0] = (
+        _christoffel(profile, rl + hl, th, hl)[0]
+        - _christoffel(profile, rl - hl, th, hl)[0]
+    ) / (2.0 * hl)
+    dgam[1] = (
+        _christoffel(profile, rl, th + hl, hl)[0]
+        - _christoffel(profile, rl, th - hl, hl)[0]
+    ) / (2.0 * hl)
 
-    gam = _christoffel(profile, rl, th, hl)
-    gam_rp = _christoffel(profile, rl + hl, th, hl)
-    gam_rm = _christoffel(profile, rl - hl, th, hl)
-    gam_tp = _christoffel(profile, rl, th + hl, hl)
-    gam_tm = _christoffel(profile, rl, th - hl, hl)
-    dgam = np.zeros((3, 3, 3, 3), dtype=g0.dtype)  # dgam[e, c, a, b]
-    dgam[0] = (gam_rp - gam_rm) / (2.0 * hl)
-    dgam[1] = (gam_tp - gam_tm) / (2.0 * hl)
-
-    ric = np.zeros((3, 3), dtype=g0.dtype)
+    # Only the diagonal Ricci and Hessian components are reported.
+    ric = []
     for a in range(3):
-        for b in range(3):
-            s = ld(0.0)
-            for c in range(3):
-                s += dgam[c, c, a, b] if c < 2 else 0.0
-                s -= dgam[a, c, c, b] if a < 2 else 0.0
-                for d in range(3):
-                    s += gam[c, c, d] * gam[d, a, b]
-                    s -= gam[c, a, d] * gam[d, c, b]
-            ric[a, b] = s
+        s = 0.0
+        for c in range(3):
+            s += dgam[c, c, a, a] if c < 2 else 0.0
+            s -= dgam[a, c, c, a] if a < 2 else 0.0
+            for d in range(3):
+                s += gam[c, c, d] * gam[d, a, a]
+                s -= gam[c, a, d] * gam[d, c, a]
+        ric.append(s)
 
-    # Lapse derivatives on the same stencils (theta-differences vanish by
+    # Lapse derivatives on the same stencil (theta-differences vanish by
     # symmetry but are computed, not assumed).
-    def lapse(rv, tv):
-        return _metric_lapse(profile, rv, tv)[1]
-
-    n0 = lapse(rl, th)
-    dn = np.array(
-        [
-            (lapse(rl + hl, th) - lapse(rl - hl, th)) / (2.0 * hl),
-            (lapse(rl, th + hl) - lapse(rl, th - hl)) / (2.0 * hl),
-            ld(0.0),
-        ]
+    dn = ((n_rp - n_rm) / (2.0 * hl), (n_tp - n_tm) / (2.0 * hl), 0.0)
+    d2n = (
+        (n_rp - 2.0 * n0 + n_rm) / (hl * hl),
+        (n_tp - 2.0 * n0 + n_tm) / (hl * hl),
+        0.0,
     )
-    d2n = np.zeros((3, 3), dtype=g0.dtype)
-    d2n[0, 0] = (lapse(rl + hl, th) - 2.0 * n0 + lapse(rl - hl, th)) / (hl * hl)
-    d2n[1, 1] = (lapse(rl, th + hl) - 2.0 * n0 + lapse(rl, th - hl)) / (hl * hl)
-    d2n[0, 1] = d2n[1, 0] = (
-        lapse(rl + hl, th + hl)
-        - lapse(rl + hl, th - hl)
-        - lapse(rl - hl, th + hl)
-        + lapse(rl - hl, th - hl)
-    ) / (4.0 * hl * hl)
+    hess = [d2n[a] - sum(gam[c, a, a] * dn[c] for c in range(3)) for a in range(3)]
 
-    hess = np.zeros((3, 3), dtype=g0.dtype)
-    for a in range(3):
-        for b in range(3):
-            hess[a, b] = d2n[a, b] - sum(gam[c, a, b] * dn[c] for c in range(3))
-
-    ric_nn = ric[0, 0] * ginv[0]
-    ric_tt = ric[1, 1] * ginv[1]
-    scalar = sum(ric[i, i] * ginv[i] for i in range(3))
-    hess_nn = hess[0, 0] * ginv[0]
-    hess_tt = hess[1, 1] * ginv[1]
-    lap_n = sum(hess[i, i] * ginv[i] for i in range(3))
-
-    return CurvatureSample(
-        r=float(r),
-        ric_nn=float(ric_nn),
-        ric_tt=float(ric_tt),
-        scalar=float(scalar),
-        hess_nn=float(hess_nn),
-        hess_tt=float(hess_tt),
-        lap_N=float(lap_n),
-        vac_residual_nn=float(n0 * ric_nn - hess_nn),
-        vac_residual_tt=float(n0 * ric_tt - hess_tt),
-        scalar_residual=float(scalar),
-        lap_residual=float(lap_n),
+    return _sample(
+        r,
+        n0,
+        ric[0] * ginv[0],
+        ric[1] * ginv[1],
+        sum(ric[i] * ginv[i] for i in range(3)),
+        hess[0] * ginv[0],
+        hess[1] * ginv[1],
+        sum(hess[i] * ginv[i] for i in range(3)),
     )
 
 

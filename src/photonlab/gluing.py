@@ -456,11 +456,12 @@ def psi_harmonicity_max(
 
     psi restricted to a chart is a constant multiple of that chart's lapse,
     so its Laplacian is the same multiple of the lapse Laplacian already
-    certified by the curvature layer.
+    certified by the curvature layer.  Each chart is evaluated as one
+    array; a non-finite sample is reported as the maximum.
     """
-    worst = 0.0
+    worst = []
     for chart in manifold.charts:
-        for r in guarded_chart_samples(chart, n_per_chart, guard=guard):
-            lap = curvature_at(chart.profile, float(r)).lap_N
-            worst = max(worst, abs(chart.collar_scale * lap))
-    return worst
+        rs = guarded_chart_samples(chart, n_per_chart, guard=guard)
+        lap = curvature_at(chart.profile, rs).lap_N
+        worst.append(np.max(np.abs(chart.collar_scale * lap)))
+    return float(np.max(worst))

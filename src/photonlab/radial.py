@@ -196,10 +196,6 @@ class RadialFunction:
         return RadialFunction(lambda x: f(1.0 / x), d1, d2)
 
 
-def _reciprocal(f: RadialFunction) -> RadialFunction:
-    return RadialFunction.constant(1.0).quotient(f)
-
-
 @dataclass(frozen=True)
 class RadialProfile:
     """A static spherically symmetric geometry in the radial chart.
@@ -236,9 +232,6 @@ class RadialProfile:
     meta: dict = field(default_factory=dict)
 
     # -- domain management --------------------------------------------
-
-    def contains(self, r) -> bool:
-        return bool(np.all((np.asarray(r) >= self.r_lo) & (np.asarray(r) <= self.r_hi)))
 
     def ensure_evaluable(self, r, *, open_interior: bool = False) -> None:
         """Validate sample points, raising on domain or degeneracy faults."""

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -92,23 +92,12 @@ def _cell(value) -> str:
 
 def csv_document(header, rows) -> str:
     """RFC-4180 CSV text (CRLF rows) with round-trip float formatting."""
-    buf = _StringWriter()
+    buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(list(header))
     for row in rows:
         writer.writerow([_cell(v) for v in row])
-    return buf.text()
-
-
-class _StringWriter:
-    def __init__(self):
-        self._parts: list[str] = []
-
-    def write(self, s: str):
-        self._parts.append(s)
-
-    def text(self) -> str:
-        return "".join(self._parts)
+    return buf.getvalue()
 
 
 def write_csv(path, header, rows) -> None:
@@ -118,10 +107,3 @@ def write_csv(path, header, rows) -> None:
     except OSError as exc:
         raise ReportIOError(f"cannot write CSV table to {path}: {exc}") from exc
 
-
-def emit(obj, out_path=None, stream=None) -> None:
-    """Print the JSON document to ``stream`` (stdout) and optionally save it."""
-    text = json_document(obj)
-    (stream or sys.stdout).write(text)
-    if out_path is not None:
-        write_json(out_path, obj)

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+import photonlab
 from photonlab.audit import audit_sphere, monotonicity_scan
 from photonlab.conformal import (
     adm_mass_estimate,
@@ -37,6 +38,7 @@ from photonlab.radial import (
 )
 
 INV_SQRT3 = 0.5773502691896258
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(photonlab.__file__)))
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -193,6 +195,10 @@ def test_criterion_14_deterministic_reports(tmp_path):
         env = dict(os.environ)
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = threads
+        # the child imports the same package as this process, installed or not
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (_PACKAGE_ROOT, env.get("PYTHONPATH")))
+        )
         out_path = tmp_path / "report.json"
         proc = subprocess.run(
             [sys.executable, "-m", "photonlab.cli", "pipeline",

@@ -3,10 +3,15 @@ asymptotic certificates (ADM masses, inverted-end compactification)."""
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from photonlab.conformal import (
+    _inverted_profile,
+    _neck_isotropic_profile,
     adm_mass_estimate,
     compactification_check,
     conformal_scalar_prediction,
@@ -16,8 +21,9 @@ from photonlab.conformal import (
     flatness_check,
     richardson_limit,
 )
-from photonlab.curvature import fd_curvature_oracle
-from photonlab.gluing import Chart, PiecewiseManifold
+from photonlab.curvature import CurvatureSample, fd_curvature_oracle
+from photonlab.gluing import Chart, PiecewiseManifold, double, glue_neck
+from photonlab.pipeline import FLAT_TOL
 from photonlab.radial import (
     DomainError,
     RadialFunction,
@@ -41,6 +47,15 @@ def _flat_manifold(r_hi: float = 20.0) -> PiecewiseManifold:
         role="exterior",
     )
     return PiecewiseManifold(charts=(chart,), gluings=(), ends=("exterior",), boundary=None)
+
+
+def _nan_window(lo: float, hi: float) -> RadialFunction:
+    """Zero everywhere except NaN on the open window (lo, hi)."""
+
+    def f(r):
+        return np.where((r > lo) & (r < hi), np.nan, 0.0 * r)
+
+    return RadialFunction(f, f, f)
 
 
 def _quadratic(eps: float) -> RadialFunction:
@@ -87,6 +102,26 @@ def test_factor_must_stay_positive(doubled_m1):
         conformal_transform(doubled_m1, perturbation=RadialFunction.constant(-0.6))
 
 
+def test_factor_must_stay_finite(doubled_m1):
+    # a NaN window wide enough to hold probe points is refused up front
+    with pytest.raises(DomainError):
+        conformal_transform(doubled_m1, perturbation=_nan_window(30.0, 60.0))
+
+
+def test_nan_between_probe_points_surfaces_in_certificates(doubled_m1):
+    # (40, 41) falls between the positivity probe's points, so the
+    # transform is accepted; both scans must then report the NaN as their
+    # maximum instead of skipping it, which fails the verdict's flatness gate
+    conf = conformal_transform(doubled_m1, perturbation=_nan_window(40.0, 41.0))
+    scalar = conformal_scalar_residual(conf, n_samples=512)
+    assert math.isnan(scalar["max_abs_scalar"])
+    assert 39.9 < scalar["argmax"][1] < 41.1
+    flat = flatness_check(conf, n_samples=512)
+    assert math.isnan(flat["max_curvature"])
+    assert 40.0 < flat["argmax"][1] < 41.0
+    assert not flat["max_curvature"] <= FLAT_TOL
+
+
 # ---------------------------------------------------------------------------
 # Scalar-curvature law:  scal_hat = u^-5 (scal u - 8 lap u)
 # ---------------------------------------------------------------------------
@@ -123,6 +158,59 @@ def test_sealed_double_is_scalar_flat(conformal_m1):
     }
     lo, hi = rep["fd_coverage"]["exterior_reflected"]
     assert lo <= 3.1 and hi >= 6.0
+
+
+@pytest.mark.parametrize(
+    "mass, value, argmax",
+    [
+        (0.5, 6.961922828739124e-09, ("neck_reflected", 1.0001429650428026)),
+        (1.0, 1.7370004867146096e-09, ("neck_reflected", 2.0002859300856053)),
+        (2.0, 3.4309160003399724e-09, ("exterior_reflected", 13.24986788217965)),
+    ],
+)
+def test_scalar_certificate_pinned(mass, value, argmax):
+    # frozen to the bit: fixed samples, steps and extended precision make
+    # the finite-difference certificate exactly reproducible
+    exterior = make_schwarzschild_family(mass, 3.0 * mass, 100.0 * mass)
+    conf = conformal_transform(double(glue_neck(exterior, 3.0 * mass)))
+    rep = conformal_scalar_residual(conf, n_samples=512)
+    assert rep["max_abs_scalar"] == value
+    assert rep["argmax"] == argmax
+    assert rep["n_samples"] == 512
+
+
+def _presentation(cc):
+    """The profile conformal_scalar_residual hands the oracle for a chart."""
+    if cc.base.role == "neck":
+        return _neck_isotropic_profile(cc)[0]
+    if cc.base.orientation == "reflected":
+        return _inverted_profile(cc)
+    return cc.hat
+
+
+@pytest.mark.parametrize(
+    "chart_id", ["exterior", "neck", "neck_reflected", "exterior_reflected"]
+)
+def test_oracle_array_pass_matches_per_radius_calls(conformal_m1, chart_id):
+    # each sample has its own step, and the edge samples have theirs
+    # shrunk exactly as the residual scan shrinks them; one array pass must
+    # reproduce every per-radius call bit for bit
+    prof = _presentation(conformal_m1.chart(chart_id))
+    lo, hi = prof.r_lo, prof.r_hi
+    span = hi - lo
+    t = lo + span * np.concatenate(
+        ([1e-4, 2e-3], np.linspace(0.01, 0.99, 13), [1.0 - 3e-3, 1.0 - 2e-4])
+    )
+    raw = 2e-3 * span * (1.0 + 0.5 * np.sin(np.arange(t.size)))
+    h = np.minimum(np.minimum(raw, 0.45 * (t - lo)), 0.45 * (hi - t))
+    assert np.sum(h < raw) >= 4 and np.unique(h).size == t.size
+    fields = [f.name for f in dataclasses.fields(CurvatureSample)]
+    arr = fd_curvature_oracle(prof, t, h)
+    for i in range(t.size):
+        one = fd_curvature_oracle(prof, float(t[i]), float(h[i]))
+        np.testing.assert_array_equal(
+            [getattr(arr, f)[i] for f in fields], [getattr(one, f) for f in fields]
+        )
 
 
 def test_non_harmonic_perturbation_is_flagged(doubled_m1):

@@ -3,12 +3,14 @@ vacuum residuals, sphere geometry, and the two chart-free identities."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from photonlab.curvature import (
+    CurvatureSample,
     convergence_study,
     curvature_at,
     fd_curvature_oracle,
@@ -16,6 +18,7 @@ from photonlab.curvature import (
     surface_geometry,
 )
 from photonlab.radial import (
+    DomainError,
     EndpointDegeneracyError,
     RadialFunction,
     make_interior_fluid,
@@ -119,6 +122,61 @@ def test_oracle_on_tabulated_profile_within_interpolation_bound():
     # dominates every curvature combination up to O(1) frame factors
     budget = 50.0 * max(bound[ch]["d2"] for ch in ("N", "A", "Rareal"))
     assert s.max_vacuum_residual() <= budget
+
+
+def _stacked(sample: CurvatureSample) -> np.ndarray:
+    return np.array([getattr(sample, f.name) for f in dataclasses.fields(sample)])
+
+
+def _values_only(f: RadialFunction) -> RadialFunction:
+    def no_derivative(r):
+        raise AssertionError("the oracle asked for a derivative")
+
+    return RadialFunction(lambda r: f(r), no_derivative, no_derivative)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [make_schwarzschild_family(1.0, 2.5, 100.0), make_interior_fluid(1.0, 2.5)],
+    ids=["schwarzschild", "fluid"],
+)
+def test_oracle_reads_metric_values_only(profile):
+    # the design rule that keeps the oracle independent of the closed form:
+    # with every derivative slot raising, both the array pass and the
+    # scalar call still run, and give what the unwrapped profile gives
+    blind = dataclasses.replace(
+        profile,
+        N=_values_only(profile.N),
+        A=_values_only(profile.A),
+        Rareal=_values_only(profile.Rareal),
+    )
+    lo, hi = profile.interior_window(pad=0.05)
+    rs = np.linspace(lo + 0.01, hi - 0.01, 9)
+    hs = np.full(rs.shape, 1e-3)
+    np.testing.assert_array_equal(
+        _stacked(fd_curvature_oracle(blind, rs, hs)),
+        _stacked(fd_curvature_oracle(profile, rs, hs)),
+    )
+    r = float(rs[4])
+    assert fd_curvature_oracle(blind, r, 1e-3) == fd_curvature_oracle(profile, r, 1e-3)
+
+
+def test_oracle_array_stencil_domain_guard():
+    p = make_schwarzschild_family(1.0, 3.0, 10.0)
+    with pytest.raises(DomainError):
+        # one stencil of three exits below r_lo
+        fd_curvature_oracle(p, np.array([5.0, 3.0005, 7.0]), np.full(3, 1e-3))
+
+
+def test_closed_form_on_arrays_matches_scalar_calls():
+    # vectorized float64 ``**`` may round differently from the scalar one,
+    # so the two routes agree to rounding, not bit for bit
+    p = make_schwarzschild_family(1.0, 2.5, 100.0)
+    rs = np.geomspace(2.6, 99.0, 64)
+    arr = _stacked(curvature_at(p, rs))
+    per_radius = np.array([_stacked(curvature_at(p, float(r))) for r in rs]).T
+    assert arr.shape == per_radius.shape == (11, 64)
+    np.testing.assert_allclose(arr, per_radius, rtol=1e-13, atol=1e-16)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from photonlab.gluing import (
     psi_harmonicity_max,
 )
 from photonlab.radial import (
+    RadialFunction,
     make_schwarzschild_family,
     make_tabulated,
 )
@@ -223,6 +224,19 @@ def test_neck_psi_range(doubled_m1):
 
 def test_psi_harmonicity(doubled_m1):
     assert psi_harmonicity_max(doubled_m1, n_per_chart=128) <= 1e-10
+
+
+def test_psi_harmonicity_surfaces_nan(doubled_m1):
+    # a lapse that is NaN on part of one chart must be reported, not skipped
+    def f(r):
+        return np.where((r > 30.0) & (r < 60.0), np.nan, 0.0 * r)
+
+    ext = doubled_m1.chart("exterior")
+    poisoned = replace(
+        ext, profile=replace(ext.profile, N=ext.profile.N.plus(RadialFunction(f, f, f)))
+    )
+    charts = tuple(poisoned if c is ext else c for c in doubled_m1.charts)
+    assert math.isnan(psi_harmonicity_max(replace(doubled_m1, charts=charts)))
 
 
 def test_guarded_samples_avoid_surfaces(doubled_m1):
