@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .curvature import surface_geometry
 from .radial import CompositeProfile, DomainError, RadialProfile
@@ -150,6 +149,8 @@ class MonotonicityScan:
 
 def _segments(profile, r_values):
     """Split sample intervals at composite breakpoints for clean quadrature."""
+    from scipy.integrate import quad
+
     if isinstance(profile, CompositeProfile):
         cuts = [b for b in profile.breakpoints]
     else:

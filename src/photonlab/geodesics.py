@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .radial import DomainError, ProfileKind, RadialProfile
 
@@ -87,6 +86,74 @@ def impact_parameter(profile: RadialProfile, r):
     return profile.Rareal(r) / profile.N(r)
 
 
+def _brent(fun, xa, xb, xtol, rtol, maxiter=100):
+    """Brent-Dekker root of ``fun`` on the sign-change bracket [xa, xb].
+
+    A line-by-line transcription of scipy's ``brentq.c`` (Brent, 1973,
+    ch. 4): inverse quadratic or secant steps while they shrink the bracket
+    fast enough, bisection otherwise, and a step of at least the tolerance
+    ``(xtol + rtol |x|)/2``.  Same step rules and stopping test, so it
+    returns the roots ``scipy.optimize.brentq`` returns, bit for bit.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = _value_not_nan(fun, xpre), _value_not_nan(fun, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise DomainError("root refinement needs a sign change on the bracket")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (
+            math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        ):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (
+                    -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                )
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _value_not_nan(fun, xcur)
+    raise DomainError(
+        f"root refinement did not converge in {maxiter} iterations (x = {xcur!r})"
+    )
+
+
+def _value_not_nan(fun, x):
+    # as scipy's wrapper does: a NaN would derail every comparison above
+    fx = fun(x)
+    if math.isnan(fx):
+        raise DomainError(f"residual is NaN at r = {x!r}; cannot refine the root")
+    return fx
+
+
 def _refine_root(fun, lo, hi, flo, fhi, rtol):
     """Polish a sign-change bracket down to the requested tolerance.
 
@@ -100,7 +167,7 @@ def _refine_root(fun, lo, hi, flo, fhi, rtol):
         return hi
     rtol = max(rtol, 4.0 * np.finfo(float).eps)
     return float(
-        brentq(fun, lo, hi, xtol=rtol * max(abs(lo), abs(hi), 1.0), rtol=rtol)
+        _brent(fun, lo, hi, xtol=rtol * max(abs(lo), abs(hi), 1.0), rtol=rtol)
     )
 
 
@@ -114,7 +181,7 @@ def photon_sphere_search(
     """All roots of the optical mean curvature on the (sub)domain.
 
     Scans ``n_scan`` radii for sign changes and refines each bracket with
-    bisection + secant steps down to floating-point resolution.  Returns an
+    Brent-Dekker steps down to floating-point resolution.  Returns an
     increasing list of radii; an empty list is the definitive "no photon
     sphere" answer for profiles where the residual keeps one sign.
     """
@@ -323,8 +390,10 @@ def integrate_null_geodesic(
             break
         steps += 1
         h = min(h, lam_max - lam)
-        if h < 1e-14 * max(1.0, lam):
-            termination = "step_underflow"
+        floor = 1e-14 * max(1.0, lam)
+        if h < floor:
+            # a remainder below the floor is rounding of the window, not a stall
+            termination = "window" if lam_max - lam <= floor else "step_underflow"
             break
         try:
             k[0] = _geodesic_rhs(profile, y)

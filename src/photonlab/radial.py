@@ -17,11 +17,15 @@ Units are geometric (G = c = 1); masses and radii share one length unit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "ProfileKind",
@@ -112,7 +116,7 @@ class RadialFunction:
         )
 
     @staticmethod
-    def from_spline(spline: CubicSpline) -> "RadialFunction":
+    def from_spline(spline: "CubicSpline") -> "RadialFunction":
         return RadialFunction(
             lambda r: spline(r),
             lambda r: spline(r, 1),
@@ -325,6 +329,16 @@ class RadialProfile:
 # ---------------------------------------------------------------------------
 
 
+def _require_finite(**values) -> None:
+    """Refuse NaN and infinite construction parameters, naming the first.
+
+    ``None`` stands for an omitted optional parameter and passes.
+    """
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+
+
 def _schwarzschild_functions(m: float):
     """Lapse / radial factor / areal radius triple for mass parameter m."""
 
@@ -365,6 +379,7 @@ def make_schwarzschild_family(
     in every case.  Negative and zero masses give horizonless profiles used
     as no-photon-sphere controls.
     """
+    _require_finite(mass=mass, r_lo=r_lo, r_hi=r_hi)
     if not (r_lo < r_hi):
         raise DomainError("require r_lo < r_hi")
     if r_lo <= 0.0:
@@ -401,6 +416,7 @@ def make_schwarzschild_neck(mu: float, r_glue: float | None = None) -> RadialPro
     ``r_glue`` different from 3 mu only occurs in deliberately corrupted
     gluings used as negative controls.
     """
+    _require_finite(mu=mu, r_glue=r_glue)
     if mu <= 0.0:
         raise DomainError("neck mass parameter must be positive")
     r_lo = 2.0 * mu
@@ -435,6 +451,7 @@ def make_interior_fluid(mass: float, star_radius: float) -> RadialProfile:
     and the exterior lapse at the boundary.  Density and central/boundary
     pressure are stored in ``meta`` for source-term verification.
     """
+    _require_finite(mass=mass, star_radius=star_radius)
     if mass <= 0.0 or star_radius <= 0.0:
         raise DomainError("mass and star radius must be positive")
     ratio = buchdahl_ratio(mass, star_radius)
@@ -509,6 +526,8 @@ def make_tabulated(r, N, A, Rareal) -> RadialProfile:
     r = np.asarray(r, dtype=float)
     if r.ndim != 1 or r.size < 4:
         raise DomainError("tabulated profile needs at least 4 nodes")
+    if not np.all(np.isfinite(r)):
+        raise DomainError("tabulated nodes r must be finite")
     if np.any(np.diff(r) <= 0.0):
         raise DomainError("tabulated nodes must be strictly increasing")
     cols = {}
@@ -516,11 +535,15 @@ def make_tabulated(r, N, A, Rareal) -> RadialProfile:
         v = np.asarray(vals, dtype=float)
         if v.shape != r.shape:
             raise DomainError(f"channel {name} shape does not match node array")
+        if not np.all(np.isfinite(v)):
+            raise DomainError(f"tabulated channel {name} must be finite")
         cols[name] = v
     if np.any(cols["N"] <= 0.0) or np.any(cols["A"] <= 0.0):
         raise DomainError("tabulated N and A must be positive on all nodes")
     if np.any(cols["Rareal"] <= 0.0):
         raise DomainError("tabulated areal radius must be positive")
+    from scipy.interpolate import CubicSpline
+
     funcs = {
         name: RadialFunction.from_spline(CubicSpline(r, v))
         for name, v in cols.items()

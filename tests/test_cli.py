@@ -263,6 +263,19 @@ def test_missing_profile_document_is_io_error(capsys, tmp_path):
     assert code == EXIT_IO
 
 
+def test_non_finite_table_document_is_config_error(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"kind": "tabulated", "r": [3, 4, 5, 6], "N": [1, NaN, 1, 1], '
+        '"A": [1, 1, 1, 1], "Rareal": [3, 4, 5, 6]}',
+        encoding="utf-8",
+    )
+    code, out, err = _run(capsys, "verify", "--metric", str(path))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "channel N must be finite" in err
+
+
 def test_unwritable_out_path_is_io_error(capsys, tmp_path):
     target = tmp_path / "no-such-dir" / "report.json"
     code, _, err = _run(capsys, "audit", "--out", str(target))

@@ -212,6 +212,46 @@ def test_tabulated_validation():
         make_tabulated(r, 0.0 * r, 1.0 + 0 * r, r)  # nonpositive lapse
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_closed_form_constructors_refuse_non_finite(bad):
+    cases = [
+        ("mass", lambda: make_schwarzschild_family(bad, 3.0, 100.0)),
+        ("r_lo", lambda: make_schwarzschild_family(1.0, bad, 100.0)),
+        ("r_hi", lambda: make_schwarzschild_family(1.0, 3.0, bad)),
+        ("mu", lambda: make_schwarzschild_neck(bad)),
+        ("r_glue", lambda: make_schwarzschild_neck(1.0, bad)),
+        ("mass", lambda: make_interior_fluid(bad, 2.5)),
+        ("star_radius", lambda: make_interior_fluid(1.0, bad)),
+    ]
+    for name, build in cases:
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            build()
+    with pytest.raises(DomainError):
+        make_schwarzschild_exterior(bad, 3.0, 100.0)
+
+
+@pytest.mark.parametrize("channel", ["r", "N", "A", "Rareal"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_tabulated_refuses_non_finite(channel, bad):
+    r = np.linspace(3.0, 10.0, 8)
+    cols = {"r": r, "N": 1.0 + 0.0 * r, "A": 1.0 + 0.0 * r, "Rareal": r.copy()}
+    cols[channel] = cols[channel].copy()
+    cols[channel][-1 if channel == "r" else 3] = bad
+    with pytest.raises(DomainError, match=f" {channel} must be finite"):
+        make_tabulated(cols["r"], cols["N"], cols["A"], cols["Rareal"])
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_load_profile_refuses_non_finite_json_literals(literal):
+    closed = '{"kind": "schwarzschild", "mass": %s, "r_lo": 3.0, "r_hi": 100.0}'
+    with pytest.raises(DomainError, match="mass must be finite"):
+        load_profile(io.StringIO(closed % literal))
+    table = '{"kind": "tabulated", "r": [3, 4, 5, 6], "N": [1, %s, 1, 1], ' \
+        '"A": [1, 1, 1, 1], "Rareal": [3, 4, 5, 6]}'
+    with pytest.raises(DomainError, match="channel N must be finite"):
+        load_profile(io.StringIO(table % literal))
+
+
 def test_profile_document_round_trip():
     doc = {"kind": "schwarzschild", "mass": 1.0, "r_lo": 3.0, "r_hi": 100.0}
     p = load_profile(doc)
