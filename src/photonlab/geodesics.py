@@ -86,7 +86,10 @@ def impact_parameter(profile: RadialProfile, r):
     return profile.Rareal(r) / profile.N(r)
 
 
-def _brent(fun, xa, xb, xtol, rtol, maxiter=100):
+_BRENT_MAXITER = 100
+
+
+def _brent(fun, xa, xb, xtol, rtol):
     """Brent-Dekker root of ``fun`` on the sign-change bracket [xa, xb].
 
     A line-by-line transcription of scipy's ``brentq.c`` (Brent, 1973,
@@ -104,7 +107,7 @@ def _brent(fun, xa, xb, xtol, rtol, maxiter=100):
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise DomainError("root refinement needs a sign change on the bracket")
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (
             math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
         ):
@@ -142,7 +145,8 @@ def _brent(fun, xa, xb, xtol, rtol, maxiter=100):
             xcur += delta if sbis > 0 else -delta
         fcur = _value_not_nan(fun, xcur)
     raise DomainError(
-        f"root refinement did not converge in {maxiter} iterations (x = {xcur!r})"
+        f"root refinement did not converge in {_BRENT_MAXITER} iterations "
+        f"(x = {xcur!r})"
     )
 
 

@@ -116,7 +116,7 @@ class RadialFunction:
         )
 
     @staticmethod
-    def from_spline(spline: "CubicSpline") -> "RadialFunction":
+    def from_spline(spline: CubicSpline) -> "RadialFunction":
         return RadialFunction(
             lambda r: spline(r),
             lambda r: spline(r, 1),
