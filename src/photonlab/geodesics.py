@@ -245,7 +245,9 @@ class NullGeodesicState:
 @dataclass(frozen=True)
 class GeodesicResult:
     states: list[NullGeodesicState]
-    termination: str  # "window" | "domain_exit_outer" | "domain_exit_inner" | "step_underflow"
+    # "window" | "domain_exit_outer" | "domain_exit_inner" | "step_underflow"
+    # | "step_limit" (the budget of _MAX_STEPS step attempts ran out)
+    termination: str
     max_constraint: float
     E_drift: float
     L_drift: float
@@ -255,8 +257,15 @@ class GeodesicResult:
         return np.array([s.r for s in self.states])
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# Integration stops this far (relative to max(1, |r_lo|)) above the inner
+# boundary, where horizons live, and after this many step attempts.
+_INNER_MARGIN = 1e-6
+_MAX_STEPS = 2_000_000
+
+# Dormand-Prince 5(4) tableau.  The system is autonomous, so the nodes c_i
+# are never read.  The last stage row is the fifth-order weight row, which
+# makes the method first-same-as-last: stage 6 is the fifth-order solution.
+_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP_A = (
     (),
     (1 / 5,),
@@ -264,9 +273,8 @@ _DP_A = (
     (44 / 45, -56 / 15, 32 / 9),
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    _DP_B5,
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (
     5179 / 57600,
     0.0,
@@ -278,30 +286,51 @@ _DP_B4 = (
 )
 
 
+def _nonzero(row):
+    return tuple((j, a) for j, a in enumerate(row) if a != 0.0)
+
+
+_DP_STAGES = tuple(_nonzero(row) for row in _DP_A[1:])
+_DP_ERROR = _nonzero(_DP_B4)
+
+
+def _combine(y, h, k, terms):
+    """y + h * sum(a_j k_j) over ``terms``, component by component.
+
+    Each sum runs left to right from 0 over the nonzero a_j in tableau
+    order.  The builtin ``sum`` is avoided: from Python 3.12 it compensates
+    float sums, which would round differently.
+    """
+    acc = (0,) * len(y)
+    for j, a in terms:
+        acc = [s + a * kc for s, kc in zip(acc, k[j])]
+    return [yc + h * s for yc, s in zip(y, acc)]
+
+
 def _geodesic_rhs(profile: RadialProfile, y):
-    """Second-order geodesic system in (t, r, phi, dt, dr, dphi)."""
+    """Second-order geodesic system in (t, r, phi, dt, dr, dphi).
+
+    Returns the derivative and the (N, A, Rareal) it read at y, from which
+    :func:`_observables` records the state without evaluating again.
+    """
     _, r, _, td, rd, pd = y
     n, dn = profile.N(r), profile.N(r, 1)
     a, da = profile.A(r), profile.A(r, 1)
     rr, drr = profile.Rareal(r), profile.Rareal(r, 1)
     inv_a2 = 1.0 / (a * a)
-    return np.array(
-        [
-            td,
-            rd,
-            pd,
-            -2.0 * (dn / n) * td * rd,
-            (rr * drr * pd * pd - n * dn * td * td) * inv_a2 - (da / a) * rd * rd,
-            -2.0 * (drr / rr) * rd * pd,
-        ]
-    )
+    return (
+        td,
+        rd,
+        pd,
+        -2.0 * (dn / n) * td * rd,
+        (rr * drr * pd * pd - n * dn * td * td) * inv_a2 - (da / a) * rd * rd,
+        -2.0 * (drr / rr) * rd * pd,
+    ), (n, a, rr)
 
 
-def _observables(profile: RadialProfile, lam, y):
+def _observables(lam, y, values):
     _, r, phi, td, rd, pd = y
-    n = profile.N(r)
-    a = profile.A(r)
-    rr = profile.Rareal(r)
+    n, a, rr = values
     e = n * n * td
     ell = rr * rr * pd
     constraint = -(n * td) ** 2 + (a * rd) ** 2 + (rr * pd) ** 2
@@ -355,8 +384,6 @@ def integrate_null_geodesic(
     y0,
     lam_max: float,
     tol: float = 1e-12,
-    inner_margin: float = 1e-6,
-    max_steps: int = 2_000_000,
 ) -> GeodesicResult:
     """Adaptive embedded Runge-Kutta (Dormand-Prince 5(4)) trajectory.
 
@@ -364,15 +391,16 @@ def integrate_null_geodesic(
     tolerance ``tol``; every accepted step records the state with its
     measured null-constraint violation.  Integration stops at the affine
     window ``lam_max``, on leaving the radial domain (outward or within
-    ``inner_margin`` of the inner boundary, where horizons live), or on
-    step-size underflow, which is reported in ``termination`` rather than
-    silently swallowed.
+    ``_INNER_MARGIN`` of the inner boundary, where horizons live), on
+    step-size underflow, or after ``_MAX_STEPS`` step attempts; the cause
+    is reported in ``termination`` rather than silently swallowed.
     """
     lo, hi = profile.r_lo, profile.r_hi
-    inner_stop = lo + inner_margin * max(1.0, abs(lo))
+    inner_stop = lo + _INNER_MARGIN * max(1.0, abs(lo))
     lam = 0.0
-    y = np.array(y0, dtype=float)
-    states = [_observables(profile, lam, y)]
+    y = np.array(y0, dtype=float).tolist()
+    k0, values = _geodesic_rhs(profile, y)
+    states = [_observables(lam, y, values)]
     e0, l0 = states[0].E, states[0].L
     max_con = abs(states[0].constraint)
     if max_con > 1e-10 * max(e0 * e0, 1e-30):
@@ -386,11 +414,10 @@ def integrate_null_geodesic(
 
     h = min(1e-3 * max(1.0, abs(y[1])), lam_max / 10.0)
     termination = "window"
-    k = np.zeros((7, 6))
     steps = 0
     while lam < lam_max:
-        if steps >= max_steps:
-            termination = "step_underflow"
+        if steps >= _MAX_STEPS:
+            termination = "step_limit"
             break
         steps += 1
         h = min(h, lam_max - lam)
@@ -399,15 +426,15 @@ def integrate_null_geodesic(
             # a remainder below the floor is rounding of the window, not a stall
             termination = "window" if lam_max - lam <= floor else "step_underflow"
             break
+        # k0 is the derivative at y, kept across rejected and retried steps
+        k = [k0]
         try:
-            k[0] = _geodesic_rhs(profile, y)
-            for i in range(1, 7):
-                yi = y + h * sum(
-                    aij * k[j] for j, aij in enumerate(_DP_A[i]) if aij != 0.0
-                )
+            for terms in _DP_STAGES:
+                yi = _combine(y, h, k, terms)
                 if not (lo < yi[1] < hi):
                     raise _LeftDomain(yi[1])
-                k[i] = _geodesic_rhs(profile, yi)
+                ki, values = _geodesic_rhs(profile, yi)
+                k.append(ki)
         except _LeftDomain as exc:
             # A stage left the chart: either terminate (at the true edge) or
             # shrink the step and retry.
@@ -418,21 +445,23 @@ def integrate_null_geodesic(
                 break
             h *= 0.25
             continue
-        y5 = y + h * sum(b * k[i] for i, b in enumerate(_DP_B5) if b != 0.0)
-        y4 = y + h * sum(b * k[i] for i, b in enumerate(_DP_B4) if b != 0.0)
-        scale = tol + tol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
+        # first same as last: the last stage is the fifth-order solution,
+        # and its derivative and profile values serve the next step
+        y5 = yi
+        y4 = np.array(_combine(y, h, k, _DP_ERROR))
+        y5a = np.array(y5)
+        scale = tol + tol * np.maximum(np.abs(np.array(y)), np.abs(y5a))
+        err = float(np.sqrt(np.mean(((y5a - y4) / scale) ** 2)))
         if err <= 1.0:
             lam += h
-            y = y5
+            y, k0 = y5, k[-1]
+            st = _observables(lam, y, values)
+            states.append(st)
             if not (inner_stop < y[1] < hi):
                 termination = (
                     "domain_exit_outer" if y[1] >= hi else "domain_exit_inner"
                 )
-                states.append(_observables(profile, lam, y))
                 break
-            st = _observables(profile, lam, y)
-            states.append(st)
             max_con = max(max_con, abs(st.constraint))
             e_drift = max(e_drift, abs(st.E - e0) / scale_e)
             l_drift = max(l_drift, abs(st.L - l0) / scale_l)

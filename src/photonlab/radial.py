@@ -18,14 +18,11 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "ProfileKind",
@@ -113,14 +110,6 @@ class RadialFunction:
             lambda r: r,
             lambda r: r * 0.0 + 1.0,
             lambda r: r * 0.0,
-        )
-
-    @staticmethod
-    def from_spline(spline: CubicSpline) -> "RadialFunction":
-        return RadialFunction(
-            lambda r: spline(r),
-            lambda r: spline(r, 1),
-            lambda r: spline(r, 2),
         )
 
     # -- calculus combinators -----------------------------------------
@@ -516,12 +505,70 @@ def make_interior_fluid(mass: float, star_radius: float) -> RadialProfile:
 # ---------------------------------------------------------------------------
 
 
+def _piecewise_cubic(x: np.ndarray, c: np.ndarray) -> RadialFunction:
+    """Evaluate a cubic in scipy's ``PPoly`` form, as ``_ppoly.evaluate`` does.
+
+    ``c[k, i]`` multiplies ``(r - x[i])**(3 - k)`` on the half-open interval
+    [x[i], x[i+1]); the last interval is closed, and radii outside [x[0],
+    x[-1]] extrapolate the end cubics.  Each derivative is the same
+    power-basis sum ``res + c*z*prefactor`` in the same order, so values
+    match ``CubicSpline(x, y)(r, nu)`` bit for bit.  Every term but the
+    first carries a power of s = r - x[i], so a NaN radius gives NaN for
+    nu <= 2 without a test of its own.  Python floats take a ``bisect``
+    path and return floats; anything else is cast to a float64 array
+    first, as ``PPoly.__call__`` does (the oracle passes longdouble).
+    """
+    xs = x.tolist()
+    last = len(xs) - 2
+    c0, c1, c2, c3 = (row.tolist() for row in c)
+
+    def interval(r: float) -> int:
+        return min(max(bisect_right(xs, r) - 1, 0), last)
+
+    def on_array(r, nu: int):
+        r = np.asarray(r, dtype=np.float64)
+        i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, last)
+        s = r - x[i]
+        # silent on infinite radii, as the compiled evaluator is
+        with np.errstate(all="ignore"):
+            if nu == 0:
+                z = s * s
+                return 0.0 + c[3, i] + c[2, i] * s + c[1, i] * z + c[0, i] * (z * s)
+            if nu == 1:
+                return 0.0 + c[2, i] + c[1, i] * s * 2.0 + c[0, i] * (s * s) * 3.0
+            return 0.0 + c[1, i] * 2.0 + c[0, i] * s * 6.0
+
+    def d0(r):
+        if type(r) is not float:
+            return on_array(r, 0)
+        i = interval(r)
+        s = r - xs[i]
+        z = s * s
+        return 0.0 + c3[i] + c2[i] * s + c1[i] * z + c0[i] * (z * s)
+
+    def d1(r):
+        if type(r) is not float:
+            return on_array(r, 1)
+        i = interval(r)
+        s = r - xs[i]
+        return 0.0 + c2[i] + c1[i] * s * 2.0 + c0[i] * (s * s) * 3.0
+
+    def d2(r):
+        if type(r) is not float:
+            return on_array(r, 2)
+        i = interval(r)
+        return 0.0 + c1[i] * 2.0 + c0[i] * (r - xs[i]) * 6.0
+
+    return RadialFunction(d0, d1, d2)
+
+
 def make_tabulated(r, N, A, Rareal) -> RadialProfile:
     """Profile interpolated from sampled nodes.
 
     Each channel becomes a not-a-knot cubic spline: nodes are reproduced
     exactly and the interpolant has continuous second derivatives, which is
-    the minimum smoothness the curvature formulas consume.
+    the minimum smoothness the curvature formulas consume.  scipy solves
+    the spline coefficients; :func:`_piecewise_cubic` evaluates them.
     """
     r = np.asarray(r, dtype=float)
     if r.ndim != 1 or r.size < 4:
@@ -544,10 +591,10 @@ def make_tabulated(r, N, A, Rareal) -> RadialProfile:
         raise DomainError("tabulated areal radius must be positive")
     from scipy.interpolate import CubicSpline
 
-    funcs = {
-        name: RadialFunction.from_spline(CubicSpline(r, v))
-        for name, v in cols.items()
-    }
+    funcs = {}
+    for name, v in cols.items():
+        spline = CubicSpline(r, v)
+        funcs[name] = _piecewise_cubic(spline.x, spline.c)
     return RadialProfile(
         kind=ProfileKind.TABULATED,
         r_lo=float(r[0]),

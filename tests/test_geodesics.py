@@ -3,11 +3,13 @@ trapping verdicts, and trajectory export."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from photonlab import geodesics
 from photonlab.geodesics import (
     _brent,
     _refine_root,
@@ -203,6 +205,80 @@ def test_window_end_rounding_is_not_step_underflow():
     assert rep.max_radial_deviation == 0.0
     assert rep.termination == "window"
     assert rep.verdict == "trapped"
+
+
+# sha256 over the repr of every recorded state, the termination, the
+# constraint maximum and the drifts of the launches on, 1% outside and 1%
+# inside the outermost photon sphere.  Frozen from the integrator that
+# built its stages as numpy arrays and evaluated seven stages per step:
+# the float stepper with first-same-as-last reuse must reproduce every
+# trajectory bit for bit.  m = 1.862462730120386 has a tabulated on-sphere
+# launch that ends within the step floor of its window.
+GOLDEN_TRAJECTORIES = {
+    ("closed", 0.7):
+        "8dfea0d6d880b32625af7448a5ae221961e27b3d467e7acefd1dd70177fe90d3",
+    ("tabulated", 0.7):
+        "84e07d5686903207532f7c6a20b662721b717c9ffb8aeb0b12e31218ca26067d",
+    ("star_vacuum", 0.7):
+        "4ff5ac0c2c677dfd1e6396c836b83995a42a6e8a90e363ee043ba17885bdce57",
+    ("closed", 1.862462730120386):
+        "d289cf41cf4459f4ee3614b4def9949b910766c18647bfd123848596a21a150a",
+    ("tabulated", 1.862462730120386):
+        "11d9d9e3aa3bb60f478108b19810a442aa40f54ef89a49e1ec854d31816799d2",
+    ("star_vacuum", 1.862462730120386):
+        "34539f9cceb0ad42d1ac61f46e93ccaa07365011209a233d27bfd5be10c5245d",
+}
+
+
+def _trajectory_profiles(m):
+    exact = make_schwarzschild_family(m, 2.1 * m, 100.0 * m)
+    r = np.geomspace(2.1 * m, 100.0 * m, 400)
+    return {
+        "closed": exact,
+        "tabulated": make_tabulated(r, exact.N(r), exact.A(r), exact.Rareal(r)),
+        "star_vacuum": make_composite_star(m, 2.6 * m).vacuum_piece(),
+    }
+
+
+def _trajectory_digest(profile):
+    root = photon_sphere_search(profile)[-1]
+    digest = hashlib.sha256()
+    for f in (1.0, 1.01, 0.99):
+        r0 = root * f
+        y0 = tangential_launch(profile, r0)
+        res = integrate_null_geodesic(profile, y0, 50.0 * r0 / 3.0)
+        fields = (res.states, res.termination, res.max_constraint,
+                  res.E_drift, res.L_drift)
+        digest.update(repr(fields).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("kind, m", sorted(GOLDEN_TRAJECTORIES))
+def test_trajectories_match_frozen_digests(kind, m):
+    digest = _trajectory_digest(_trajectory_profiles(m)[kind])
+    assert digest == GOLDEN_TRAJECTORIES[kind, m]
+
+
+def test_tabulated_trapping_verdicts():
+    m = 1.0
+    exact = make_schwarzschild_family(m, 2.1 * m, 100.0 * m)
+    r = np.geomspace(2.1 * m, 100.0 * m, 400)
+    table = make_tabulated(r, exact.N(r), exact.A(r), exact.Rareal(r))
+    (root,) = photon_sphere_search(table)
+    on = trapping_report(table, root)
+    assert on.verdict != "fell_in"
+    assert on.termination not in ("domain_exit_inner", "domain_exit_outer")
+    assert trapping_report(table, 1.01 * root).verdict == "escaped"
+    assert trapping_report(table, 0.99 * root).verdict == "fell_in"
+
+
+def test_step_budget_ends_as_step_limit(wide_m1, monkeypatch):
+    monkeypatch.setattr(geodesics, "_MAX_STEPS", 5)
+    res = integrate_null_geodesic(wide_m1, tangential_launch(wide_m1, 3.0), 50.0)
+    assert res.termination == "step_limit"
+    assert 1 < len(res.states) <= 6
+    rep = trapping_report(wide_m1, 3.0)
+    assert (rep.termination, rep.verdict) == ("step_limit", "escaped")
 
 
 def test_launch_with_momenta_is_null_and_directed(wide_m1):

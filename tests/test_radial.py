@@ -202,6 +202,44 @@ def test_tabulated_reproduces_nodes_and_midpoints():
     assert err <= max(bound, 1e-12)
 
 
+def _same_bits(got, want):
+    """Equal dtype-for-value, bit for bit, with NaN matching NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    return np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def test_tabulated_evaluation_matches_cubic_spline_bitwise():
+    CubicSpline = pytest.importorskip("scipy.interpolate").CubicSpline
+    src = make_schwarzschild_family(1.0, 2.1, 100.0)
+    nodes = np.geomspace(2.1, 100.0, 400)
+    tab = make_tabulated(nodes, src.N(nodes), src.A(nodes), src.Rareal(nodes))
+    lo, hi = nodes[0], nodes[-1]
+    radii = np.concatenate([
+        nodes,
+        0.5 * (nodes[:-1] + nodes[1:]),
+        np.nextafter(nodes, -np.inf),
+        np.nextafter(nodes, np.inf),
+        np.random.default_rng(3).uniform(lo, hi, 2000),
+        [lo - 1e-9, lo - 0.5, hi + 1e-9, hi + 7.0, 0.0, -np.inf, np.inf, np.nan],
+    ])
+    for name in ("N", "A", "Rareal"):
+        spline = CubicSpline(nodes, tab.meta["values"][name])
+        fn = getattr(tab, name)
+        for nu in (0, 1, 2):
+            want = spline(radii, nu)
+            assert _same_bits(fn(radii, nu), want), (name, nu)
+            assert _same_bits(fn(radii.astype(np.longdouble), nu), want), (name, nu)
+            grid = radii[:3600].reshape(-1, 4)
+            assert _same_bits(fn(grid, nu), want[:3600].reshape(-1, 4))
+            for r, w in zip(radii.tolist(), want):
+                assert _same_bits(fn(r, nu), w), (name, nu, r)
+            for r, w in zip(radii[::10], want[::10]):  # np.float64 scalars
+                assert _same_bits(fn(r, nu), w), (name, nu, r)
+
+
 def test_tabulated_validation():
     r = np.linspace(3, 10, 8)
     with pytest.raises(DomainError):
