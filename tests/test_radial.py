@@ -203,7 +203,7 @@ def test_tabulated_reproduces_nodes_and_midpoints():
 
 
 def _same_bits(got, want):
-    """Equal dtype-for-value, bit for bit, with NaN matching NaN."""
+    """Same shape, float64, equal bit for bit; NaN matches any NaN."""
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape and got.dtype == want.dtype == np.float64
     nan = np.isnan(want)
