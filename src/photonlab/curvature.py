@@ -11,6 +11,10 @@ Two routes to the same tensors, deliberately kept apart:
 
 The oracle works internally in extended precision (``np.longdouble``) so
 its truncation error, not roundoff, dominates down to step sizes of 1e-4.
+Its 25 stencil points per sample lie on seven distinct radii, r, r +- h
+and (r +- h) +- h: A and Rareal are read once on those seven, N once on
+the central three, and the five Christoffel stencils are assembled in one
+batched pass.
 
 Both routes are array-shaped: given an array of radii (and, for the
 oracle, a matching array of per-sample steps) they evaluate every sample
@@ -181,36 +185,37 @@ def curvature_at(profile: RadialProfile, r) -> CurvatureSample:
 # ---------------------------------------------------------------------------
 
 
-def _metric_lapse(profile: RadialProfile, r, th):
-    """Coordinate metric diag(A^2, R^2, R^2 sin^2 th) and lapse, values only.
+# The five Christoffel centres (r, th), (r + h, th), (r - h, th), (r, th + h)
+# and (r, th - h) as indices into the seven expressions of :func:`_nested`,
+# and for expressions 0, 1 and 2 the ones a step h above and below.
+_CENTRE_R = np.array([0, 1, 2, 0, 0])
+_CENTRE_TH = np.array([0, 0, 0, 1, 2])
+_UP = np.array([1, 3, 5])
+_DOWN = np.array([2, 4, 6])
 
-    ``r`` and ``th`` broadcast together; the three metric components are
-    stacked on a leading axis.
+
+def _nested(x, h):
+    """x, x + h, x - h, (x + h) + h, (x + h) - h, (x - h) + h, (x - h) - h,
+    stacked on a leading axis.  (x + h) - h is kept apart from x: the two
+    may differ in the last bit."""
+    xp, xm = x + h, x - h
+    return np.stack(np.broadcast_arrays(x, xp, xm, xp + h, xp - h, xm + h, xm - h))
+
+
+def _christoffel(g0, dg_r, dg_th, h):
+    """Christoffel symbols from centered differences of a diagonal metric.
+
+    ``g0`` holds the metric diagonal (g_rr, g_thth, g_phph) on a leading
+    axis, ``dg_r`` and ``dg_th`` the difference numerators g(+h) - g(-h)
+    along r and th at the same points, and ``h`` the step; trailing axes
+    broadcast.  Returns gamma[c, a, b, ...] in coordinate order
+    (r, th, ph).  The metric is diagonal, so the inverse is taken
+    entrywise.
     """
-    a = profile.A(r)
-    rr = profile.Rareal(r)
-    s = np.sin(th)
-    return np.array([a * a, rr * rr, rr * rr * s * s]), profile.N(r)
-
-
-def _christoffel(profile, r, th, h):
-    """Christoffel symbols at (r, th) from centered differences of the metric.
-
-    Returns gamma[c, a, b, ...] in coordinate order (r, th, ph), trailing
-    axes following ``r`` and ``h``, together with the five-point stencil it
-    was built from: (metric, lapse) value pairs at (r, th), (r + h, th),
-    (r - h, th), (r, th + h) and (r, th - h).  The metric is diagonal, so
-    the inverse is taken entrywise.
-    """
-    stencil = [
-        _metric_lapse(profile, rv, tv)
-        for rv, tv in ((r, th), (r + h, th), (r - h, th), (r, th + h), (r, th - h))
-    ]
-    (g0, _), (gr_p, _), (gr_m, _), (gt_p, _), (gt_m, _) = stencil
     i = np.arange(3)
     dg = np.zeros((3, 3) + g0.shape, dtype=g0.dtype)  # dg[e, a, a] = d_e g_aa
-    dg[0, i, i] = (gr_p - gr_m) / (2.0 * h)
-    dg[1, i, i] = (gt_p - gt_m) / (2.0 * h)
+    dg[0, i, i] = dg_r / (2.0 * h)
+    dg[1, i, i] = dg_th / (2.0 * h)
     ginv = 1.0 / g0
     # gamma[c, a, b] = g^cc (d_a g_bc + d_b g_ac - d_c g_ab) / 2: with a
     # diagonal metric only the d = c inverse entry acts, and each term is
@@ -221,7 +226,7 @@ def _christoffel(profile, r, th, h):
         + np.where(eye[:, :, None], np.swapaxes(dg, 0, 2), 0.0)  # d_b g_ac, a == c
         - np.where(eye[None], dg, 0.0)  # d_c g_ab, a == b
     )
-    return 0.5 * ginv[:, None, None] * term, stencil
+    return 0.5 * ginv[:, None, None] * term
 
 
 def fd_curvature_oracle(profile: RadialProfile, r, h=1e-3) -> CurvatureSample:
@@ -235,6 +240,11 @@ def fd_curvature_oracle(profile: RadialProfile, r, h=1e-3) -> CurvatureSample:
     internals run in extended precision so the O(eps/h^2) roundoff floor
     sits well below truncation for h >= 1e-4.
 
+    The 25 stencil points lie on seven distinct radii, r, r +- h and
+    (r +- h) +- h, so each sample reads A and Rareal once on those seven
+    and N once on the central three; the five Christoffel stencils are then
+    assembled in one array pass.
+
     ``r`` may be an array of radii and ``h`` a matching array of
     per-sample steps (or one step for all).  Every stencil is then one
     array pass over all samples, each sample bit-identical to its own
@@ -245,21 +255,28 @@ def fd_curvature_oracle(profile: RadialProfile, r, h=1e-3) -> CurvatureSample:
         raise DomainError("finite-difference stencil leaves the profile domain")
 
     ld = np.longdouble
-    rl, hl = np.asarray(r, dtype=ld), np.asarray(h, dtype=ld)
-    th = ld(np.pi) / 2.0
+    rl, hl = np.broadcast_arrays(np.asarray(r, dtype=ld), np.asarray(h, dtype=ld))
+    radii = _nested(rl, hl)
+    a_val, r_val = profile.A(radii), profile.Rareal(radii)
+    a2, r2 = a_val * a_val, r_val * r_val
+    sin_th = np.sin(_nested(ld(np.pi) / 2.0, hl))
 
-    gam, stencil = _christoffel(profile, rl, th, hl)
-    (g0, n0), (_, n_rp), (_, n_rm), (_, n_tp), (_, n_tm) = stencil
-    ginv = 1.0 / g0
+    def metric(ir, ith):
+        """diag(A^2, R^2, R^2 sin^2 th) on (radius, angle) expressions."""
+        return np.stack([a2[ir], r2[ir], r2[ir] * sin_th[ith] * sin_th[ith]])
+
+    g = metric(_CENTRE_R, _CENTRE_TH)
+    gams = _christoffel(
+        g,
+        metric(_UP[_CENTRE_R], _CENTRE_TH) - metric(_DOWN[_CENTRE_R], _CENTRE_TH),
+        metric(_CENTRE_R, _UP[_CENTRE_TH]) - metric(_CENTRE_R, _DOWN[_CENTRE_TH]),
+        hl,
+    )
+    gam = gams[:, :, :, 0]
+    ginv = 1.0 / g[:, 0]
     dgam = np.zeros((3,) + gam.shape, dtype=gam.dtype)  # dgam[e, c, a, b]
-    dgam[0] = (
-        _christoffel(profile, rl + hl, th, hl)[0]
-        - _christoffel(profile, rl - hl, th, hl)[0]
-    ) / (2.0 * hl)
-    dgam[1] = (
-        _christoffel(profile, rl, th + hl, hl)[0]
-        - _christoffel(profile, rl, th - hl, hl)[0]
-    ) / (2.0 * hl)
+    dgam[0] = (gams[:, :, :, 1] - gams[:, :, :, 2]) / (2.0 * hl)
+    dgam[1] = (gams[:, :, :, 3] - gams[:, :, :, 4]) / (2.0 * hl)
 
     # Only the diagonal Ricci and Hessian components are reported.
     ric = []
@@ -273,8 +290,11 @@ def fd_curvature_oracle(profile: RadialProfile, r, h=1e-3) -> CurvatureSample:
                 s -= gam[c, a, d] * gam[d, c, a]
         ric.append(s)
 
-    # Lapse derivatives on the same stencil (theta-differences vanish by
-    # symmetry but are computed, not assumed).
+    # Lapse derivatives on the central stencil, whose theta-neighbours sit
+    # at radius r (theta-differences vanish by symmetry but are computed,
+    # not assumed).
+    n0, n_rp, n_rm = profile.N(radii[:3])
+    n_tp = n_tm = n0
     dn = ((n_rp - n_rm) / (2.0 * hl), (n_tp - n_tm) / (2.0 * hl), 0.0)
     d2n = (
         (n_rp - 2.0 * n0 + n_rm) / (hl * hl),

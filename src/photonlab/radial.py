@@ -227,14 +227,21 @@ class RadialProfile:
     # -- domain management --------------------------------------------
 
     def ensure_evaluable(self, r, *, open_interior: bool = False) -> None:
-        """Validate sample points, raising on domain or degeneracy faults."""
-        arr = np.atleast_1d(np.asarray(r, dtype=float))
-        if np.any(arr < self.r_lo) or np.any(arr > self.r_hi):
+        """Validate sample points, raising on domain or degeneracy faults.
+
+        A NaN radius fails every comparison and passes.
+        """
+        if isinstance(r, float):  # one radius: no array, no reductions
+            outside = r < self.r_lo or r > self.r_hi
+            hit_lo, hit_hi = r == self.r_lo, r == self.r_hi
+        else:
+            arr = np.atleast_1d(np.asarray(r, dtype=float))
+            outside = np.any(arr < self.r_lo) or np.any(arr > self.r_hi)
+            hit_lo, hit_hi = np.any(arr == self.r_lo), np.any(arr == self.r_hi)
+        if outside:
             raise DomainError(
                 f"radius outside profile domain [{self.r_lo}, {self.r_hi}]"
             )
-        hit_lo = np.any(arr == self.r_lo)
-        hit_hi = np.any(arr == self.r_hi)
         if hit_lo and (self.degenerate_lo or open_interior):
             if self.degenerate_lo:
                 raise EndpointDegeneracyError(

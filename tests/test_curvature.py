@@ -161,6 +161,42 @@ def test_oracle_reads_metric_values_only(profile):
     assert fd_curvature_oracle(blind, r, 1e-3) == fd_curvature_oracle(profile, r, 1e-3)
 
 
+def _counted(f: RadialFunction, log: list) -> RadialFunction:
+    def value(r):
+        log.append(r)
+        return f(r)
+
+    return RadialFunction(value, lambda r: f(r, 1), lambda r: f(r, 2))
+
+
+@pytest.mark.parametrize("as_array", [True, False], ids=["array", "scalar"])
+def test_oracle_reads_each_stencil_radius_once(as_array):
+    # the 25 stencil points of a sample lie on seven radius expressions, so
+    # one oracle call makes one call each to N, A and Rareal; A and Rareal
+    # see exactly the seven expressions as nested stencils form them, and N
+    # the central three.  At r just below 4, (r + h) - h is not r.
+    profile = make_schwarzschild_family(1.0, 2.5, 100.0)
+    calls = {"N": [], "A": [], "Rareal": []}
+    counted = dataclasses.replace(
+        profile, **{k: _counted(getattr(profile, k), log) for k, log in calls.items()}
+    )
+    rs = np.array([3.9999297178996875, 5.0, 42.0])
+    hs = np.array([0.0007471803000898322, 3e-4, 2e-2])
+    if not as_array:
+        rs, hs = float(rs[0]), float(hs[0])
+    fd_curvature_oracle(counted, rs, hs)
+    assert {k: len(log) for k, log in calls.items()} == {"N": 1, "A": 1, "Rareal": 1}
+
+    r, h = np.asarray(rs, dtype=np.longdouble), np.asarray(hs, dtype=np.longdouble)
+    rp, rm = r + h, r - h
+    assert np.atleast_1d(rp - h != r)[0]
+    stencil = np.array(np.broadcast_arrays(r, rp, rm, rp + h, rp - h, rm + h, rm - h))
+    for k in ("A", "Rareal"):
+        assert calls[k][0].dtype == np.longdouble
+        np.testing.assert_array_equal(calls[k][0], stencil)
+    np.testing.assert_array_equal(calls["N"][0], stencil[:3])
+
+
 def test_oracle_array_stencil_domain_guard():
     p = make_schwarzschild_family(1.0, 3.0, 10.0)
     with pytest.raises(DomainError):

@@ -3,6 +3,7 @@ combinators, fluid interiors, tabulated data, and (de)serialization."""
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import math
@@ -104,6 +105,52 @@ def test_restricted_narrows_domain_and_clears_degeneracy():
     inner.ensure_evaluable(2.5)  # no longer degenerate
     with pytest.raises(DomainError):
         neck.restricted(1.0, 3.0)
+
+
+def _ensure_outcome(profile, r, open_interior):
+    try:
+        profile.ensure_evaluable(r, open_interior=open_interior)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_PLAIN = make_schwarzschild_family(1.0, 3.0, 10.0)
+
+
+@pytest.mark.parametrize("open_interior", [False, True], ids=["closed", "open"])
+@pytest.mark.parametrize(
+    "where",
+    ["interior", "r_lo", "r_hi", "below", "above", "inf", "-inf", "nan"],
+)
+@pytest.mark.parametrize(
+    "profile",
+    [
+        _PLAIN,
+        make_schwarzschild_neck(1.0),
+        dataclasses.replace(_PLAIN, degenerate_lo=True, degenerate_hi=True),
+    ],
+    ids=["plain", "neck", "both_degenerate"],
+)
+def test_ensure_evaluable_float_path_matches_array_path(profile, where, open_interior):
+    # a Python float skips the array wrap; it must raise what a 1-element
+    # array raises, with the same message, or pass where that passes
+    lo, hi = profile.r_lo, profile.r_hi
+    r = {
+        "interior": 0.5 * (lo + hi),
+        "r_lo": lo,
+        "r_hi": hi,
+        "below": math.nextafter(lo, -math.inf),
+        "above": math.nextafter(hi, math.inf),
+        "inf": math.inf,
+        "-inf": -math.inf,
+        "nan": math.nan,
+    }[where]
+    expected = _ensure_outcome(profile, np.array([r]), open_interior)
+    assert _ensure_outcome(profile, r, open_interior) == expected
+    assert _ensure_outcome(profile, np.float64(r), open_interior) == expected
+    if where in ("interior", "nan"):
+        assert expected is None
 
 
 # ---------------------------------------------------------------------------
