@@ -9,6 +9,11 @@ import math
 import numpy as np
 import pytest
 
+from photonlab.conformal import (
+    _inverted_profile,
+    _neck_isotropic_profile,
+    conformal_transform,
+)
 from photonlab.curvature import (
     CurvatureSample,
     convergence_study,
@@ -17,6 +22,7 @@ from photonlab.curvature import (
     identity_residuals,
     surface_geometry,
 )
+from photonlab.gluing import double, glue_neck
 from photonlab.radial import (
     DomainError,
     EndpointDegeneracyError,
@@ -135,21 +141,55 @@ def _values_only(f: RadialFunction) -> RadialFunction:
     return RadialFunction(lambda r: f(r), no_derivative, no_derivative)
 
 
-@pytest.mark.parametrize(
-    "profile",
-    [make_schwarzschild_family(1.0, 2.5, 100.0), make_interior_fluid(1.0, 2.5)],
-    ids=["schwarzschild", "fluid"],
-)
-def test_oracle_reads_metric_values_only(profile):
-    # the design rule that keeps the oracle independent of the closed form:
-    # with every derivative slot raising, both the array pass and the
-    # scalar call still run, and give what the unwrapped profile gives
-    blind = dataclasses.replace(
+def _blind(profile):
+    return dataclasses.replace(
         profile,
         N=_values_only(profile.N),
         A=_values_only(profile.A),
         Rareal=_values_only(profile.Rareal),
     )
+
+
+def _presentation(chart_id: str, present):
+    """Build one conformal presentation from a doubled m = 1 manifold whose
+    chart profiles are first passed through ``wrap``."""
+    exterior = make_schwarzschild_family(1.0, 3.0, 100.0)
+    doubled = double(glue_neck(exterior, 3.0))
+
+    def build(wrap):
+        charts = tuple(
+            dataclasses.replace(c, profile=wrap(c.profile)) for c in doubled.charts
+        )
+        conformal = conformal_transform(dataclasses.replace(doubled, charts=charts))
+        return present(conformal.chart(chart_id))
+
+    return build
+
+
+_PRESENTATIONS = {
+    "schwarzschild": lambda wrap: wrap(make_schwarzschild_family(1.0, 2.5, 100.0)),
+    "fluid": lambda wrap: wrap(make_interior_fluid(1.0, 2.5)),
+    **{
+        f"hat:{cid}": _presentation(cid, lambda cc: cc.hat)
+        for cid in ("exterior_reflected", "neck_reflected", "neck", "exterior")
+    },
+    **{
+        f"isotropic:{cid}": _presentation(cid, lambda cc: _neck_isotropic_profile(cc)[0])
+        for cid in ("neck_reflected", "neck")
+    },
+    "inverted:exterior_reflected": _presentation("exterior_reflected", _inverted_profile),
+}
+
+
+@pytest.mark.parametrize("case", list(_PRESENTATIONS))
+def test_oracle_reads_metric_values_only(case):
+    # the design rule that keeps the oracle independent of the closed form:
+    # with every derivative slot raising, both the array pass and the
+    # scalar call still run, and give what the unwrapped profile gives.
+    # The conformal presentations are rebuilt from blinded chart profiles,
+    # so their own value path may not form a derivative either.
+    profile = _PRESENTATIONS[case](lambda p: p)
+    blind = _PRESENTATIONS[case](_blind)
     lo, hi = profile.interior_window(pad=0.05)
     rs = np.linspace(lo + 0.01, hi - 0.01, 9)
     hs = np.full(rs.shape, 1e-3)
