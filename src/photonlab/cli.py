@@ -178,6 +178,11 @@ def _echo(cfg: dict) -> dict:
 
 def _emit(cfg: dict, report: dict | object, csv_spec=None) -> None:
     sys.stdout.write(json_document(report))
+    _write_out(cfg, report, csv_spec)
+
+
+def _write_out(cfg: dict, report: dict | object, csv_spec=None) -> None:
+    """Write the report to ``--out`` and, given a CSV spec, the table beside it."""
     if cfg["out"] is not None:
         write_json(cfg["out"], report)
         if csv_spec is not None:
@@ -233,13 +238,8 @@ def cmd_photon_search(cfg: dict) -> int:
     for r in roots:
         sys.stdout.write(f"{r:.10f}\n")
     report = {"config": _echo(cfg), "radii": [float(r) for r in roots]}
-    if cfg["out"] is not None:
-        write_json(cfg["out"], report)
-        write_csv(
-            Path(cfg["out"]).with_suffix(".csv"),
-            ("index", "radius"),
-            [[i, float(r)] for i, r in enumerate(roots)],
-        )
+    rows = [[i, float(r)] for i, r in enumerate(roots)]
+    _write_out(cfg, report, (("index", "radius"), rows))
     return EXIT_OK
 
 

@@ -26,12 +26,18 @@ sees only metric values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curvature import curvature_at, fd_curvature_oracle
-from .gluing import Chart, PiecewiseManifold, collar_function, guarded_chart_samples
+from .curvature import curvature_at, fd_curvature_oracle, radial_laplacian
+from .gluing import (
+    SAMPLE_GUARD,
+    Chart,
+    PiecewiseManifold,
+    collar_function,
+    guarded_chart_samples,
+)
 from .radial import (
     DomainError,
     ProfileKind,
@@ -60,6 +66,13 @@ _SCHWARZSCHILD_KINDS = (
     ProfileKind.SCHWARZSCHILD_EXTERIOR,
     ProfileKind.SCHWARZSCHILD_NECK,
 )
+
+# Calibrated oracle steps and the inverted end's smallest areal scale m/r
+# for the scalar residual scan (see conformal_scalar_residual).
+FD_REL_STEP = 2e-5
+FD_ISO_STEP = 1e-3
+FD_INV_STEP = 2e-4
+FD_INV_XI_MIN = 0.15
 
 
 @dataclass(frozen=True)
@@ -107,26 +120,32 @@ def _conformal_factor(chart: Chart) -> RadialFunction:
         and chart.profile.mass is not None
         and abs(s_signed) <= 1.0
     ):
-        s2 = s_signed * s_signed
-        m = chart.profile.mass
-        num = _reciprocal_coordinate().scaled(2.0 * m * s2).shifted(1.0 - s2)
-        den = chart.profile.N.scaled(-s_signed).shifted(1.0).scaled(2.0)
-        return num.quotient(den)
-    return collar_function(chart).scaled(0.5).shifted(0.5)
+        s2, inv = s_signed * s_signed, _reciprocal_coordinate()
+        c_num, n = 2.0 * chart.profile.mass * s2, chart.profile.N
+        return RadialFunction.expression(
+            lambda r: (c_num * inv(r) + (1.0 - s2)) / (2.0 * (-s_signed * n(r) + 1.0))
+        )
+    psi = collar_function(chart)
+    return RadialFunction.expression(lambda r: 0.5 * psi(r) + 0.5)
 
 
 def _conformal_chart(chart: Chart, perturbation=None) -> ConformalChart:
-    u = _conformal_factor(chart)
+    u = factor = _conformal_factor(chart)
     if perturbation is not None:
-        u = u.plus(perturbation)
-    u2 = u.product(u)
+        u = RadialFunction.expression(lambda r: factor(r) + perturbation(r))
+    a, rareal = chart.profile.A, chart.profile.Rareal
+
+    def u2(r):
+        uu = u(r)
+        return uu * uu
+
     hat = RadialProfile(
         kind=ProfileKind.COMPOSITE_REFERENCE,
         r_lo=chart.profile.r_lo,
         r_hi=chart.profile.r_hi,
         N=RadialFunction.constant(1.0),
-        A=u2.product(chart.profile.A),
-        Rareal=u2.product(chart.profile.Rareal),
+        A=RadialFunction.expression(lambda r: u2(r) * a(r)),
+        Rareal=RadialFunction.expression(lambda r: u2(r) * rareal(r)),
         mass=chart.profile.mass,
         degenerate_lo=chart.profile.degenerate_lo,
         degenerate_hi=chart.profile.degenerate_hi,
@@ -167,12 +186,9 @@ def conformal_scalar_prediction(
     non-flat rescaling; the minus sign is the one that matches.
     """
     sample = curvature_at(base_profile, r)
-    a, da = base_profile.A(r), base_profile.A(r, 1)
-    rr, drr = base_profile.Rareal(r), base_profile.Rareal(r, 1)
-    du, d2u = u(r, 1), u(r, 2)
-    lap_u = (d2u + 2.0 * drr * du / rr - du * da / a) / (a * a)
-    uu = u(r)
-    return float((sample.scalar * uu - 8.0 * lap_u) / uu ** 5)
+    uj = u.jet(r)
+    lap_u = radial_laplacian(uj, base_profile.A.jet(r), base_profile.Rareal.jet(r))
+    return float((sample.scalar * uj.v - 8.0 * lap_u) / uj.v ** 5)
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +219,15 @@ def _neck_isotropic_profile(cc: ConformalChart) -> tuple[RadialProfile, RadialFu
         lambda rho: 4.0 * mu / (2.0 * rho + mu) ** 2,
         lambda rho: -16.0 * mu / (2.0 * rho + mu) ** 3,
     )
-    omega = _reciprocal_coordinate().scaled(0.5 * mu).shifted(1.0)
-    r_of_rho = (
-        RadialFunction.coordinate()
-        .shifted(mu)
-        .plus(_reciprocal_coordinate().scaled(0.25 * mu * mu))
-    )
-    u = n_iso.scaled(0.5 * s_signed).shifted(0.5)
-    if cc.perturbation is not None:
-        u = u.plus(cc.perturbation.compose(r_of_rho))
-    conf = u.product(omega)
-    conf2 = conf.product(conf)
+    inv, perturbation = _reciprocal_coordinate(), cc.perturbation
+    r_of_rho = RadialFunction.expression(lambda rho: rho + mu + 0.25 * mu * mu * inv(rho))
+
+    def conf2(rho):
+        u = 0.5 * s_signed * n_iso(rho) + 0.5
+        if perturbation is not None:
+            u = u + perturbation(r_of_rho(rho))
+        conf = u * (0.5 * mu * inv(rho) + 1.0)
+        return conf * conf
 
     def rho_of_r(r: float) -> float:
         return 0.5 * (r - mu + math.sqrt(r * (r - 2.0 * mu)))
@@ -223,8 +237,8 @@ def _neck_isotropic_profile(cc: ConformalChart) -> tuple[RadialProfile, RadialFu
         r_lo=0.5 * mu,
         r_hi=rho_of_r(p.r_hi),
         N=RadialFunction.constant(1.0),
-        A=conf2,
-        Rareal=conf2.product(RadialFunction.coordinate()),
+        A=RadialFunction.expression(conf2),
+        Rareal=RadialFunction.expression(lambda rho: conf2(rho) * rho),
         mass=mu,
         meta={"presentation": "isotropic", "of_chart": cc.base.chart_id},
     )
@@ -277,22 +291,14 @@ def _worst_sample(vals, chart_ids, rs) -> tuple[float, tuple[str, float]]:
     return float(vals[i]), (str(ids[i]), float(np.concatenate(rs)[i]))
 
 
-def conformal_scalar_residual(
-    conformal: ConformalManifold,
-    n_samples: int = 512,
-    guard: float = 1e-3,
-    rel_step: float = 2e-5,
-    iso_step: float = 1e-3,
-    inv_step: float = 2e-4,
-    inv_window: tuple[float, float] = (0.15, None),
-) -> dict:
+def conformal_scalar_residual(conformal: ConformalManifold, n_samples: int = 512) -> dict:
     """max |scalar curvature| of the rescaled metric, by finite differences.
 
     Samples are split evenly across charts and guarded away from gluing
     surfaces; each chart is evaluated in its well-conditioned presentation
     (see the module docstring) with an empirically calibrated step:
-    ``rel_step * r`` on outward exterior charts (plain oracle),
-    ``iso_step * mu`` on isotropic neck charts and ``inv_step / m`` on
+    ``FD_REL_STEP * r`` on outward exterior charts (plain oracle),
+    ``FD_ISO_STEP * mu`` on isotropic neck charts and ``FD_INV_STEP / m`` on
     inverted reflected-end charts (both Richardson-refined).  Each sample
     carries its own step, shrunk to 0.45 times its distance from the
     nearer chart edge so the stencil stays inside, and each presentation
@@ -304,7 +310,7 @@ def conformal_scalar_residual(
     finite-difference estimate loses the tolerance there no matter the
     chart or step (measured floor ~ h^2/R_hat^4 against roundoff).  The
     scan therefore samples the reflected end down to areal scale
-    xi = m/r >= ``inv_window[0]`` — beyond that the geometry is certified
+    xi = m/r >= ``FD_INV_XI_MIN`` — beyond that the geometry is certified
     by the closed-form flatness check and the compactification limit,
     which are immune to the amplification.  ``fd_coverage`` in the result
     records the r-interval actually sampled per chart; ``argmax`` is in
@@ -332,24 +338,21 @@ def conformal_scalar_residual(
         if cc.base.role == "neck":
             prof, r_of_rho = _neck_isotropic_profile(cc)
             lo, hi = prof.r_lo, prof.r_hi
-            pad = guard * (hi - lo)
+            pad = SAMPLE_GUARD * (hi - lo)
             rho = np.linspace(lo + pad, hi - pad, per)
-            scan(prof, rho, np.full(per, iso_step * prof.mass), cid,
+            scan(prof, rho, np.full(per, FD_ISO_STEP * prof.mass), cid,
                  r_of_rho, refined=True)
         elif cc.base.orientation == "reflected":
             prof = _inverted_profile(cc)
             m = prof.mass if prof.mass else 1.0
-            xi_lo = inv_window[0]
-            xi_hi = inv_window[1]
-            if xi_hi is None:
-                xi_hi = m * prof.r_hi * (1.0 - guard)
-            xi_lo = max(xi_lo, m * prof.r_lo * (1.0 + guard))
+            xi_hi = m * prof.r_hi * (1.0 - SAMPLE_GUARD)
+            xi_lo = max(FD_INV_XI_MIN, m * prof.r_lo * (1.0 + SAMPLE_GUARD))
             xs = np.geomspace(xi_lo, xi_hi, per) / m
-            scan(prof, xs, np.full(per, inv_step / m), cid,
+            scan(prof, xs, np.full(per, FD_INV_STEP / m), cid,
                  lambda t: 1.0 / t, refined=True)
         else:
-            rs = guarded_chart_samples(cc.base, per, guard=guard)
-            scan(cc.hat, rs, rel_step * rs, cid, lambda t: t, refined=False)
+            rs = guarded_chart_samples(cc.base, per)
+            scan(cc.hat, rs, FD_REL_STEP * rs, cid, lambda t: t, refined=False)
     worst, arg = _worst_sample(vals, chart_ids, radii)
     return {
         "max_abs_scalar": worst,
@@ -359,11 +362,7 @@ def conformal_scalar_residual(
     }
 
 
-def flatness_check(
-    conformal: ConformalManifold,
-    n_samples: int = 512,
-    guard: float = 1e-3,
-) -> dict:
+def flatness_check(conformal: ConformalManifold, n_samples: int = 512) -> dict:
     """max closed-form curvature magnitude of the rescaled metric.
 
     Flatness of the curvature tensor itself (not just the scalar): the
@@ -375,7 +374,7 @@ def flatness_check(
     per = max(8, n_samples // max(1, len(conformal.charts)))
     chart_ids, vals, radii = [], [], []
     for cc in conformal.charts:
-        rs = guarded_chart_samples(cc.base, per, guard=guard)
+        rs = guarded_chart_samples(cc.base, per)
         s = curvature_at(cc.hat, rs)
         chart_ids.append(cc.base.chart_id)
         vals.append(
@@ -416,16 +415,15 @@ def richardson_limit(x: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
     return limit, abs(limit - prev_diag)
 
 
-def _adm_integrand(a_fn: RadialFunction, r_fn: RadialFunction, r: float) -> float:
-    """Coordinate-sphere mass integrand for g = a dr^2 + (areal)^2 * sphere.
+def _adm_integrand(a, rr, drr, r: float) -> float:
+    """Coordinate-sphere mass integrand for g = A^2 dr^2 + Rareal^2 * sphere.
 
-    In quasi-Cartesian coordinates x = r * direction the flux integral of
+    ``a``, ``rr`` and ``drr`` are A, Rareal and Rareal' at radius r.  In
+    quasi-Cartesian coordinates x = r * direction the flux integral of
     (d_j g_ij - d_i g_jj) over the r-sphere reduces to
-    (r/2)(a - b) - (r^2/2) b' with a = A^2 and b = (Rareal/r)^2.
+    (r/2)(A^2 - b) - (r^2/2) b' with b = (Rareal/r)^2.
     """
-    a = float(a_fn(r)) ** 2
-    rr = float(r_fn(r))
-    drr = float(r_fn(r, 1))
+    a, rr, drr = float(a) ** 2, float(rr), float(drr)
     b = (rr / r) ** 2
     db = 2.0 * (rr / r) * (drr * r - rr) / (r * r)
     return 0.5 * r * (a - b) - 0.5 * r * r * db
@@ -444,7 +442,8 @@ def _adm_from_metric_functions(
     between the last two extrapolants.
     """
     radii = np.asarray(sorted(radii), dtype=float)
-    vals = np.array([_adm_integrand(a_fn, r_fn, float(r)) for r in radii])
+    jets = [(r, r_fn.jet(r)) for r in radii.tolist()]
+    vals = np.array([_adm_integrand(a_fn(r), j.v, j.d1, r) for r, j in jets])
     x = 1.0 / radii[::-1]
     limit, err = richardson_limit(x, vals[::-1])
     return {
@@ -480,14 +479,11 @@ def adm_mass_estimate(space, end_id: str, radii=(50.0, 100.0, 200.0, 400.0)) -> 
             raise KeyError(end_id)
         base = source.chart(end_id)
         cc = space.chart(end_id)
-        if base.orientation == "reflected":
-            extended = _conformal_chart(
-                extend_exterior_chart(base, max(radii) * 1.03), cc.perturbation
-            )
-            return conformal_end_mass_estimate(extended, radii)
         extended = _conformal_chart(
             extend_exterior_chart(base, max(radii) * 1.03), cc.perturbation
         )
+        if base.orientation == "reflected":
+            return conformal_end_mass_estimate(extended, radii)
         return _adm_from_metric_functions(extended.hat.A, extended.hat.Rareal, radii)
     if end_id not in space.ends:
         raise KeyError(end_id)
@@ -511,14 +507,7 @@ def extend_exterior_chart(chart: Chart, r_needed: float) -> Chart:
             "does not extend analytically"
         )
     extended = make_schwarzschild_family(p.mass, p.r_lo, 1.0625 * r_needed)
-    return Chart(
-        chart_id=chart.chart_id,
-        profile=extended,
-        orientation=chart.orientation,
-        psi_sign=chart.psi_sign,
-        collar_scale=chart.collar_scale,
-        role=chart.role,
-    )
+    return replace(chart, profile=extended)
 
 
 def inverted_end_functions(conformal_chart: ConformalChart):
@@ -534,9 +523,8 @@ def inverted_end_functions(conformal_chart: ConformalChart):
         lambda x: -2.0 * x ** -3.0,
         lambda x: 6.0 * x ** -4.0,
     )
-    a_x = a_hat.compose_inverse().product(inv_sq)
-    r_x = r_hat.compose_inverse()
-    return a_x, r_x
+    a_inv, r_x = a_hat.compose_inverse(), r_hat.compose_inverse()
+    return RadialFunction.expression(lambda x: a_inv(x) * inv_sq(x)), r_x
 
 
 @dataclass(frozen=True)
@@ -573,20 +561,22 @@ def compactification_check(
     fitted slope of log|factor - limit| against log x and ``converged``
     requires it within [0.75, 1.25] with the two factor limits agreeing.
     A corrupted conformal factor destroys the limit (the factors diverge),
-    which reports as ``converged = False`` rather than raising.
+    which reports as ``converged = False`` rather than raising.  A schedule
+    of fewer than two distinct positive nodes raises :class:`DomainError`.
     """
     end_id = _reflected_end_id(conformal.source)
     base = conformal.source.chart(end_id)
     cc = conformal.chart(end_id)
-    x_min = min(float(x) for x in R_schedule)
-    if x_min <= 0.0:
+    xs = np.asarray(sorted(R_schedule, reverse=True), dtype=float)
+    if not (xs.size >= 2 and np.all(xs[1:] < xs[:-1])):
+        raise DomainError("inverted-coordinate schedule needs >= 2 distinct nodes")
+    if xs[-1] <= 0.0:
         raise DomainError("inverted-coordinate schedule must be positive")
     extended = _conformal_chart(
-        extend_exterior_chart(base, 1.03 / x_min), cc.perturbation
+        extend_exterior_chart(base, 1.03 / float(xs[-1])), cc.perturbation
     )
     mass_reference = float(base.profile.mass)
     a_x, r_x = inverted_end_functions(extended)
-    xs = np.asarray(sorted(R_schedule, reverse=True), dtype=float)
     f_rad = np.array([float(a_x(x)) ** 2 for x in xs])
     f_tan = np.array([(float(r_x(x)) / x) ** 2 for x in xs])
     # limit from linear-in-x extrapolation of the two smallest nodes
@@ -637,27 +627,21 @@ def conformal_end_mass_estimate(
     by the measured limit factor (so the metric tends to the identity), the
     same coordinate-sphere integrand applies on the shrinking schedule
     x = 1/r and extrapolates to the mass of the point — zero for a smooth
-    compactification.
+    compactification.  ``radii`` is checked as in :func:`adm_mass_estimate`.
     """
+    radii = _validate_schedule(radii)
     a_x, r_x = inverted_end_functions(conformal_chart)
     xs = 1.0 / np.asarray(sorted(radii, reverse=True), dtype=float)  # increasing
     # normalization kappa = lim r_x / x, extrapolated linearly from the two
     # smallest nodes of the schedule itself
     k1, k2 = float(r_x(xs[0])) / xs[0], float(r_x(xs[1])) / xs[1]
     kappa = k1 + (k1 - k2) * xs[0] / (xs[1] - xs[0])
-
-    def a_y(y):
-        return float(a_x(y / kappa)) / kappa
-
-    def r_y(y, nu=0):
-        if nu == 0:
-            return float(r_x(y / kappa))
-        return float(r_x(y / kappa, 1)) / kappa
-
-    a_fn = RadialFunction(a_y, lambda y: math.nan, lambda y: math.nan)
-    r_fn = RadialFunction(lambda y: r_y(y), lambda y: r_y(y, 1), lambda y: math.nan)
     ys = kappa * xs
-    vals = np.array([_adm_integrand(a_fn, r_fn, float(y)) for y in ys])
+    jets = [(y, r_x.jet(y / kappa)) for y in ys.tolist()]
+    vals = np.array([
+        _adm_integrand(float(a_x(y / kappa)) / kappa, j.v, float(j.d1) / kappa, y)
+        for y, j in jets
+    ])
     limit, err = richardson_limit(ys[::-1], vals[::-1])
     return {
         "mass": limit,

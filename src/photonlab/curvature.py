@@ -34,6 +34,7 @@ import numpy as np
 
 from .radial import (
     DomainError,
+    Jet,
     ProfileKind,
     RadialFunction,
     RadialProfile,
@@ -46,6 +47,7 @@ __all__ = [
     "fd_curvature_oracle",
     "surface_geometry",
     "identity_residuals",
+    "radial_laplacian",
     "convergence_study",
 ]
 
@@ -122,16 +124,13 @@ class SurfaceGeometry:
     minimal_surface: bool = False
 
 
-def _frame_data(profile: RadialProfile, r):
-    """Common proper-radial derivatives: everything downstream reads these."""
-    n, dn, d2n = profile.N(r), profile.N(r, 1), profile.N(r, 2)
-    a, da = profile.A(r), profile.A(r, 1)
-    rr, drr, d2rr = profile.Rareal(r), profile.Rareal(r, 1), profile.Rareal(r, 2)
-    r_s = drr / a
-    r_ss = (d2rr - drr * da / a) / (a * a)
-    n_s = dn / a
-    n_ss = (d2n - dn * da / a) / (a * a)
-    return n, a, da, rr, r_s, r_ss, n_s, n_ss, dn, d2n, drr, d2rr
+def radial_laplacian(f: Jet, a: Jet, rr: Jet):
+    """Laplacian of a radial function in g = A^2 dr^2 + Rareal^2 * sphere.
+
+    Divergence form, from jets of f, A and Rareal at one radius; its
+    grouping is independent of Hess f(n, n) + 2 Hess f(t, t).
+    """
+    return (f.d2 + 2.0 * rr.d1 * f.d1 / rr.v - f.d1 * a.d1 / a.v) / (a.v * a.v)
 
 
 def _sample(r, n, ric_nn, ric_tt, scalar, hess_nn, hess_tt, lap_n) -> CurvatureSample:
@@ -165,7 +164,13 @@ def curvature_at(profile: RadialProfile, r) -> CurvatureSample:
     sample's fields are then float arrays of the same shape.
     """
     profile.ensure_evaluable(r, open_interior=True)
-    n, a, da, rr, r_s, r_ss, n_s, n_ss, dn, d2n, drr, d2rr = _frame_data(profile, r)
+    n, a, rj = profile.N.jet(r), profile.A.jet(r), profile.Rareal.jet(r)
+    rr = rj.v
+    # proper-radial derivatives of Rareal and N
+    r_s = rj.d1 / a.v
+    r_ss = (rj.d2 - rj.d1 * a.d1 / a.v) / (a.v * a.v)
+    n_s = n.d1 / a.v
+    n_ss = (n.d2 - n.d1 * a.d1 / a.v) / (a.v * a.v)
 
     ric_nn = -2.0 * r_ss / rr
     ric_tt = (1.0 - r_s * r_s - rr * r_ss) / (rr * rr)
@@ -175,9 +180,8 @@ def curvature_at(profile: RadialProfile, r) -> CurvatureSample:
 
     hess_nn = n_ss
     hess_tt = n_s * r_s / rr
-    # Divergence-form Laplacian (independent grouping from hess_nn + 2 hess_tt).
-    lap_n = (d2n + 2.0 * drr * dn / rr - dn * da / a) / (a * a)
-    return _sample(r, n, ric_nn, ric_tt, scalar, hess_nn, hess_tt, lap_n)
+    lap_n = radial_laplacian(n, a, rj)
+    return _sample(r, n.v, ric_nn, ric_tt, scalar, hess_nn, hess_tt, lap_n)
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +372,9 @@ def surface_geometry(profile: RadialProfile, r: float) -> SurfaceGeometry:
             minimal_surface=True,
         )
     profile.ensure_evaluable(r)
-    a = profile.A(r)
-    rr = profile.Rareal(r)
-    drr = profile.Rareal(r, 1)
-    k = drr / (a * rr)  # common frame eigenvalue of the shape operator
+    a, rj = profile.A(r), profile.Rareal.jet(r)
+    rr = rj.v
+    k = rj.d1 / (a * rr)  # common frame eigenvalue of the shape operator
     h_frame = np.array([k, k])
     H = float(h_frame.sum())
     tracefree = h_frame - 0.5 * H
@@ -404,22 +407,15 @@ def identity_residuals(
     """
     sample = curvature_at(profile, r)
     geom = surface_geometry(profile, r)
-    a = profile.A(r)
-    rr = profile.Rareal(r)
-    drr = profile.Rareal(r, 1)
-    k = drr / (a * rr)
+    a, rr = profile.A.jet(r), profile.Rareal.jet(r)
+    k = rr.d1 / (a.v * rr.v)
     h_sq = 2.0 * k * k
     gauss = (sample.scalar - 2.0 * sample.ric_nn) - (
         geom.sigma_scalar - geom.H ** 2 + h_sq
     )
 
-    if f is None:
-        f = profile.N
-    df, d2f = f(r, 1), f(r, 2)
-    da = profile.A(r, 1)
-    # divergence form of the full Laplacian for a radial function
-    lap_f = (d2f + 2.0 * drr * df / rr - df * da / a) / (a * a)
-    hess_f_nn = (d2f - df * da / a) / (a * a)
-    surf = lap_f - (hess_f_nn + geom.H * df / a)
+    fj = (profile.N if f is None else f).jet(r)
+    hess_f_nn = (fj.d2 - fj.d1 * a.d1 / a.v) / (a.v * a.v)
+    surf = radial_laplacian(fj, a, rr) - (hess_f_nn + geom.H * fj.d1 / a.v)
 
     return {"gauss": float(gauss), "surface_laplacian": float(surf)}

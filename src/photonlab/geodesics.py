@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radial import DomainError, ProfileKind, RadialProfile
+from .radial import DomainError, ProfileKind, RadialFunction, RadialProfile
 
 __all__ = [
     "fermat_profile",
@@ -54,15 +54,14 @@ def fermat_profile(profile: RadialProfile) -> RadialProfile:
     probe = np.linspace(lo, hi, 64)
     if np.any(profile.N(probe) <= 0.0):
         raise DomainError("optical rescaling requires a positive lapse")
-    from .radial import RadialFunction
-
+    n, a, rareal = profile.N, profile.A, profile.Rareal
     return RadialProfile(
         kind=ProfileKind.COMPOSITE_REFERENCE,
         r_lo=lo,
         r_hi=hi,
         N=RadialFunction.constant(1.0),
-        A=profile.A.quotient(profile.N),
-        Rareal=profile.Rareal.quotient(profile.N),
+        A=RadialFunction.expression(lambda r: a(r) / n(r)),
+        Rareal=RadialFunction.expression(lambda r: rareal(r) / n(r)),
         mass=profile.mass,
         meta={"optical_of": profile.kind.value},
     )

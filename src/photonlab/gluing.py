@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 MATCH_TOL = 1e-8
+# Relative inset of every guarded sample from its chart's edges.
+SAMPLE_GUARD = 1e-3
 
 
 class GluingRefusal(ValueError):
@@ -152,7 +154,8 @@ def neck_parameters(mass_i: float, area_radius_i: float) -> dict:
 
 def collar_function(chart: Chart) -> RadialFunction:
     """psi on one chart as a differentiable radial function."""
-    return chart.profile.N.scaled(chart.psi_sign * chart.collar_scale)
+    scale, n = chart.psi_sign * chart.collar_scale, chart.profile.N
+    return RadialFunction.expression(lambda r: scale * n(r))
 
 
 def _collar_normal_derivative(chart: Chart, r: float) -> float:
@@ -376,21 +379,16 @@ def match_report(manifold: PiecewiseManifold, surface_id: str) -> MatchReport:
 # ---------------------------------------------------------------------------
 
 
-def guarded_chart_samples(
-    chart: Chart, n: int, guard: float = 1e-3, r_cap: float | None = None
-) -> np.ndarray:
+def guarded_chart_samples(chart: Chart, n: int) -> np.ndarray:
     """Sample radii inside one chart, away from its edges.
 
-    The inset at each edge is ``guard`` times the local radius, which keeps
-    finite-difference stencils and curvature formulas clear of gluing
-    surfaces and horizon endpoints.  ``r_cap`` truncates unbounded exterior
-    charts where far-field sampling adds nothing.
+    The inset at each edge is :data:`SAMPLE_GUARD` times the local radius,
+    which keeps finite-difference stencils and curvature formulas clear of
+    gluing surfaces and horizon endpoints.
     """
     lo, hi = chart.profile.r_lo, chart.profile.r_hi
-    if r_cap is not None:
-        hi = min(hi, r_cap)
-    lo_eff = lo + guard * max(abs(lo), 1.0)
-    hi_eff = hi - guard * max(abs(hi), 1.0)
+    lo_eff = lo + SAMPLE_GUARD * max(abs(lo), 1.0)
+    hi_eff = hi - SAMPLE_GUARD * max(abs(hi), 1.0)
     if not (lo_eff < hi_eff):
         raise DomainError("guard band exhausted the chart interior")
     if chart.role == "exterior":
@@ -449,9 +447,7 @@ def psi_bound_check(manifold: PiecewiseManifold, n_samples: int = 10000) -> PsiB
     )
 
 
-def psi_harmonicity_max(
-    manifold: PiecewiseManifold, n_per_chart: int = 128, guard: float = 1e-3
-) -> float:
+def psi_harmonicity_max(manifold: PiecewiseManifold, n_per_chart: int = 128) -> float:
     """max |Laplacian of psi| over guarded samples of every chart.
 
     psi restricted to a chart is a constant multiple of that chart's lapse,
@@ -461,7 +457,7 @@ def psi_harmonicity_max(
     """
     worst = []
     for chart in manifold.charts:
-        rs = guarded_chart_samples(chart, n_per_chart, guard=guard)
+        rs = guarded_chart_samples(chart, n_per_chart)
         lap = curvature_at(chart.profile, rs).lap_N
         worst.append(np.max(np.abs(chart.collar_scale * lap)))
     return float(np.max(worst))

@@ -29,6 +29,7 @@ __all__ = [
     "DomainError",
     "EndpointDegeneracyError",
     "BuchdahlError",
+    "Jet",
     "RadialFunction",
     "RadialProfile",
     "CompositeProfile",
@@ -77,12 +78,65 @@ class BuchdahlError(ValueError):
         self.ratio = ratio
 
 
+class Jet:
+    """A value with its first and second derivative in one variable.
+
+    Arithmetic propagates both derivatives term for term (univariate
+    Taylor propagation; Griewank & Walther, *Evaluating Derivatives*, 2nd
+    ed., SIAM 2008), so one pass of an expression yields all three orders.
+    A number operand is a constant.  The seed jet stands for the
+    coordinate itself.
+    """
+
+    __slots__ = ("v", "d1", "d2", "seed")
+    __array_ufunc__ = None  # numpy operands defer to the jet's own operators
+
+    def __init__(self, v, d1, d2, seed: bool = False):
+        self.v, self.d1, self.d2, self.seed = v, d1, d2, seed
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            return Jet(self.v + other.v, self.d1 + other.d1, self.d2 + other.d2)
+        return Jet(self.v + other, self.d1, self.d2)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, Jet):
+            u, w = self, other
+            return Jet(
+                u.v * w.v,
+                u.d1 * w.v + u.v * w.d1,
+                u.d2 * w.v + 2.0 * u.d1 * w.d1 + u.v * w.d2,
+            )
+        return Jet(other * self.v, other * self.d1, other * self.d2)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: "Jet") -> "Jet":
+        u, w = self, other
+        return Jet(
+            u.v / w.v,
+            (u.d1 * w.v - u.v * w.d1) / (w.v * w.v),
+            (
+                u.d2 * w.v * w.v
+                - u.v * w.d2 * w.v
+                - 2.0 * u.d1 * w.d1 * w.v
+                + 2.0 * u.v * w.d1 * w.d1
+            ) / (w.v * w.v * w.v),
+        )
+
+
 class RadialFunction:
     """A scalar function of the radial coordinate with two derivatives.
 
-    Thin wrapper around three vectorized callables (value, first and second
-    derivative).  Calling convention follows scipy's spline API:
-    ``f(r, nu)`` returns the ``nu``-th derivative.
+    A *leaf* holds three vectorized callables (value, first and second
+    derivative), written by hand.  An *expression*
+    (:meth:`RadialFunction.expression`) is a plain ``f(r)`` in arithmetic
+    over other radial functions: called on numbers or arrays it computes
+    values only, and :meth:`jet` carries all three orders in one pass.
+    Calling convention follows scipy's spline API: ``f(r, nu)`` returns
+    the ``nu``-th derivative; ``f(jet)`` composes by the chain rule.
     """
 
     __slots__ = ("_d",)
@@ -91,9 +145,26 @@ class RadialFunction:
         self._d = (d0, d1, d2)
 
     def __call__(self, r, nu: int = 0):
-        return self._d[nu](r)
+        if not isinstance(r, Jet):
+            return self._d[nu](r)
+        f = self.jet(r.v)
+        if r.seed:
+            # f's own jet: chain-rule products with (1, 0) would turn -0.0
+            # into 0.0 and an infinite first derivative into NaN
+            return f
+        return Jet(f.v, f.d1 * r.d1, f.d2 * r.d1 * r.d1 + f.d1 * r.d2)
+
+    def jet(self, r) -> Jet:
+        """Value and both derivatives at r."""
+        d0, d1, d2 = self._d
+        return Jet(d0(r), d1(r), d2(r))
 
     # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def expression(f) -> "RadialFunction":
+        """Radial function of ``f(r)``, an expression over radial functions."""
+        return _Expression(f, lambda r: f(Jet(r, 1.0, 0.0, seed=True)))
 
     @staticmethod
     def constant(c: float) -> "RadialFunction":
@@ -112,81 +183,33 @@ class RadialFunction:
             lambda r: r * 0.0,
         )
 
-    # -- calculus combinators -----------------------------------------
-
-    def product(self, other: "RadialFunction") -> "RadialFunction":
-        u, v = self, other
-        return RadialFunction(
-            lambda r: u(r) * v(r),
-            lambda r: u(r, 1) * v(r) + u(r) * v(r, 1),
-            lambda r: u(r, 2) * v(r) + 2.0 * u(r, 1) * v(r, 1) + u(r) * v(r, 2),
-        )
-
-    def quotient(self, other: "RadialFunction") -> "RadialFunction":
-        u, v = self, other
-
-        def d1(r):
-            vv = v(r)
-            return (u(r, 1) * vv - u(r) * v(r, 1)) / (vv * vv)
-
-        def d2(r):
-            vv, dv = v(r), v(r, 1)
-            return (
-                u(r, 2) * vv * vv
-                - u(r) * v(r, 2) * vv
-                - 2.0 * u(r, 1) * dv * vv
-                + 2.0 * u(r) * dv * dv
-            ) / (vv * vv * vv)
-
-        return RadialFunction(lambda r: u(r) / v(r), d1, d2)
-
-    def scaled(self, c: float) -> "RadialFunction":
-        u = self
-        return RadialFunction(
-            lambda r: c * u(r), lambda r: c * u(r, 1), lambda r: c * u(r, 2)
-        )
-
-    def shifted(self, c: float) -> "RadialFunction":
-        u = self
-        return RadialFunction(lambda r: u(r) + c, lambda r: u(r, 1), lambda r: u(r, 2))
-
-    def plus(self, other: "RadialFunction") -> "RadialFunction":
-        u, v = self, other
-        return RadialFunction(
-            lambda r: u(r) + v(r),
-            lambda r: u(r, 1) + v(r, 1),
-            lambda r: u(r, 2) + v(r, 2),
-        )
-
-    def compose(self, inner: "RadialFunction") -> "RadialFunction":
-        """(f o inner)(x) = f(inner(x)), derivatives by the chain rule."""
-        f, g = self, inner
-
-        def d1(x):
-            return f(g(x), 1) * g(x, 1)
-
-        def d2(x):
-            gx, dg = g(x), g(x, 1)
-            return f(gx, 2) * dg * dg + f(gx, 1) * g(x, 2)
-
-        return RadialFunction(lambda x: f(g(x)), d1, d2)
-
     def compose_inverse(self) -> "RadialFunction":
         """Pull back along the coordinate inversion x -> 1/x.
 
-        Returns g with g(x) = f(1/x); derivatives follow from the chain rule.
+        Returns g with g(x) = f(1/x), g' = -f'(1/x)/x^2 and
+        g'' = f''(1/x)/x^4 + 2 f'(1/x)/x^3, from one jet of f at 1/x.
         Used to study asymptotic ends near x = 0.
         """
         f = self
 
-        def d1(x):
-            return -f(1.0 / x, 1) / (x * x)
+        def jet(x):
+            j = f.jet(1.0 / x)
+            return Jet(j.v, -j.d1 / (x * x), j.d2 / (x ** 4) + 2.0 * j.d1 / (x ** 3))
 
-        def d2(x):
-            ix = 1.0 / x
-            return f(ix, 2) / (x ** 4) + 2.0 * f(ix, 1) / (x ** 3)
+        return _Expression(lambda x: f(1.0 / x), jet)
 
-        return RadialFunction(lambda x: f(1.0 / x), d1, d2)
+
+class _Expression(RadialFunction):
+    """Values from ``f`` alone; both derivatives from one call of ``jet``."""
+
+    __slots__ = ("_jet",)
+
+    def __init__(self, f, jet):
+        super().__init__(f, lambda r: jet(r).d1, lambda r: jet(r).d2)
+        self._jet = jet
+
+    def jet(self, r) -> Jet:
+        return self._jet(r)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from photonlab.conformal import (
     _neck_isotropic_profile,
     adm_mass_estimate,
     compactification_check,
+    conformal_end_mass_estimate,
     conformal_scalar_prediction,
     conformal_scalar_residual,
     conformal_transform,
@@ -314,6 +315,26 @@ def test_compactification_scale():
     assert rep.converged
     assert abs(rep.limit - 1.0) <= 2e-4  # (m/2)^4 at m = 2
     assert abs(rep.mass_hat - 2.0) <= 1e-3
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [(1e-3,), (1e-2, 1e-3, 1e-3), ()],
+    ids=["one_node", "repeated_node", "empty"],
+)
+def test_compactification_refuses_malformed_schedule(conformal_m1, schedule):
+    # one node leaves nothing to extrapolate from and a repeated node divides
+    # by a zero node gap: both are refused instead of raising IndexError or
+    # reporting a NaN limit
+    with pytest.raises(DomainError):
+        compactification_check(conformal_m1, R_schedule=schedule)
+
+
+@pytest.mark.parametrize("radii", [(50.0,), (50.0, 100.0)], ids=["one", "two"])
+def test_conformal_end_mass_refuses_malformed_schedule(conformal_m1, radii):
+    # the rule of adm_mass_estimate: three or more increasing radii
+    with pytest.raises(DomainError):
+        conformal_end_mass_estimate(conformal_m1.chart("exterior_reflected"), radii)
 
 
 # ---------------------------------------------------------------------------

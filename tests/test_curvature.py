@@ -296,7 +296,7 @@ def test_identities_hold_for_three_test_functions(profile):
     # fixed absolute tolerance
     lo, hi = profile.interior_window(pad=0.02)
     coordinate = RadialFunction.coordinate()
-    coord_sq = coordinate.product(coordinate)
+    coord_sq = RadialFunction.expression(lambda r: coordinate(r) * coordinate(r))
     for r in np.linspace(lo + 1e-6, hi - 1e-6, 16):
         for f in (None, coordinate, coord_sq):  # None means the lapse
             res = identity_residuals(profile, float(r), f=f)

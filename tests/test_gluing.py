@@ -232,9 +232,9 @@ def test_psi_harmonicity_surfaces_nan(doubled_m1):
         return np.where((r > 30.0) & (r < 60.0), np.nan, 0.0 * r)
 
     ext = doubled_m1.chart("exterior")
-    poisoned = replace(
-        ext, profile=replace(ext.profile, N=ext.profile.N.plus(RadialFunction(f, f, f)))
-    )
+    n, nan_window = ext.profile.N, RadialFunction(f, f, f)
+    lapse = RadialFunction.expression(lambda r: n(r) + nan_window(r))
+    poisoned = replace(ext, profile=replace(ext.profile, N=lapse))
     charts = tuple(poisoned if c is ext else c for c in doubled_m1.charts)
     assert math.isnan(psi_harmonicity_max(replace(doubled_m1, charts=charts)))
 

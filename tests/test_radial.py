@@ -154,19 +154,33 @@ def test_ensure_evaluable_float_path_matches_array_path(profile, where, open_int
 
 
 # ---------------------------------------------------------------------------
-# RadialFunction combinators
+# RadialFunction expressions and jets
 # ---------------------------------------------------------------------------
 
 
 def test_compose_chain_rule():
+    # an expression that calls a radial function on another's value takes
+    # its derivatives by the chain rule
     sq = RadialFunction(lambda r: r * r, lambda r: 2.0 * r, lambda r: 2.0 + 0 * r)
     shift = RadialFunction(
         lambda r: r + 1.0, lambda r: 1.0 + 0 * r, lambda r: 0.0 * r
     )
-    f = sq.compose(shift)  # (r+1)^2
+    f = RadialFunction.expression(lambda r: sq(shift(r)))  # (r+1)^2
     assert float(f(2.0)) == 9.0
     assert float(f(2.0, 1)) == 6.0
     assert float(f(2.0, 2)) == 2.0
+
+
+def test_expression_keeps_leaf_derivatives_at_the_coordinate():
+    # a leaf called on the coordinate itself gives its own derivatives; the
+    # chain rule would multiply in (1, 0) and turn inf * 0 into NaN, as at
+    # the neck horizon, where A' is infinite
+    steep = RadialFunction(
+        lambda r: 0.0 * r, lambda r: 0.0 * r + math.inf, lambda r: 0.0 * r + 1.0
+    )
+    f = RadialFunction.expression(lambda r: 2.0 * steep(r))
+    assert f(3.0, 1) == math.inf
+    assert f(3.0, 2) == 2.0
 
 
 def test_compose_inverse_substitutes_reciprocal():
@@ -181,8 +195,8 @@ def test_compose_inverse_substitutes_reciprocal():
 
 def test_product_and_quotient_derivatives():
     p = make_schwarzschild_family(1.0, 3.0, 100.0)
-    prod = p.N.product(p.Rareal)
-    quot = p.N.quotient(p.Rareal)
+    prod = RadialFunction.expression(lambda r: p.N(r) * p.Rareal(r))
+    quot = RadialFunction.expression(lambda r: p.N(r) / p.Rareal(r))
     r, h = 5.0, 1e-6
     for fn in (prod, quot):
         fd = (float(fn(r + h)) - float(fn(r - h))) / (2 * h)
