@@ -14,7 +14,11 @@ its truncation error, not roundoff, dominates down to step sizes of 1e-4.
 Its 25 stencil points per sample lie on seven distinct radii, r, r +- h
 and (r +- h) +- h: A and Rareal are read once on those seven, N once on
 the central three, and the five Christoffel stencils are assembled in one
-batched pass.
+batched pass.  The assembly uses only that the metric is diagonal: each
+Christoffel symbol comes from d_e g_aa by its index class (17 distinct
+values of 27), only the twelve symbol derivatives the Ricci contraction
+reads are differenced, and its 54 quadratic terms are one gathered
+product, summed in the order of the full index loops.
 
 Both routes are array-shaped: given an array of radii (and, for the
 oracle, a matching array of per-sample steps) they evaluate every sample
@@ -206,31 +210,75 @@ def _nested(x, h):
     return np.stack(np.broadcast_arrays(x, xp, xm, xp + h, xp - h, xm + h, xm - h))
 
 
+def _gamma_row(c, a, b):
+    """Row of :func:`_christoffel`'s result that holds gamma[c, a, b]."""
+    if a == b == c:
+        return 15 + a if a < 2 else c
+    if c == b and a < 2:  # d_a g_cc
+        return 3 + 3 * a + c
+    if c == a and b < 2:  # d_b g_cc
+        return 3 + 3 * b + c
+    if a == b and c < 2:  # d_c g_aa
+        return 9 + 3 * c + a
+    return c  # no derivative, or one along ph: (0 + 0) - 0
+
+
+_GAMMA_ROW = np.array(
+    [[[_gamma_row(c, a, b) for b in range(3)] for a in range(3)] for c in range(3)]
+)
+
+
 def _christoffel(g0, dg_r, dg_th, h):
     """Christoffel symbols from centered differences of a diagonal metric.
 
     ``g0`` holds the metric diagonal (g_rr, g_thth, g_phph) on a leading
     axis, ``dg_r`` and ``dg_th`` the difference numerators g(+h) - g(-h)
-    along r and th at the same points, and ``h`` the step; trailing axes
-    broadcast.  Returns gamma[c, a, b, ...] in coordinate order
-    (r, th, ph).  The metric is diagonal, so the inverse is taken
-    entrywise.
+    along r and th at the same points (same shape and dtype as ``g0``), and
+    ``h`` the step, which broadcasts against the trailing axes.
+    Coordinates are ordered (r, th, ph).
+
+    For any diagonal metric
+    gamma[c, a, b] = g^cc (delta_bc d_a g_cc + delta_ac d_b g_cc
+    - delta_ab d_c g_aa) / 2, with the inverse taken entrywise, so every
+    entry comes from d[e, a] = d_e g_aa (e in r, th: ph has no
+    difference) by its index class.  Each class keeps the three-term sum
+    of the full tensor contraction, zero terms included: (d + d) - d on
+    a = b = c, (d + 0) - 0 on c = b != a and on c = a != b, (0 + 0) - d on
+    a = b != c, and (0 + 0) - 0 when all differ or the derivative is along
+    ph.  So signed zeros, infinities and NaNs come out as the full
+    contraction gives them.
+
+    The 27 entries take 17 distinct values, returned as rows on a leading
+    axis: gamma[c, a, b] is row ``_GAMMA_ROW[c, a, b]``.  Rows 0-2 are the
+    zero classes of c, 3 + 3e + c holds (d[e, c] + 0) - 0, 9 + 3c + a holds
+    (0 + 0) - d[c, a], and 15 + a holds (d[a, a] + d[a, a]) - d[a, a].
     """
-    i = np.arange(3)
-    dg = np.zeros((3, 3) + g0.shape, dtype=g0.dtype)  # dg[e, a, a] = d_e g_aa
-    dg[0, i, i] = dg_r / (2.0 * h)
-    dg[1, i, i] = dg_th / (2.0 * h)
-    ginv = 1.0 / g0
-    # gamma[c, a, b] = g^cc (d_a g_bc + d_b g_ac - d_c g_ab) / 2: with a
-    # diagonal metric only the d = c inverse entry acts, and each term is
-    # present only where its metric index pair is diagonal.
-    eye = np.eye(3, dtype=bool).reshape((3, 3) + (1,) * (g0.ndim - 1))
-    term = (
-        np.where(eye[:, None], np.moveaxis(dg, 2, 0), 0.0)  # d_a g_bc, b == c
-        + np.where(eye[:, :, None], np.swapaxes(dg, 0, 2), 0.0)  # d_b g_ac, a == c
-        - np.where(eye[None], dg, 0.0)  # d_c g_ab, a == b
-    )
-    return 0.5 * ginv[:, None, None] * term
+    d = np.stack([dg_r, dg_th]) / (2.0 * h)
+    w = 0.5 * (1.0 / g0)
+    gamma = np.empty((17,) + g0.shape[1:], dtype=d.dtype)
+    np.multiply(w, 0.0, out=gamma[:3])
+    np.multiply(w, (d + 0.0) - 0.0, out=gamma[3:9].reshape(d.shape))
+    np.multiply(w[:2, None], 0.0 - d, out=gamma[9:15].reshape(d.shape))
+    diag = d[[0, 1], [0, 1]]
+    np.multiply(w[:2], (diag + diag) - diag, out=gamma[15:])
+    return gamma
+
+
+# The derivatives of gamma that the Ricci contraction reads are
+# d_c gamma^c_aa for c < 2 and d_a gamma^c_ca for a < 2 (ph has no
+# stencil).  For each of those twelve: its slot [k, c, a] in the
+# contraction, its row in :func:`_christoffel`'s result and the direction
+# e of its difference.
+_DIV = [((0, c, a), _GAMMA_ROW[c, a, a], c) for c in range(2) for a in range(3)] + [
+    ((1, c, a), _GAMMA_ROW[c, c, a], a) for c in range(3) for a in range(2)
+]
+_DIV_SLOT = tuple(np.array([slot for slot, _, _ in _DIV]).T)
+_DIV_ROW = np.array([row for _, row, _ in _DIV])
+_DIV_DIR = np.array([e for _, _, e in _DIV])
+# Entries of gamma^c_cd gamma^d_aa and gamma^c_ad gamma^d_ca as [k, c, d, a].
+_C, _D, _A = np.indices((3, 3, 3))
+_QUAD_LEFT = (np.stack([_C, _C]), np.stack([_C, _A]), np.stack([_D, _D]))
+_QUAD_RIGHT = (np.stack([_D, _D]), np.stack([_A, _C]), np.stack([_A, _A]))
 
 
 def fd_curvature_oracle(profile: RadialProfile, r, h=1e-3) -> CurvatureSample:
@@ -276,23 +324,24 @@ def fd_curvature_oracle(profile: RadialProfile, r, h=1e-3) -> CurvatureSample:
         metric(_CENTRE_R, _UP[_CENTRE_TH]) - metric(_CENTRE_R, _DOWN[_CENTRE_TH]),
         hl,
     )
-    gam = gams[:, :, :, 0]
+    gam = gams[:, 0][_GAMMA_ROW]
     ginv = 1.0 / g[:, 0]
-    dgam = np.zeros((3,) + gam.shape, dtype=gam.dtype)  # dgam[e, c, a, b]
-    dgam[0] = (gams[:, :, :, 1] - gams[:, :, :, 2]) / (2.0 * hl)
-    dgam[1] = (gams[:, :, :, 3] - gams[:, :, :, 4]) / (2.0 * hl)
+    div = np.zeros((2, 3, 3) + gam.shape[3:], dtype=gam.dtype)
+    div[_DIV_SLOT] = (
+        gams[_DIV_ROW, 1 + 2 * _DIV_DIR] - gams[_DIV_ROW, 2 + 2 * _DIV_DIR]
+    ) / (2.0 * hl)
+    quad = gam[_QUAD_LEFT]
+    quad *= gam[_QUAD_RIGHT]
 
-    # Only the diagonal Ricci and Hessian components are reported.
-    ric = []
-    for a in range(3):
-        s = 0.0
-        for c in range(3):
-            s += dgam[c, c, a, a] if c < 2 else 0.0
-            s -= dgam[a, c, c, a] if a < 2 else 0.0
-            for d in range(3):
-                s += gam[c, c, d] * gam[d, a, a]
-                s -= gam[c, a, d] * gam[d, c, a]
-        ric.append(s)
+    # Only the diagonal Ricci and Hessian components are reported.  Each
+    # ric[a] sums its terms in the order of the index loops over c and d.
+    ric = np.zeros((3,) + gam.shape[3:], dtype=gam.dtype)
+    for c in range(3):
+        ric += div[0, c]
+        ric -= div[1, c]
+        for d in range(3):
+            ric += quad[0, c, d]
+            ric -= quad[1, c, d]
 
     # Lapse derivatives on the central stencil, whose theta-neighbours sit
     # at radius r (theta-differences vanish by symmetry but are computed,

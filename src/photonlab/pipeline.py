@@ -8,9 +8,16 @@ C^1 matching at every gluing surface, the strict bound |psi| < 1,
 harmonicity of psi, scalar-flatness of the rescaled metric, the mass pair
 (physical ADM mass on the outward end, zero mass on the compactified
 reflected end), the compactification limit, and full flatness.  The verdict
-is ``schwarzschild_rigid`` exactly when the flatness certificate and every
-match jump pass their tolerances; reconstruction then reads the mass back
-from the neck and cross-checks it against the boundary audit.
+is ``schwarzschild_rigid`` exactly when all of these hold: flatness within
+``flat_tol``, every match jump within ``match_tol``, the strict bound
+|psi| < 1, a converged compactification, the exterior ADM mass within
+relative ``mass_tol`` of the audited component mass mass_i, the
+conformal-end mass within ``mass_tol * mass_i`` of zero, and every float
+the report carries finite.  Harmonicity and the finite-difference scalar
+are reported but gate nothing yet: the scalar's tolerance has to scale
+with the mass first (m = 0.1 reads 2.6e-7 against 1e-8).  Reconstruction
+then reads the mass back from the neck and cross-checks it against the
+boundary audit.
 
 Stage order matters: the gluing audit runs first and refuses boundaries
 that are not photon spheres (:class:`~photonlab.gluing.GluingRefusal`), so
@@ -19,6 +26,7 @@ later certificates never see malformed data.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -64,8 +72,14 @@ class PipelineReport:
 
     ``reconstructed_mass`` is the neck mass parameter mu_1; it equals the
     boundary component mass whenever the gluing audit passed.  The verdict
-    depends only on the flatness certificate and the match jumps; the other
-    certificates are reported for independent scrutiny.
+    is rigid only if ``flatness_max_curvature`` <= ``flat_tol``, every
+    match jump <= ``match_tol``, ``psi_bound.strict_bound``,
+    ``compactification.converged``,
+    |``adm_exterior["mass"]`` / mass_i - 1| <= ``mass_tol``,
+    |``adm_conformal_end["mass"]``| / mass_i <= ``mass_tol`` (mass_i from
+    ``boundary_audit``) and every float in the report is finite.
+    ``psi_harmonicity`` and ``conformal_scalar_max`` are reported for
+    independent scrutiny and gate nothing.
     """
 
     boundary_audit: IdentityReport
@@ -137,8 +151,7 @@ def run_rigidity_pipeline(
 
     mu_1 = float(doubled.chart("neck").profile.mass)
     worst_jump = max(m.max_jump for m in matches)
-    rigid = flat["max_curvature"] <= flat_tol and worst_jump <= match_tol
-    return PipelineReport(
+    fields = dict(
         boundary_audit=boundary_audit,
         match_reports=matches,
         psi_bound=bound,
@@ -150,7 +163,6 @@ def run_rigidity_pipeline(
         compactification=compact,
         flatness_max_curvature=float(flat["max_curvature"]),
         reconstructed_mass=mu_1,
-        verdict=VERDICT_RIGID if rigid else VERDICT_NOT_RIGID,
         tolerances={
             "match_tol": float(match_tol),
             "flat_tol": float(flat_tol),
@@ -158,6 +170,32 @@ def run_rigidity_pipeline(
         },
         n_samples=int(n_samples),
     )
+    rigid = (
+        flat["max_curvature"] <= flat_tol
+        and worst_jump <= match_tol
+        and bound.strict_bound
+        and compact.converged
+        and abs(adm_ext["mass"] / mass_i - 1.0) <= mass_tol
+        and abs(adm_conf["mass"]) / mass_i <= mass_tol
+        and _all_finite(fields)
+    )
+    return PipelineReport(
+        **fields, verdict=VERDICT_RIGID if rigid else VERDICT_NOT_RIGID
+    )
+
+
+def _all_finite(obj) -> bool:
+    """Whether every float in nested dataclasses, dicts and sequences is
+    finite."""
+    if isinstance(obj, float):
+        return math.isfinite(obj)
+    if isinstance(obj, dict):
+        obj = obj.values()
+    elif dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif not isinstance(obj, (list, tuple)):
+        return True
+    return all(map(_all_finite, obj))
 
 
 def reconstruct_schwarzschild(report: PipelineReport) -> tuple[float, float, float]:

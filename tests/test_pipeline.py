@@ -14,6 +14,7 @@ from photonlab.pipeline import (
     MASS_TOL,
     VERDICT_NOT_RIGID,
     VERDICT_RIGID,
+    _all_finite,
     reconstruct_schwarzschild,
     run_rigidity_pipeline,
 )
@@ -85,3 +86,32 @@ def test_reconstruction_requires_rigid_verdict(pipeline_m1):
     demoted = replace(pipeline_m1, verdict=VERDICT_NOT_RIGID)
     with pytest.raises(DomainError):
         reconstruct_schwarzschild(demoted)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_unconverged_compactification_is_not_rigid():
+    """At m = 1e3 the absolute x-schedule of the compactification check
+    reaches inside the horizon: the check does not converge and its mass
+    gap is infinite, and the verdict must say so."""
+    report = run_rigidity_pipeline(make_schwarzschild_family(1e3, 3e3, 1e5))
+    assert not report.compactification.converged
+    assert not math.isfinite(report.compactification.mass_gap)
+    assert report.verdict == VERDICT_NOT_RIGID
+
+
+def test_mass_tolerance_gates_the_verdict(exterior_m1):
+    """The measured exterior ADM mass is off by 4.3e-8 relative at m = 1:
+    inside the default mass_tol, outside 1e-9."""
+    report = run_rigidity_pipeline(exterior_m1, mass_tol=1e-9)
+    assert 1e-9 < abs(report.adm_exterior["mass"] - 1.0) < 1e-7
+    assert report.tolerances["mass_tol"] == 1e-9
+    assert report.verdict == VERDICT_NOT_RIGID
+
+
+def test_finiteness_gate_reaches_nested_floats(pipeline_m1):
+    assert _all_finite(pipeline_m1)
+    for bad in (math.nan, math.inf, -math.inf):
+        compact = replace(pipeline_m1.compactification, radial_factor=(0.1, bad))
+        assert not _all_finite(replace(pipeline_m1, compactification=compact))
+        adm = dict(pipeline_m1.adm_exterior, integrand=[1.0, bad])
+        assert not _all_finite(replace(pipeline_m1, adm_exterior=adm))
