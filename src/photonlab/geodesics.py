@@ -12,7 +12,9 @@ The residual root search is the primary detector; trapping corroborates it.
 Trajectories integrate the full second-order geodesic system in
 (t, r, phi) with an embedded Dormand-Prince 5(4) stepper, so the energy
 E = N^2 dt/dl and angular momentum L = R^2 dphi/dl are *measured*
-conserved quantities, not inputs held fixed by construction.
+conserved quantities, not inputs held fixed by construction.  The stepper
+does its per-step arithmetic on Python floats and reports how many
+right-hand-side evaluations and rejected steps a trajectory cost.
 """
 
 from __future__ import annotations
@@ -250,6 +252,9 @@ class GeodesicResult:
     max_constraint: float
     E_drift: float
     L_drift: float
+    # right-hand-side calls; step attempts retried (error test or chart exit)
+    rhs_evals: int
+    rejected_steps: int
 
     @property
     def radii(self) -> np.ndarray:
@@ -275,72 +280,55 @@ _DP_A = (
     _DP_B5,
 )
 _DP_B4 = (
-    5179 / 57600,
-    0.0,
-    7571 / 16695,
-    393 / 640,
-    -92097 / 339200,
-    187 / 2100,
-    1 / 40,
+    5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40
 )
 
 
-def _nonzero(row):
-    return tuple((j, a) for j, a in enumerate(row) if a != 0.0)
-
-
-_DP_STAGES = tuple(_nonzero(row) for row in _DP_A[1:])
-_DP_ERROR = _nonzero(_DP_B4)
-
-
-def _combine(y, h, k, terms):
-    """y + h * sum(a_j k_j) over ``terms``, component by component.
-
-    Each sum runs left to right from 0 over the nonzero a_j in tableau
-    order.  The builtin ``sum`` is avoided: from Python 3.12 it compensates
-    float sums, which would round differently.
-    """
-    acc = (0,) * len(y)
-    for j, a in terms:
-        acc = [s + a * kc for s, kc in zip(acc, k[j])]
-    return [yc + h * s for yc, s in zip(y, acc)]
+def _accelerations(n, dn, a, da, rr, drr, td, rd, pd):
+    inv_a2 = 1.0 / (a * a)
+    return (
+        -2.0 * (dn / n) * td * rd,
+        (rr * drr * pd * pd - n * dn * td * td) * inv_a2 - (da / a) * rd * rd,
+        -2.0 * (drr / rr) * rd * pd,
+    )
 
 
 def _geodesic_rhs(profile: RadialProfile, y):
     """Second-order geodesic system in (t, r, phi, dt, dr, dphi).
 
     Returns the derivative and the (N, A, Rareal) it read at y, from which
-    :func:`_observables` records the state without evaluating again.
+    :func:`_observables` records the state without evaluating again.  A
+    zero denominator, which raises on floats, reruns on numpy scalars.
     """
     _, r, _, td, rd, pd = y
-    n, dn = profile.N(r), profile.N(r, 1)
-    a, da = profile.A(r), profile.A(r, 1)
-    rr, drr = profile.Rareal(r), profile.Rareal(r, 1)
-    inv_a2 = 1.0 / (a * a)
-    return (
-        td,
-        rd,
-        pd,
-        -2.0 * (dn / n) * td * rd,
-        (rr * drr * pd * pd - n * dn * td * td) * inv_a2 - (da / a) * rd * rd,
-        -2.0 * (drr / rr) * rd * pd,
-    ), (n, a, rr)
+    n, dn = float(profile.N(r)), float(profile.N(r, 1))
+    a, da = float(profile.A(r)), float(profile.A(r, 1))
+    rr, drr = float(profile.Rareal(r)), float(profile.Rareal(r, 1))
+    try:
+        tdd, rdd, pdd = _accelerations(n, dn, a, da, rr, drr, td, rd, pd)
+    except ZeroDivisionError:
+        f = np.float64
+        acc = _accelerations(f(n), f(dn), f(a), f(da), f(rr), f(drr), td, rd, pd)
+        tdd, rdd, pdd = map(float, acc)
+    return (td, rd, pd, tdd, rdd, pdd), (n, a, rr)
 
 
 def _observables(lam, y, values):
     _, r, phi, td, rd, pd = y
     n, a, rr = values
-    e = n * n * td
-    ell = rr * rr * pd
-    constraint = -(n * td) ** 2 + (a * rd) ** 2 + (rr * pd) ** 2
+    try:
+        constraint = -(n * td) ** 2 + (a * rd) ** 2 + (rr * pd) ** 2
+    except OverflowError:  # float powers raise where numpy scalars give inf
+        f = np.float64
+        constraint = float(-f(n * td) ** 2 + f(a * rd) ** 2 + f(rr * pd) ** 2)
     return NullGeodesicState(
-        lam=float(lam),
-        r=float(r),
-        phi=float(phi),
-        p_r=float(a * a * rd),
-        E=float(e),
-        L=float(ell),
-        constraint=float(constraint),
+        lam=lam,
+        r=r,
+        phi=phi,
+        p_r=a * a * rd,
+        E=n * n * td,
+        L=rr * rr * pd,
+        constraint=constraint,
     )
 
 
@@ -378,6 +366,12 @@ def launch_with_momenta(
     return np.array([0.0, float(r0), 0.0, E / (n * n), rd, L / (rr * rr)])
 
 
+def _require_positive(**values) -> None:
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise DomainError(f"{name} must be finite and positive, got {value!r}")
+
+
 def integrate_null_geodesic(
     profile: RadialProfile,
     y0,
@@ -392,8 +386,13 @@ def integrate_null_geodesic(
     window ``lam_max``, on leaving the radial domain (outward or within
     ``_INNER_MARGIN`` of the inner boundary, where horizons live), on
     step-size underflow, or after ``_MAX_STEPS`` step attempts; the cause
-    is reported in ``termination`` rather than silently swallowed.
+    is reported in ``termination`` rather than silently swallowed, beside
+    counts of right-hand-side evaluations and rejected step attempts.
+    Steps run on Python floats.  ``lam_max`` and ``tol`` must be finite
+    and positive.
     """
+    _require_positive(lam_max=lam_max, tol=tol)
+    lam_max, tol = float(lam_max), float(tol)
     lo, hi = profile.r_lo, profile.r_hi
     inner_stop = lo + _INNER_MARGIN * max(1.0, abs(lo))
     lam = 0.0
@@ -410,10 +409,23 @@ def integrate_null_geodesic(
     e_drift = l_drift = 0.0
     scale_e = max(abs(e0), 1e-30)
     scale_l = max(abs(l0), abs(e0) * max(abs(states[0].r), 1.0))
+    # each sum runs left to right from 0 over the nonzero entries (not the
+    # builtin sum, which compensates from Python 3.12); index 1 of B5/B4 is 0
+    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43) = _DP_A[1:5]
+    (a50, a51, a52, a53, a54), (b0, _, b2, b3, b4, b5) = _DP_A[5:]
+    c0, _, c2, c3, c4, c5, c6 = _DP_B4
+    evals = 1
+
+    def stage(yi):
+        nonlocal evals
+        if not (lo < yi[1] < hi):
+            raise _LeftDomain(yi[1])
+        evals += 1
+        return _geodesic_rhs(profile, yi)
 
     h = min(1e-3 * max(1.0, abs(y[1])), lam_max / 10.0)
     termination = "window"
-    steps = 0
+    steps = rejected = 0
     while lam < lam_max:
         if steps >= _MAX_STEPS:
             termination = "step_limit"
@@ -426,14 +438,24 @@ def integrate_null_geodesic(
             termination = "window" if lam_max - lam <= floor else "step_underflow"
             break
         # k0 is the derivative at y, kept across rejected and retried steps
-        k = [k0]
         try:
-            for terms in _DP_STAGES:
-                yi = _combine(y, h, k, terms)
-                if not (lo < yi[1] < hi):
-                    raise _LeftDomain(yi[1])
-                ki, values = _geodesic_rhs(profile, yi)
-                k.append(ki)
+            k1, _ = stage([u + h * (0.0 + a10 * p) for u, p in zip(y, k0)])
+            yi = [u + h * (0.0 + a20 * p + a21 * q) for u, p, q in zip(y, k0, k1)]
+            k2, _ = stage(yi)
+            yi = [u + h * (0.0 + a30 * p + a31 * q + a32 * v)
+                  for u, p, q, v in zip(y, k0, k1, k2)]
+            k3, _ = stage(yi)
+            yi = [u + h * (0.0 + a40 * p + a41 * q + a42 * v + a43 * w)
+                  for u, p, q, v, w in zip(y, k0, k1, k2, k3)]
+            k4, _ = stage(yi)
+            yi = [u + h * (0.0 + a50 * p + a51 * q + a52 * v + a53 * w + a54 * x)
+                  for u, p, q, v, w, x in zip(y, k0, k1, k2, k3, k4)]
+            k5, _ = stage(yi)
+            # first same as last: the last stage is the fifth-order solution,
+            # and its derivative and profile values serve the next step
+            y5 = [u + h * (0.0 + b0 * p + b2 * v + b3 * w + b4 * x + b5 * z)
+                  for u, p, v, w, x, z in zip(y, k0, k2, k3, k4, k5)]
+            k6, values = stage(y5)
         except _LeftDomain as exc:
             # A stage left the chart: either terminate (at the true edge) or
             # shrink the step and retry.
@@ -442,18 +464,20 @@ def integrate_null_geodesic(
                     "domain_exit_outer" if exc.r >= hi else "domain_exit_inner"
                 )
                 break
+            rejected += 1
             h *= 0.25
             continue
-        # first same as last: the last stage is the fifth-order solution,
-        # and its derivative and profile values serve the next step
-        y5 = yi
-        y4 = np.array(_combine(y, h, k, _DP_ERROR))
-        y5a = np.array(y5)
-        scale = tol + tol * np.maximum(np.abs(np.array(y)), np.abs(y5a))
-        err = float(np.sqrt(np.mean(((y5a - y4) / scale) ** 2)))
+        # root mean square of the scaled 5(4) difference, summed left to right
+        sq = 0.0
+        for u, u5, p, v, w, x, z, g in zip(y, y5, k0, k2, k3, k4, k5, k6):
+            u4 = u + h * (0.0 + c0 * p + c2 * v + c3 * w + c4 * x + c5 * z + c6 * g)
+            s, s5 = abs(u), abs(u5)  # np.maximum's NaN propagation below
+            q = (u5 - u4) / (tol + tol * (s if (s > s5 or s != s) else s5))
+            sq += q * q
+        err = math.sqrt(sq / 6)
         if err <= 1.0:
             lam += h
-            y, k0 = y5, k[-1]
+            y, k0 = y5, k6
             st = _observables(lam, y, values)
             states.append(st)
             if not (inner_stop < y[1] < hi):
@@ -464,6 +488,8 @@ def integrate_null_geodesic(
             max_con = max(max_con, abs(st.constraint))
             e_drift = max(e_drift, abs(st.E - e0) / scale_e)
             l_drift = max(l_drift, abs(st.L - l0) / scale_l)
+        else:
+            rejected += 1
         h *= min(5.0, max(0.2, 0.9 * (1.0 / err) ** 0.2 if err > 0.0 else 5.0))
     return GeodesicResult(
         states=states,
@@ -471,6 +497,8 @@ def integrate_null_geodesic(
         max_constraint=max_con,
         E_drift=e_drift,
         L_drift=l_drift,
+        rhs_evals=evals,
+        rejected_steps=rejected,
     )
 
 
@@ -509,12 +537,14 @@ def trapping_report(
     deviation budget 1e-3 in units of r0/3 (the mass of the profile whose
     photon sphere sits at r0).  The budget is deliberately loose enough
     that integrator noise at tol = 1e-12 cannot fake an escape, yet tight
-    against the exponential peel-off of off-sphere launches.
+    against the exponential peel-off of off-sphere launches.  Windows and
+    budgets (and ``tol``) must be finite and positive.
     """
     scale = r0 / 3.0
     window = 50.0 * scale if affine_window is None else float(affine_window)
     budget = 1e-3 * scale if trap_tol is None else float(trap_tol)
     y0 = tangential_launch(profile, r0, E=E)
+    _require_positive(affine_window=window, trap_tol=budget)
     res = integrate_null_geodesic(profile, y0, window, tol=tol)
     dev = float(np.max(np.abs(res.radii - r0)))
     if res.termination == "domain_exit_inner":

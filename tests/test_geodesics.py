@@ -320,3 +320,70 @@ def test_trajectory_csv_shape(tmp_path, wide_m1):
     lines = out.read_text().splitlines()
     assert lines[0] == "lambda,r,phi,p_r,constraint"
     assert len(lines) == len(res.states) + 1
+
+
+# ---------------------------------------------------------------------------
+# Evaluation counts and argument refusals
+# ---------------------------------------------------------------------------
+
+
+def _counting_rhs(monkeypatch):
+    calls = []
+    rhs = geodesics._geodesic_rhs
+
+    def counting(profile, y):
+        calls.append(y[1])
+        return rhs(profile, y)
+
+    monkeypatch.setattr(geodesics, "_geodesic_rhs", counting)
+    return calls
+
+
+def test_closed_form_on_sphere_counts(wide_m1, monkeypatch):
+    calls = _counting_rhs(monkeypatch)
+    res = integrate_null_geodesic(wide_m1, tangential_launch(wide_m1, 3.0), 50.0)
+    accepted = len(res.states) - 1
+    assert res.rhs_evals == len(calls)
+    # first same as last: six evaluations per attempt, plus the initial one
+    assert res.rhs_evals == 1 + 6 * (accepted + res.rejected_steps)
+
+
+@pytest.mark.parametrize("kind, f", [("tabulated", 1.01), ("closed", 0.99)])
+def test_counts_match_a_counting_wrapper(kind, f, monkeypatch):
+    # tabulated steps are rejected at spline knots; the inner launch falls
+    # in and retries steps whose stages leave the chart after a few of six
+    profile = _trajectory_profiles(1.0)[kind]
+    root = photon_sphere_search(profile)[-1]
+    calls = _counting_rhs(monkeypatch)
+    res = integrate_null_geodesic(profile, tangential_launch(profile, root * f), 50.0)
+    assert res.rhs_evals == len(calls)
+    assert res.rejected_steps > 0
+    accepted = len(res.states) - 1
+    assert 6 * accepted < res.rhs_evals - 1 <= 6 * (accepted + res.rejected_steps)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_trapping_refuses_affine_window(wide_m1, value):
+    # a zero or NaN window made no step and read "trapped" at r0 = 4
+    with pytest.raises(DomainError, match="affine_window"):
+        trapping_report(wide_m1, 4.0, affine_window=value)
+
+
+@pytest.mark.parametrize("value", [0.0, -1e-3, math.nan, math.inf])
+def test_trapping_refuses_trap_tol(wide_m1, value):
+    # an infinite budget read "trapped" at r0 = 4, 60 away from the launch
+    with pytest.raises(DomainError, match="trap_tol"):
+        trapping_report(wide_m1, 4.0, trap_tol=value)
+
+
+@pytest.mark.parametrize("value", [0.0, -1e-12, math.nan, math.inf])
+def test_integration_refuses_tol_and_window(wide_m1, value, monkeypatch):
+    # tol = 0 or NaN rejected every attempt until the step budget ran out
+    monkeypatch.setattr(geodesics, "_MAX_STEPS", 50)
+    y0 = tangential_launch(wide_m1, 4.0)
+    with pytest.raises(DomainError, match="tol"):
+        trapping_report(wide_m1, 4.0, tol=value)
+    with pytest.raises(DomainError, match="tol"):
+        integrate_null_geodesic(wide_m1, y0, 10.0, tol=value)
+    with pytest.raises(DomainError, match="lam_max"):
+        integrate_null_geodesic(wide_m1, y0, value)
