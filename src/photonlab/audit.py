@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 SQRT3 = math.sqrt(3.0)
+# The identity residuals of IdentityReport, in the order ties are broken.
+RESIDUAL_FIELDS = ("res_umbilic", "res_NH", "res_rH", "res_sigmaR")
 
 
 @dataclass(frozen=True)
@@ -64,13 +66,14 @@ class IdentityReport:
     nu_N: float
     sigma_scalar: float
 
+    def worst_residual(self) -> tuple[str, float]:
+        """Name and signed value of the residual largest in magnitude;
+        ties go to the first of :data:`RESIDUAL_FIELDS`."""
+        name = max(RESIDUAL_FIELDS, key=lambda f: abs(getattr(self, f)))
+        return name, getattr(self, name)
+
     def max_residual(self) -> float:
-        return max(
-            abs(self.res_umbilic),
-            abs(self.res_NH),
-            abs(self.res_rH),
-            abs(self.res_sigmaR),
-        )
+        return abs(self.worst_residual()[1])
 
     def chain_residual(self) -> float:
         """|N - sqrt(3) m_i / r_i| on the sphere."""

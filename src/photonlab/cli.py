@@ -50,7 +50,7 @@ from .audit import audit_sphere
 from .curvature import curvature_at
 from .geodesics import photon_sphere_search
 from .gluing import MATCH_FIELDS, MATCH_TOL, GluingRefusal, glue_neck, match_report
-from .pipeline import FLAT_TOL, MASS_TOL, run_rigidity_pipeline
+from .pipeline import run_rigidity_pipeline
 from .radial import (
     BuchdahlError,
     DomainError,
@@ -292,11 +292,7 @@ def cmd_glue(cfg: dict) -> int:
 def cmd_pipeline(cfg: dict) -> int:
     profile = _build_profile(cfg)
     rep = run_rigidity_pipeline(
-        profile,
-        match_tol=cfg["tol"],
-        flat_tol=FLAT_TOL,
-        mass_tol=MASS_TOL,
-        n_samples=cfg["samples"],
+        profile, match_tol=cfg["tol"], n_samples=cfg["samples"]
     )
     report = {"config": _echo(cfg), "report": rep}
     _emit(cfg, report, (("surface_id", "field", "left", "right", "jump"),
@@ -310,7 +306,6 @@ def cmd_star(cfg: dict) -> int:
     cfg["r_b"] = float(r_b)
     r_hi = cfg["r_max"] if cfg["r_max"] is not None else 100.0 * m
     composite = make_composite_star(m, r_b, r_hi=r_hi)
-    cfg.setdefault("r_min", 0.0)
     cfg["r_max"] = float(r_hi)
 
     photon_spheres = []
@@ -323,15 +318,10 @@ def cmd_star(cfg: dict) -> int:
             if rep.max_residual() <= cfg["tol"] and rep.H_positive:
                 photon_spheres.append(float(root))
             else:
-                worst = max(
-                    ("res_umbilic", "res_NH", "res_rH", "res_sigmaR"),
-                    key=lambda f: abs(getattr(rep, f)),
+                worst, value = rep.worst_residual()
+                rejected.append(
+                    {"radius": float(root), "failing": worst, "value": value}
                 )
-                rejected.append({
-                    "radius": float(root),
-                    "failing": worst,
-                    "value": getattr(rep, worst),
-                })
 
     enclosed = bool(photon_spheres) and r_b < min(photon_spheres)
     if enclosed:

@@ -26,7 +26,7 @@ sees only metric values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,16 +35,11 @@ from .gluing import (
     SAMPLE_GUARD,
     Chart,
     PiecewiseManifold,
+    _worst_sample,
     collar_function,
     guarded_chart_samples,
 )
-from .radial import (
-    DomainError,
-    ProfileKind,
-    RadialFunction,
-    RadialProfile,
-    make_schwarzschild_family,
-)
+from .radial import DomainError, ProfileKind, RadialFunction, RadialProfile
 
 __all__ = [
     "ConformalChart",
@@ -59,7 +54,6 @@ __all__ = [
     "adm_mass_estimate",
     "conformal_end_mass_estimate",
     "richardson_limit",
-    "extend_exterior_chart",
 ]
 
 _SCHWARZSCHILD_KINDS = (
@@ -279,18 +273,6 @@ def _fd_scalar_refined(profile: RadialProfile, t, h):
     return (4.0 * d2 - d1) / 3.0
 
 
-def _worst_sample(vals, chart_ids, rs) -> tuple[float, tuple[str, float]]:
-    """Largest per-sample value and where it is, over charts scanned in order.
-
-    ``np.argmax`` picks the first NaN if there is one, so a non-finite
-    sample surfaces as the certificate instead of being skipped.
-    """
-    vals = np.concatenate(vals)
-    i = int(np.argmax(vals))
-    ids = np.repeat(chart_ids, [len(r) for r in rs])
-    return float(vals[i]), (str(ids[i]), float(np.concatenate(rs)[i]))
-
-
 def conformal_scalar_residual(conformal: ConformalManifold, n_samples: int = 512) -> dict:
     """max |scalar curvature| of the rescaled metric, by finite differences.
 
@@ -458,9 +440,29 @@ def _validate_schedule(radii) -> tuple[float, ...]:
     radii = tuple(float(r) for r in radii)
     if len(radii) < 3:
         raise DomainError("mass schedule needs at least three radii")
+    if not all(math.isfinite(r) and r > 0.0 for r in radii):
+        raise DomainError(
+            f"mass schedule radii must be finite and positive, got {radii}"
+        )
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise DomainError("mass schedule radii must increase")
     return radii
+
+
+def _reach(chart: Chart, r_far: float) -> None:
+    """Refuse a schedule whose farthest radius ``r_far`` leaves a chart that
+    does not extend.
+
+    A closed-form exterior evaluates at any radius, so the asymptotic
+    stages read it beyond its working truncation as it stands; any other
+    kind must reach 3% past ``r_far``.
+    """
+    p = chart.profile
+    if p.r_hi < 1.03 * r_far and p.kind is not ProfileKind.SCHWARZSCHILD_EXTERIOR:
+        raise DomainError(
+            "asymptotic schedule exits the chart domain and the profile kind "
+            "does not extend analytically"
+        )
 
 
 def adm_mass_estimate(space, end_id: str, radii=(50.0, 100.0, 200.0, 400.0)) -> dict:
@@ -469,45 +471,24 @@ def adm_mass_estimate(space, end_id: str, radii=(50.0, 100.0, 200.0, 400.0)) -> 
     Physical ends are integrated in the working chart; a *conformal
     reflected* end is integrated in inverted coordinates around its
     puncture (see :func:`conformal_end_mass_estimate`), where a smooth
-    compactification must report zero.  Closed-form charts are extended
-    analytically when the schedule exceeds the working truncation.
+    compactification must report zero.  The end's chart and its rescaled
+    ``hat`` are read as the pipeline built them, not extended: a
+    closed-form exterior evaluates at any radius, and a schedule beyond
+    the truncation of any other chart kind raises :class:`DomainError`.
+    The radii must be finite, positive and increasing, at least three.
     """
     radii = _validate_schedule(radii)
-    if isinstance(space, ConformalManifold):
-        source = space.source
-        if end_id not in source.ends:
-            raise KeyError(end_id)
-        base = source.chart(end_id)
-        cc = space.chart(end_id)
-        extended = _conformal_chart(
-            extend_exterior_chart(base, max(radii) * 1.03), cc.perturbation
-        )
-        if base.orientation == "reflected":
-            return conformal_end_mass_estimate(extended, radii)
-        return _adm_from_metric_functions(extended.hat.A, extended.hat.Rareal, radii)
-    if end_id not in space.ends:
+    source = space.source if isinstance(space, ConformalManifold) else space
+    if end_id not in source.ends:
         raise KeyError(end_id)
-    chart = extend_exterior_chart(space.chart(end_id), max(radii) * 1.03)
-    return _adm_from_metric_functions(chart.profile.A, chart.profile.Rareal, radii)
-
-
-def extend_exterior_chart(chart: Chart, r_needed: float) -> Chart:
-    """Analytic extension of a closed-form exterior chart to larger radius.
-
-    Asymptotic schedules (mass, compactification) can require radii beyond
-    the working truncation; closed-form profiles extend exactly.  Tabulated
-    charts cannot and raise instead.
-    """
-    p = chart.profile
-    if p.r_hi >= r_needed:
-        return chart
-    if p.kind is not ProfileKind.SCHWARZSCHILD_EXTERIOR:
-        raise DomainError(
-            "asymptotic schedule exits the chart domain and the profile kind "
-            "does not extend analytically"
-        )
-    extended = make_schwarzschild_family(p.mass, p.r_lo, 1.0625 * r_needed)
-    return replace(chart, profile=extended)
+    _reach(source.chart(end_id), max(radii))
+    if not isinstance(space, ConformalManifold):
+        p = space.chart(end_id).profile
+        return _adm_from_metric_functions(p.A, p.Rareal, radii)
+    cc = space.chart(end_id)
+    if cc.base.orientation == "reflected":
+        return conformal_end_mass_estimate(cc, radii)
+    return _adm_from_metric_functions(cc.hat.A, cc.hat.Rareal, radii)
 
 
 def inverted_end_functions(conformal_chart: ConformalChart):
@@ -541,11 +522,9 @@ class CompactificationReport:
     converged: bool
 
 
-def _reflected_end_id(manifold) -> str:
-    for end_id in manifold.ends:
-        if manifold.chart(end_id).orientation == "reflected":
-            return end_id
-    raise DomainError("manifold has no reflected end to compactify")
+def _limit_at_zero(x_near, f_near, x_far, f_far):
+    """Value at x = 0 of the line through two nodes, x_near < x_far."""
+    return f_near + (f_near - f_far) * x_near / (x_far - x_near)
 
 
 def compactification_check(
@@ -562,27 +541,29 @@ def compactification_check(
     requires it within [0.75, 1.25] with the two factor limits agreeing.
     A corrupted conformal factor destroys the limit (the factors diverge),
     which reports as ``converged = False`` rather than raising.  A schedule
-    of fewer than two distinct positive nodes raises :class:`DomainError`.
+    with a non-finite node, or of fewer than two distinct positive nodes,
+    raises :class:`DomainError`.  The reflected chart's ``hat`` is read as
+    the pipeline built it, not extended, with the reach rule of
+    :func:`adm_mass_estimate` at r = 1/x.
     """
-    end_id = _reflected_end_id(conformal.source)
-    base = conformal.source.chart(end_id)
-    cc = conformal.chart(end_id)
+    cc = conformal.chart(conformal.source.end("reflected"))
     xs = np.asarray(sorted(R_schedule, reverse=True), dtype=float)
+    if not np.all(np.isfinite(xs)):
+        raise DomainError(
+            f"inverted-coordinate schedule must be finite, got {tuple(R_schedule)}"
+        )
     if not (xs.size >= 2 and np.all(xs[1:] < xs[:-1])):
         raise DomainError("inverted-coordinate schedule needs >= 2 distinct nodes")
     if xs[-1] <= 0.0:
         raise DomainError("inverted-coordinate schedule must be positive")
-    extended = _conformal_chart(
-        extend_exterior_chart(base, 1.03 / float(xs[-1])), cc.perturbation
-    )
-    mass_reference = float(base.profile.mass)
-    a_x, r_x = inverted_end_functions(extended)
+    _reach(cc.base, 1.0 / float(xs[-1]))
+    mass_reference = float(cc.base.profile.mass)
+    a_x, r_x = inverted_end_functions(cc)
     f_rad = np.array([float(a_x(x)) ** 2 for x in xs])
     f_tan = np.array([(float(r_x(x)) / x) ** 2 for x in xs])
     # limit from linear-in-x extrapolation of the two smallest nodes
-    x1, x2 = xs[-2], xs[-1]
-    lim_r = f_rad[-1] + (f_rad[-1] - f_rad[-2]) * x2 / (x1 - x2)
-    lim_t = f_tan[-1] + (f_tan[-1] - f_tan[-2]) * x2 / (x1 - x2)
+    lim_r = _limit_at_zero(xs[-1], f_rad[-1], xs[-2], f_rad[-2])
+    lim_t = _limit_at_zero(xs[-1], f_tan[-1], xs[-2], f_tan[-2])
     limit = 0.5 * (lim_r + lim_t)
     spread = abs(lim_r - lim_t)
     rates = []
@@ -604,7 +585,7 @@ def compactification_check(
         and spread <= 0.05 * max(abs(limit), 1e-30)
     )
     return CompactificationReport(
-        end_id=end_id,
+        end_id=cc.base.chart_id,
         schedule=tuple(float(x) for x in xs),
         radial_factor=tuple(float(v) for v in f_rad),
         tangential_factor=tuple(float(v) for v in f_tan),
@@ -635,7 +616,7 @@ def conformal_end_mass_estimate(
     # normalization kappa = lim r_x / x, extrapolated linearly from the two
     # smallest nodes of the schedule itself
     k1, k2 = float(r_x(xs[0])) / xs[0], float(r_x(xs[1])) / xs[1]
-    kappa = k1 + (k1 - k2) * xs[0] / (xs[1] - xs[0])
+    kappa = _limit_at_zero(xs[0], k1, xs[1], k2)
     ys = kappa * xs
     jets = [(y, r_x.jet(y / kappa)) for y in ys.tolist()]
     vals = np.array([

@@ -137,6 +137,11 @@ def radial_laplacian(f: Jet, a: Jet, rr: Jet):
     return (f.d2 + 2.0 * rr.d1 * f.d1 / rr.v - f.d1 * a.d1 / a.v) / (a.v * a.v)
 
 
+def _proper_second(f: Jet, a: Jet):
+    """Second derivative of f along proper radial distance, d/ds = (1/A) d/dr."""
+    return (f.d2 - f.d1 * a.d1 / a.v) / (a.v * a.v)
+
+
 def _sample(r, n, ric_nn, ric_tt, scalar, hess_nn, hess_tt, lap_n) -> CurvatureSample:
     """Package assembled components, forming the vacuum residuals in their
     own precision first: floats for a scalar ``r``, float arrays for an
@@ -172,9 +177,9 @@ def curvature_at(profile: RadialProfile, r) -> CurvatureSample:
     rr = rj.v
     # proper-radial derivatives of Rareal and N
     r_s = rj.d1 / a.v
-    r_ss = (rj.d2 - rj.d1 * a.d1 / a.v) / (a.v * a.v)
+    r_ss = _proper_second(rj, a)
     n_s = n.d1 / a.v
-    n_ss = (n.d2 - n.d1 * a.d1 / a.v) / (a.v * a.v)
+    n_ss = _proper_second(n, a)
 
     ric_nn = -2.0 * r_ss / rr
     ric_tt = (1.0 - r_s * r_s - rr * r_ss) / (rr * rr)
@@ -464,7 +469,7 @@ def identity_residuals(
     )
 
     fj = (profile.N if f is None else f).jet(r)
-    hess_f_nn = (fj.d2 - fj.d1 * a.d1 / a.v) / (a.v * a.v)
+    hess_f_nn = _proper_second(fj, a)
     surf = radial_laplacian(fj, a, rr) - (hess_f_nn + geom.H * fj.d1 / a.v)
 
     return {"gauss": float(gauss), "surface_laplacian": float(surf)}

@@ -24,14 +24,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .audit import audit_sphere, component_mass
+from .audit import audit_sphere
 from .curvature import curvature_at
 from .radial import (
     DomainError,
-    ProfileKind,
     RadialFunction,
     RadialProfile,
-    make_schwarzschild_family,
     make_schwarzschild_neck,
 )
 
@@ -127,6 +125,13 @@ class PiecewiseManifold:
                 return g
         raise KeyError(surface_id)
 
+    def end(self, orientation: str) -> str:
+        """Id of the first end chart with this orientation."""
+        for end_id in self.ends:
+            if self.chart(end_id).orientation == orientation:
+                return end_id
+        raise DomainError(f"manifold has no {orientation} end")
+
 
 def neck_parameters(mass_i: float, area_radius_i: float) -> dict:
     """Neck data matched to a photon-sphere component.
@@ -192,19 +197,13 @@ def glue_neck(
     wrong-mass neck on the same gluing surface, for negative controls.
     """
     report = audit_sphere(exterior, r0)
-    residuals = {
-        "res_umbilic": report.res_umbilic,
-        "res_NH": report.res_NH,
-        "res_rH": report.res_rH,
-        "res_sigmaR": report.res_sigmaR,
-    }
-    worst = max(residuals, key=lambda k: abs(residuals[k]))
-    if abs(residuals[worst]) > match_tol:
+    worst, value = report.worst_residual()
+    if abs(value) > match_tol:
         raise GluingRefusal(
-            f"not a photon sphere at r0={r0}: {worst} = {residuals[worst]:.3e} "
+            f"not a photon sphere at r0={r0}: {worst} = {value:.3e} "
             f"exceeds match_tol = {match_tol:.1e}",
             failing=worst,
-            value=residuals[worst],
+            value=value,
         )
     if not report.H_positive:
         raise GluingRefusal(
@@ -212,9 +211,8 @@ def glue_neck(
             failing="H_positive",
             value=report.H,
         )
-    mass_i = component_mass(exterior, r0)
     r_i = report.area_radius
-    params = neck_parameters(mass_i, r_i)
+    params = neck_parameters(report.mass_i, r_i)
     if mu_override is None:
         neck_profile = make_schwarzschild_neck(params["mu"])
     else:
@@ -396,6 +394,18 @@ def guarded_chart_samples(chart: Chart, n: int) -> np.ndarray:
     return np.linspace(lo_eff, hi_eff, n)
 
 
+def _worst_sample(vals, chart_ids, rs) -> tuple[float, tuple[str, float]]:
+    """Largest per-sample value and where it is, over charts scanned in order.
+
+    ``np.argmax`` picks the first NaN if there is one, so a non-finite
+    sample surfaces as the certificate instead of being skipped.
+    """
+    vals = np.concatenate(vals)
+    i = int(np.argmax(vals))
+    ids = np.repeat(chart_ids, [len(r) for r in rs])
+    return float(vals[i]), (str(ids[i]), float(np.concatenate(rs)[i]))
+
+
 @dataclass(frozen=True)
 class PsiBoundReport:
     max_abs_psi: float
@@ -410,12 +420,11 @@ def psi_bound_check(manifold: PiecewiseManifold, n_samples: int = 10000) -> PsiB
 
     Also reports the lapse value at each photon-sphere gluing: these are
     the boundary values that the maximum principle propagates inward, so
-    each must itself be below 1.
+    each must itself be below 1.  A non-finite sample is reported as the
+    maximum and fails the bound.
     """
     per = max(16, n_samples // max(1, len(manifold.charts)))
-    worst = -1.0
-    arg = ("", math.nan)
-    total = 0
+    chart_ids, vals, radii = [], [], []
     for chart in manifold.charts:
         lo, hi = chart.profile.r_lo, chart.profile.r_hi
         if chart.profile.degenerate_lo:
@@ -423,14 +432,12 @@ def psi_bound_check(manifold: PiecewiseManifold, n_samples: int = 10000) -> PsiB
         if chart.profile.degenerate_hi:
             hi = np.nextafter(hi, lo)
         rs = np.linspace(lo, hi, per)
-        psi = np.abs(
-            chart.collar_scale * np.asarray(chart.profile.N(rs), dtype=float)
+        chart_ids.append(chart.chart_id)
+        vals.append(
+            np.abs(chart.collar_scale * np.asarray(chart.profile.N(rs), dtype=float))
         )
-        total += per
-        i = int(np.argmax(psi))
-        if psi[i] > worst:
-            worst = float(psi[i])
-            arg = (chart.chart_id, float(rs[i]))
+        radii.append(rs)
+    worst, arg = _worst_sample(vals, chart_ids, radii)
     boundary = {}
     for g in manifold.gluings:
         if g.kind == "photon_sphere":
@@ -443,7 +450,7 @@ def psi_bound_check(manifold: PiecewiseManifold, n_samples: int = 10000) -> PsiB
         argmax=arg,
         strict_bound=worst < 1.0,
         boundary_lapse=boundary,
-        n_samples=total,
+        n_samples=per * len(manifold.charts),
     )
 
 

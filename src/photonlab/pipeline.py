@@ -7,17 +7,10 @@ certifies everything that makes the result recognizably Schwarzschild:
 C^1 matching at every gluing surface, the strict bound |psi| < 1,
 harmonicity of psi, scalar-flatness of the rescaled metric, the mass pair
 (physical ADM mass on the outward end, zero mass on the compactified
-reflected end), the compactification limit, and full flatness.  The verdict
-is ``schwarzschild_rigid`` exactly when all of these hold: flatness within
-``flat_tol``, every match jump within ``match_tol``, the strict bound
-|psi| < 1, a converged compactification, the exterior ADM mass within
-relative ``mass_tol`` of the audited component mass mass_i, the
-conformal-end mass within ``mass_tol * mass_i`` of zero, and every float
-the report carries finite.  Harmonicity and the finite-difference scalar
-are reported but gate nothing yet: the scalar's tolerance has to scale
-with the mass first (m = 0.1 reads 2.6e-7 against 1e-8).  Reconstruction
-then reads the mass back from the neck and cross-checks it against the
-boundary audit.
+reflected end), the compactification limit, and full flatness.  Which of
+these gate the verdict ``schwarzschild_rigid`` is stated once, in
+:class:`PipelineReport`.  Reconstruction then reads the mass back from the
+neck and cross-checks it against the boundary audit.
 
 Stage order matters: the gluing audit runs first and refuses boundaries
 that are not photon spheres (:class:`~photonlab.gluing.GluingRefusal`), so
@@ -72,14 +65,15 @@ class PipelineReport:
 
     ``reconstructed_mass`` is the neck mass parameter mu_1; it equals the
     boundary component mass whenever the gluing audit passed.  The verdict
-    is rigid only if ``flatness_max_curvature`` <= ``flat_tol``, every
+    is rigid exactly when ``flatness_max_curvature`` <= ``flat_tol``, every
     match jump <= ``match_tol``, ``psi_bound.strict_bound``,
     ``compactification.converged``,
     |``adm_exterior["mass"]`` / mass_i - 1| <= ``mass_tol``,
     |``adm_conformal_end["mass"]``| / mass_i <= ``mass_tol`` (mass_i from
     ``boundary_audit``) and every float in the report is finite.
     ``psi_harmonicity`` and ``conformal_scalar_max`` are reported for
-    independent scrutiny and gate nothing.
+    independent scrutiny and gate nothing yet: the scalar's tolerance has
+    to scale with the mass first (m = 0.1 reads 2.6e-7 against 1e-8).
     """
 
     boundary_audit: IdentityReport
@@ -138,14 +132,8 @@ def run_rigidity_pipeline(
 
     mass_i = float(boundary_audit.mass_i)
     schedule = tuple(50.0 * mass_i * 2.0 ** k for k in range(4))
-    outward_end = next(
-        e for e in doubled.ends if doubled.chart(e).orientation == "outward"
-    )
-    reflected_end = next(
-        e for e in doubled.ends if doubled.chart(e).orientation == "reflected"
-    )
-    adm_ext = adm_mass_estimate(doubled, outward_end, schedule)
-    adm_conf = adm_mass_estimate(conformal, reflected_end, schedule)
+    adm_ext = adm_mass_estimate(doubled, doubled.end("outward"), schedule)
+    adm_conf = adm_mass_estimate(conformal, doubled.end("reflected"), schedule)
     compact = compactification_check(conformal)
     flat = flatness_check(conformal, n_samples=n_samples)
 

@@ -4,6 +4,7 @@ monotonicity of H/N, and positivity gates."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +49,16 @@ def test_audit_residuals_off_sphere(wide_m1):
     rep4 = audit_sphere(wide_m1, 4.0)
     assert abs(rep4.res_rH - (2.0 - 4.0 / 3.0)) <= 1e-14
     assert rep4.max_residual() > 0.1
+
+
+def test_worst_residual_keeps_sign_and_breaks_ties_to_the_first_field(wide_m1):
+    rep29 = audit_sphere(wide_m1, 2.9)
+    name, value = rep29.worst_residual()
+    assert value == getattr(rep29, name) and abs(value) == rep29.max_residual()
+    assert name == "res_rH" and value < 0.0  # negative below the sphere
+    tied = replace(rep29, res_umbilic=0.5, res_NH=-0.5, res_rH=0.5, res_sigmaR=-0.5)
+    assert tied.worst_residual() == ("res_umbilic", 0.5)
+    assert replace(tied, res_umbilic=0.0).worst_residual() == ("res_NH", -0.5)
 
 
 def test_audit_flat_slice():

@@ -18,7 +18,6 @@ from photonlab.conformal import (
     conformal_scalar_prediction,
     conformal_scalar_residual,
     conformal_transform,
-    extend_exterior_chart,
     flatness_check,
     richardson_limit,
 )
@@ -273,6 +272,22 @@ def test_adm_mass_scale(doubled_m2=None):
     assert abs(rep["mass"] - 2.0) <= 2e-3
 
 
+@pytest.mark.parametrize(
+    "radii",
+    [(50.0, 100.0, math.inf), (50.0, math.nan, 200.0), (-50.0, 100.0, 200.0)],
+    ids=["inf", "nan", "negative"],
+)
+def test_adm_schedule_refuses_non_finite_and_non_positive_radii(conformal_m1, radii):
+    # named as the mass schedule, not mistaken for a non-geometric one
+    for space, end_id in (
+        (conformal_m1.source, "exterior"),
+        (conformal_m1, "exterior"),
+        (conformal_m1, "exterior_reflected"),
+    ):
+        with pytest.raises(DomainError, match="mass schedule radii must be finite"):
+            adm_mass_estimate(space, end_id, radii=radii)
+
+
 def test_adm_schedule_validation(doubled_m1):
     with pytest.raises(DomainError):
         adm_mass_estimate(doubled_m1, "exterior", radii=(50.0, 100.0))
@@ -319,14 +334,23 @@ def test_compactification_scale():
 
 @pytest.mark.parametrize(
     "schedule",
-    [(1e-3,), (1e-2, 1e-3, 1e-3), ()],
-    ids=["one_node", "repeated_node", "empty"],
+    [(1e-3,), (1e-2, 1e-3, 1e-3), (), (1e-2, 1e-3, -1e-4)],
+    ids=["one_node", "repeated_node", "empty", "negative_node"],
 )
 def test_compactification_refuses_malformed_schedule(conformal_m1, schedule):
     # one node leaves nothing to extrapolate from and a repeated node divides
     # by a zero node gap: both are refused instead of raising IndexError or
     # reporting a NaN limit
     with pytest.raises(DomainError):
+        compactification_check(conformal_m1, R_schedule=schedule)
+
+
+@pytest.mark.parametrize(
+    "schedule", [(math.inf, 1e-3, 1e-4), (1e-2, math.nan, 1e-4)], ids=["inf", "nan"]
+)
+def test_compactification_refuses_non_finite_schedule(conformal_m1, schedule):
+    # an infinite node used to reach the log-log fit and fail inside LAPACK
+    with pytest.raises(DomainError, match="inverted-coordinate schedule must be finite"):
         compactification_check(conformal_m1, R_schedule=schedule)
 
 
@@ -338,31 +362,56 @@ def test_conformal_end_mass_refuses_malformed_schedule(conformal_m1, radii):
 
 
 # ---------------------------------------------------------------------------
-# Support machinery: chart extension and Richardson extrapolation
+# Reach of the asymptotic schedules, and Richardson extrapolation
 # ---------------------------------------------------------------------------
 
 
-def test_extend_exterior_chart_consistency():
-    ext = make_schwarzschild_family(1.0, 3.0, 100.0)
-    chart = Chart("exterior", ext, 1.0, 1.0, 1.0, "exterior")
-    big = extend_exterior_chart(chart, 500.0)
-    assert big.profile.r_hi >= 500.0
-    for r in (10.0, 50.0, 99.0):
-        assert float(big.profile.N(r)) == float(ext.N(r))
-    assert extend_exterior_chart(chart, 50.0) is chart  # already long enough
+def _asymptotic_stages(doubled):
+    conformal = conformal_transform(doubled)
+    return {
+        "adm exterior": lambda: adm_mass_estimate(doubled, "exterior"),
+        "adm conformal exterior": lambda: adm_mass_estimate(conformal, "exterior"),
+        "adm conformal reflected": lambda: adm_mass_estimate(
+            conformal, "exterior_reflected"
+        ),
+        "compactification": lambda: compactification_check(conformal),
+    }
 
 
-def test_extend_exterior_chart_refuses_tabulated():
+def test_asymptotic_stages_read_the_charts_they_certify():
+    # the default schedules run to r = 400 and r = 1e4, past the chart's
+    # r_hi = 100; each stage must still evaluate the chart the pipeline
+    # built, not a rebuilt copy, and give what the unwrapped chart gives
     ext = make_schwarzschild_family(1.0, 3.0, 100.0)
-    r = np.linspace(3.0, 100.0, 500)
-    tab = make_tabulated(
-        r,
-        np.asarray(ext.N(r), dtype=float),
-        np.asarray(ext.A(r), dtype=float),
-        np.asarray(ext.Rareal(r), dtype=float),
-    )
-    with pytest.raises(DomainError):
-        extend_exterior_chart(Chart("exterior", tab, 1.0, 1.0, 1.0, "exterior"), 500.0)
+    calls = []
+
+    def counted(f):
+        def at(nu):
+            def call(r):
+                calls.append(r)
+                return f(r, nu)
+            return call
+        return RadialFunction(at(0), at(1), at(2))
+
+    wrapped = dataclasses.replace(ext, A=counted(ext.A), Rareal=counted(ext.Rareal))
+    plain = _asymptotic_stages(double(glue_neck(ext, 3.0)))
+    stages = _asymptotic_stages(double(glue_neck(wrapped, 3.0)))
+    for name, stage in stages.items():
+        calls.clear()
+        got = stage()
+        assert calls, name
+        assert repr(got) == repr(plain[name]()), name
+
+
+def test_asymptotic_stages_refuse_to_leave_tabulated_chart():
+    # a table stops at its last node, so a schedule beyond it is refused
+    ext = make_schwarzschild_family(1.0, 3.0, 100.0)
+    r = np.geomspace(3.0, 100.0, 500)
+    tab = make_tabulated(r, ext.N(r), ext.A(r), ext.Rareal(r))
+    stages = _asymptotic_stages(double(glue_neck(tab, 3.0, match_tol=1e-5)))
+    for name, stage in stages.items():
+        with pytest.raises(DomainError, match="does not extend analytically"):
+            stage()
 
 
 def test_richardson_limit_strips_leading_order():

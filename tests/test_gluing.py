@@ -22,6 +22,7 @@ from photonlab.gluing import (
     psi_harmonicity_max,
 )
 from photonlab.radial import (
+    DomainError,
     RadialFunction,
     make_schwarzschild_family,
     make_tabulated,
@@ -237,6 +238,31 @@ def test_psi_harmonicity_surfaces_nan(doubled_m1):
     poisoned = replace(ext, profile=replace(ext.profile, N=lapse))
     charts = tuple(poisoned if c is ext else c for c in doubled_m1.charts)
     assert math.isnan(psi_harmonicity_max(replace(doubled_m1, charts=charts)))
+
+
+def test_psi_bound_surfaces_nan(doubled_m1):
+    # a lapse that is NaN on part of one chart must fail the bound, not be
+    # passed over for the finite maximum on the reflected end
+    def f(r):
+        return np.where((r > 40.0) & (r < 41.0), np.nan, 0.0 * r)
+
+    ext = doubled_m1.chart("exterior")
+    n, nan_window = ext.profile.N, RadialFunction(f, f, f)
+    lapse = RadialFunction.expression(lambda r: n(r) + nan_window(r))
+    poisoned = replace(ext, profile=replace(ext.profile, N=lapse))
+    charts = tuple(poisoned if c is ext else c for c in doubled_m1.charts)
+    rep = psi_bound_check(replace(doubled_m1, charts=charts))
+    assert math.isnan(rep.max_abs_psi)
+    assert rep.argmax[0] == "exterior" and 40.0 < rep.argmax[1] < 41.0
+    assert not rep.strict_bound
+    assert rep.n_samples == psi_bound_check(doubled_m1).n_samples
+
+
+def test_end_lookup_by_orientation(glued_m1, doubled_m1):
+    assert doubled_m1.end("outward") == "exterior"
+    assert doubled_m1.end("reflected") == "exterior_reflected"
+    with pytest.raises(DomainError, match="no reflected end"):
+        glued_m1.end("reflected")
 
 
 def test_guarded_samples_avoid_surfaces(doubled_m1):
