@@ -544,7 +544,9 @@ def compactification_check(
     with a non-finite node, or of fewer than two distinct positive nodes,
     raises :class:`DomainError`.  The reflected chart's ``hat`` is read as
     the pipeline built it, not extended, with the reach rule of
-    :func:`adm_mass_estimate` at r = 1/x.
+    :func:`adm_mass_estimate` at r = 1/x.  ``mass_reference`` is the mass
+    parameter of that chart's profile; a profile without one (a table)
+    raises :class:`DomainError`.
     """
     cc = conformal.chart(conformal.source.end("reflected"))
     xs = np.asarray(sorted(R_schedule, reverse=True), dtype=float)
@@ -557,6 +559,12 @@ def compactification_check(
     if xs[-1] <= 0.0:
         raise DomainError("inverted-coordinate schedule must be positive")
     _reach(cc.base, 1.0 / float(xs[-1]))
+    if cc.base.profile.mass is None:
+        raise DomainError(
+            "compactification_check needs mass_reference, the mass parameter "
+            f"of the reflected end's profile; a {cc.base.profile.kind.value} "
+            "profile has none"
+        )
     mass_reference = float(cc.base.profile.mass)
     a_x, r_x = inverted_end_functions(cc)
     f_rad = np.array([float(a_x(x)) ** 2 for x in xs])

@@ -173,7 +173,7 @@ def curvature_at(profile: RadialProfile, r) -> CurvatureSample:
     sample's fields are then float arrays of the same shape.
     """
     profile.ensure_evaluable(r, open_interior=True)
-    n, a, rj = profile.N.jet(r), profile.A.jet(r), profile.Rareal.jet(r)
+    n, a, rj = profile._jets(r)
     rr = rj.v
     # proper-radial derivatives of Rareal and N
     r_s = rj.d1 / a.v

@@ -297,13 +297,12 @@ def _geodesic_rhs(profile: RadialProfile, y):
     """Second-order geodesic system in (t, r, phi, dt, dr, dphi).
 
     Returns the derivative and the (N, A, Rareal) it read at y, from which
-    :func:`_observables` records the state without evaluating again.  A
-    zero denominator, which raises on floats, reruns on numpy scalars.
+    :func:`_observables` records the state without evaluating again.  The
+    six channel values come from one read of the profile at r.  A zero
+    denominator, which raises on floats, reruns on numpy scalars.
     """
     _, r, _, td, rd, pd = y
-    n, dn = float(profile.N(r)), float(profile.N(r, 1))
-    a, da = float(profile.A(r)), float(profile.A(r, 1))
-    rr, drr = float(profile.Rareal(r)), float(profile.Rareal(r, 1))
+    n, dn, a, da, rr, drr = profile._slopes(r)
     try:
         tdd, rdd, pdd = _accelerations(n, dn, a, da, rr, drr, td, rd, pd)
     except ZeroDivisionError:
@@ -342,8 +341,7 @@ def tangential_launch(
     book values exactly.
     """
     profile.ensure_evaluable(r0, open_interior=True)
-    n = float(profile.N(r0))
-    rr = float(profile.Rareal(r0))
+    n, _, _, _, rr, _ = profile._slopes(r0)
     if L is None:
         L = E * rr / n
     td = E / (n * n)
@@ -356,9 +354,7 @@ def launch_with_momenta(
 ):
     """Initial condition with radial motion fixed by the null constraint."""
     profile.ensure_evaluable(r0, open_interior=True)
-    n = float(profile.N(r0))
-    a = float(profile.A(r0))
-    rr = float(profile.Rareal(r0))
+    n, _, a, _, rr, _ = profile._slopes(r0)
     rd_sq = ((E / n) ** 2 - (L / rr) ** 2) / (a * a)
     if rd_sq < 0.0:
         raise DomainError("E, L incompatible with a null ray at this radius")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .audit import audit_sphere
+from .audit import IdentityReport, audit_sphere
 from .curvature import curvature_at
 from .radial import (
     DomainError,
@@ -196,7 +196,17 @@ def glue_neck(
     named (:class:`GluingRefusal`).  ``mu_override`` deliberately builds a
     wrong-mass neck on the same gluing surface, for negative controls.
     """
-    report = audit_sphere(exterior, r0)
+    return _glue_audited(exterior, r0, audit_sphere(exterior, r0), match_tol, mu_override)
+
+
+def _glue_audited(
+    exterior: RadialProfile,
+    r0: float,
+    report: IdentityReport,
+    match_tol: float,
+    mu_override: float | None,
+) -> PiecewiseManifold:
+    """:func:`glue_neck` on the exterior's audit ``report`` at r0."""
     worst, value = report.worst_residual()
     if abs(value) > match_tol:
         raise GluingRefusal(

@@ -36,8 +36,8 @@ from .gluing import (
     MATCH_TOL,
     MatchReport,
     PsiBoundReport,
+    _glue_audited,
     double,
-    glue_neck,
     match_report,
     psi_bound_check,
     psi_harmonicity_max,
@@ -119,8 +119,8 @@ def run_rigidity_pipeline(
     the same call covers any mass without retuning.
     """
     r0 = float(exterior.r_lo)
-    glued = glue_neck(exterior, r0, match_tol=match_tol)
     boundary_audit = audit_sphere(exterior, r0)
+    glued = _glue_audited(exterior, r0, boundary_audit, match_tol, None)
     doubled = double(glued)
 
     matches = tuple(match_report(doubled, g.surface_id) for g in doubled.gluings)

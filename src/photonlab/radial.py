@@ -137,12 +137,16 @@ class RadialFunction:
     values only, and :meth:`jet` carries all three orders in one pass.
     Calling convention follows scipy's spline API: ``f(r, nu)`` returns
     the ``nu``-th derivative; ``f(jet)`` composes by the chain rule.
+    The lapse of a closed-form or tabulated profile also holds the fused
+    read of its construction (:class:`_FusedRead`); every other function
+    holds None there.
     """
 
-    __slots__ = ("_d",)
+    __slots__ = ("_d", "_fused")
 
     def __init__(self, d0, d1, d2):
         self._d = (d0, d1, d2)
+        self._fused = None
 
     def __call__(self, r, nu: int = 0):
         if not isinstance(r, Jet):
@@ -177,11 +181,7 @@ class RadialFunction:
 
     @staticmethod
     def coordinate() -> "RadialFunction":
-        return RadialFunction(
-            lambda r: r,
-            lambda r: r * 0.0 + 1.0,
-            lambda r: r * 0.0,
-        )
+        return RadialFunction(_identity, _one, _zero)
 
     def compose_inverse(self) -> "RadialFunction":
         """Pull back along the coordinate inversion x -> 1/x.
@@ -199,6 +199,18 @@ class RadialFunction:
         return _Expression(lambda x: f(1.0 / x), jet)
 
 
+def _identity(r):
+    return r
+
+
+def _one(r):
+    return r * 0.0 + 1.0
+
+
+def _zero(r):
+    return r * 0.0
+
+
 class _Expression(RadialFunction):
     """Values from ``f`` alone; both derivatives from one call of ``jet``."""
 
@@ -210,6 +222,28 @@ class _Expression(RadialFunction):
 
     def jet(self, r) -> Jet:
         return self._jet(r)
+
+
+class _FusedRead:
+    """N, A and Rareal of one construction, read together at a radius.
+
+    The lapse N holds it, and it holds the A and Rareal built with that
+    lapse.  A profile reads through it only while its own N, A and Rareal
+    are exactly those functions, so a profile given another function by
+    ``dataclasses.replace`` reads each channel on its own again.  Nothing
+    it holds refers back to it or to N, so a profile is freed without
+    waiting for the cycle collector.  A subclass gives ``slopes(r)``, the
+    six floats (N, N', A, A', Rareal, Rareal') at a Python-float radius or
+    None where only the per-channel reads give numpy's answer, and
+    ``jets(r)``, the three jets at a number or an array.  Both run the
+    operations of the per-channel reads in the same order, so they return
+    the same bits.
+    """
+
+    __slots__ = ("A", "Rareal")
+
+    def __init__(self, A: RadialFunction, Rareal: RadialFunction):
+        self.A, self.Rareal = A, Rareal
 
 
 @dataclass(frozen=True)
@@ -307,6 +341,45 @@ class RadialProfile:
             degenerate_hi=self.degenerate_hi and r_hi == self.r_hi,
         )
 
+    # -- N, A and Rareal read together ---------------------------------
+
+    def _fused_read(self) -> _FusedRead | None:
+        """The fused read built with this profile's N, A and Rareal."""
+        fused = self.N._fused
+        if fused is not None and fused.A is self.A and fused.Rareal is self.Rareal:
+            return fused
+        return None
+
+    def _slopes(self, r) -> tuple[float, float, float, float, float, float]:
+        """N, N', A, A', Rareal and Rareal' at one radius, as floats.
+
+        A closed-form or tabulated profile reads a Python-float radius once
+        for all channels: one square root, or one knot search.  Other
+        profiles and radius types, and a closed-form radius where float
+        arithmetic raises (a negative square root or a zero denominator,
+        where numpy gives NaN or inf), read each channel in turn.
+        """
+        fused = self._fused_read()
+        if fused is not None and type(r) is float:
+            read = fused.slopes(r)
+            if read is not None:
+                return read
+        n, a, rr = self.N, self.A, self.Rareal
+        return (
+            float(n(r)), float(n(r, 1)),
+            float(a(r)), float(a(r, 1)),
+            float(rr(r)), float(rr(r, 1)),
+        )
+
+    def _jets(self, r) -> tuple[Jet, Jet, Jet]:
+        """Jets of N, A and Rareal at r, a number or an array; read once
+        per radius on closed-form and tabulated profiles, per channel on
+        any other."""
+        fused = self._fused_read()
+        if fused is not None:
+            return fused.jets(r)
+        return self.N.jet(r), self.A.jet(r), self.Rareal.jet(r)
+
     # -- fused evaluations that survive horizon endpoints --------------
 
     def nu_N(self, r):
@@ -358,35 +431,89 @@ def _require_finite(**values) -> None:
             raise DomainError(f"{name} must be finite, got {value!r}")
 
 
-def _schwarzschild_functions(m: float):
-    """Lapse / radial factor / areal radius triple for mass parameter m."""
+def _lapse_squared(m, r):
+    return 1.0 - 2.0 * m / r
+
+
+def _lapse_d1(m, r, n):
+    return m / (r * r * n)
+
+
+def _lapse_d2(m, r, n):
+    return -2.0 * m / (r ** 3 * n) - m * m / (r ** 4 * n ** 3)
+
+
+def _reciprocal_d1(n, dn):
+    """First derivative of A = 1/N."""
+    return -dn / (n * n)
+
+
+def _reciprocal_d2(n, dn, ddn):
+    return -ddn / (n * n) + 2.0 * dn * dn / (n ** 3)
+
+
+class _Schwarzschild(_FusedRead):
+    """Fused read of :func:`_schwarzschild_functions`: one n per radius.
+
+    Its float path runs on ``float(m)``, whose arithmetic equals m's own
+    for int and double masses; for any other mass type it reads per
+    channel.
+    """
+
+    __slots__ = ("m", "n0", "m_float")
+
+    def __init__(self, A, Rareal, m, n0):
+        super().__init__(A, Rareal)
+        self.m, self.n0 = m, n0
+        self.m_float = float(m) if isinstance(m, (int, float)) else None
+
+    def slopes(self, r: float):
+        m = self.m_float
+        if m is None:
+            return None
+        try:
+            n = math.sqrt(_lapse_squared(m, r))
+            dn = _lapse_d1(m, r, n)
+            return n, dn, 1.0 / n, _reciprocal_d1(n, dn), r, _one(r)
+        except (ValueError, ZeroDivisionError):
+            return None
+
+    def jets(self, r) -> tuple[Jet, Jet, Jet]:
+        m, n = self.m, self.n0(r)
+        dn, ddn = _lapse_d1(m, r, n), _lapse_d2(m, r, n)
+        return (
+            Jet(n, dn, ddn),
+            Jet(1.0 / n, _reciprocal_d1(n, dn), _reciprocal_d2(n, dn, ddn)),
+            self.Rareal.jet(r),
+        )
+
+
+def _schwarzschild_functions(m):
+    """Lapse, radial factor A = 1/N and areal radius r of mass parameter m.
+
+    Every channel derives from n = sqrt(1 - 2m/r); each leaf takes its own
+    n, and the fused read (:class:`_Schwarzschild`) one n per radius.
+    """
 
     def n0(r):
-        return np.sqrt(1.0 - 2.0 * m / r)
-
-    def n1(r):
-        return m / (r * r * n0(r))
-
-    def n2(r):
-        n = n0(r)
-        return -2.0 * m / (r ** 3 * n) - m * m / (r ** 4 * n ** 3)
-
-    lapse = RadialFunction(n0, n1, n2)
-
-    def a0(r):
-        return 1.0 / n0(r)
+        return np.sqrt(_lapse_squared(m, r))
 
     def a1(r):
         n = n0(r)
-        return -n1(r) / (n * n)
+        return _reciprocal_d1(n, _lapse_d1(m, r, n))
 
     def a2(r):
         n = n0(r)
-        dn = n1(r)
-        return -n2(r) / (n * n) + 2.0 * dn * dn / (n ** 3)
+        dn = _lapse_d1(m, r, n)
+        return _reciprocal_d2(n, dn, _lapse_d2(m, r, n))
 
-    radial = RadialFunction(a0, a1, a2)
-    return lapse, radial, RadialFunction.coordinate()
+    lapse = RadialFunction(
+        n0, lambda r: _lapse_d1(m, r, n0(r)), lambda r: _lapse_d2(m, r, n0(r))
+    )
+    radial = RadialFunction(lambda r: 1.0 / n0(r), a1, a2)
+    areal = RadialFunction.coordinate()
+    lapse._fused = _Schwarzschild(radial, areal, m, n0)
+    return lapse, radial, areal
 
 
 def make_schwarzschild_family(
@@ -535,61 +662,101 @@ def make_interior_fluid(mass: float, star_radius: float) -> RadialProfile:
 # ---------------------------------------------------------------------------
 
 
-def _piecewise_cubic(x: np.ndarray, c: np.ndarray) -> RadialFunction:
-    """Evaluate a cubic in scipy's ``PPoly`` form, as ``_ppoly.evaluate`` does.
+# Orders 0, 1 and 2 of one cubic piece at offset s = r - x[i], as the
+# power-basis sums ``res + c*z*prefactor`` of scipy's ``_ppoly.evaluate``.
+# ``c`` is the (4, n) coefficient array with array indices i, or its rows as
+# lists with an int i.
 
-    ``c[k, i]`` multiplies ``(r - x[i])**(3 - k)`` on the half-open interval
-    [x[i], x[i+1]); the last interval is closed, and radii outside [x[0],
-    x[-1]] extrapolate the end cubics.  Each derivative is the same
-    power-basis sum ``res + c*z*prefactor`` in the same order, so values
-    match ``CubicSpline(x, y)(r, nu)`` bit for bit.  Every term but the
-    first carries a power of s = r - x[i], so a NaN radius gives NaN for
-    nu <= 2 without a test of its own.  Python floats take a ``bisect``
-    path and return floats; anything else is cast to a float64 array
-    first, as ``PPoly.__call__`` does (the oracle passes longdouble).
+
+def _cubic_value(c, i, s):
+    z = s * s
+    return 0.0 + c[3][i] + c[2][i] * s + c[1][i] * z + c[0][i] * (z * s)
+
+
+def _cubic_slope(c, i, s):
+    return 0.0 + c[2][i] + c[1][i] * s * 2.0 + c[0][i] * (s * s) * 3.0
+
+
+def _cubic_curvature(c, i, s):
+    return 0.0 + c[1][i] * 2.0 + c[0][i] * s * 6.0
+
+
+def _cubic_jet(c, i, s) -> Jet:
+    return Jet(_cubic_value(c, i, s), _cubic_slope(c, i, s), _cubic_curvature(c, i, s))
+
+
+class _Knots:
+    """Nodes shared by a table's three splines, and their coefficients.
+
+    Each spline is a cubic in scipy's ``PPoly`` form: ``c[k, i]``
+    multiplies ``(r - x[i])**(3 - k)`` on the half-open interval [x[i],
+    x[i+1]); the last interval is closed, and radii outside [x[0], x[-1]]
+    extrapolate the end cubics.  Evaluation follows ``_ppoly.evaluate``, so
+    values match ``CubicSpline(x, y)(r, nu)`` bit for bit.  Every term but
+    the first carries a power of s = r - x[i], so a NaN radius gives NaN
+    without a test of its own.  Python floats are located by ``bisect``
+    and give floats; anything else is cast to a float64 array first, as
+    ``PPoly.__call__`` does (the oracle passes longdouble), and located by
+    ``np.searchsorted``.
     """
-    xs = x.tolist()
-    last = len(xs) - 2
-    c0, c1, c2, c3 = (row.tolist() for row in c)
 
-    def interval(r: float) -> int:
-        return min(max(bisect_right(xs, r) - 1, 0), last)
+    __slots__ = ("x", "xs", "last", "arrays", "rows")
 
-    def on_array(r, nu: int):
+    def __init__(self, x: np.ndarray, coefficients):
+        self.x, self.xs, self.last = x, x.tolist(), x.size - 2
+        self.arrays = tuple(coefficients)
+        self.rows = tuple(tuple(row.tolist() for row in c) for c in self.arrays)
+
+    def locate(self, r):
+        """Coefficients of the three splines, interval index and offset."""
+        if type(r) is float:
+            i = min(max(bisect_right(self.xs, r) - 1, 0), self.last)
+            return self.rows, i, r - self.xs[i]
         r = np.asarray(r, dtype=np.float64)
-        i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, last)
-        s = r - x[i]
-        # silent on infinite radii, as the compiled evaluator is
+        i = np.clip(np.searchsorted(self.x, r, side="right") - 1, 0, self.last)
+        return self.arrays, i, r - self.x[i]
+
+    def channel(self, k: int) -> RadialFunction:
+        locate, rows = self.locate, self.rows
+
+        def order(f):
+            def at(r):
+                cs, i, s = locate(r)
+                if cs is rows:
+                    return f(cs[k], i, s)
+                # silent on infinite radii, as the compiled evaluator is
+                with np.errstate(all="ignore"):
+                    return f(cs[k], i, s)
+            return at
+
+        return RadialFunction(
+            order(_cubic_value), order(_cubic_slope), order(_cubic_curvature)
+        )
+
+
+class _Table(_FusedRead):
+    """N, A and Rareal of a table, located once per radius for all three."""
+
+    __slots__ = ("knots",)
+
+    def __init__(self, A, Rareal, knots: _Knots):
+        super().__init__(A, Rareal)
+        self.knots = knots
+
+    def slopes(self, r: float):
+        (n, a, rr), i, s = self.knots.locate(r)
+        return (
+            _cubic_value(n, i, s), _cubic_slope(n, i, s),
+            _cubic_value(a, i, s), _cubic_slope(a, i, s),
+            _cubic_value(rr, i, s), _cubic_slope(rr, i, s),
+        )
+
+    def jets(self, r) -> tuple[Jet, Jet, Jet]:
+        cs, i, s = self.knots.locate(r)
+        if cs is self.knots.rows:
+            return tuple(_cubic_jet(c, i, s) for c in cs)
         with np.errstate(all="ignore"):
-            if nu == 0:
-                z = s * s
-                return 0.0 + c[3, i] + c[2, i] * s + c[1, i] * z + c[0, i] * (z * s)
-            if nu == 1:
-                return 0.0 + c[2, i] + c[1, i] * s * 2.0 + c[0, i] * (s * s) * 3.0
-            return 0.0 + c[1, i] * 2.0 + c[0, i] * s * 6.0
-
-    def d0(r):
-        if type(r) is not float:
-            return on_array(r, 0)
-        i = interval(r)
-        s = r - xs[i]
-        z = s * s
-        return 0.0 + c3[i] + c2[i] * s + c1[i] * z + c0[i] * (z * s)
-
-    def d1(r):
-        if type(r) is not float:
-            return on_array(r, 1)
-        i = interval(r)
-        s = r - xs[i]
-        return 0.0 + c2[i] + c1[i] * s * 2.0 + c0[i] * (s * s) * 3.0
-
-    def d2(r):
-        if type(r) is not float:
-            return on_array(r, 2)
-        i = interval(r)
-        return 0.0 + c1[i] * 2.0 + c0[i] * (r - xs[i]) * 6.0
-
-    return RadialFunction(d0, d1, d2)
+            return tuple(_cubic_jet(c, i, s) for c in cs)
 
 
 def make_tabulated(r, N, A, Rareal) -> RadialProfile:
@@ -598,7 +765,7 @@ def make_tabulated(r, N, A, Rareal) -> RadialProfile:
     Each channel becomes a not-a-knot cubic spline: nodes are reproduced
     exactly and the interpolant has continuous second derivatives, which is
     the minimum smoothness the curvature formulas consume.  scipy solves
-    the spline coefficients; :func:`_piecewise_cubic` evaluates them.
+    the spline coefficients; :class:`_Knots` evaluates them.
     """
     r = np.asarray(r, dtype=float)
     if r.ndim != 1 or r.size < 4:
@@ -621,17 +788,17 @@ def make_tabulated(r, N, A, Rareal) -> RadialProfile:
         raise DomainError("tabulated areal radius must be positive")
     from scipy.interpolate import CubicSpline
 
-    funcs = {}
-    for name, v in cols.items():
-        spline = CubicSpline(r, v)
-        funcs[name] = _piecewise_cubic(spline.x, spline.c)
+    splines = [CubicSpline(r, v) for v in cols.values()]
+    knots = _Knots(splines[0].x, [spline.c for spline in splines])
+    n, a, rareal = (knots.channel(k) for k in range(3))
+    n._fused = _Table(a, rareal, knots)
     return RadialProfile(
         kind=ProfileKind.TABULATED,
         r_lo=float(r[0]),
         r_hi=float(r[-1]),
-        N=funcs["N"],
-        A=funcs["A"],
-        Rareal=funcs["Rareal"],
+        N=n,
+        A=a,
+        Rareal=rareal,
         meta={
             "nodes": r.copy(),
             "values": {k: v.copy() for k, v in cols.items()},

@@ -414,6 +414,17 @@ def test_asymptotic_stages_refuse_to_leave_tabulated_chart():
             stage()
 
 
+def test_compactification_refuses_a_table_without_a_mass_parameter():
+    # the table reaches the schedule's r = 1/x = 50, so the reach rule
+    # passes; a table has no mass parameter to compare m_hat with
+    ext = make_schwarzschild_family(1.0, 3.0, 100.0)
+    r = np.geomspace(3.0, 100.0, 500)
+    tab = make_tabulated(r, ext.N(r), ext.A(r), ext.Rareal(r))
+    conf = conformal_transform(double(glue_neck(tab, 3.0, match_tol=1e-5)))
+    with pytest.raises(DomainError, match="compactification_check needs mass_reference"):
+        compactification_check(conf, (0.1, 0.02))
+
+
 def test_richardson_limit_strips_leading_order():
     x = 0.1 * 0.5 ** np.arange(5)
     vals = 3.0 + 2.0 * x + 5.0 * x * x

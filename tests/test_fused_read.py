@@ -1,0 +1,278 @@
+"""One read of N, A and Rareal per radius against the per-channel reads.
+
+``RadialProfile._slopes`` (values and first derivatives as floats, for the
+geodesic stepper) and ``RadialProfile._jets`` (for ``curvature_at``) read
+a closed-form or tabulated profile once per radius.  They must return the
+same bits, of the same types, as reading each channel on its own, at
+knots, at and beyond both ends, at NaN and infinite radii, and where the
+closed form divides by zero or takes the root of a negative number.  A
+profile whose N, A or Rareal was replaced reads per channel again.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import gc
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from photonlab import geodesics, radial
+from photonlab.curvature import curvature_at
+from photonlab.radial import (
+    RadialFunction,
+    make_interior_fluid,
+    make_schwarzschild_family,
+    make_schwarzschild_neck,
+    make_tabulated,
+)
+
+M = 1.3
+EXTERIOR = make_schwarzschild_family(M, 2.7, 130.0)
+NODES = np.geomspace(2.7, 130.0, 400)
+TABLE = make_tabulated(NODES, EXTERIOR.N(NODES), EXTERIOR.A(NODES), EXTERIOR.Rareal(NODES))
+NECK = make_schwarzschild_neck(0.7)  # [1.4, 2.1]; the lapse is 0 at r_lo
+
+_SPECIAL = [math.nan, math.inf, -math.inf]
+_INTERIOR = np.random.default_rng(7).uniform(2.7, 130.0, 12).tolist()
+RADII = {
+    "exterior": _INTERIOR + [2.7, 130.0, 2.0 * M, 2.0, 1e3, 1e300] + _SPECIAL,
+    "int_mass": [2.5, 3.0, 40.0, 2.0, 1.0] + _SPECIAL,
+    "float32_mass": [2.7, 3.9, 40.0] + _SPECIAL,
+    "neck": [1.4, 1.5, 1.75, 2.1, 1.0, 3.0] + _SPECIAL,
+    "table": (
+        NODES[::7].tolist()
+        + [math.nextafter(x, -math.inf) for x in NODES[1::9].tolist()]
+        + [math.nextafter(x, math.inf) for x in NODES[2::9].tolist()]
+        + _INTERIOR
+        + [2.7, 130.0, 2.0, 1e3, -5.0]
+        + _SPECIAL
+    ),
+}
+PROFILES = {
+    "exterior": EXTERIOR,
+    "int_mass": make_schwarzschild_family(1, 2.5, 100.0),
+    "float32_mass": make_schwarzschild_family(np.float32(1.3), 2.7, 130.0),
+    "neck": NECK,
+    "table": TABLE,
+}
+
+
+def _per_channel_slopes(p, r):
+    return tuple(float(f(r, nu)) for f in (p.N, p.A, p.Rareal) for nu in (0, 1))
+
+
+def _per_channel_jets(p, r):
+    return p.N.jet(r), p.A.jet(r), p.Rareal.jet(r)
+
+
+def _bits(x):
+    """Bytes of a float or array; x87 long doubles as float64 hi + lo, since
+    their padding bytes are not reproducible."""
+    x = np.asarray(x)
+    if x.dtype == np.longdouble:
+        hi = x.astype(np.float64)
+        with np.errstate(invalid="ignore"):
+            return hi.tobytes() + (x - hi).astype(np.float64).tobytes()
+    return x.tobytes()
+
+
+def _assert_same(got, want):
+    assert type(got) is type(want)
+    g, w = np.asarray(got), np.asarray(want)
+    assert (g.dtype, g.shape) == (w.dtype, w.shape)
+    assert _bits(g) == _bits(w)
+
+
+def _assert_same_jets(got, want):
+    assert len(got) == len(want) == 3
+    for g, w in zip(got, want):
+        for order in ("v", "d1", "d2"):
+            _assert_same(getattr(g, order), getattr(w, order))
+
+
+def _quiet(fn, *args):
+    """fn(*args), or the exception it raised, with warnings silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return fn(*args)
+        except ArithmeticError as exc:
+            return exc
+
+
+def _assert_same_outcome(got, want, same):
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        same(got, want)
+
+
+def _assert_same_slopes(got, want):
+    assert len(got) == len(want) == 6
+    for g, w in zip(got, want):
+        _assert_same(g, w)
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_fused_read_equals_per_channel_reads_on_floats(name):
+    p = PROFILES[name]
+    assert p._fused_read() is not None
+    for r in RADII[name]:
+        for radius in (r, np.float64(r)):
+            _assert_same_outcome(
+                _quiet(p._slopes, radius),
+                _quiet(_per_channel_slopes, p, radius),
+                _assert_same_slopes,
+            )
+            _assert_same_outcome(
+                _quiet(p._jets, radius),
+                _quiet(_per_channel_jets, p, radius),
+                _assert_same_jets,
+            )
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_fused_read_equals_per_channel_reads_on_arrays(name):
+    p = PROFILES[name]
+    r = np.array(RADII[name])
+    _assert_same_jets(_quiet(p._jets, r), _quiet(_per_channel_jets, p, r))
+    grid = r[np.isfinite(r)].reshape(1, -1)[:, :4].repeat(2, axis=0)  # 2-D
+    _assert_same_jets(_quiet(p._jets, grid), _quiet(_per_channel_jets, p, grid))
+    ld = r.astype(np.longdouble)
+    _assert_same_jets(_quiet(p._jets, ld), _quiet(_per_channel_jets, p, ld))
+
+
+@pytest.mark.parametrize("r", [2.0, 2.0 * M])
+def test_closed_form_float_read_warns_as_numpy_does(r):
+    # a negative root and a zero lapse: math.sqrt and float division would
+    # raise, so the read falls back and numpy warns and returns NaN or inf
+    def caught(fn):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            out = fn()
+        return out, sorted({(w.category, str(w.message)) for w in seen})
+
+    got, got_warned = caught(lambda: EXTERIOR._slopes(r))
+    want, want_warned = caught(lambda: _per_channel_slopes(EXTERIOR, r))
+    assert got_warned == want_warned != []
+    _assert_same_slopes(got, want)
+
+
+def test_zero_radius_raises_as_the_leaves_do():
+    with pytest.raises(ZeroDivisionError):
+        EXTERIOR.N(0.0)
+    with pytest.raises(ZeroDivisionError):
+        EXTERIOR._slopes(0.0)
+    with pytest.raises(ZeroDivisionError):
+        EXTERIOR._jets(0.0)
+
+
+def _scaled(f: RadialFunction) -> RadialFunction:
+    return RadialFunction(*(lambda r, nu=nu: 2.0 * f(r, nu) for nu in range(3)))
+
+
+@pytest.mark.parametrize("name", ["exterior", "neck", "table"])
+@pytest.mark.parametrize("channel", ["N", "A", "Rareal"])
+def test_replaced_channel_reads_per_channel(name, channel):
+    p = PROFILES[name]
+    changed = dataclasses.replace(p, **{channel: _scaled(getattr(p, channel))})
+    assert changed._fused_read() is None
+    r = 0.5 * (p.r_lo + p.r_hi)
+    got = changed._slopes(r)
+    assert got == _per_channel_slopes(changed, r)
+    assert got != p._slopes(r)
+    _assert_same_jets(changed._jets(r), _per_channel_jets(changed, r))
+    # the same callables under a new function object are not the fused read
+    same = dataclasses.replace(p, **{channel: RadialFunction(*getattr(p, channel)._d)})
+    assert same._fused_read() is None
+
+
+@pytest.mark.parametrize("name", ["exterior", "table"])
+def test_swapped_channels_read_per_channel(name):
+    p = PROFILES[name]
+    swapped = dataclasses.replace(p, N=p.A, A=p.N)
+    assert swapped._fused_read() is None
+    r = 0.5 * (p.r_lo + p.r_hi)
+    assert swapped._slopes(r) == _per_channel_slopes(swapped, r)
+
+
+def test_restricted_profile_keeps_its_fused_read():
+    for p in (EXTERIOR, TABLE, NECK):
+        inner = p.restricted(p.r_lo + 0.1, p.r_hi - 0.1)
+        assert inner._fused_read() is p._fused_read() is not None
+        r = 0.5 * (inner.r_lo + inner.r_hi)
+        assert inner._slopes(r) == _per_channel_slopes(inner, r)
+
+
+def test_dropped_profiles_leave_no_cyclic_garbage():
+    # the fused read refers to A and Rareal, not back to N, so profiles
+    # built in a loop are freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            ext = make_schwarzschild_family(M, 2.7, 130.0)
+            tab = make_tabulated(NODES, ext.N(NODES), ext.A(NODES), ext.Rareal(NODES))
+            neck = make_schwarzschild_neck(0.7)
+            del ext, tab, neck
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_other_kinds_read_per_channel():
+    fluid = make_interior_fluid(1.0, 2.5)
+    assert fluid._fused_read() is None
+    assert fluid._slopes(1.0) == _per_channel_slopes(fluid, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Work per read
+# ---------------------------------------------------------------------------
+
+
+def _count_square_roots(monkeypatch):
+    calls = []
+    np_sqrt, math_sqrt = np.sqrt, math.sqrt
+    monkeypatch.setattr(np, "sqrt", lambda x: calls.append(x) or np_sqrt(x))
+    monkeypatch.setattr(math, "sqrt", lambda x: calls.append(x) or math_sqrt(x))
+    return calls
+
+
+def _count_knot_searches(monkeypatch):
+    calls = []
+    bisect, searchsorted = radial.bisect_right, np.searchsorted
+    monkeypatch.setattr(
+        radial, "bisect_right", lambda *a: calls.append(a[1]) or bisect(*a)
+    )
+    monkeypatch.setattr(
+        np, "searchsorted", lambda *a, **k: calls.append(a[1]) or searchsorted(*a, **k)
+    )
+    return calls
+
+
+_STATE = [0.0, 4.0, 0.0, 1.0, 0.01, 0.1]
+
+
+def test_one_rhs_takes_one_square_root_on_the_closed_form(monkeypatch):
+    calls = _count_square_roots(monkeypatch)
+    geodesics._geodesic_rhs(EXTERIOR, _STATE)
+    assert len(calls) == 1
+    calls.clear()
+    curvature_at(EXTERIOR, 4.0)
+    assert len(calls) == 1
+
+
+def test_one_rhs_takes_one_knot_search_on_a_table(monkeypatch):
+    calls = _count_knot_searches(monkeypatch)
+    geodesics._geodesic_rhs(TABLE, _STATE)
+    assert len(calls) == 1
+    calls.clear()
+    curvature_at(TABLE, 4.0)
+    assert len(calls) == 1
+    calls.clear()
+    curvature_at(TABLE, np.linspace(3.0, 5.0, 9))
+    assert len(calls) == 1

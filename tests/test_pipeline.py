@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import pytest
 
+from photonlab import gluing, pipeline
+from photonlab.audit import audit_sphere
 from photonlab.gluing import GluingRefusal
 from photonlab.pipeline import (
     FLAT_TOL,
@@ -63,6 +65,21 @@ def test_pipeline_refuses_non_photon_sphere_boundary():
     with pytest.raises(GluingRefusal) as err:
         run_rigidity_pipeline(ext)
     assert err.value.failing == "res_rH"
+
+
+def test_pipeline_audits_the_boundary_once(exterior_m1, pipeline_m1, monkeypatch):
+    calls = []
+
+    def counting(profile, r0):
+        calls.append(r0)
+        return audit_sphere(profile, r0)
+
+    monkeypatch.setattr(gluing, "audit_sphere", counting)
+    monkeypatch.setattr(pipeline, "audit_sphere", counting)
+    report = run_rigidity_pipeline(exterior_m1)
+    assert calls == [3.0]
+    assert repr(report.boundary_audit) == repr(audit_sphere(exterior_m1, 3.0))
+    assert repr(report) == repr(pipeline_m1)
 
 
 def test_reconstruction_triple(pipeline_m1):
