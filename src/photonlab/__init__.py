@@ -49,11 +49,13 @@ from .conformal import (
 )
 from .curvature import (
     CurvatureSample,
+    VacuumResidualScan,
     convergence_study,
     curvature_at,
     fd_curvature_oracle,
     identity_residuals,
     surface_geometry,
+    vacuum_residual_scan,
 )
 from .geodesics import (
     GeodesicResult,

@@ -105,9 +105,9 @@ def audit_sphere(profile: RadialProfile, r0: float) -> IdentityReport:
 
 
 def component_mass(profile: RadialProfile, r0: float) -> float:
-    """Mass seen by the sphere r0: area_radius^2 * nu(N) (closed form)."""
-    geom = surface_geometry(profile, r0)
-    return geom.area_radius ** 2 * geom.nu_N
+    """Mass seen by the sphere r0: the audit's ``mass_i``, area_radius^2 *
+    nu(N) (closed form)."""
+    return audit_sphere(profile, r0).mass_i
 
 
 def component_mass_quadrature(
@@ -120,12 +120,10 @@ def component_mass_quadrature(
     error of integrating sin(theta), which tabulated/noisy profiles then
     inherit honestly.
     """
-    geom = surface_geometry(profile, r0)
     theta = (np.arange(panels) + 0.5) * (np.pi / panels)
     # integrand nu(N) * Rareal^2 sin(theta); azimuthal factor 2 pi exact
-    flux = 2.0 * np.pi * np.sum(
-        geom.nu_N * geom.area_radius ** 2 * np.sin(theta)
-    ) * (np.pi / panels)
+    mass = component_mass(profile, r0)
+    flux = 2.0 * np.pi * np.sum(mass * np.sin(theta)) * (np.pi / panels)
     return float(flux / (4.0 * np.pi))
 
 
@@ -154,10 +152,7 @@ def _segments(profile, r_values):
     """Split sample intervals at composite breakpoints for clean quadrature."""
     from scipy.integrate import quad
 
-    if isinstance(profile, CompositeProfile):
-        cuts = [b for b in profile.breakpoints]
-    else:
-        cuts = []
+    cuts = list(getattr(profile, "breakpoints", ()))
 
     def a_of(r):
         if isinstance(profile, CompositeProfile):
@@ -182,19 +177,26 @@ def monotonicity_scan(
     r_end: float,
     n: int = 256,
 ) -> MonotonicityScan:
-    """Sample H/N on [r_start, r_end] against the arclength flow parameter."""
+    """Sample H/N at ``n`` >= 2 radii of [r_start, r_end] against the
+    arclength flow parameter, reading each piece once on its radii."""
     if not (r_start < r_end):
         raise DomainError("need r_start < r_end")
+    if n < 2:
+        raise DomainError(f"n must be at least 2, got {n}")
     rs = np.linspace(r_start, r_end, int(n))
-
-    def ratio_at(r):
-        p = profile.piece_at(r) if isinstance(profile, CompositeProfile) else profile
-        return float(p.sphere_mean_curvature(r) / p.N(r))
-
-    ratios = np.array([ratio_at(float(r)) for r in rs])
+    pieces, cuts = (profile,), ()
+    if isinstance(profile, CompositeProfile):
+        profile.piece_at(r_start), profile.piece_at(r_end)  # refuse outside radii
+        pieces, cuts = profile.pieces, profile.breakpoints
+    # a breakpoint belongs to the piece on its left, as in piece_at
+    which = np.searchsorted(cuts, rs, side="left")
+    ratios = np.empty(rs.size)
+    for k, p in enumerate(pieces):
+        at = which == k
+        ratios[at] = p.sphere_mean_curvature(rs[at]) / p.N(rs[at])
     t = _segments(profile, rs)
-    diffs = np.diff(ratios)
-    worst = float(max(0.0, diffs.max())) if diffs.size else 0.0
+    rise = float(np.diff(ratios).max())
+    worst = max(0.0, rise) if rise == rise else rise  # a NaN ratio fails the scan
     return MonotonicityScan(
         r=rs,
         flow_parameter=t,

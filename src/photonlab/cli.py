@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .audit import audit_sphere
-from .curvature import curvature_at
+from .curvature import VACUUM_FIELDS, vacuum_residual_scan
 from .geodesics import photon_sphere_search
 from .gluing import MATCH_FIELDS, MATCH_TOL, GluingRefusal, glue_neck, match_report
 from .pipeline import run_rigidity_pipeline
@@ -190,45 +190,24 @@ def _write_out(cfg: dict, report: dict | object, csv_spec=None) -> None:
             write_csv(Path(cfg["out"]).with_suffix(".csv"), header, rows)
 
 
-def _interior_samples(profile: RadialProfile, n: int) -> np.ndarray:
-    lo, hi = profile.interior_window(pad=1e-6)
-    span = hi - lo
-    if lo == profile.r_lo:
-        lo += 1e-9 * span
-    if hi == profile.r_hi:
-        hi -= 1e-9 * span
-    return np.linspace(lo, hi, n)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_verify(cfg: dict) -> int:
-    profile = _build_profile(cfg)
-    rs = _interior_samples(profile, cfg["samples"])
-    rows = []
-    worst = {"r": None, "field": None, "value": -1.0}
-    fields = ("vac_residual_nn", "vac_residual_tt", "scalar_residual",
-              "lap_residual")
-    for r in rs:
-        sample = curvature_at(profile, float(r))
-        vals = {f: getattr(sample, f) for f in fields}
-        rows.append([float(r), *vals.values(), sample.max_vacuum_residual()])
-        for f, v in vals.items():
-            if abs(v) > worst["value"]:
-                worst = {"r": float(r), "field": f, "value": abs(v)}
-    max_residual = max(row[-1] for row in rows)
-    ok = max_residual <= cfg["tol"]
+    scan = vacuum_residual_scan(_build_profile(cfg), cfg["samples"])
+    r, field, worst = scan.worst
+    ok = worst <= cfg["tol"]
     report = {
         "config": _echo(cfg),
-        "n_samples": len(rows),
-        "max_residual": max_residual,
-        "worst_sample": worst,
+        "n_samples": len(scan.r),
+        "max_residual": worst,
+        "worst_sample": {"r": r, "field": field, "value": worst},
         "pass": ok,
     }
-    _emit(cfg, report, (("r", *fields, "max_residual"), rows))
+    rows = np.column_stack([scan.r, *scan.residuals, scan.sample_max]).tolist()
+    _emit(cfg, report, (("r", *VACUUM_FIELDS, "max_residual"), rows))
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
@@ -259,12 +238,8 @@ def cmd_audit(cfg: dict) -> int:
 
 
 def _match_rows(reports) -> list:
-    rows = []
-    for rep in reports:
-        for f in MATCH_FIELDS:
-            rows.append([rep.surface_id, f, rep.left[f], rep.right[f],
-                         rep.jumps[f]])
-    return rows
+    return [[rep.surface_id, f, rep.left[f], rep.right[f], rep.jumps[f]]
+            for rep in reports for f in MATCH_FIELDS]
 
 
 def cmd_glue(cfg: dict) -> int:
@@ -391,7 +366,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BuchdahlError as exc:
@@ -400,13 +375,7 @@ def main(argv=None) -> int:
     except GluingRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except DomainError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ReportIOError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except OSError as exc:  # ReportIOError included
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -32,6 +32,7 @@ vectorized float64 ``**`` does not round exactly like the scalar one.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,9 @@ from .radial import (
 __all__ = [
     "CurvatureSample",
     "SurfaceGeometry",
+    "VacuumResidualScan",
     "curvature_at",
+    "vacuum_residual_scan",
     "fd_curvature_oracle",
     "surface_geometry",
     "identity_residuals",
@@ -55,18 +58,16 @@ __all__ = [
     "convergence_study",
 ]
 
-_FIELDS = (
-    "ric_nn",
-    "ric_tt",
-    "scalar",
-    "hess_nn",
-    "hess_tt",
-    "lap_N",
-    "vac_residual_nn",
-    "vac_residual_tt",
-    "scalar_residual",
-    "lap_residual",
-)
+# The static vacuum residuals, in the order scans report them and break ties.
+VACUUM_FIELDS = ("vac_residual_nn", "vac_residual_tt", "scalar_residual", "lap_residual")
+_FIELDS = ("ric_nn", "ric_tt", "scalar", "hess_nn", "hess_tt", "lap_N", *VACUUM_FIELDS)
+_vacuum_residuals = operator.attrgetter(*VACUUM_FIELDS)
+
+
+def _max_or_nan(values) -> float:
+    """Largest of non-negative numbers; their NaN sum if any is NaN."""
+    total = sum(values)  # builtin max keeps a NaN only in first place
+    return max(values) if total == total else total
 
 
 @dataclass(frozen=True)
@@ -93,18 +94,13 @@ class CurvatureSample:
     lap_residual: float
 
     def max_vacuum_residual(self) -> float:
-        return max(
-            abs(self.vac_residual_nn),
-            abs(self.vac_residual_tt),
-            abs(self.scalar_residual),
-            abs(self.lap_residual),
-        )
+        """Largest residual magnitude of a scalar sample; NaN if any is NaN."""
+        a, b, c, d = _vacuum_residuals(self)
+        return _max_or_nan((abs(a), abs(b), abs(c), abs(d)))
 
     def difference(self, other: "CurvatureSample") -> float:
         """Largest field-wise deviation from another sample (same radius)."""
-        return max(
-            abs(getattr(self, f) - getattr(other, f)) for f in _FIELDS
-        )
+        return _max_or_nan([abs(getattr(self, f) - getattr(other, f)) for f in _FIELDS])
 
 
 @dataclass(frozen=True)
@@ -191,6 +187,48 @@ def curvature_at(profile: RadialProfile, r) -> CurvatureSample:
     hess_tt = n_s * r_s / rr
     lap_n = radial_laplacian(n, a, rj)
     return _sample(r, n.v, ric_nn, ric_tt, scalar, hess_nn, hess_tt, lap_n)
+
+
+@dataclass(frozen=True)
+class VacuumResidualScan:
+    """Static vacuum residuals of :func:`curvature_at` at radii ``r``: in
+    ``residuals`` one signed row per name in :data:`VACUUM_FIELDS`, in
+    ``sample_max`` the largest magnitude per radius, and in ``worst`` the
+    (r, field, |value|) of the first NaN in radius-then-field order, else
+    of the first largest magnitude, whose value is the scan's maximum."""
+
+    r: np.ndarray
+    residuals: np.ndarray
+    sample_max: np.ndarray
+    worst: tuple[float, str, float]
+
+
+def vacuum_residual_scan(profile: RadialProfile, n: int) -> VacuumResidualScan:
+    """Residuals at ``n`` evenly spaced radii of the open interior, from
+    one array :func:`curvature_at` call: degenerate ends are avoided by
+    :meth:`RadialProfile.interior_window` (pad 1e-6), other ends inset by
+    1e-9 of the span."""
+    if n < 1:
+        raise DomainError(f"n must be at least 1, got {n}")
+    lo, hi = profile.interior_window(pad=1e-6)
+    span = hi - lo
+    if lo == profile.r_lo:
+        lo += 1e-9 * span
+    if hi == profile.r_hi:
+        hi -= 1e-9 * span
+    rs = np.linspace(lo, hi, n)
+    sample = curvature_at(profile, rs)
+    residuals = np.stack([getattr(sample, f) for f in VACUUM_FIELDS])
+    magnitude = np.abs(residuals)
+    # argmax returns the first NaN if there is one, else the first maximum;
+    # the transpose puts radius before field
+    i, k = divmod(int(np.argmax(magnitude.T)), len(VACUUM_FIELDS))
+    return VacuumResidualScan(
+        r=rs,
+        residuals=residuals,
+        sample_max=magnitude.max(axis=0),
+        worst=(float(rs[i]), VACUUM_FIELDS[k], float(magnitude[k, i])),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -185,11 +185,14 @@ def photon_sphere_search(
 ) -> list[float]:
     """All roots of the optical mean curvature on the (sub)domain.
 
-    Scans ``n_scan`` radii for sign changes and refines each bracket with
-    Brent-Dekker steps down to floating-point resolution.  Returns an
-    increasing list of radii; an empty list is the definitive "no photon
-    sphere" answer for profiles where the residual keeps one sign.
+    Scans ``n_scan`` radii (at least 2, the window's ends included) for
+    sign changes and refines each bracket with Brent-Dekker steps down to
+    floating-point resolution.  Returns an increasing list of radii; an
+    empty list is the definitive "no photon sphere" answer for profiles
+    where the residual keeps one sign.
     """
+    if n_scan < 2:
+        raise DomainError(f"n_scan must be at least 2, got {n_scan}")
     lo0, hi0 = profile.interior_window(pad=1e-7)
     lo = lo0 if r_lo is None else max(float(r_lo), lo0)
     hi = hi0 if r_hi is None else min(float(r_hi), hi0)
@@ -199,22 +202,16 @@ def photon_sphere_search(
     vals = np.asarray(fermat_geodesy_residual(profile, grid), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise DomainError("optical residual not finite on the search window")
-    roots: list[float] = []
 
     def fun(x):
         return float(fermat_geodesy_residual(profile, x))
 
-    for i in range(len(grid) - 1):
-        f0, f1 = vals[i], vals[i + 1]
-        if f0 == 0.0:
-            roots.append(float(grid[i]))
-            continue
-        if f0 * f1 < 0.0:
-            roots.append(
-                float(
-                    _refine_root(fun, float(grid[i]), float(grid[i + 1]), f0, f1, rtol)
-                )
-            )
+    # brackets: a zero at the left node (the refiner returns it) or a sign change
+    f0, f1 = vals[:-1], vals[1:]
+    roots = [
+        _refine_root(fun, float(grid[i]), float(grid[i + 1]), f0[i], f1[i], rtol)
+        for i in np.flatnonzero((f0 == 0.0) | (f0 * f1 < 0.0))
+    ]
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     # collapse near-duplicates from roots landing on scan nodes
@@ -566,12 +563,4 @@ def write_trajectory_csv(path, result: GeodesicResult) -> None:
         writer = csv.writer(fh)
         writer.writerow(["lambda", "r", "phi", "p_r", "constraint"])
         for s in result.states:
-            writer.writerow(
-                [
-                    f"{s.lam:.17g}",
-                    f"{s.r:.17g}",
-                    f"{s.phi:.17g}",
-                    f"{s.p_r:.17g}",
-                    f"{s.constraint:.17g}",
-                ]
-            )
+            writer.writerow([f"{v:.17g}" for v in (s.lam, s.r, s.phi, s.p_r, s.constraint)])

@@ -16,8 +16,10 @@ from photonlab.audit import (
     monotonicity_scan,
     positivity_check,
 )
+from photonlab.curvature import surface_geometry
 from photonlab.radial import (
     DomainError,
+    RadialFunction,
     make_composite_star,
     make_schwarzschild_family,
     make_tabulated,
@@ -114,6 +116,67 @@ def test_monotonicity_flat_and_composite():
     assert scan.nonincreasing
     with pytest.raises(DomainError):
         monotonicity_scan(flat, 5.0, 5.0)
+
+
+@pytest.mark.parametrize("n", [1, 0])
+def test_monotonicity_refuses_fewer_than_two_samples(wide_m1, n):
+    # one sample has no comparison, so nonincreasing=True would prove nothing
+    with pytest.raises(DomainError, match="n must be at least 2"):
+        monotonicity_scan(wide_m1, 3.0, 100.0, n=n)
+
+
+def test_monotonicity_fails_on_a_nan_ratio():
+    base = make_schwarzschild_family(1.0, 3.0, 100.0)
+
+    def holed(order):
+        def f(r):
+            return np.where((r > 40.0) & (r < 50.0), np.nan, base.N(r, order))
+        return f
+
+    profile = replace(base, N=RadialFunction(holed(0), holed(1), holed(2)))
+    scan = monotonicity_scan(profile, 3.0, 100.0, n=64)
+    assert np.isnan(scan.ratio).any() and not np.isnan(scan.ratio[0])
+    assert math.isnan(scan.max_upward_violation)
+    assert not scan.nonincreasing
+
+
+def test_monotonicity_ratios_match_a_per_radius_read():
+    cases = (
+        (make_schwarzschild_family(1.0, 3.0, 100.0), 3.0, 100.0),
+        (make_schwarzschild_family(-1.0, 1.0, 100.0), 1.0, 100.0),
+        (make_composite_star(1.0, 2.5), 0.5, 100.0),
+        (make_composite_star(1.0, 3.5), 0.5, 100.0),
+    )
+    for profile, lo, hi in cases:
+        scan = monotonicity_scan(profile, lo, hi, n=97)
+        piece_at = getattr(profile, "piece_at", lambda r: profile)
+        ref = [
+            float(piece_at(r).sphere_mean_curvature(r) / piece_at(r).N(r))
+            for r in map(float, scan.r)
+        ]
+        assert np.array_equal(scan.ratio, ref)
+
+
+def test_monotonicity_refuses_radii_outside_a_composite():
+    star = make_composite_star(1.0, 2.5)
+    with pytest.raises(DomainError):
+        monotonicity_scan(star, 1.0, 101.0)
+
+
+def test_mass_routes_share_one_formula(wide_m1):
+    r = np.geomspace(3.0, 100.0, 300)
+    tab = make_tabulated(r, wide_m1.N(r), wide_m1.A(r), wide_m1.Rareal(r))
+    theta = (np.arange(4096) + 0.5) * (np.pi / 4096)
+    for profile in (wide_m1, tab):
+        for r0 in (3.0, 10.0, 77.0):
+            geom = surface_geometry(profile, r0)
+            mass = geom.area_radius ** 2 * geom.nu_N
+            assert audit_sphere(profile, r0).mass_i == component_mass(profile, r0) == mass
+            # the flux integrand written out in full
+            flux = 2.0 * np.pi * np.sum(
+                geom.nu_N * geom.area_radius ** 2 * np.sin(theta)
+            ) * (np.pi / 4096)
+            assert component_mass_quadrature(profile, r0) == float(flux / (4.0 * np.pi))
 
 
 def test_positivity_check_both_forms(wide_m1):

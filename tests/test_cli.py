@@ -59,6 +59,23 @@ def test_verify_schwarzschild_passes(capsys):
     assert doc["config"]["mass"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "mass, max_residual, r",
+    [
+        ("0.5", 2.220446049250313e-16, 1.5000000485),
+        ("1", 5.551115123125783e-17, 3.000000097),
+        ("2", 1.3877787807814457e-17, 6.000000194),
+    ],
+)
+def test_verify_max_residual_and_worst_sample_are_pinned(capsys, mass, max_residual, r):
+    code, out, _ = _run(capsys, "verify", "--mass", mass)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert repr(doc["max_residual"]) == repr(max_residual)
+    assert doc["worst_sample"] == {"field": "scalar_residual", "r": r, "value": max_residual}
+    assert repr(doc["worst_sample"]["r"]) == repr(r)
+
+
 def test_verify_noisy_profile_fails_and_names_worst_sample(capsys, tmp_path):
     path = _noisy_profile_document(tmp_path)
     code, out, _ = _run(capsys, "verify", "--metric", path, "--samples", "64")

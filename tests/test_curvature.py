@@ -15,12 +15,14 @@ from photonlab.conformal import (
     conformal_transform,
 )
 from photonlab.curvature import (
+    VACUUM_FIELDS,
     CurvatureSample,
     convergence_study,
     curvature_at,
     fd_curvature_oracle,
     identity_residuals,
     surface_geometry,
+    vacuum_residual_scan,
 )
 from photonlab.gluing import double, glue_neck
 from photonlab.radial import (
@@ -253,6 +255,89 @@ def test_closed_form_on_arrays_matches_scalar_calls():
     per_radius = np.array([_stacked(curvature_at(p, float(r))) for r in rs]).T
     assert arr.shape == per_radius.shape == (11, 64)
     np.testing.assert_allclose(arr, per_radius, rtol=1e-13, atol=1e-16)
+
+
+def _table_400():
+    exact = make_schwarzschild_family(1.0, 2.1, 100.0)
+    r = np.geomspace(2.1, 100.0, 400)
+    return make_tabulated(r, exact.N(r), exact.A(r), exact.Rareal(r))
+
+
+_SCAN_PROFILES = {
+    "exterior": lambda: make_schwarzschild_family(1.0, 3.0, 100.0),
+    "negative_mass": lambda: make_schwarzschild_family(-1.0, 1.0, 100.0),
+    "fluid": lambda: make_interior_fluid(1.0, 2.5),
+    "table_400": _table_400,
+}
+
+
+def _scalar_scan(profile, rs):
+    """Residuals and worst sample from one scalar curvature_at per radius,
+    the worst taken as the first strictly larger magnitude."""
+    rows, worst = [], (None, None, -1.0)
+    for r in rs:
+        sample = curvature_at(profile, float(r))
+        rows.append([getattr(sample, f) for f in VACUUM_FIELDS])
+        for f, v in zip(VACUUM_FIELDS, rows[-1]):
+            if abs(v) > worst[2]:
+                worst = (float(r), f, abs(v))
+    return np.array(rows).T, worst
+
+
+@pytest.mark.parametrize("case", list(_SCAN_PROFILES))
+def test_vacuum_residual_scan_matches_scalar_loop(case):
+    profile = _SCAN_PROFILES[case]()
+    scan = vacuum_residual_scan(profile, 512)
+    ref, worst = _scalar_scan(profile, scan.r)
+    assert scan.residuals.shape == ref.shape == (4, 512)
+    assert scan.worst == worst
+    assert scan.worst[2] == max(np.abs(ref).max(axis=0))
+    if case == "table_400":
+        assert np.array_equal(scan.residuals, ref)
+    # numpy's vectorized ``**`` may round differently from the scalar one;
+    # every cell stays within 4 ulp of max(1, |residual|)
+    gap = np.abs(scan.residuals - ref)
+    assert np.all(gap <= 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(ref)))
+    np.testing.assert_array_equal(scan.sample_max, np.abs(scan.residuals).max(axis=0))
+
+
+def test_vacuum_residual_scan_window_is_open_interior():
+    exterior = make_schwarzschild_family(1.0, 3.0, 100.0)
+    scan = vacuum_residual_scan(exterior, 64)
+    assert scan.r[0] == 3.0 + 1e-9 * 97.0 and scan.r[-1] == 100.0 - 1e-9 * 97.0
+    fluid = make_interior_fluid(1.0, 2.5)  # the centre r = 0 is degenerate
+    lo, hi = fluid.interior_window(pad=1e-6)
+    assert lo > 0.0 and hi == 2.5
+    scan = vacuum_residual_scan(fluid, 8)
+    assert scan.r[0] == lo and scan.r[-1] == hi - 1e-9 * (hi - lo)
+    with pytest.raises(DomainError, match="n must be at least 1"):
+        vacuum_residual_scan(exterior, 0)
+
+
+def test_vacuum_residual_scan_reports_first_nan_as_worst():
+    base = make_schwarzschild_family(1.0, 3.0, 100.0)
+
+    def holed(order):
+        def f(r):
+            return np.where((r > 40.0) & (r < 50.0), np.nan, base.N(r, order))
+        return f
+
+    profile = dataclasses.replace(base, N=RadialFunction(holed(0), holed(1), holed(2)))
+    scan = vacuum_residual_scan(profile, 512)
+    first = scan.r[scan.r > 40.0][0]
+    assert scan.worst[:2] == (float(first), "vac_residual_nn")
+    assert math.isnan(scan.worst[2])
+    assert not np.isnan(scan.sample_max[0]) and np.isnan(scan.sample_max).any()
+
+
+def test_scalar_maxima_keep_a_nan_in_any_place():
+    sample = curvature_at(make_schwarzschild_family(1.0, 3.0, 100.0), 5.0)
+    holed = dataclasses.replace(sample, lap_residual=math.nan)
+    assert sample.max_vacuum_residual() <= 1e-12
+    assert math.isnan(holed.max_vacuum_residual())
+    assert sample.difference(sample) == 0.0
+    assert math.isnan(holed.difference(sample))
+    assert math.isnan(sample.difference(holed))
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,27 @@ def test_search_window_validation(wide_m1):
     assert photon_sphere_search(wide_m1, r_lo=5.0, r_hi=50.0) == []
 
 
+@pytest.mark.parametrize("n_scan", [1, 0, -3])
+def test_search_refuses_fewer_than_two_scan_radii(wide_m1, n_scan):
+    # one radius has no bracket, so [] would falsely read "no photon sphere"
+    with pytest.raises(DomainError, match="n_scan"):
+        photon_sphere_search(wide_m1, n_scan=n_scan)
+    (root,) = photon_sphere_search(wide_m1, n_scan=2)  # the window's ends bracket it
+    assert abs(root - 3.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n_scan", [2, 64, 1024])
+def test_search_roots_match_a_per_node_bracket_loop(n_scan):
+    for kind, profile in _bracket_profiles(1.0).items():
+
+        def fun(x):
+            return float(fermat_geodesy_residual(profile, x))
+
+        brackets = list(_scan_brackets(profile, n_scan))
+        ref = [_refine_root(fun, *bracket, 1e-14) for bracket in brackets]
+        assert photon_sphere_search(profile, n_scan=n_scan) == ref, kind
+
+
 def _scan_brackets(profile, n_scan=1024):
     """The sign-change brackets photon_sphere_search hands to the refiner."""
     lo, hi = profile.interior_window(pad=1e-7)
