@@ -39,7 +39,15 @@ from .gluing import (
     collar_function,
     guarded_chart_samples,
 )
-from .radial import DomainError, ProfileKind, RadialFunction, RadialProfile
+from .radial import (
+    DomainError,
+    Jet,
+    ProfileKind,
+    RadialFunction,
+    RadialProfile,
+    _FusedRead,
+    _pulled_back,
+)
 
 __all__ = [
     "ConformalChart",
@@ -123,6 +131,47 @@ def _conformal_factor(chart: Chart) -> RadialFunction:
     return RadialFunction.expression(lambda r: 0.5 * psi(r) + 0.5)
 
 
+# The lapse of every rescaled presentation; its jet is read by the fused reads.
+_UNIT = RadialFunction.constant(1.0)
+
+
+class _Rescaled(_FusedRead):
+    """Fused read of a presentation whose A and Rareal share one factor.
+
+    With c = ``factor(r)`` (the square of the presentation's conformal
+    factor, on a number, an array or a seed jet), A is ``a_of(c, r)`` and
+    Rareal is ``rareal_of(c, r)``, and the lapse is the constant 1.  The
+    read takes c once per radius, where A and Rareal read apart take it
+    once each.
+    """
+
+    __slots__ = ("factor", "a_of", "rareal_of")
+
+    def __init__(self, factor, a_of, rareal_of):
+        super().__init__(
+            RadialFunction.expression(lambda r: a_of(factor(r), r)),
+            RadialFunction.expression(lambda r: rareal_of(factor(r), r)),
+        )
+        self.factor, self.a_of, self.rareal_of = factor, a_of, rareal_of
+
+    def values(self, r):
+        c = self.factor(r)
+        return self.a_of(c, r), self.rareal_of(c, r)
+
+    def jets(self, r) -> tuple[Jet, Jet, Jet]:
+        seed = Jet(r, 1.0, 0.0, seed=True)
+        c = self.factor(seed)
+        return _UNIT.jet(r), self.a_of(c, seed), self.rareal_of(c, seed)
+
+
+def _rescaled_profile(factor, a_of, rareal_of, **fields) -> RadialProfile:
+    """A profile with unit lapse whose A and Rareal are read by :class:`_Rescaled`."""
+    read = _Rescaled(factor, a_of, rareal_of)
+    lapse = RadialFunction.constant(1.0)
+    lapse._fused = read
+    return RadialProfile(N=lapse, A=read.A, Rareal=read.Rareal, **fields)
+
+
 def _conformal_chart(chart: Chart, perturbation=None) -> ConformalChart:
     u = factor = _conformal_factor(chart)
     if perturbation is not None:
@@ -133,13 +182,13 @@ def _conformal_chart(chart: Chart, perturbation=None) -> ConformalChart:
         uu = u(r)
         return uu * uu
 
-    hat = RadialProfile(
+    hat = _rescaled_profile(
+        u2,
+        lambda c, r: c * a(r),
+        lambda c, r: c * rareal(r),
         kind=ProfileKind.COMPOSITE_REFERENCE,
         r_lo=chart.profile.r_lo,
         r_hi=chart.profile.r_hi,
-        N=RadialFunction.constant(1.0),
-        A=RadialFunction.expression(lambda r: u2(r) * a(r)),
-        Rareal=RadialFunction.expression(lambda r: u2(r) * rareal(r)),
         mass=chart.profile.mass,
         degenerate_lo=chart.profile.degenerate_lo,
         degenerate_hi=chart.profile.degenerate_hi,
@@ -226,17 +275,42 @@ def _neck_isotropic_profile(cc: ConformalChart) -> tuple[RadialProfile, RadialFu
     def rho_of_r(r: float) -> float:
         return 0.5 * (r - mu + math.sqrt(r * (r - 2.0 * mu)))
 
-    profile = RadialProfile(
+    profile = _rescaled_profile(
+        conf2,
+        lambda c, rho: c,
+        lambda c, rho: c * rho,
         kind=ProfileKind.COMPOSITE_REFERENCE,
         r_lo=0.5 * mu,
         r_hi=rho_of_r(p.r_hi),
-        N=RadialFunction.constant(1.0),
-        A=RadialFunction.expression(conf2),
-        Rareal=RadialFunction.expression(lambda rho: conf2(rho) * rho),
         mass=mu,
         meta={"presentation": "isotropic", "of_chart": cc.base.chart_id},
     )
     return profile, r_of_rho
+
+
+class _Inverted(_FusedRead):
+    """Fused read of :func:`inverted_end_functions`: the rescaled chart's
+    own fused read at r = 1/x, pulled back to x, so u is taken once per
+    radius."""
+
+    __slots__ = ("hat",)
+
+    def __init__(self, A, Rareal, hat: _FusedRead):
+        super().__init__(A, Rareal)
+        self.hat = hat
+
+    def values(self, x):
+        a, rareal = self.hat.values(1.0 / x)
+        return _inverted_radial_factor(a, x), rareal
+
+    def jets(self, x) -> tuple[Jet, Jet, Jet]:
+        _, a, rareal = self.hat.jets(1.0 / x)
+        seed = Jet(x, 1.0, 0.0, seed=True)
+        return (
+            _UNIT.jet(x),
+            _inverted_radial_factor(_pulled_back(a, x), seed),
+            _pulled_back(rareal, x),
+        )
 
 
 def _inverted_profile(cc: ConformalChart) -> RadialProfile:
@@ -249,11 +323,15 @@ def _inverted_profile(cc: ConformalChart) -> RadialProfile:
     """
     a_x, r_x = inverted_end_functions(cc)
     p = cc.base.profile
+    lapse = RadialFunction.constant(1.0)
+    hat = cc.hat._fused_read()
+    if hat is not None:
+        lapse._fused = _Inverted(a_x, r_x, hat)
     return RadialProfile(
         kind=ProfileKind.COMPOSITE_REFERENCE,
         r_lo=1.0 / p.r_hi,
         r_hi=1.0 / p.r_lo,
-        N=RadialFunction.constant(1.0),
+        N=lapse,
         A=a_x,
         Rareal=r_x,
         mass=p.mass,
@@ -265,11 +343,14 @@ def _fd_scalar_refined(profile: RadialProfile, t, h):
     """One Richardson step on the second-order oracle scalar.
 
     Combining the oracle at steps h and h/2 cancels the leading quadratic
-    truncation term; both evaluations are plain oracle passes over the
-    same samples, so the result still derives from metric values only.
+    truncation term.  Both steps run in one oracle pass over the samples
+    taken twice, each sample as its own call would give it, so the result
+    still derives from metric values only.
     """
-    d1 = fd_curvature_oracle(profile, t, h).scalar
-    d2 = fd_curvature_oracle(profile, t, 0.5 * h).scalar
+    both = fd_curvature_oracle(
+        profile, np.concatenate([t, t]), np.concatenate([h, 0.5 * h])
+    ).scalar
+    d1, d2 = both[: len(t)], both[len(t):]
     return (4.0 * d2 - d1) / 3.0
 
 
@@ -284,8 +365,9 @@ def conformal_scalar_residual(conformal: ConformalManifold, n_samples: int = 512
     inverted reflected-end charts (both Richardson-refined).  Each sample
     carries its own step, shrunk to 0.45 times its distance from the
     nearer chart edge so the stencil stays inside, and each presentation
-    is one array pass of the oracle over all its samples (two on refined
-    charts).  A non-finite sample is reported as the maximum.
+    is one array pass of the oracle over all its samples (on refined
+    charts over the samples taken twice, at h and h/2).  A non-finite
+    sample is reported as the maximum.
 
     Reflected-end coverage: close to the puncture the sphere areal radius
     R_hat -> 0 and assembling the scalar divides by R_hat^2, so *any*
@@ -499,13 +581,22 @@ def inverted_end_functions(conformal_chart: ConformalChart):
     a_x(x) = A_hat(1/x)/x^2 and r_x(x) = Rareal_hat(1/x).
     """
     a_hat, r_hat = conformal_chart.hat.A, conformal_chart.hat.Rareal
-    inv_sq = RadialFunction(
-        lambda x: x ** -2.0,
-        lambda x: -2.0 * x ** -3.0,
-        lambda x: 6.0 * x ** -4.0,
-    )
     a_inv, r_x = a_hat.compose_inverse(), r_hat.compose_inverse()
-    return RadialFunction.expression(lambda x: a_inv(x) * inv_sq(x)), r_x
+    a_x = RadialFunction.expression(lambda x: _inverted_radial_factor(a_inv(x), x))
+    return a_x, r_x
+
+
+_INV_SQ = RadialFunction(
+    lambda x: x ** -2.0,
+    lambda x: -2.0 * x ** -3.0,
+    lambda x: 6.0 * x ** -4.0,
+)
+
+
+def _inverted_radial_factor(a, x):
+    """a_x = A_hat(1/x) / x^2 from ``a``, A_hat at 1/x (a value, or its jet
+    pulled back to x), at x (a number, or the seed jet)."""
+    return a * _INV_SQ(x)
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,14 @@ The oracle works internally in extended precision (``np.longdouble``) so
 its truncation error, not roundoff, dominates down to step sizes of 1e-4.
 Its 25 stencil points per sample lie on seven distinct radii, r, r +- h
 and (r +- h) +- h: A and Rareal are read once on those seven, N once on
-the central three, and the five Christoffel stencils are assembled in one
-batched pass.  The assembly uses only that the metric is diagonal: each
-Christoffel symbol comes from d_e g_aa by its index class (17 distinct
-values of 27), only the twelve symbol derivatives the Ricci contraction
-reads are differenced, and its 54 quadratic terms are one gathered
-product, summed in the order of the full index loops.
+the central three, and the sines of the seven angles pi/2 +- h once per
+run of equal steps.  The assembly uses only that the metric is diagonal:
+each Christoffel symbol comes from d_e g_aa by its index class (13
+distinct values of 27).  Only the twelve symbol derivatives the Ricci
+contraction reads are differenced, so the four displaced centres form
+only the five symbols their own difference reads.  The 54 quadratic
+terms are gathered products, 18 for each c, summed in the order of the
+full index loops.
 
 Both routes are array-shaped: given an array of radii (and, for the
 oracle, a matching array of per-sample steps) they evaluate every sample
@@ -236,49 +238,78 @@ def vacuum_residual_scan(profile: RadialProfile, n: int) -> VacuumResidualScan:
 # ---------------------------------------------------------------------------
 
 
-# The five Christoffel centres (r, th), (r + h, th), (r - h, th), (r, th + h)
-# and (r, th - h) as indices into the seven expressions of :func:`_nested`,
-# and for expressions 0, 1 and 2 the ones a step h above and below.
-_CENTRE_R = np.array([0, 1, 2, 0, 0])
-_CENTRE_TH = np.array([0, 0, 0, 1, 2])
-_UP = np.array([1, 3, 5])
-_DOWN = np.array([2, 4, 6])
-
-
 def _nested(x, h):
     """x, x + h, x - h, (x + h) + h, (x + h) - h, (x - h) + h, (x - h) - h,
     stacked on a leading axis.  (x + h) - h is kept apart from x: the two
-    may differ in the last bit."""
+    may differ in the last bit.  The first three are the Christoffel
+    centres along one coordinate, and [1::2] and [2::2] the points a step
+    above and below each of them."""
     xp, xm = x + h, x - h
-    return np.stack(np.broadcast_arrays(x, xp, xm, xp + h, xp - h, xm + h, xm - h))
+    out = np.empty((7,) + np.shape(xp), dtype=xp.dtype)
+    for i, v in enumerate((x, xp, xm, xp + h, xp - h, xm + h, xm - h)):
+        out[i] = v
+    return out
 
 
-def _gamma_row(c, a, b):
-    """Row of :func:`_christoffel`'s result that holds gamma[c, a, b]."""
-    if a == b == c:
-        return 15 + a if a < 2 else c
-    if c == b and a < 2:  # d_a g_cc
-        return 3 + 3 * a + c
-    if c == a and b < 2:  # d_b g_cc
-        return 3 + 3 * b + c
-    if a == b and c < 2:  # d_c g_aa
-        return 9 + 3 * c + a
-    return c  # no derivative, or one along ph: (0 + 0) - 0
+def _stencil_sines(h):
+    """sin of the seven nested angles pi/2 +- h of every step in ``h``.
+
+    Samples of one scan mostly share a step, so the sines are taken once
+    per run of equal consecutive steps and spread back with the run index
+    (a NaN step is a run of its own); each value is the sine of the same
+    angle, so the result equals the direct one bit for bit.
+    """
+    flat = h.ravel()
+    start = np.empty(flat.shape, dtype=bool)
+    start[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=start[1:])
+    sines = np.sin(_nested(np.longdouble(np.pi) / 2.0, flat[start]))
+    return sines[:, np.cumsum(start) - 1].reshape((7,) + h.shape)
 
 
-_GAMMA_ROW = np.array(
-    [[[_gamma_row(c, a, b) for b in range(3)] for a in range(3)] for c in range(3)]
-)
+def _metric(a2, r2, sin_th):
+    """diag(A^2, R^2, R^2 sin^2 th) on a leading axis, the radius and angle
+    factors broadcast against each other."""
+    phph = r2 * sin_th * sin_th
+    g = np.empty((3,) + phph.shape, dtype=np.result_type(a2, phph))
+    g[0], g[1], g[2] = a2, r2, phph
+    return g
 
 
-def _christoffel(g0, dg_r, dg_th, h):
+# The two coordinates besides e, in order, for e = 0 (r) and e = 1 (th).
+_OTHERS = (slice(1, 3), slice(0, 3, 2))
+
+
+def _christoffel_along(g0, dg, h, e):
+    """The five Christoffel symbols of a diagonal metric that read its
+    difference along coordinate e (0 for r, 1 for th): all that a
+    displaced centre of the oracle's stencil contributes.
+
+    ``g0`` holds the metric diagonal (g_rr, g_thth, g_phph) on a leading
+    axis, ``dg`` the difference numerators g(+h) - g(-h) along e at the
+    same points (same shape and dtype), and ``h`` the step, which
+    broadcasts against the trailing axes.  With w = g^cc / 2 and
+    d[a] = d_e g_aa, the rows are w[c] ((d[c] + 0) - 0) for the two c != e
+    in order, w[e] ((0 + 0) - d[a]) for the two a != e in order, and
+    w[e] ((d[e] + d[e]) - d[e]) (see :func:`_christoffel`).
+    """
+    d = dg / (2.0 * h)
+    w = 0.5 * (1.0 / g0)
+    others = _OTHERS[e]
+    gamma = np.empty((5,) + g0.shape[1:], dtype=d.dtype)
+    np.multiply(w[others], (d[others] + 0.0) - 0.0, out=gamma[:2])
+    np.multiply(w[e], 0.0 - d[others], out=gamma[2:4])
+    np.multiply(w[e], (d[e] + d[e]) - d[e], out=gamma[4:])
+    return gamma
+
+
+def _christoffel(g0, rows_r, rows_th):
     """Christoffel symbols from centered differences of a diagonal metric.
 
     ``g0`` holds the metric diagonal (g_rr, g_thth, g_phph) on a leading
-    axis, ``dg_r`` and ``dg_th`` the difference numerators g(+h) - g(-h)
-    along r and th at the same points (same shape and dtype as ``g0``), and
-    ``h`` the step, which broadcasts against the trailing axes.
-    Coordinates are ordered (r, th, ph).
+    axis, and ``rows_r`` and ``rows_th`` are :func:`_christoffel_along` at
+    the same points along r and along th.  Coordinates are ordered
+    (r, th, ph).
 
     For any diagonal metric
     gamma[c, a, b] = g^cc (delta_bc d_a g_cc + delta_ac d_b g_cc
@@ -291,37 +322,61 @@ def _christoffel(g0, dg_r, dg_th, h):
     ph.  So signed zeros, infinities and NaNs come out as the full
     contraction gives them.
 
-    The 27 entries take 17 distinct values, returned as rows on a leading
+    The 27 entries take 13 distinct values, returned as rows on a leading
     axis: gamma[c, a, b] is row ``_GAMMA_ROW[c, a, b]``.  Rows 0-2 are the
-    zero classes of c, 3 + 3e + c holds (d[e, c] + 0) - 0, 9 + 3c + a holds
-    (0 + 0) - d[c, a], and 15 + a holds (d[a, a] + d[a, a]) - d[a, a].
+    zero classes g^cc (0 + 0 - 0) / 2 of c, rows 3-7 are ``rows_r`` and
+    rows 8-12 ``rows_th``.
     """
-    d = np.stack([dg_r, dg_th]) / (2.0 * h)
-    w = 0.5 * (1.0 / g0)
-    gamma = np.empty((17,) + g0.shape[1:], dtype=d.dtype)
-    np.multiply(w, 0.0, out=gamma[:3])
-    np.multiply(w, (d + 0.0) - 0.0, out=gamma[3:9].reshape(d.shape))
-    np.multiply(w[:2, None], 0.0 - d, out=gamma[9:15].reshape(d.shape))
-    diag = d[[0, 1], [0, 1]]
-    np.multiply(w[:2], (diag + diag) - diag, out=gamma[15:])
-    return gamma
+    return np.concatenate([np.multiply(0.5 * (1.0 / g0), 0.0), rows_r, rows_th])
+
+
+def _gamma_row(c, a, b):
+    """Row of :func:`_christoffel`'s result that holds gamma[c, a, b]."""
+    def along(e, k):  # row k of _christoffel_along(..., e)
+        return 3 + 5 * e + k
+
+    if a == b == c:
+        return along(a, 4) if a < 2 else c
+    if c == b and a < 2:  # d_a g_cc
+        return along(a, range(3)[_OTHERS[a]].index(c))
+    if c == a and b < 2:  # d_b g_cc
+        return along(b, range(3)[_OTHERS[b]].index(c))
+    if a == b and c < 2:  # d_c g_aa
+        return along(c, 2 + range(3)[_OTHERS[c]].index(a))
+    return c  # no derivative, or one along ph: (0 + 0) - 0
+
+
+_GAMMA_ROW = np.array(
+    [[[_gamma_row(c, a, b) for b in range(3)] for a in range(3)] for c in range(3)]
+)
 
 
 # The derivatives of gamma that the Ricci contraction reads are
 # d_c gamma^c_aa for c < 2 and d_a gamma^c_ca for a < 2 (ph has no
 # stencil).  For each of those twelve: its slot [k, c, a] in the
-# contraction, its row in :func:`_christoffel`'s result and the direction
-# e of its difference.
+# contraction, the direction e of its difference and its row in
+# :func:`_christoffel_along`'s result for that e.
 _DIV = [((0, c, a), _GAMMA_ROW[c, a, a], c) for c in range(2) for a in range(3)] + [
     ((1, c, a), _GAMMA_ROW[c, c, a], a) for c in range(3) for a in range(2)
 ]
 _DIV_SLOT = tuple(np.array([slot for slot, _, _ in _DIV]).T)
-_DIV_ROW = np.array([row for _, row, _ in _DIV])
 _DIV_DIR = np.array([e for _, _, e in _DIV])
-# Entries of gamma^c_cd gamma^d_aa and gamma^c_ad gamma^d_ca as [k, c, d, a].
-_C, _D, _A = np.indices((3, 3, 3))
-_QUAD_LEFT = (np.stack([_C, _C]), np.stack([_C, _A]), np.stack([_D, _D]))
-_QUAD_RIGHT = (np.stack([_D, _D]), np.stack([_A, _C]), np.stack([_A, _A]))
+_DIV_ALONG = np.array([row for _, row, _ in _DIV]) - 3 - 5 * _DIV_DIR
+
+_D, _A = np.indices((3, 3))
+
+
+def _quad_factors(c):
+    """Indices into gamma of the left and right factors of
+    gamma^c_cd gamma^d_aa (k = 0) and gamma^c_ad gamma^d_ca (k = 1), as
+    [k, d, a], for one c."""
+    c = np.full_like(_D, c)
+    left = (np.stack([c, c]), np.stack([c, _A]), np.stack([_D, _D]))
+    right = (np.stack([_D, _D]), np.stack([_A, c]), np.stack([_A, _A]))
+    return left, right
+
+
+_QUAD = [_quad_factors(c) for c in range(3)]
 
 
 def fd_curvature_oracle(profile: RadialProfile, r, h=1e-3) -> CurvatureSample:
@@ -337,13 +392,18 @@ def fd_curvature_oracle(profile: RadialProfile, r, h=1e-3) -> CurvatureSample:
 
     The 25 stencil points lie on seven distinct radii, r, r +- h and
     (r +- h) +- h, so each sample reads A and Rareal once on those seven
-    and N once on the central three; the five Christoffel stencils are then
-    assembled in one array pass.
+    (one fused read of the profile where it has one) and N once on the
+    central three.  The metric is differenced along r at the centres
+    (r, th), (r +- h, th) and along th at (r, th), (r, th +- h); the
+    centre forms every Christoffel symbol, each displaced centre only the
+    five its own difference reads.
 
     ``r`` may be an array of radii and ``h`` a matching array of
     per-sample steps (or one step for all).  Every stencil is then one
     array pass over all samples, each sample bit-identical to its own
     scalar call, and the fields of the returned sample are float arrays.
+    A run of equal steps shares one set of angle sines, which are the
+    same values its samples would each compute.
     """
     profile.ensure_evaluable(r, open_interior=True)
     if not np.all((profile.r_lo < r - 2.0 * h) & (r + 2.0 * h < profile.r_hi)):
@@ -352,39 +412,43 @@ def fd_curvature_oracle(profile: RadialProfile, r, h=1e-3) -> CurvatureSample:
     ld = np.longdouble
     rl, hl = np.broadcast_arrays(np.asarray(r, dtype=ld), np.asarray(h, dtype=ld))
     radii = _nested(rl, hl)
-    a_val, r_val = profile.A(radii), profile.Rareal(radii)
+    a_val, r_val = profile._metric_values(radii)
     a2, r2 = a_val * a_val, r_val * r_val
-    sin_th = np.sin(_nested(ld(np.pi) / 2.0, hl))
+    sin_th = _stencil_sines(hl)
+    # The metric at the seven radii on th = pi/2, and at radius r on the
+    # seven angles; the first three of each are the Christoffel centres
+    # along r and along th, (r, pi/2) in both.
+    g_r = _metric(a2, r2, sin_th[0])
+    g_th = _metric(a2[0], r2[0], sin_th)
+    dg_r = g_r[:, 1::2] - g_r[:, 2::2]
+    dg_th = g_th[:, 1::2] - g_th[:, 2::2]
 
-    def metric(ir, ith):
-        """diag(A^2, R^2, R^2 sin^2 th) on (radius, angle) expressions."""
-        return np.stack([a2[ir], r2[ir], r2[ir] * sin_th[ith] * sin_th[ith]])
-
-    g = metric(_CENTRE_R, _CENTRE_TH)
-    gams = _christoffel(
-        g,
-        metric(_UP[_CENTRE_R], _CENTRE_TH) - metric(_DOWN[_CENTRE_R], _CENTRE_TH),
-        metric(_CENTRE_R, _UP[_CENTRE_TH]) - metric(_CENTRE_R, _DOWN[_CENTRE_TH]),
-        hl,
-    )
-    gam = gams[:, 0][_GAMMA_ROW]
-    ginv = 1.0 / g[:, 0]
+    # rows[e, :, k]: the symbols that read the difference along e, at the
+    # centre (k = 0) and a step above and below it along e (k = 1, 2).
+    # Only the centre forms every symbol.
+    rows = np.stack([
+        _christoffel_along(g_r[:, :3], dg_r, hl, 0),
+        _christoffel_along(g_th[:, :3], dg_th, hl, 1),
+    ])
+    gam = _christoffel(g_r[:, 0], rows[0, :, 0], rows[1, :, 0])[_GAMMA_ROW]
+    ginv = 1.0 / g_r[:, 0]
     div = np.zeros((2, 3, 3) + gam.shape[3:], dtype=gam.dtype)
     div[_DIV_SLOT] = (
-        gams[_DIV_ROW, 1 + 2 * _DIV_DIR] - gams[_DIV_ROW, 2 + 2 * _DIV_DIR]
+        rows[_DIV_DIR, _DIV_ALONG, 1] - rows[_DIV_DIR, _DIV_ALONG, 2]
     ) / (2.0 * hl)
-    quad = gam[_QUAD_LEFT]
-    quad *= gam[_QUAD_RIGHT]
-
     # Only the diagonal Ricci and Hessian components are reported.  Each
-    # ric[a] sums its terms in the order of the index loops over c and d.
+    # ric[a] sums its terms in the order of the index loops over c and d;
+    # the quadratic terms are formed for one c at a time.
     ric = np.zeros((3,) + gam.shape[3:], dtype=gam.dtype)
     for c in range(3):
+        left, right = _QUAD[c]
+        quad = gam[left]
+        quad *= gam[right]
         ric += div[0, c]
         ric -= div[1, c]
         for d in range(3):
-            ric += quad[0, c, d]
-            ric -= quad[1, c, d]
+            ric += quad[0, d]
+            ric -= quad[1, d]
 
     # Lapse derivatives on the central stencil, whose theta-neighbours sit
     # at radius r (theta-differences vanish by symmetry but are computed,

@@ -137,9 +137,10 @@ class RadialFunction:
     values only, and :meth:`jet` carries all three orders in one pass.
     Calling convention follows scipy's spline API: ``f(r, nu)`` returns
     the ``nu``-th derivative; ``f(jet)`` composes by the chain rule.
-    The lapse of a closed-form or tabulated profile also holds the fused
-    read of its construction (:class:`_FusedRead`); every other function
-    holds None there.
+    The lapse of a closed-form or tabulated profile, or of a rescaled
+    presentation of the conformal double, also holds the fused read of its
+    construction (:class:`_FusedRead`); every other function holds None
+    there.
     """
 
     __slots__ = ("_d", "_fused")
@@ -191,12 +192,14 @@ class RadialFunction:
         Used to study asymptotic ends near x = 0.
         """
         f = self
+        return _Expression(
+            lambda x: f(1.0 / x), lambda x: _pulled_back(f.jet(1.0 / x), x)
+        )
 
-        def jet(x):
-            j = f.jet(1.0 / x)
-            return Jet(j.v, -j.d1 / (x * x), j.d2 / (x ** 4) + 2.0 * j.d1 / (x ** 3))
 
-        return _Expression(lambda x: f(1.0 / x), jet)
+def _pulled_back(j: Jet, x) -> Jet:
+    """Jet at x of g(x) = f(1/x), from f's jet ``j`` at 1/x."""
+    return Jet(j.v, -j.d1 / (x * x), j.d2 / (x ** 4) + 2.0 * j.d1 / (x ** 3))
 
 
 def _identity(r):
@@ -232,18 +235,26 @@ class _FusedRead:
     are exactly those functions, so a profile given another function by
     ``dataclasses.replace`` reads each channel on its own again.  Nothing
     it holds refers back to it or to N, so a profile is freed without
-    waiting for the cycle collector.  A subclass gives ``slopes(r)``, the
-    six floats (N, N', A, A', Rareal, Rareal') at a Python-float radius or
-    None where only the per-channel reads give numpy's answer, and
-    ``jets(r)``, the three jets at a number or an array.  Both run the
-    operations of the per-channel reads in the same order, so they return
-    the same bits.
+    waiting for the cycle collector.  A subclass gives ``jets(r)``, the
+    three jets at a number or an array, and may give ``slopes(r)``, the
+    six floats (N, N', A, A', Rareal, Rareal') at a Python-float radius,
+    or None (the default) where only the per-channel reads give numpy's
+    answer, and ``values(r)``, A and Rareal at a number or an array (by
+    default read per channel).  All run the operations of the per-channel
+    reads in the same order, so they return the same bits.
     """
 
     __slots__ = ("A", "Rareal")
 
     def __init__(self, A: RadialFunction, Rareal: RadialFunction):
         self.A, self.Rareal = A, Rareal
+
+    def slopes(self, r: float):
+        return None
+
+    def values(self, r):
+        """A and Rareal at a number or an array."""
+        return self.A(r), self.Rareal(r)
 
 
 @dataclass(frozen=True)
@@ -373,12 +384,19 @@ class RadialProfile:
 
     def _jets(self, r) -> tuple[Jet, Jet, Jet]:
         """Jets of N, A and Rareal at r, a number or an array; read once
-        per radius on closed-form and tabulated profiles, per channel on
-        any other."""
+        per radius through a fused read, per channel without one."""
         fused = self._fused_read()
         if fused is not None:
             return fused.jets(r)
         return self.N.jet(r), self.A.jet(r), self.Rareal.jet(r)
+
+    def _metric_values(self, r):
+        """A and Rareal at r, a number or an array, as :meth:`_jets` reads
+        them; the values the finite-difference oracle differences."""
+        fused = self._fused_read()
+        if fused is not None:
+            return fused.values(r)
+        return self.A(r), self.Rareal(r)
 
     # -- fused evaluations that survive horizon endpoints --------------
 

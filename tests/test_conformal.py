@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from photonlab.conformal import (
+    _fd_scalar_refined,
     _inverted_profile,
     _neck_isotropic_profile,
     adm_mass_estimate,
@@ -211,6 +212,61 @@ def test_oracle_array_pass_matches_per_radius_calls(conformal_m1, chart_id):
         np.testing.assert_array_equal(
             [getattr(arr, f)[i] for f in fields], [getattr(one, f) for f in fields]
         )
+
+
+def _sample_bytes(sample, i=None) -> bytes:
+    """Every field of a sample (of sample ``i`` of an array pass) as float64 bytes."""
+    fields = [f.name for f in dataclasses.fields(CurvatureSample)]
+    values = [getattr(sample, f) if i is None else getattr(sample, f)[i] for f in fields]
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize(
+    "chart_id", ["exterior", "neck", "neck_reflected", "exterior_reflected"]
+)
+def test_oracle_runs_of_equal_steps_match_per_radius_calls(conformal_m1, chart_id):
+    # the residual scan gives a refined presentation one step for all its
+    # samples, shrunk near the edges, and the refinement passes the samples
+    # twice, at h and h/2: runs of equal steps, whose sines the oracle takes
+    # once per run.  Every sample must still carry its own call's bits.
+    prof = _presentation(conformal_m1.chart(chart_id))
+    lo, hi = prof.r_lo, prof.r_hi
+    span = hi - lo
+    t = lo + span * np.concatenate(
+        ([1e-4, 2e-3], np.linspace(0.01, 0.99, 13), [1.0 - 3e-3, 1.0 - 2e-4])
+    )
+    step = 2e-3 * span
+    h = np.minimum(np.minimum(np.full(t.size, step), 0.45 * (t - lo)), 0.45 * (hi - t))
+    assert np.sum(h < step) == 4
+    both_t, both_h = np.concatenate([t, t]), np.concatenate([h, 0.5 * h])
+    arr = fd_curvature_oracle(prof, both_t, both_h)
+    for i in range(both_t.size):
+        one = fd_curvature_oracle(prof, float(both_t[i]), float(both_h[i]))
+        assert _sample_bytes(arr, i) == _sample_bytes(one)
+    # the refined scalar is the Richardson step on two separate passes
+    d1 = fd_curvature_oracle(prof, t, h).scalar
+    d2 = fd_curvature_oracle(prof, t, 0.5 * h).scalar
+    refined = _fd_scalar_refined(prof, t, h)
+    assert refined.tobytes() == ((4.0 * d2 - d1) / 3.0).tobytes()
+    # one scalar step broadcast against the radii
+    inner = t[2:-2]
+    arr = fd_curvature_oracle(prof, inner, step)
+    for i in range(inner.size):
+        assert _sample_bytes(arr, i) == _sample_bytes(
+            fd_curvature_oracle(prof, float(inner[i]), step)
+        )
+
+
+def test_oracle_refuses_a_nan_step_in_an_array_pass(conformal_m1):
+    # a NaN step leaves no stencil to check, as in a scalar call
+    prof = _presentation(conformal_m1.chart("neck"))
+    t = np.linspace(prof.r_lo, prof.r_hi, 6)[1:-1]
+    h = np.full(t.size, 1e-4)
+    h[2] = np.nan
+    with pytest.raises(DomainError, match="stencil leaves"):
+        fd_curvature_oracle(prof, t, h)
+    with pytest.raises(DomainError, match="stencil leaves"):
+        fd_curvature_oracle(prof, float(t[2]), math.nan)
 
 
 def test_non_harmonic_perturbation_is_flagged(doubled_m1):

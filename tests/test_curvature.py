@@ -17,6 +17,7 @@ from photonlab.conformal import (
 from photonlab.curvature import (
     VACUUM_FIELDS,
     CurvatureSample,
+    _stencil_sines,
     convergence_study,
     curvature_at,
     fd_curvature_oracle,
@@ -237,6 +238,29 @@ def test_oracle_reads_each_stencil_radius_once(as_array):
         assert calls[k][0].dtype == np.longdouble
         np.testing.assert_array_equal(calls[k][0], stencil)
     np.testing.assert_array_equal(calls["N"][0], stencil[:3])
+
+
+def test_stencil_sines_take_one_sine_per_run_of_equal_steps(monkeypatch):
+    # runs of equal steps, a NaN step (unequal to itself: a run of its
+    # own), signed zeros (equal: one run) and a step that comes back after
+    # another; on one and two axes and as a single step
+    ld = np.longdouble
+    h = np.array(
+        [1e-3, 1e-3, 1e-3, np.nan, np.nan, 2e-3, -0.0, 0.0, 1e-3, 1e-3], dtype=ld
+    )
+    sines = []
+    np_sin = np.sin
+    monkeypatch.setattr(np, "sin", lambda x: sines.append(x.size) or np_sin(x))
+    for steps, runs in ((h, 6), (h.reshape(2, 5), 6), (h[0], 1), (h[:0], 0)):
+        sines.clear()
+        got = _stencil_sines(steps)
+        assert sines == [7 * runs]
+        x = ld(np.pi) / 2.0
+        xp, xm = x + steps, x - steps
+        angles = (x, xp, xm, xp + steps, xp - steps, xm + steps, xm - steps)
+        want = np_sin(np.stack(np.broadcast_arrays(*angles)))
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 def test_oracle_array_stencil_domain_guard():

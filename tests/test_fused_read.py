@@ -1,9 +1,11 @@
 """One read of N, A and Rareal per radius against the per-channel reads.
 
 ``RadialProfile._slopes`` (values and first derivatives as floats, for the
-geodesic stepper) and ``RadialProfile._jets`` (for ``curvature_at``) read
-a closed-form or tabulated profile once per radius.  They must return the
-same bits, of the same types, as reading each channel on its own, at
+geodesic stepper), ``RadialProfile._jets`` (for ``curvature_at``) and
+``RadialProfile._metric_values`` (A and Rareal, for the finite-difference
+oracle) read a closed-form or tabulated profile, and the rescaled
+presentations of the conformal double, once per radius.  They must return
+the same bits, of the same types, as reading each channel on its own, at
 knots, at and beyond both ends, at NaN and infinite radii, and where the
 closed form divides by zero or takes the root of a negative number.  A
 profile whose N, A or Rareal was replaced reads per channel again.
@@ -20,7 +22,13 @@ import numpy as np
 import pytest
 
 from photonlab import geodesics, radial
-from photonlab.curvature import curvature_at
+from photonlab.conformal import (
+    _inverted_profile,
+    _neck_isotropic_profile,
+    conformal_transform,
+)
+from photonlab.curvature import curvature_at, fd_curvature_oracle
+from photonlab.gluing import double, glue_neck
 from photonlab.radial import (
     RadialFunction,
     make_interior_fluid,
@@ -36,6 +44,26 @@ TABLE = make_tabulated(NODES, EXTERIOR.N(NODES), EXTERIOR.A(NODES), EXTERIOR.Rar
 NECK = make_schwarzschild_neck(0.7)  # [1.4, 2.1]; the lapse is 0 at r_lo
 
 _SPECIAL = [math.nan, math.inf, -math.inf]
+
+
+def _double(perturbation=None):
+    """The conformal double of the m = M exterior on [3M, 130]."""
+    exterior = make_schwarzschild_family(M, 3.0 * M, 130.0)
+    return conformal_transform(double(glue_neck(exterior, 3.0 * M)), perturbation)
+
+
+def _presentations(conf) -> dict:
+    """The rescaled charts the residual scan hands the oracle, and the
+    rescaled reflected exterior that curvature_at reads."""
+    return {
+        "hat": conf.chart("exterior").hat,
+        "hat_reflected": conf.chart("exterior_reflected").hat,
+        "isotropic": _neck_isotropic_profile(conf.chart("neck"))[0],
+        "inverted": _inverted_profile(conf.chart("exterior_reflected")),
+    }
+
+
+CONFORMAL = _presentations(_double())
 _INTERIOR = np.random.default_rng(7).uniform(2.7, 130.0, 12).tolist()
 RADII = {
     "exterior": _INTERIOR + [2.7, 130.0, 2.0 * M, 2.0, 1e3, 1e300] + _SPECIAL,
@@ -50,6 +78,11 @@ RADII = {
         + [2.7, 130.0, 2.0, 1e3, -5.0]
         + _SPECIAL
     ),
+    # N = 0 at 2M, a negative root inside it; 1/r and 1/x fail at 0
+    "hat": _INTERIOR + [3.9, 130.0, 2.0 * M, 2.0, 1e3, 0.0] + _SPECIAL,
+    "hat_reflected": _INTERIOR + [3.9, 130.0, 2.0 * M, 2.0, 1e3, 0.0] + _SPECIAL,
+    "isotropic": [0.33, 0.5, 0.9, 1.2, 1.5, 0.0, -0.65, 1e3] + _SPECIAL,
+    "inverted": [0.0077, 0.01, 0.1, 0.2, 0.25, 0.5, 0.0, -0.1] + _SPECIAL,
 }
 PROFILES = {
     "exterior": EXTERIOR,
@@ -57,6 +90,7 @@ PROFILES = {
     "float32_mass": make_schwarzschild_family(np.float32(1.3), 2.7, 130.0),
     "neck": NECK,
     "table": TABLE,
+    **CONFORMAL,
 }
 
 
@@ -66,6 +100,10 @@ def _per_channel_slopes(p, r):
 
 def _per_channel_jets(p, r):
     return p.N.jet(r), p.A.jet(r), p.Rareal.jet(r)
+
+
+def _per_channel_values(p, r):
+    return p.A(r), p.Rareal(r)
 
 
 def _bits(x):
@@ -116,6 +154,12 @@ def _assert_same_slopes(got, want):
         _assert_same(g, w)
 
 
+def _assert_same_values(got, want):
+    assert len(got) == len(want) == 2
+    for g, w in zip(got, want):
+        _assert_same(g, w)
+
+
 @pytest.mark.parametrize("name", sorted(PROFILES))
 def test_fused_read_equals_per_channel_reads_on_floats(name):
     p = PROFILES[name]
@@ -132,17 +176,23 @@ def test_fused_read_equals_per_channel_reads_on_floats(name):
                 _quiet(_per_channel_jets, p, radius),
                 _assert_same_jets,
             )
+            _assert_same_outcome(
+                _quiet(p._metric_values, radius),
+                _quiet(_per_channel_values, p, radius),
+                _assert_same_values,
+            )
 
 
 @pytest.mark.parametrize("name", sorted(PROFILES))
 def test_fused_read_equals_per_channel_reads_on_arrays(name):
     p = PROFILES[name]
     r = np.array(RADII[name])
-    _assert_same_jets(_quiet(p._jets, r), _quiet(_per_channel_jets, p, r))
     grid = r[np.isfinite(r)].reshape(1, -1)[:, :4].repeat(2, axis=0)  # 2-D
-    _assert_same_jets(_quiet(p._jets, grid), _quiet(_per_channel_jets, p, grid))
-    ld = r.astype(np.longdouble)
-    _assert_same_jets(_quiet(p._jets, ld), _quiet(_per_channel_jets, p, ld))
+    for radii in (r, grid, r.astype(np.longdouble)):
+        _assert_same_jets(_quiet(p._jets, radii), _quiet(_per_channel_jets, p, radii))
+        _assert_same_values(
+            _quiet(p._metric_values, radii), _quiet(_per_channel_values, p, radii)
+        )
 
 
 @pytest.mark.parametrize("r", [2.0, 2.0 * M])
@@ -174,7 +224,7 @@ def _scaled(f: RadialFunction) -> RadialFunction:
     return RadialFunction(*(lambda r, nu=nu: 2.0 * f(r, nu) for nu in range(3)))
 
 
-@pytest.mark.parametrize("name", ["exterior", "neck", "table"])
+@pytest.mark.parametrize("name", ["exterior", "neck", "table", "hat", "inverted"])
 @pytest.mark.parametrize("channel", ["N", "A", "Rareal"])
 def test_replaced_channel_reads_per_channel(name, channel):
     p = PROFILES[name]
@@ -185,6 +235,7 @@ def test_replaced_channel_reads_per_channel(name, channel):
     assert got == _per_channel_slopes(changed, r)
     assert got != p._slopes(r)
     _assert_same_jets(changed._jets(r), _per_channel_jets(changed, r))
+    assert changed._metric_values(r) == _per_channel_values(changed, r)
     # the same callables under a new function object are not the fused read
     same = dataclasses.replace(p, **{channel: RadialFunction(*getattr(p, channel)._d)})
     assert same._fused_read() is None
@@ -217,7 +268,8 @@ def test_dropped_profiles_leave_no_cyclic_garbage():
             ext = make_schwarzschild_family(M, 2.7, 130.0)
             tab = make_tabulated(NODES, ext.N(NODES), ext.A(NODES), ext.Rareal(NODES))
             neck = make_schwarzschild_neck(0.7)
-            del ext, tab, neck
+            rescaled = _presentations(_double())
+            del ext, tab, neck, rescaled
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -276,3 +328,59 @@ def test_one_rhs_takes_one_knot_search_on_a_table(monkeypatch):
     calls.clear()
     curvature_at(TABLE, np.linspace(3.0, 5.0, 9))
     assert len(calls) == 1
+
+
+def _counted_presentations():
+    """The presentations with u = factor + z, z a counting zero, and its
+    log, emptied of the transform's own probes."""
+    log = {0: [], 1: [], 2: []}
+    presentations = _presentations(_double(_counting_zero(log)))
+    for radii in log.values():
+        radii.clear()
+    return presentations, log
+
+
+def _counting_zero(log: dict) -> RadialFunction:
+    """The zero function, logging the radii of each order it is called on."""
+
+    def order(nu):
+        def at(r):
+            log[nu].append(r)
+            return r * 0.0
+        return at
+
+    return RadialFunction(order(0), order(1), order(2))
+
+
+def test_rescaled_curvature_takes_one_jet_of_u():
+    # one scalar curvature_at on the rescaled chart forms u's jet once for
+    # both A and Rareal
+    presentations, log = _counted_presentations()
+    curvature_at(presentations["hat"], 5.0)
+    assert {nu: len(radii) for nu, radii in log.items()} == {0: 1, 1: 1, 2: 1}
+
+
+@pytest.mark.parametrize("name", ["hat", "isotropic", "inverted"])
+def test_oracle_takes_u_once_per_stencil_radius(name):
+    presentations, log = _counted_presentations()
+    p = presentations[name]
+    span = p.r_hi - p.r_lo
+    n = 16
+    t = np.linspace(p.r_lo + 0.05 * span, p.r_hi - 0.05 * span, n)
+    fd_curvature_oracle(p, t, np.full(n, 1e-4 * span))
+    assert [np.size(r) for r in log[0]] == [7 * n]
+    assert log[1] == log[2] == []
+
+
+def test_replaced_rescaled_channel_takes_u_per_channel():
+    presentations, log = _counted_presentations()
+    hat = presentations["hat"]
+    changed = dataclasses.replace(hat, A=_scaled(hat.A))
+    assert changed._fused_read() is None
+    curvature_at(changed, 5.0)
+    # the scaled A reads hat.A's three orders apart, Rareal takes one jet
+    assert {nu: len(radii) for nu, radii in log.items()} == {0: 4, 1: 3, 2: 3}
+    for radii in log.values():
+        radii.clear()
+    fd_curvature_oracle(changed, np.linspace(5.0, 6.0, 4), np.full(4, 1e-3))
+    assert [np.size(r) for r in log[0]] == [28, 28]
