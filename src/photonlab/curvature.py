@@ -171,7 +171,7 @@ def curvature_at(profile: RadialProfile, r) -> CurvatureSample:
     sample's fields are then float arrays of the same shape.
     """
     profile.ensure_evaluable(r, open_interior=True)
-    n, a, rj = profile._jets(r)
+    n, a, rj = profile._float_jets(r) if type(r) is float else profile._jets(r)
     rr = rj.v
     # proper-radial derivatives of Rareal and N
     r_s = rj.d1 / a.v

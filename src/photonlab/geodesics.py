@@ -13,8 +13,13 @@ Trajectories integrate the full second-order geodesic system in
 (t, r, phi) with an embedded Dormand-Prince 5(4) stepper, so the energy
 E = N^2 dt/dl and angular momentum L = R^2 dphi/dl are *measured*
 conserved quantities, not inputs held fixed by construction.  The stepper
-does its per-step arithmetic on Python floats and reports how many
-right-hand-side evaluations and rejected steps a trajectory cost.
+does its per-step arithmetic on Python floats, written out stage by stage:
+the system is autonomous, so its first five stages carry only (r, dt/dl,
+dr/dl, dphi/dl), and t and phi enter the fifth-order solution and the
+error norm alone.  Each stage reads N, A, Rareal and their slopes once,
+through the profile's fused read resolved once per trajectory.  A
+trajectory reports how many right-hand-side evaluations and rejected steps
+it cost.
 """
 
 from __future__ import annotations
@@ -290,28 +295,28 @@ def _accelerations(n, dn, a, da, rr, drr, td, rd, pd):
     )
 
 
-def _geodesic_rhs(profile: RadialProfile, y):
-    """Second-order geodesic system in (t, r, phi, dt, dr, dphi).
+def _geodesic_rhs(profile: RadialProfile, read, r, td, rd, pd):
+    """Accelerations of the geodesic system at radius r and velocity
+    (dt, dr, dphi), and the (N, A, Rareal) read there.
 
-    Returns the derivative and the (N, A, Rareal) it read at y, from which
-    :func:`_observables` records the state without evaluating again.  The
-    six channel values come from one read of the profile at r.  A zero
-    denominator, which raises on floats, reruns on numpy scalars.
+    ``read`` is the profile's float read (:meth:`RadialProfile._slope_read`):
+    the six channel values at r in one read, or None where the profile
+    reads per channel.  The system is autonomous, so t and phi do not
+    enter.  :func:`_observables` records a state from the values without
+    evaluating again.  A zero denominator, which raises on floats, reruns
+    on numpy scalars.
     """
-    _, r, _, td, rd, pd = y
-    n, dn, a, da, rr, drr = profile._slopes(r)
+    n, dn, a, da, rr, drr = read(r) or profile._channel_slopes(r)
     try:
         tdd, rdd, pdd = _accelerations(n, dn, a, da, rr, drr, td, rd, pd)
     except ZeroDivisionError:
         f = np.float64
         acc = _accelerations(f(n), f(dn), f(a), f(da), f(rr), f(drr), td, rd, pd)
         tdd, rdd, pdd = map(float, acc)
-    return (td, rd, pd, tdd, rdd, pdd), (n, a, rr)
+    return tdd, rdd, pdd, n, a, rr
 
 
-def _observables(lam, y, values):
-    _, r, phi, td, rd, pd = y
-    n, a, rr = values
+def _observables(lam, r, phi, td, rd, pd, n, a, rr):
     try:
         constraint = -(n * td) ** 2 + (a * rd) ** 2 + (rr * pd) ** 2
     except OverflowError:  # float powers raise where numpy scalars give inf
@@ -328,6 +333,12 @@ def _observables(lam, y, values):
     )
 
 
+def _require_launch(E, L) -> None:
+    for name, value in (("E", E), ("L", L)):
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+
+
 def tangential_launch(
     profile: RadialProfile, r0: float, E: float = 1.0, L: float | None = None
 ):
@@ -335,8 +346,9 @@ def tangential_launch(
 
     When ``L`` is omitted it is set to E * Rareal/N at the launch radius
     (the tangency condition); passing it explicitly lets callers reproduce
-    book values exactly.
+    book values exactly.  ``E`` and ``L`` must be finite.
     """
+    _require_launch(E, L)
     profile.ensure_evaluable(r0, open_interior=True)
     n, _, _, _, rr, _ = profile._slopes(r0)
     if L is None:
@@ -349,7 +361,11 @@ def tangential_launch(
 def launch_with_momenta(
     profile: RadialProfile, r0: float, E: float, L: float, outgoing: bool = True
 ):
-    """Initial condition with radial motion fixed by the null constraint."""
+    """Initial condition with radial motion fixed by the null constraint.
+
+    ``E`` and ``L`` must be finite.
+    """
+    _require_launch(E, L)
     profile.ensure_evaluable(r0, open_interior=True)
     n, _, a, _, rr, _ = profile._slopes(r0)
     rd_sq = ((E / n) ** 2 - (L / rr) ** 2) / (a * a)
@@ -382,45 +398,57 @@ def integrate_null_geodesic(
     is reported in ``termination`` rather than silently swallowed, beside
     counts of right-hand-side evaluations and rejected step attempts.
     Steps run on Python floats.  ``lam_max`` and ``tol`` must be finite
-    and positive.
+    and positive, and ``y0`` = (t, r, phi, dt/dl, dr/dl, dphi/dl) finite,
+    null and of nonzero energy E.
     """
     _require_positive(lam_max=lam_max, tol=tol)
     lam_max, tol = float(lam_max), float(tol)
+    y = np.array(y0, dtype=float).tolist()
+    if not all(map(math.isfinite, y)):
+        raise DomainError(f"initial data must be finite, got {y!r}")
+    t, r, phi, td, rd, pd = y
     lo, hi = profile.r_lo, profile.r_hi
     inner_stop = lo + _INNER_MARGIN * max(1.0, abs(lo))
+    max_steps, rhs, read = _MAX_STEPS, _geodesic_rhs, profile._slope_read()
     lam = 0.0
-    y = np.array(y0, dtype=float).tolist()
-    k0, values = _geodesic_rhs(profile, y)
-    states = [_observables(lam, y, values)]
+    tdd, rdd, pdd, n, a, rr = rhs(profile, read, r, td, rd, pd)
+    states = [_observables(lam, r, phi, td, rd, pd, n, a, rr)]
     e0, l0 = states[0].E, states[0].L
     max_con = abs(states[0].constraint)
-    if max_con > 1e-10 * max(e0 * e0, 1e-30):
+    if not (max_con <= 1e-10 * max(e0 * e0, 1e-30)):
         raise DomainError(
             f"initial data is not null: constraint {states[0].constraint:.3e} "
             f"relative to E^2"
         )
+    if e0 == 0.0:
+        raise DomainError("E must be nonzero: a null ray with E = 0 has no momentum")
     e_drift = l_drift = 0.0
     scale_e = max(abs(e0), 1e-30)
-    scale_l = max(abs(l0), abs(e0) * max(abs(states[0].r), 1.0))
-    # each sum runs left to right from 0 over the nonzero entries (not the
-    # builtin sum, which compensates from Python 3.12); index 1 of B5/B4 is 0
+    scale_l = max(abs(l0), abs(e0) * max(abs(r), 1.0))
+    # Each sum runs left to right from 0 over the nonzero tableau entries (not
+    # the builtin sum, which compensates from Python 3.12); index 1 of B5 and
+    # B4 is 0.  Stage j's velocity (td_j, rd_j, pd_j) is its t, r and phi
+    # slope, and (tdd_j, rdd_j, pdd_j) its velocity slope.
     (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43) = _DP_A[1:5]
     (a50, a51, a52, a53, a54), (b0, _, b2, b3, b4, b5) = _DP_A[5:]
     c0, _, c2, c3, c4, c5, c6 = _DP_B4
     evals = 1
-
-    def stage(yi):
-        nonlocal evals
-        if not (lo < yi[1] < hi):
-            raise _LeftDomain(yi[1])
-        evals += 1
-        return _geodesic_rhs(profile, yi)
-
-    h = min(1e-3 * max(1.0, abs(y[1])), lam_max / 10.0)
+    h = min(1e-3 * max(1.0, abs(r)), lam_max / 10.0)
     termination = "window"
     steps = rejected = 0
+    left = None  # the radius of a stage that left the open chart (lo, hi)
     while lam < lam_max:
-        if steps >= _MAX_STEPS:
+        if left is not None:
+            # terminate at the true edge, or retry a quarter of the step
+            if h <= 1e-12 * max(1.0, lam):
+                termination = (
+                    "domain_exit_outer" if left >= hi else "domain_exit_inner"
+                )
+                break
+            rejected += 1
+            h *= 0.25
+            left = None
+        if steps >= max_steps:
             termination = "step_limit"
             break
         steps += 1
@@ -430,39 +458,88 @@ def integrate_null_geodesic(
             # a remainder below the floor is rounding of the window, not a stall
             termination = "window" if lam_max - lam <= floor else "step_underflow"
             break
-        # k0 is the derivative at y, kept across rejected and retried steps
-        try:
-            k1, _ = stage([u + h * (0.0 + a10 * p) for u, p in zip(y, k0)])
-            yi = [u + h * (0.0 + a20 * p + a21 * q) for u, p, q in zip(y, k0, k1)]
-            k2, _ = stage(yi)
-            yi = [u + h * (0.0 + a30 * p + a31 * q + a32 * v)
-                  for u, p, q, v in zip(y, k0, k1, k2)]
-            k3, _ = stage(yi)
-            yi = [u + h * (0.0 + a40 * p + a41 * q + a42 * v + a43 * w)
-                  for u, p, q, v, w in zip(y, k0, k1, k2, k3)]
-            k4, _ = stage(yi)
-            yi = [u + h * (0.0 + a50 * p + a51 * q + a52 * v + a53 * w + a54 * x)
-                  for u, p, q, v, w, x in zip(y, k0, k1, k2, k3, k4)]
-            k5, _ = stage(yi)
-            # first same as last: the last stage is the fifth-order solution,
-            # and its derivative and profile values serve the next step
-            y5 = [u + h * (0.0 + b0 * p + b2 * v + b3 * w + b4 * x + b5 * z)
-                  for u, p, v, w, x, z in zip(y, k0, k2, k3, k4, k5)]
-            k6, values = stage(y5)
-        except _LeftDomain as exc:
-            # A stage left the chart: either terminate (at the true edge) or
-            # shrink the step and retry.
-            if h <= 1e-12 * max(1.0, lam):
-                termination = (
-                    "domain_exit_outer" if exc.r >= hi else "domain_exit_inner"
-                )
-                break
-            rejected += 1
-            h *= 0.25
+        # Stages 1-5 carry (r, dt, dr, dphi) only: the right-hand side reads
+        # no t or phi.  (tdd, rdd, pdd) at y are kept across retried steps.
+        r1 = r + h * (0.0 + a10 * rd)
+        if not lo < r1 < hi:
+            left = r1
             continue
+        td1 = td + h * (0.0 + a10 * tdd)
+        rd1 = rd + h * (0.0 + a10 * rdd)
+        pd1 = pd + h * (0.0 + a10 * pdd)
+        evals += 1
+        tdd1, rdd1, pdd1, _, _, _ = rhs(profile, read, r1, td1, rd1, pd1)
+        r2 = r + h * (0.0 + a20 * rd + a21 * rd1)
+        if not lo < r2 < hi:
+            left = r2
+            continue
+        td2 = td + h * (0.0 + a20 * tdd + a21 * tdd1)
+        rd2 = rd + h * (0.0 + a20 * rdd + a21 * rdd1)
+        pd2 = pd + h * (0.0 + a20 * pdd + a21 * pdd1)
+        evals += 1
+        tdd2, rdd2, pdd2, _, _, _ = rhs(profile, read, r2, td2, rd2, pd2)
+        r3 = r + h * (0.0 + a30 * rd + a31 * rd1 + a32 * rd2)
+        if not lo < r3 < hi:
+            left = r3
+            continue
+        td3 = td + h * (0.0 + a30 * tdd + a31 * tdd1 + a32 * tdd2)
+        rd3 = rd + h * (0.0 + a30 * rdd + a31 * rdd1 + a32 * rdd2)
+        pd3 = pd + h * (0.0 + a30 * pdd + a31 * pdd1 + a32 * pdd2)
+        evals += 1
+        tdd3, rdd3, pdd3, _, _, _ = rhs(profile, read, r3, td3, rd3, pd3)
+        r4 = r + h * (0.0 + a40 * rd + a41 * rd1 + a42 * rd2 + a43 * rd3)
+        if not lo < r4 < hi:
+            left = r4
+            continue
+        td4 = td + h * (0.0 + a40 * tdd + a41 * tdd1 + a42 * tdd2 + a43 * tdd3)
+        rd4 = rd + h * (0.0 + a40 * rdd + a41 * rdd1 + a42 * rdd2 + a43 * rdd3)
+        pd4 = pd + h * (0.0 + a40 * pdd + a41 * pdd1 + a42 * pdd2 + a43 * pdd3)
+        evals += 1
+        tdd4, rdd4, pdd4, _, _, _ = rhs(profile, read, r4, td4, rd4, pd4)
+        r5 = r + h * (0.0 + a50 * rd + a51 * rd1 + a52 * rd2 + a53 * rd3 + a54 * rd4)
+        if not lo < r5 < hi:
+            left = r5
+            continue
+        td5 = td + h * (
+            0.0 + a50 * tdd + a51 * tdd1 + a52 * tdd2 + a53 * tdd3 + a54 * tdd4
+        )
+        rd5 = rd + h * (
+            0.0 + a50 * rdd + a51 * rdd1 + a52 * rdd2 + a53 * rdd3 + a54 * rdd4
+        )
+        pd5 = pd + h * (
+            0.0 + a50 * pdd + a51 * pdd1 + a52 * pdd2 + a53 * pdd3 + a54 * pdd4
+        )
+        evals += 1
+        tdd5, rdd5, pdd5, _, _, _ = rhs(profile, read, r5, td5, rd5, pd5)
+        # first same as last: stage 6 is the fifth-order solution, and its
+        # right-hand side and profile values serve the next step
+        r6 = r + h * (0.0 + b0 * rd + b2 * rd2 + b3 * rd3 + b4 * rd4 + b5 * rd5)
+        if not lo < r6 < hi:
+            left = r6
+            continue
+        t6 = t + h * (0.0 + b0 * td + b2 * td2 + b3 * td3 + b4 * td4 + b5 * td5)
+        phi6 = phi + h * (0.0 + b0 * pd + b2 * pd2 + b3 * pd3 + b4 * pd4 + b5 * pd5)
+        td6 = td + h * (
+            0.0 + b0 * tdd + b2 * tdd2 + b3 * tdd3 + b4 * tdd4 + b5 * tdd5
+        )
+        rd6 = rd + h * (
+            0.0 + b0 * rdd + b2 * rdd2 + b3 * rdd3 + b4 * rdd4 + b5 * rdd5
+        )
+        pd6 = pd + h * (
+            0.0 + b0 * pdd + b2 * pdd2 + b3 * pdd3 + b4 * pdd4 + b5 * pdd5
+        )
+        evals += 1
+        tdd6, rdd6, pdd6, n, a, rr = rhs(profile, read, r6, td6, rd6, pd6)
         # root mean square of the scaled 5(4) difference, summed left to right
         sq = 0.0
-        for u, u5, p, v, w, x, z, g in zip(y, y5, k0, k2, k3, k4, k5, k6):
+        for u, u5, p, v, w, x, z, g in (
+            (t, t6, td, td2, td3, td4, td5, td6),
+            (r, r6, rd, rd2, rd3, rd4, rd5, rd6),
+            (phi, phi6, pd, pd2, pd3, pd4, pd5, pd6),
+            (td, td6, tdd, tdd2, tdd3, tdd4, tdd5, tdd6),
+            (rd, rd6, rdd, rdd2, rdd3, rdd4, rdd5, rdd6),
+            (pd, pd6, pdd, pdd2, pdd3, pdd4, pdd5, pdd6),
+        ):
             u4 = u + h * (0.0 + c0 * p + c2 * v + c3 * w + c4 * x + c5 * z + c6 * g)
             s, s5 = abs(u), abs(u5)  # np.maximum's NaN propagation below
             q = (u5 - u4) / (tol + tol * (s if (s > s5 or s != s) else s5))
@@ -470,13 +547,12 @@ def integrate_null_geodesic(
         err = math.sqrt(sq / 6)
         if err <= 1.0:
             lam += h
-            y, k0 = y5, k6
-            st = _observables(lam, y, values)
+            t, r, phi, td, rd, pd = t6, r6, phi6, td6, rd6, pd6
+            tdd, rdd, pdd = tdd6, rdd6, pdd6
+            st = _observables(lam, r, phi, td, rd, pd, n, a, rr)
             states.append(st)
-            if not (inner_stop < y[1] < hi):
-                termination = (
-                    "domain_exit_outer" if y[1] >= hi else "domain_exit_inner"
-                )
+            if not (inner_stop < r < hi):
+                termination = "domain_exit_outer" if r >= hi else "domain_exit_inner"
                 break
             max_con = max(max_con, abs(st.constraint))
             e_drift = max(e_drift, abs(st.E - e0) / scale_e)
@@ -493,11 +569,6 @@ def integrate_null_geodesic(
         rhs_evals=evals,
         rejected_steps=rejected,
     )
-
-
-class _LeftDomain(Exception):
-    def __init__(self, r):
-        self.r = r
 
 
 # ---------------------------------------------------------------------------

@@ -239,9 +239,11 @@ class _FusedRead:
     three jets at a number or an array, and may give ``slopes(r)``, the
     six floats (N, N', A, A', Rareal, Rareal') at a Python-float radius,
     or None (the default) where only the per-channel reads give numpy's
-    answer, and ``values(r)``, A and Rareal at a number or an array (by
-    default read per channel).  All run the operations of the per-channel
-    reads in the same order, so they return the same bits.
+    answer, ``float_jets(r)``, the three jets at a Python-float radius,
+    with float parts where the per-channel reads give numpy scalars (by
+    default ``jets(r)``), and ``values(r)``, A and Rareal at a number or an
+    array (by default read per channel).  All run the operations of the
+    per-channel reads in the same order, so they return the same bits.
     """
 
     __slots__ = ("A", "Rareal")
@@ -251,6 +253,9 @@ class _FusedRead:
 
     def slopes(self, r: float):
         return None
+
+    def float_jets(self, r: float):
+        return self.jets(r)
 
     def values(self, r):
         """A and Rareal at a number or an array."""
@@ -370,11 +375,21 @@ class RadialProfile:
         arithmetic raises (a negative square root or a zero denominator,
         where numpy gives NaN or inf), read each channel in turn.
         """
-        fused = self._fused_read()
-        if fused is not None and type(r) is float:
-            read = fused.slopes(r)
+        if type(r) is float:
+            read = self._slope_read()(r)
             if read is not None:
                 return read
+        return self._channel_slopes(r)
+
+    def _slope_read(self):
+        """The fused read's ``slopes``, resolved once for callers that read
+        many Python-float radii of one profile: the six floats at a radius,
+        or None where the profile reads per channel
+        (:meth:`_channel_slopes`)."""
+        fused = self._fused_read()
+        return (lambda r: None) if fused is None else fused.slopes
+
+    def _channel_slopes(self, r):
         n, a, rr = self.N, self.A, self.Rareal
         return (
             float(n(r)), float(n(r, 1)),
@@ -389,6 +404,15 @@ class RadialProfile:
         if fused is not None:
             return fused.jets(r)
         return self.N.jet(r), self.A.jet(r), self.Rareal.jet(r)
+
+    def _float_jets(self, r: float) -> tuple[Jet, Jet, Jet]:
+        """:meth:`_jets` at a Python-float radius, with float parts where
+        the fused read computes on floats what the leaves compute on numpy
+        scalars: the same bits, for callers that cast to float anyway."""
+        fused = self._fused_read()
+        if fused is not None:
+            return fused.float_jets(r)
+        return self._jets(r)
 
     def _metric_values(self, r):
         """A and Rareal at r, a number or an array, as :meth:`_jets` reads
@@ -473,9 +497,14 @@ def _reciprocal_d2(n, dn, ddn):
 class _Schwarzschild(_FusedRead):
     """Fused read of :func:`_schwarzschild_functions`: one n per radius.
 
-    Its float path runs on ``float(m)``, whose arithmetic equals m's own
-    for int and double masses; for any other mass type it reads per
-    channel.
+    Its float reads take ``math.sqrt`` on a Python-float radius, where the
+    per-channel leaves take ``np.sqrt``: ``slopes`` runs on ``float(m)``,
+    whose arithmetic equals m's own for int and double masses, and
+    ``float_jets`` on m itself.  For any other mass type, and wherever
+    float arithmetic raises (a negative root, a zero denominator, an
+    overflowing power, where numpy gives NaN or inf with a warning), they
+    read as the leaves do; so do float jets that come out NaN or infinite,
+    so that numpy warns where the leaves warn.
     """
 
     __slots__ = ("m", "n0", "m_float")
@@ -497,7 +526,22 @@ class _Schwarzschild(_FusedRead):
             return None
 
     def jets(self, r) -> tuple[Jet, Jet, Jet]:
-        m, n = self.m, self.n0(r)
+        return self._jets_of(self.m, r, self.n0(r))
+
+    def float_jets(self, r: float) -> tuple[Jet, Jet, Jet]:
+        m = self.m
+        if self.m_float is None:
+            return self.jets(r)
+        try:
+            jets = self._jets_of(m, r, math.sqrt(_lapse_squared(m, r)))
+        except (ValueError, ZeroDivisionError, OverflowError):
+            return self.jets(r)
+        n, a, _ = jets
+        if math.isfinite(n.v + n.d1 + n.d2 + a.v + a.d1 + a.d2):
+            return jets
+        return self.jets(r)
+
+    def _jets_of(self, m, r, n) -> tuple[Jet, Jet, Jet]:
         dn, ddn = _lapse_d1(m, r, n), _lapse_d2(m, r, n)
         return (
             Jet(n, dn, ddn),
@@ -682,25 +726,25 @@ def make_interior_fluid(mass: float, star_radius: float) -> RadialProfile:
 
 # Orders 0, 1 and 2 of one cubic piece at offset s = r - x[i], as the
 # power-basis sums ``res + c*z*prefactor`` of scipy's ``_ppoly.evaluate``.
-# ``c`` is the (4, n) coefficient array with array indices i, or its rows as
-# lists with an int i.
+# ``c`` holds the piece's four coefficients, highest power first: floats for
+# one interval, or arrays gathered at an array of interval indices.
 
 
-def _cubic_value(c, i, s):
+def _cubic_value(c, s):
     z = s * s
-    return 0.0 + c[3][i] + c[2][i] * s + c[1][i] * z + c[0][i] * (z * s)
+    return 0.0 + c[3] + c[2] * s + c[1] * z + c[0] * (z * s)
 
 
-def _cubic_slope(c, i, s):
-    return 0.0 + c[2][i] + c[1][i] * s * 2.0 + c[0][i] * (s * s) * 3.0
+def _cubic_slope(c, s):
+    return 0.0 + c[2] + c[1] * s * 2.0 + c[0] * (s * s) * 3.0
 
 
-def _cubic_curvature(c, i, s):
-    return 0.0 + c[1][i] * 2.0 + c[0][i] * s * 6.0
+def _cubic_curvature(c, s):
+    return 0.0 + c[1] * 2.0 + c[0] * s * 6.0
 
 
-def _cubic_jet(c, i, s) -> Jet:
-    return Jet(_cubic_value(c, i, s), _cubic_slope(c, i, s), _cubic_curvature(c, i, s))
+def _cubic_jet(c, s) -> Jet:
+    return Jet(_cubic_value(c, s), _cubic_slope(c, s), _cubic_curvature(c, s))
 
 
 class _Knots:
@@ -713,38 +757,44 @@ class _Knots:
     values match ``CubicSpline(x, y)(r, nu)`` bit for bit.  Every term but
     the first carries a power of s = r - x[i], so a NaN radius gives NaN
     without a test of its own.  Python floats are located by ``bisect``
-    and give floats; anything else is cast to a float64 array first, as
-    ``PPoly.__call__`` does (the oracle passes longdouble), and located by
-    ``np.searchsorted``.
+    and read one record per interval, the coefficients of all three
+    splines as floats; anything else is cast to a float64 array first, as
+    ``PPoly.__call__`` does (the oracle passes longdouble), located by
+    ``np.searchsorted`` and read by gathering coefficient columns.
     """
 
-    __slots__ = ("x", "xs", "last", "arrays", "rows")
+    __slots__ = ("x", "xs", "last", "arrays", "records")
 
     def __init__(self, x: np.ndarray, coefficients):
         self.x, self.xs, self.last = x, x.tolist(), x.size - 2
         self.arrays = tuple(coefficients)
-        self.rows = tuple(tuple(row.tolist() for row in c) for c in self.arrays)
+        self.records = list(zip(*(c.T.tolist() for c in self.arrays)))
 
     def locate(self, r):
-        """Coefficients of the three splines, interval index and offset."""
+        """Interval index and offset: an int and a float for a Python
+        float, else arrays."""
         if type(r) is float:
-            i = min(max(bisect_right(self.xs, r) - 1, 0), self.last)
-            return self.rows, i, r - self.xs[i]
+            i = bisect_right(self.xs, r) - 1
+            if i < 0:
+                i = 0
+            elif i > self.last:
+                i = self.last
+            return i, r - self.xs[i]
         r = np.asarray(r, dtype=np.float64)
         i = np.clip(np.searchsorted(self.x, r, side="right") - 1, 0, self.last)
-        return self.arrays, i, r - self.x[i]
+        return i, r - self.x[i]
 
     def channel(self, k: int) -> RadialFunction:
-        locate, rows = self.locate, self.rows
+        locate, records, c = self.locate, self.records, self.arrays[k]
 
         def order(f):
             def at(r):
-                cs, i, s = locate(r)
-                if cs is rows:
-                    return f(cs[k], i, s)
+                i, s = locate(r)
+                if type(i) is int:
+                    return f(records[i][k], s)
                 # silent on infinite radii, as the compiled evaluator is
                 with np.errstate(all="ignore"):
-                    return f(cs[k], i, s)
+                    return f(c[:, i], s)
             return at
 
         return RadialFunction(
@@ -762,19 +812,33 @@ class _Table(_FusedRead):
         self.knots = knots
 
     def slopes(self, r: float):
-        (n, a, rr), i, s = self.knots.locate(r)
+        knots = self.knots
+        i, s = knots.locate(r)
+        n, a, rr = knots.records[i]
         return (
-            _cubic_value(n, i, s), _cubic_slope(n, i, s),
-            _cubic_value(a, i, s), _cubic_slope(a, i, s),
-            _cubic_value(rr, i, s), _cubic_slope(rr, i, s),
+            _cubic_value(n, s), _cubic_slope(n, s),
+            _cubic_value(a, s), _cubic_slope(a, s),
+            _cubic_value(rr, s), _cubic_slope(rr, s),
         )
 
     def jets(self, r) -> tuple[Jet, Jet, Jet]:
-        cs, i, s = self.knots.locate(r)
-        if cs is self.knots.rows:
-            return tuple(_cubic_jet(c, i, s) for c in cs)
+        knots = self.knots
+        i, s = knots.locate(r)
+        if type(i) is int:
+            return tuple(_cubic_jet(c, s) for c in knots.records[i])
         with np.errstate(all="ignore"):
-            return tuple(_cubic_jet(c, i, s) for c in cs)
+            return tuple(_cubic_jet(c[:, i], s) for c in knots.arrays)
+
+    def values(self, r):
+        """A and Rareal at a number or an array, located once."""
+        knots = self.knots
+        i, s = knots.locate(r)
+        if type(i) is int:
+            _, a, rr = knots.records[i]
+            return _cubic_value(a, s), _cubic_value(rr, s)
+        _, a, rr = knots.arrays
+        with np.errstate(all="ignore"):
+            return _cubic_value(a[:, i], s), _cubic_value(rr[:, i], s)
 
 
 def make_tabulated(r, N, A, Rareal) -> RadialProfile:

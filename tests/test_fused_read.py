@@ -211,6 +211,72 @@ def test_closed_form_float_read_warns_as_numpy_does(r):
     _assert_same_slopes(got, want)
 
 
+def _outcome(fn):
+    """The repr of each jet part as a float, or the exception raised, and
+    the set of warnings, of fn()."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            got = fn()
+            kind = type(got[0].v)
+            out = [repr(float(getattr(j, o))) for j in got for o in ("v", "d1", "d2")]
+        except ArithmeticError as exc:
+            kind, out = None, (type(exc), str(exc))
+    return kind, out, sorted({(w.category, str(w.message)) for w in seen})
+
+
+_TINY = 1e-100  # r**4 underflows to 0 just above its 2m
+_FLOAT_JET_CASES = [
+    # (mass, radius, whether the float path answers)
+    (1.3, 3.9, True),
+    (1.3, 130.0, True),
+    (1.3, math.nextafter(2.6, math.inf), True),
+    (1.3, 2.6 * (1.0 + 1e-15), True),
+    (1.3, 2.6, False),  # N = 0
+    (1.3, 2.0, False),  # a negative root
+    (1.3, 0.0, False),  # raises on both paths
+    (1.3, -4.0, True),
+    (1.3, 5e102, True),
+    (1.3, 1e103, False),  # r**3 overflows
+    (1.3, 1e300, False),
+    (1.3, math.inf, True),
+    (1.3, math.nan, False),
+    (_TINY, 2.0 * _TINY * (1.0 + 1e-12), False),
+    (_TINY, 1e-60, True),
+    (0.0, 4.0, True),
+    (0.0, 1e200, False),
+    (-1.3, 4.0, True),
+    (-1.3, 0.5, True),
+    (-1e300, 1e-10, False),  # NaN from inf/inf, where numpy warns
+    (1, 3.0, True),
+    (1, 2.0, False),
+    (3 ** 40, 3.0 ** 41, True),
+    (np.float32(1.3), 3.9, False),  # not an int or float mass
+]
+
+
+@pytest.mark.parametrize("m, r, floats", _FLOAT_JET_CASES)
+def test_closed_form_float_jets_equal_the_numpy_path(m, r, floats):
+    fused = radial._schwarzschild_functions(m)[0]._fused
+    kind, got, got_warned = _outcome(lambda: fused.float_jets(r))
+    want_kind, want, want_warned = _outcome(lambda: fused.jets(r))
+    assert (got, got_warned) == (want, want_warned)
+    if want_kind is not None:
+        assert kind is (float if floats else want_kind)
+
+
+@pytest.mark.parametrize(
+    "name", ["exterior", "int_mass", "float32_mass", "neck", "table"]
+)
+def test_scalar_curvature_on_float_jets_equals_numpy_jets(name, monkeypatch):
+    p = PROFILES[name]
+    lo, hi = p.interior_window(pad=1e-6)
+    radii = np.linspace(lo, hi, 9)[1:-1].tolist() + [1.0001 * lo, 0.9999 * hi]
+    got = [repr(curvature_at(p, r)) for r in radii]
+    monkeypatch.setattr(radial.RadialProfile, "_float_jets", radial.RadialProfile._jets)
+    assert got == [repr(curvature_at(p, r)) for r in radii]
+
+
 def test_zero_radius_raises_as_the_leaves_do():
     with pytest.raises(ZeroDivisionError):
         EXTERIOR.N(0.0)
@@ -306,12 +372,12 @@ def _count_knot_searches(monkeypatch):
     return calls
 
 
-_STATE = [0.0, 4.0, 0.0, 1.0, 0.01, 0.1]
+_STATE = (4.0, 1.0, 0.01, 0.1)  # r, dt, dr, dphi
 
 
 def test_one_rhs_takes_one_square_root_on_the_closed_form(monkeypatch):
     calls = _count_square_roots(monkeypatch)
-    geodesics._geodesic_rhs(EXTERIOR, _STATE)
+    geodesics._geodesic_rhs(EXTERIOR, EXTERIOR._slope_read(), *_STATE)
     assert len(calls) == 1
     calls.clear()
     curvature_at(EXTERIOR, 4.0)
@@ -320,7 +386,7 @@ def test_one_rhs_takes_one_square_root_on_the_closed_form(monkeypatch):
 
 def test_one_rhs_takes_one_knot_search_on_a_table(monkeypatch):
     calls = _count_knot_searches(monkeypatch)
-    geodesics._geodesic_rhs(TABLE, _STATE)
+    geodesics._geodesic_rhs(TABLE, TABLE._slope_read(), *_STATE)
     assert len(calls) == 1
     calls.clear()
     curvature_at(TABLE, 4.0)
@@ -328,6 +394,11 @@ def test_one_rhs_takes_one_knot_search_on_a_table(monkeypatch):
     calls.clear()
     curvature_at(TABLE, np.linspace(3.0, 5.0, 9))
     assert len(calls) == 1
+    # the oracle's A and Rareal at its 7n stencil radii: one search, not two
+    for radii in (4.0, np.linspace(3.0, 5.0, 7 * 128)):
+        calls.clear()
+        TABLE._metric_values(radii)
+        assert len(calls) == 1
 
 
 def _counted_presentations():

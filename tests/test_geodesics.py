@@ -352,9 +352,9 @@ def _counting_rhs(monkeypatch):
     calls = []
     rhs = geodesics._geodesic_rhs
 
-    def counting(profile, y):
-        calls.append(y[1])
-        return rhs(profile, y)
+    def counting(profile, read, r, td, rd, pd):
+        calls.append(r)
+        return rhs(profile, read, r, td, rd, pd)
 
     monkeypatch.setattr(geodesics, "_geodesic_rhs", counting)
     return calls
@@ -408,3 +408,36 @@ def test_integration_refuses_tol_and_window(wide_m1, value, monkeypatch):
         integrate_null_geodesic(wide_m1, y0, 10.0, tol=value)
     with pytest.raises(DomainError, match="lam_max"):
         integrate_null_geodesic(wide_m1, y0, value)
+
+
+@pytest.mark.parametrize("index", range(6))
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_integration_refuses_non_finite_initial_data(wide_m1, index, value):
+    # a NaN radius failed the null test's `>` and ended as domain_exit_inner
+    y0 = [0.0, 3.0, 0.0, 1.0, 0.0, 0.1]
+    y0[index] = value
+    with pytest.raises(DomainError, match="initial data must be finite"):
+        integrate_null_geodesic(wide_m1, y0, 1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_launches_refuse_non_finite_momenta(wide_m1, value):
+    # E = NaN launched a ray that trapping_report called "fell_in"
+    with pytest.raises(DomainError, match="E must be finite"):
+        trapping_report(wide_m1, 3.0, E=value)
+    with pytest.raises(DomainError, match="E must be finite"):
+        tangential_launch(wide_m1, 3.0, E=value)
+    with pytest.raises(DomainError, match="L must be finite"):
+        tangential_launch(wide_m1, 3.0, L=value)
+    with pytest.raises(DomainError, match="E must be finite"):
+        launch_with_momenta(wide_m1, 5.0, value, 4.0)
+    with pytest.raises(DomainError, match="L must be finite"):
+        launch_with_momenta(wide_m1, 5.0, 1.0, value)
+
+
+def test_zero_momentum_launch_is_refused(wide_m1):
+    # E = 0 gave a zero tangent vector, and the L drift divided by zero
+    with pytest.raises(DomainError, match="E must be nonzero"):
+        trapping_report(wide_m1, 3.0, E=0.0)
+    with pytest.raises(DomainError, match="E must be nonzero"):
+        integrate_null_geodesic(wide_m1, [0.0, 3.0, 0.0, 0.0, 0.0, 0.0], 1.0)

@@ -303,10 +303,10 @@ def test_zero_lapse_at_a_stage_radius_ends_as_the_reference(monkeypatch):
     seen = []
     rhs = geodesics._geodesic_rhs
 
-    def watching(profile_, y):
-        k, values = rhs(profile_, y)
-        seen.append(values[0])
-        return k, values
+    def watching(profile_, read, r, td, rd, pd):
+        out = rhs(profile_, read, r, td, rd, pd)
+        seen.append(out[3])  # the lapse the stage read
+        return out
 
     monkeypatch.setattr(geodesics, "_geodesic_rhs", watching)
     with np.errstate(all="ignore"):
