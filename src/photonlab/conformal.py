@@ -45,7 +45,7 @@ from .radial import (
     ProfileKind,
     RadialFunction,
     RadialProfile,
-    _FusedRead,
+    _Read,
     _pulled_back,
 )
 
@@ -131,24 +131,26 @@ def _conformal_factor(chart: Chart) -> RadialFunction:
     return RadialFunction.expression(lambda r: 0.5 * psi(r) + 0.5)
 
 
-# The lapse of every rescaled presentation; its jet is read by the fused reads.
+# The stand-in lapse of the fused reads of every rescaled presentation,
+# whose own lapse is the constant 1.
 _UNIT = RadialFunction.constant(1.0)
 
 
-class _Rescaled(_FusedRead):
+class _Rescaled(_Read):
     """Fused read of a presentation whose A and Rareal share one factor.
 
     With c = ``factor(r)`` (the square of the presentation's conformal
     factor, on a number, an array or a seed jet), A is ``a_of(c, r)`` and
     Rareal is ``rareal_of(c, r)``, and the lapse is the constant 1.  The
-    read takes c once per radius, where A and Rareal read apart take it
-    once each.
+    read takes c once per radius for values and jets, where A and Rareal
+    read apart take it once each.
     """
 
     __slots__ = ("factor", "a_of", "rareal_of")
 
     def __init__(self, factor, a_of, rareal_of):
         super().__init__(
+            _UNIT,
             RadialFunction.expression(lambda r: a_of(factor(r), r)),
             RadialFunction.expression(lambda r: rareal_of(factor(r), r)),
         )
@@ -161,7 +163,7 @@ class _Rescaled(_FusedRead):
     def jets(self, r) -> tuple[Jet, Jet, Jet]:
         seed = Jet(r, 1.0, 0.0, seed=True)
         c = self.factor(seed)
-        return _UNIT.jet(r), self.a_of(c, seed), self.rareal_of(c, seed)
+        return self.N.jet(r), self.a_of(c, seed), self.rareal_of(c, seed)
 
 
 def _rescaled_profile(factor, a_of, rareal_of, **fields) -> RadialProfile:
@@ -288,15 +290,15 @@ def _neck_isotropic_profile(cc: ConformalChart) -> tuple[RadialProfile, RadialFu
     return profile, r_of_rho
 
 
-class _Inverted(_FusedRead):
+class _Inverted(_Read):
     """Fused read of :func:`inverted_end_functions`: the rescaled chart's
-    own fused read at r = 1/x, pulled back to x, so u is taken once per
-    radius."""
+    own read at r = 1/x, pulled back to x, so a fused hat takes u once per
+    radius for values and jets."""
 
     __slots__ = ("hat",)
 
-    def __init__(self, A, Rareal, hat: _FusedRead):
-        super().__init__(A, Rareal)
+    def __init__(self, A, Rareal, hat: _Read):
+        super().__init__(_UNIT, A, Rareal)
         self.hat = hat
 
     def values(self, x):
@@ -307,7 +309,7 @@ class _Inverted(_FusedRead):
         _, a, rareal = self.hat.jets(1.0 / x)
         seed = Jet(x, 1.0, 0.0, seed=True)
         return (
-            _UNIT.jet(x),
+            self.N.jet(x),
             _inverted_radial_factor(_pulled_back(a, x), seed),
             _pulled_back(rareal, x),
         )
@@ -324,9 +326,7 @@ def _inverted_profile(cc: ConformalChart) -> RadialProfile:
     a_x, r_x = inverted_end_functions(cc)
     p = cc.base.profile
     lapse = RadialFunction.constant(1.0)
-    hat = cc.hat._fused_read()
-    if hat is not None:
-        lapse._fused = _Inverted(a_x, r_x, hat)
+    lapse._fused = _Inverted(a_x, r_x, cc.hat._read())
     return RadialProfile(
         kind=ProfileKind.COMPOSITE_REFERENCE,
         r_lo=1.0 / p.r_hi,

@@ -171,7 +171,7 @@ def curvature_at(profile: RadialProfile, r) -> CurvatureSample:
     sample's fields are then float arrays of the same shape.
     """
     profile.ensure_evaluable(r, open_interior=True)
-    n, a, rj = profile._float_jets(r) if type(r) is float else profile._jets(r)
+    n, a, rj = profile._read().jets(r)
     rr = rj.v
     # proper-radial derivatives of Rareal and N
     r_s = rj.d1 / a.v
@@ -392,7 +392,7 @@ def fd_curvature_oracle(profile: RadialProfile, r, h=1e-3) -> CurvatureSample:
 
     The 25 stencil points lie on seven distinct radii, r, r +- h and
     (r +- h) +- h, so each sample reads A and Rareal once on those seven
-    (one fused read of the profile where it has one) and N once on the
+    (through the profile's read, fused where it has one) and N once on the
     central three.  The metric is differenced along r at the centres
     (r, th), (r +- h, th) and along th at (r, th), (r, th +- h); the
     centre forms every Christoffel symbol, each displaced centre only the
@@ -412,7 +412,7 @@ def fd_curvature_oracle(profile: RadialProfile, r, h=1e-3) -> CurvatureSample:
     ld = np.longdouble
     rl, hl = np.broadcast_arrays(np.asarray(r, dtype=ld), np.asarray(h, dtype=ld))
     radii = _nested(rl, hl)
-    a_val, r_val = profile._metric_values(radii)
+    a_val, r_val = profile._read().values(radii)
     a2, r2 = a_val * a_val, r_val * r_val
     sin_th = _stencil_sines(hl)
     # The metric at the seven radii on th = pi/2, and at radius r on the

@@ -17,9 +17,9 @@ does its per-step arithmetic on Python floats, written out stage by stage:
 the system is autonomous, so its first five stages carry only (r, dt/dl,
 dr/dl, dphi/dl), and t and phi enter the fifth-order solution and the
 error norm alone.  Each stage reads N, A, Rareal and their slopes once,
-through the profile's fused read resolved once per trajectory.  A
-trajectory reports how many right-hand-side evaluations and rejected steps
-it cost.
+through the profile's read (:meth:`RadialProfile._read`) resolved once
+per trajectory.  A trajectory reports how many right-hand-side
+evaluations and rejected steps it cost.
 """
 
 from __future__ import annotations
@@ -295,18 +295,18 @@ def _accelerations(n, dn, a, da, rr, drr, td, rd, pd):
     )
 
 
-def _geodesic_rhs(profile: RadialProfile, read, r, td, rd, pd):
+def _geodesic_rhs(read, r, td, rd, pd):
     """Accelerations of the geodesic system at radius r and velocity
     (dt, dr, dphi), and the (N, A, Rareal) read there.
 
-    ``read`` is the profile's float read (:meth:`RadialProfile._slope_read`):
-    the six channel values at r in one read, or None where the profile
-    reads per channel.  The system is autonomous, so t and phi do not
-    enter.  :func:`_observables` records a state from the values without
-    evaluating again.  A zero denominator, which raises on floats, reruns
-    on numpy scalars.
+    ``read`` is the ``slopes`` of the profile's read
+    (:meth:`RadialProfile._read`), resolved once per trajectory: the six
+    channel values at r as floats.  The system is autonomous, so t and phi
+    do not enter.  :func:`_observables` records a state from the values
+    without evaluating again.  A zero denominator, which raises on floats,
+    reruns on numpy scalars.
     """
-    n, dn, a, da, rr, drr = read(r) or profile._channel_slopes(r)
+    n, dn, a, da, rr, drr = read(r)
     try:
         tdd, rdd, pdd = _accelerations(n, dn, a, da, rr, drr, td, rd, pd)
     except ZeroDivisionError:
@@ -350,7 +350,7 @@ def tangential_launch(
     """
     _require_launch(E, L)
     profile.ensure_evaluable(r0, open_interior=True)
-    n, _, _, _, rr, _ = profile._slopes(r0)
+    n, _, _, _, rr, _ = profile._read().slopes(r0)
     if L is None:
         L = E * rr / n
     td = E / (n * n)
@@ -367,7 +367,7 @@ def launch_with_momenta(
     """
     _require_launch(E, L)
     profile.ensure_evaluable(r0, open_interior=True)
-    n, _, a, _, rr, _ = profile._slopes(r0)
+    n, _, a, _, rr, _ = profile._read().slopes(r0)
     rd_sq = ((E / n) ** 2 - (L / rr) ** 2) / (a * a)
     if rd_sq < 0.0:
         raise DomainError("E, L incompatible with a null ray at this radius")
@@ -409,9 +409,9 @@ def integrate_null_geodesic(
     t, r, phi, td, rd, pd = y
     lo, hi = profile.r_lo, profile.r_hi
     inner_stop = lo + _INNER_MARGIN * max(1.0, abs(lo))
-    max_steps, rhs, read = _MAX_STEPS, _geodesic_rhs, profile._slope_read()
+    max_steps, rhs, read = _MAX_STEPS, _geodesic_rhs, profile._read().slopes
     lam = 0.0
-    tdd, rdd, pdd, n, a, rr = rhs(profile, read, r, td, rd, pd)
+    tdd, rdd, pdd, n, a, rr = rhs(read, r, td, rd, pd)
     states = [_observables(lam, r, phi, td, rd, pd, n, a, rr)]
     e0, l0 = states[0].E, states[0].L
     max_con = abs(states[0].constraint)
@@ -468,7 +468,7 @@ def integrate_null_geodesic(
         rd1 = rd + h * (0.0 + a10 * rdd)
         pd1 = pd + h * (0.0 + a10 * pdd)
         evals += 1
-        tdd1, rdd1, pdd1, _, _, _ = rhs(profile, read, r1, td1, rd1, pd1)
+        tdd1, rdd1, pdd1, _, _, _ = rhs(read, r1, td1, rd1, pd1)
         r2 = r + h * (0.0 + a20 * rd + a21 * rd1)
         if not lo < r2 < hi:
             left = r2
@@ -477,7 +477,7 @@ def integrate_null_geodesic(
         rd2 = rd + h * (0.0 + a20 * rdd + a21 * rdd1)
         pd2 = pd + h * (0.0 + a20 * pdd + a21 * pdd1)
         evals += 1
-        tdd2, rdd2, pdd2, _, _, _ = rhs(profile, read, r2, td2, rd2, pd2)
+        tdd2, rdd2, pdd2, _, _, _ = rhs(read, r2, td2, rd2, pd2)
         r3 = r + h * (0.0 + a30 * rd + a31 * rd1 + a32 * rd2)
         if not lo < r3 < hi:
             left = r3
@@ -486,7 +486,7 @@ def integrate_null_geodesic(
         rd3 = rd + h * (0.0 + a30 * rdd + a31 * rdd1 + a32 * rdd2)
         pd3 = pd + h * (0.0 + a30 * pdd + a31 * pdd1 + a32 * pdd2)
         evals += 1
-        tdd3, rdd3, pdd3, _, _, _ = rhs(profile, read, r3, td3, rd3, pd3)
+        tdd3, rdd3, pdd3, _, _, _ = rhs(read, r3, td3, rd3, pd3)
         r4 = r + h * (0.0 + a40 * rd + a41 * rd1 + a42 * rd2 + a43 * rd3)
         if not lo < r4 < hi:
             left = r4
@@ -495,7 +495,7 @@ def integrate_null_geodesic(
         rd4 = rd + h * (0.0 + a40 * rdd + a41 * rdd1 + a42 * rdd2 + a43 * rdd3)
         pd4 = pd + h * (0.0 + a40 * pdd + a41 * pdd1 + a42 * pdd2 + a43 * pdd3)
         evals += 1
-        tdd4, rdd4, pdd4, _, _, _ = rhs(profile, read, r4, td4, rd4, pd4)
+        tdd4, rdd4, pdd4, _, _, _ = rhs(read, r4, td4, rd4, pd4)
         r5 = r + h * (0.0 + a50 * rd + a51 * rd1 + a52 * rd2 + a53 * rd3 + a54 * rd4)
         if not lo < r5 < hi:
             left = r5
@@ -510,7 +510,7 @@ def integrate_null_geodesic(
             0.0 + a50 * pdd + a51 * pdd1 + a52 * pdd2 + a53 * pdd3 + a54 * pdd4
         )
         evals += 1
-        tdd5, rdd5, pdd5, _, _, _ = rhs(profile, read, r5, td5, rd5, pd5)
+        tdd5, rdd5, pdd5, _, _, _ = rhs(read, r5, td5, rd5, pd5)
         # first same as last: stage 6 is the fifth-order solution, and its
         # right-hand side and profile values serve the next step
         r6 = r + h * (0.0 + b0 * rd + b2 * rd2 + b3 * rd3 + b4 * rd4 + b5 * rd5)
@@ -529,7 +529,7 @@ def integrate_null_geodesic(
             0.0 + b0 * pdd + b2 * pdd2 + b3 * pdd3 + b4 * pdd4 + b5 * pdd5
         )
         evals += 1
-        tdd6, rdd6, pdd6, n, a, rr = rhs(profile, read, r6, td6, rd6, pd6)
+        tdd6, rdd6, pdd6, n, a, rr = rhs(read, r6, td6, rd6, pd6)
         # root mean square of the scaled 5(4) difference, summed left to right
         sq = 0.0
         for u, u5, p, v, w, x, z, g in (

@@ -137,10 +137,10 @@ class RadialFunction:
     values only, and :meth:`jet` carries all three orders in one pass.
     Calling convention follows scipy's spline API: ``f(r, nu)`` returns
     the ``nu``-th derivative; ``f(jet)`` composes by the chain rule.
-    The lapse of a closed-form or tabulated profile, or of a rescaled
-    presentation of the conformal double, also holds the fused read of its
-    construction (:class:`_FusedRead`); every other function holds None
-    there.
+    The lapse of a closed-form, fluid or tabulated profile, or of a
+    rescaled presentation of the conformal double, also holds the fused
+    read of its construction (a :class:`_Read`); every other function holds
+    None there.
     """
 
     __slots__ = ("_d", "_fused")
@@ -227,39 +227,53 @@ class _Expression(RadialFunction):
         return self._jet(r)
 
 
-class _FusedRead:
-    """N, A and Rareal of one construction, read together at a radius.
+class _Read:
+    """N, A and Rareal of a profile, read together at a radius.
 
-    The lapse N holds it, and it holds the A and Rareal built with that
-    lapse.  A profile reads through it only while its own N, A and Rareal
-    are exactly those functions, so a profile given another function by
-    ``dataclasses.replace`` reads each channel on its own again.  Nothing
-    it holds refers back to it or to N, so a profile is freed without
-    waiting for the cycle collector.  A subclass gives ``jets(r)``, the
-    three jets at a number or an array, and may give ``slopes(r)``, the
-    six floats (N, N', A, A', Rareal, Rareal') at a Python-float radius,
-    or None (the default) where only the per-channel reads give numpy's
-    answer, ``float_jets(r)``, the three jets at a Python-float radius,
-    with float parts where the per-channel reads give numpy scalars (by
-    default ``jets(r)``), and ``values(r)``, A and Rareal at a number or an
-    array (by default read per channel).  All run the operations of the
-    per-channel reads in the same order, so they return the same bits.
+    This class reads each channel on its own.  A subclass is the *fused
+    read* of one construction: the construction's lapse holds it, and it
+    reads all three channels once per radius (one square root, one knot
+    search, one conformal factor) or takes a closed form where it can,
+    and reads through this class elsewhere.  It holds the A and Rareal
+    built with that lapse and, for N, a stand-in with the lapse's own
+    callables, so nothing it holds refers back to the lapse and a profile
+    is freed without waiting for the cycle collector.  Every read of
+    ``slopes``, ``jets`` and ``values`` runs the operations of the
+    per-channel reads in the same order, so they return the same bits;
+    where a fused read answers on Python floats, its jets have float parts
+    where the per-channel jets have numpy scalars.
     """
 
-    __slots__ = ("A", "Rareal")
+    __slots__ = ("N", "A", "Rareal")
 
-    def __init__(self, A: RadialFunction, Rareal: RadialFunction):
-        self.A, self.Rareal = A, Rareal
+    def __init__(self, N: RadialFunction, A: RadialFunction, Rareal: RadialFunction):
+        self.N, self.A, self.Rareal = N, A, Rareal
 
-    def slopes(self, r: float):
-        return None
+    def slopes(self, r) -> tuple[float, float, float, float, float, float]:
+        """N, N', A, A', Rareal and Rareal' at one radius, as floats."""
+        n, a, rr = self.N, self.A, self.Rareal
+        return (
+            float(n(r)), float(n(r, 1)),
+            float(a(r)), float(a(r, 1)),
+            float(rr(r)), float(rr(r, 1)),
+        )
 
-    def float_jets(self, r: float):
-        return self.jets(r)
+    def jets(self, r) -> tuple[Jet, Jet, Jet]:
+        """Jets of N, A and Rareal at a number or an array."""
+        return self.N.jet(r), self.A.jet(r), self.Rareal.jet(r)
 
     def values(self, r):
-        """A and Rareal at a number or an array."""
+        """A and Rareal at a number or an array: the values the
+        finite-difference oracle differences."""
         return self.A(r), self.Rareal(r)
+
+    def nu_N(self, r):
+        """Outward-normal derivative of the lapse, N'/A."""
+        return self.N(r, 1) / self.A(r)
+
+    def sphere_mean_curvature(self, r):
+        """Mean curvature 2 Rareal'/(A Rareal) of the r = const sphere."""
+        return 2.0 * self.Rareal(r, 1) / (self.A(r) * self.Rareal(r))
 
 
 @dataclass(frozen=True)
@@ -269,7 +283,9 @@ class RadialProfile:
     Attributes
     ----------
     kind : ProfileKind
-        Construction family; drives a few fused evaluation shortcuts.
+        Construction family; serialization, the choice of conformal
+        presentation and a few refusals read it.  Evaluation reads N, A
+        and Rareal only.
     r_lo, r_hi : float
         Coordinate domain (closed interval).
     N, A, Rareal : RadialFunction
@@ -359,103 +375,30 @@ class RadialProfile:
 
     # -- N, A and Rareal read together ---------------------------------
 
-    def _fused_read(self) -> _FusedRead | None:
-        """The fused read built with this profile's N, A and Rareal."""
-        fused = self.N._fused
-        if fused is not None and fused.A is self.A and fused.Rareal is self.Rareal:
-            return fused
-        return None
-
-    def _slopes(self, r) -> tuple[float, float, float, float, float, float]:
-        """N, N', A, A', Rareal and Rareal' at one radius, as floats.
-
-        A closed-form or tabulated profile reads a Python-float radius once
-        for all channels: one square root, or one knot search.  Other
-        profiles and radius types, and a closed-form radius where float
-        arithmetic raises (a negative square root or a zero denominator,
-        where numpy gives NaN or inf), read each channel in turn.
-        """
-        if type(r) is float:
-            read = self._slope_read()(r)
-            if read is not None:
-                return read
-        return self._channel_slopes(r)
-
-    def _slope_read(self):
-        """The fused read's ``slopes``, resolved once for callers that read
-        many Python-float radii of one profile: the six floats at a radius,
-        or None where the profile reads per channel
-        (:meth:`_channel_slopes`)."""
-        fused = self._fused_read()
-        return (lambda r: None) if fused is None else fused.slopes
-
-    def _channel_slopes(self, r):
-        n, a, rr = self.N, self.A, self.Rareal
-        return (
-            float(n(r)), float(n(r, 1)),
-            float(a(r)), float(a(r, 1)),
-            float(rr(r)), float(rr(r, 1)),
-        )
-
-    def _jets(self, r) -> tuple[Jet, Jet, Jet]:
-        """Jets of N, A and Rareal at r, a number or an array; read once
-        per radius through a fused read, per channel without one."""
-        fused = self._fused_read()
-        if fused is not None:
-            return fused.jets(r)
-        return self.N.jet(r), self.A.jet(r), self.Rareal.jet(r)
-
-    def _float_jets(self, r: float) -> tuple[Jet, Jet, Jet]:
-        """:meth:`_jets` at a Python-float radius, with float parts where
-        the fused read computes on floats what the leaves compute on numpy
-        scalars: the same bits, for callers that cast to float anyway."""
-        fused = self._fused_read()
-        if fused is not None:
-            return fused.float_jets(r)
-        return self._jets(r)
-
-    def _metric_values(self, r):
-        """A and Rareal at r, a number or an array, as :meth:`_jets` reads
-        them; the values the finite-difference oracle differences."""
-        fused = self._fused_read()
-        if fused is not None:
-            return fused.values(r)
-        return self.A(r), self.Rareal(r)
-
-    # -- fused evaluations that survive horizon endpoints --------------
+    def _read(self) -> _Read:
+        """The fused read built with this profile's N, A and Rareal, or,
+        once any of them was replaced, a read of each channel on its own."""
+        read = self.N._fused
+        if read is not None and read.A is self.A and read.Rareal is self.Rareal:
+            return read
+        return _Read(self.N, self.A, self.Rareal)
 
     def nu_N(self, r):
         """Outward-normal derivative of the lapse, N'(r)/A(r).
 
-        Uses a per-kind fused form where the raw quotient is indeterminate
-        (neck horizon: N' and A both diverge while the ratio stays finite).
+        A closed-form read gives it in a fused form where the raw quotient
+        is indeterminate (neck horizon: N' and A both diverge while the
+        ratio stays finite).
         """
-        if self.kind in (
-            ProfileKind.SCHWARZSCHILD_EXTERIOR,
-            ProfileKind.SCHWARZSCHILD_NECK,
-        ):
-            # N = sqrt(1 - 2m/r), A = 1/N  =>  N'/A = m/r^2 exactly.
-            return self.mass / (np.asanyarray(r) ** 2 if np.ndim(r) else r * r)
-        if self.kind is ProfileKind.INTERIOR_FLUID:
-            # N' = k r / (2 w), A = 1/w  =>  N'/A = k r / 2.
-            return 0.5 * self.meta["curvature_k"] * r
-        return self.N(r, 1) / self.A(r)
+        return self._read().nu_N(r)
 
     def sphere_mean_curvature(self, r):
         """Mean curvature 2 Rareal'/(A Rareal) of the r = const sphere.
 
-        Fused per kind so horizon endpoints give an exact 0 instead of a
-        division by an infinite radial factor.
+        A closed-form read gives it in a fused form, so horizon endpoints
+        give an exact 0 instead of a division by an infinite radial factor.
         """
-        if self.kind in (
-            ProfileKind.SCHWARZSCHILD_EXTERIOR,
-            ProfileKind.SCHWARZSCHILD_NECK,
-        ):
-            return 2.0 * self.N(r) / r
-        if self.kind is ProfileKind.INTERIOR_FLUID:
-            k = self.meta["curvature_k"]
-            return 2.0 * np.sqrt(1.0 - k * r * r) / r
-        return 2.0 * self.Rareal(r, 1) / (self.A(r) * self.Rareal(r))
+        return self._read().sphere_mean_curvature(r)
 
 
 # ---------------------------------------------------------------------------
@@ -494,52 +437,60 @@ def _reciprocal_d2(n, dn, ddn):
     return -ddn / (n * n) + 2.0 * dn * dn / (n ** 3)
 
 
-class _Schwarzschild(_FusedRead):
+class _Schwarzschild(_Read):
     """Fused read of :func:`_schwarzschild_functions`: one n per radius.
 
-    Its float reads take ``math.sqrt`` on a Python-float radius, where the
-    per-channel leaves take ``np.sqrt``: ``slopes`` runs on ``float(m)``,
-    whose arithmetic equals m's own for int and double masses, and
-    ``float_jets`` on m itself.  For any other mass type, and wherever
-    float arithmetic raises (a negative root, a zero denominator, an
-    overflowing power, where numpy gives NaN or inf with a warning), they
-    read as the leaves do; so do float jets that come out NaN or infinite,
-    so that numpy warns where the leaves warn.
+    On a Python-float radius ``slopes`` and ``jets`` take ``math.sqrt``,
+    where the per-channel leaves take ``np.sqrt``: ``slopes`` runs on
+    ``float(m)``, whose arithmetic equals m's own for int and double
+    masses, and ``jets`` on m itself.  For any other mass or radius type,
+    and wherever float arithmetic raises (a negative root, a zero
+    denominator, an overflowing power, where numpy gives NaN or inf with a
+    warning), ``slopes`` reads per channel and ``jets`` takes one
+    ``np.sqrt``; so do float jets that come out NaN or infinite, so that
+    numpy warns where the leaves warn.  ``nu_N`` and
+    ``sphere_mean_curvature`` are closed forms that stay finite at the
+    horizon.
     """
 
-    __slots__ = ("m", "n0", "m_float")
+    __slots__ = ("m", "m_float")
 
-    def __init__(self, A, Rareal, m, n0):
-        super().__init__(A, Rareal)
-        self.m, self.n0 = m, n0
+    def __init__(self, N, A, Rareal, m):
+        super().__init__(N, A, Rareal)
+        self.m = m
         self.m_float = float(m) if isinstance(m, (int, float)) else None
 
-    def slopes(self, r: float):
+    def slopes(self, r):
         m = self.m_float
-        if m is None:
-            return None
-        try:
-            n = math.sqrt(_lapse_squared(m, r))
-            dn = _lapse_d1(m, r, n)
-            return n, dn, 1.0 / n, _reciprocal_d1(n, dn), r, _one(r)
-        except (ValueError, ZeroDivisionError):
-            return None
+        if m is not None and type(r) is float:
+            try:
+                n = math.sqrt(_lapse_squared(m, r))
+                dn = _lapse_d1(m, r, n)
+                return n, dn, 1.0 / n, _reciprocal_d1(n, dn), r, _one(r)
+            except (ValueError, ZeroDivisionError):
+                pass
+        return super().slopes(r)
 
     def jets(self, r) -> tuple[Jet, Jet, Jet]:
-        return self._jets_of(self.m, r, self.n0(r))
-
-    def float_jets(self, r: float) -> tuple[Jet, Jet, Jet]:
         m = self.m
-        if self.m_float is None:
-            return self.jets(r)
-        try:
-            jets = self._jets_of(m, r, math.sqrt(_lapse_squared(m, r)))
-        except (ValueError, ZeroDivisionError, OverflowError):
-            return self.jets(r)
-        n, a, _ = jets
-        if math.isfinite(n.v + n.d1 + n.d2 + a.v + a.d1 + a.d2):
-            return jets
-        return self.jets(r)
+        if self.m_float is not None and type(r) is float:
+            try:
+                jets = self._jets_of(m, r, math.sqrt(_lapse_squared(m, r)))
+            except (ValueError, ZeroDivisionError, OverflowError):
+                pass
+            else:
+                n, a, _ = jets
+                if math.isfinite(n.v + n.d1 + n.d2 + a.v + a.d1 + a.d2):
+                    return jets
+        return self._jets_of(m, r, self.N(r))
+
+    def nu_N(self, r):
+        # N = sqrt(1 - 2m/r), A = 1/N  =>  N'/A = m/r^2 exactly.
+        return float(self.m) / (np.asanyarray(r) ** 2 if np.ndim(r) else r * r)
+
+    def sphere_mean_curvature(self, r):
+        # Rareal = r, A = 1/N  =>  2 Rareal'/(A Rareal) = 2N/r.
+        return 2.0 * self.N(r) / r
 
     def _jets_of(self, m, r, n) -> tuple[Jet, Jet, Jet]:
         dn, ddn = _lapse_d1(m, r, n), _lapse_d2(m, r, n)
@@ -574,7 +525,7 @@ def _schwarzschild_functions(m):
     )
     radial = RadialFunction(lambda r: 1.0 / n0(r), a1, a2)
     areal = RadialFunction.coordinate()
-    lapse._fused = _Schwarzschild(radial, areal, m, n0)
+    lapse._fused = _Schwarzschild(RadialFunction(*lapse._d), radial, areal, m)
     return lapse, radial, areal
 
 
@@ -649,6 +600,25 @@ def buchdahl_ratio(mass: float, star_radius: float) -> float:
     return 2.0 * mass / star_radius
 
 
+class _Fluid(_Read):
+    """Read of :func:`make_interior_fluid`: each channel on its own, and
+    N'/A and the sphere's mean curvature in closed form from k = 2m/R^3."""
+
+    __slots__ = ("k",)
+
+    def __init__(self, N, A, Rareal, k):
+        super().__init__(N, A, Rareal)
+        self.k = k
+
+    def nu_N(self, r):
+        # N' = k r / (2 w), A = 1/w  =>  N'/A = k r / 2.
+        return 0.5 * self.k * r
+
+    def sphere_mean_curvature(self, r):
+        # Rareal = r, A = 1/w  =>  2 Rareal'/(A Rareal) = 2w/r.
+        return 2.0 * np.sqrt(1.0 - self.k * r * r) / r
+
+
 def make_interior_fluid(mass: float, star_radius: float) -> RadialProfile:
     """Constant-density fluid ball matching an exterior of mass ``mass``.
 
@@ -700,13 +670,17 @@ def make_interior_fluid(mass: float, star_radius: float) -> RadialProfile:
         w = w0(r)
         return density * (w - f_b) / (3.0 * f_b - w)
 
+    lapse = RadialFunction(n0, n1, n2)
+    radial = RadialFunction(a0, a1, a2)
+    areal = RadialFunction.coordinate()
+    lapse._fused = _Fluid(RadialFunction(*lapse._d), radial, areal, k)
     return RadialProfile(
         kind=ProfileKind.INTERIOR_FLUID,
         r_lo=0.0,
         r_hi=float(star_radius),
-        N=RadialFunction(n0, n1, n2),
-        A=RadialFunction(a0, a1, a2),
-        Rareal=RadialFunction.coordinate(),
+        N=lapse,
+        A=radial,
+        Rareal=areal,
         mass=float(mass),
         degenerate_lo=True,  # coordinate spheres collapse at the center
         meta={
@@ -802,16 +776,22 @@ class _Knots:
         )
 
 
-class _Table(_FusedRead):
-    """N, A and Rareal of a table, located once per radius for all three."""
+class _Table(_Read):
+    """N, A and Rareal of a table, located once per radius for all three.
+
+    ``slopes`` reads one coefficient record at a Python-float radius and
+    each channel on its own at any other radius type.
+    """
 
     __slots__ = ("knots",)
 
-    def __init__(self, A, Rareal, knots: _Knots):
-        super().__init__(A, Rareal)
+    def __init__(self, N, A, Rareal, knots: _Knots):
+        super().__init__(N, A, Rareal)
         self.knots = knots
 
-    def slopes(self, r: float):
+    def slopes(self, r):
+        if type(r) is not float:
+            return super().slopes(r)
         knots = self.knots
         i, s = knots.locate(r)
         n, a, rr = knots.records[i]
@@ -873,7 +853,7 @@ def make_tabulated(r, N, A, Rareal) -> RadialProfile:
     splines = [CubicSpline(r, v) for v in cols.values()]
     knots = _Knots(splines[0].x, [spline.c for spline in splines])
     n, a, rareal = (knots.channel(k) for k in range(3))
-    n._fused = _Table(a, rareal, knots)
+    n._fused = _Table(RadialFunction(*n._d), a, rareal, knots)
     return RadialProfile(
         kind=ProfileKind.TABULATED,
         r_lo=float(r[0]),
@@ -941,7 +921,7 @@ class CompositeProfile:
         for left, right, b in zip(
             self.pieces[:-1], self.pieces[1:], self.breakpoints
         ):
-            if not np.isclose(left.r_hi, b) or not np.isclose(right.r_lo, b):
+            if not left.r_hi == b == right.r_lo:
                 raise DomainError("pieces must abut exactly at each breakpoint")
 
     @property

@@ -1,14 +1,17 @@
 """One read of N, A and Rareal per radius against the per-channel reads.
 
-``RadialProfile._slopes`` (values and first derivatives as floats, for the
-geodesic stepper), ``RadialProfile._jets`` (for ``curvature_at``) and
-``RadialProfile._metric_values`` (A and Rareal, for the finite-difference
-oracle) read a closed-form or tabulated profile, and the rescaled
-presentations of the conformal double, once per radius.  They must return
-the same bits, of the same types, as reading each channel on its own, at
-knots, at and beyond both ends, at NaN and infinite radii, and where the
-closed form divides by zero or takes the root of a negative number.  A
-profile whose N, A or Rareal was replaced reads per channel again.
+``RadialProfile._read()`` is the fused read of a closed-form, fluid or
+tabulated profile, or of a rescaled presentation of the conformal double.
+Its ``slopes`` (values and first derivatives as floats, for the geodesic
+stepper), ``jets`` (for ``curvature_at``) and ``values`` (A and Rareal,
+for the finite-difference oracle) read all three channels once per
+radius.  They must return the same bits, of the same types, as reading
+each channel on its own, at knots, at and beyond both ends, at NaN and
+infinite radii, and where the closed form divides by zero or takes the
+root of a negative number; the closed form's jets at a Python-float
+radius may have float parts where the channels give numpy scalars.  A
+profile whose N, A or Rareal was replaced reads per channel again, and so
+do its normal derivative of the lapse and its sphere mean curvature.
 """
 
 from __future__ import annotations
@@ -42,8 +45,13 @@ EXTERIOR = make_schwarzschild_family(M, 2.7, 130.0)
 NODES = np.geomspace(2.7, 130.0, 400)
 TABLE = make_tabulated(NODES, EXTERIOR.N(NODES), EXTERIOR.A(NODES), EXTERIOR.Rareal(NODES))
 NECK = make_schwarzschild_neck(0.7)  # [1.4, 2.1]; the lapse is 0 at r_lo
+FLUID = make_interior_fluid(1.0, 2.5)
 
 _SPECIAL = [math.nan, math.inf, -math.inf]
+
+
+def _scaled(f: RadialFunction) -> RadialFunction:
+    return RadialFunction(*(lambda r, nu=nu: 2.0 * f(r, nu) for nu in range(3)))
 
 
 def _double(perturbation=None):
@@ -53,13 +61,19 @@ def _double(perturbation=None):
 
 
 def _presentations(conf) -> dict:
-    """The rescaled charts the residual scan hands the oracle, and the
-    rescaled reflected exterior that curvature_at reads."""
+    """The rescaled charts the residual scan hands the oracle, the
+    rescaled reflected exterior that curvature_at reads, and the inverted
+    end of a reflected chart whose rescaled A was replaced."""
+    reflected = conf.chart("exterior_reflected")
+    replaced = dataclasses.replace(
+        reflected, hat=dataclasses.replace(reflected.hat, A=_scaled(reflected.hat.A))
+    )
     return {
         "hat": conf.chart("exterior").hat,
-        "hat_reflected": conf.chart("exterior_reflected").hat,
+        "hat_reflected": reflected.hat,
         "isotropic": _neck_isotropic_profile(conf.chart("neck"))[0],
-        "inverted": _inverted_profile(conf.chart("exterior_reflected")),
+        "inverted": _inverted_profile(reflected),
+        "inverted_replaced_hat": _inverted_profile(replaced),
     }
 
 
@@ -83,6 +97,7 @@ RADII = {
     "hat_reflected": _INTERIOR + [3.9, 130.0, 2.0 * M, 2.0, 1e3, 0.0] + _SPECIAL,
     "isotropic": [0.33, 0.5, 0.9, 1.2, 1.5, 0.0, -0.65, 1e3] + _SPECIAL,
     "inverted": [0.0077, 0.01, 0.1, 0.2, 0.25, 0.5, 0.0, -0.1] + _SPECIAL,
+    "inverted_replaced_hat": [0.0077, 0.01, 0.1, 0.25, 0.5, 0.0, -0.1] + _SPECIAL,
 }
 PROFILES = {
     "exterior": EXTERIOR,
@@ -131,6 +146,19 @@ def _assert_same_jets(got, want):
             _assert_same(getattr(g, order), getattr(w, order))
 
 
+def _assert_same_float_jets(got, want):
+    """As :func:`_assert_same_jets`, but a part may be a float where the
+    channel gives a numpy scalar of the same bits: the closed form's jets
+    at a Python-float radius (``test_closed_form_float_jets_equal_the_numpy_path``
+    pins which path answers)."""
+    assert len(got) == len(want) == 3
+    for g, w in zip(got, want):
+        for order in ("v", "d1", "d2"):
+            gv, wv = getattr(g, order), getattr(w, order)
+            assert type(gv) in (float, type(wv))
+            _assert_same(float(gv), float(wv))
+
+
 def _quiet(fn, *args):
     """fn(*args), or the exception it raised, with warnings silenced."""
     with warnings.catch_warnings():
@@ -163,21 +191,25 @@ def _assert_same_values(got, want):
 @pytest.mark.parametrize("name", sorted(PROFILES))
 def test_fused_read_equals_per_channel_reads_on_floats(name):
     p = PROFILES[name]
-    assert p._fused_read() is not None
+    read = p._read()
+    assert read is p.N._fused is not None
+    closed_form = isinstance(read, radial._Schwarzschild)
     for r in RADII[name]:
         for radius in (r, np.float64(r)):
             _assert_same_outcome(
-                _quiet(p._slopes, radius),
+                _quiet(read.slopes, radius),
                 _quiet(_per_channel_slopes, p, radius),
                 _assert_same_slopes,
             )
             _assert_same_outcome(
-                _quiet(p._jets, radius),
+                _quiet(read.jets, radius),
                 _quiet(_per_channel_jets, p, radius),
-                _assert_same_jets,
+                _assert_same_float_jets
+                if closed_form and type(radius) is float
+                else _assert_same_jets,
             )
             _assert_same_outcome(
-                _quiet(p._metric_values, radius),
+                _quiet(read.values, radius),
                 _quiet(_per_channel_values, p, radius),
                 _assert_same_values,
             )
@@ -186,12 +218,13 @@ def test_fused_read_equals_per_channel_reads_on_floats(name):
 @pytest.mark.parametrize("name", sorted(PROFILES))
 def test_fused_read_equals_per_channel_reads_on_arrays(name):
     p = PROFILES[name]
+    read = p._read()
     r = np.array(RADII[name])
     grid = r[np.isfinite(r)].reshape(1, -1)[:, :4].repeat(2, axis=0)  # 2-D
     for radii in (r, grid, r.astype(np.longdouble)):
-        _assert_same_jets(_quiet(p._jets, radii), _quiet(_per_channel_jets, p, radii))
+        _assert_same_jets(_quiet(read.jets, radii), _quiet(_per_channel_jets, p, radii))
         _assert_same_values(
-            _quiet(p._metric_values, radii), _quiet(_per_channel_values, p, radii)
+            _quiet(read.values, radii), _quiet(_per_channel_values, p, radii)
         )
 
 
@@ -205,7 +238,7 @@ def test_closed_form_float_read_warns_as_numpy_does(r):
             out = fn()
         return out, sorted({(w.category, str(w.message)) for w in seen})
 
-    got, got_warned = caught(lambda: EXTERIOR._slopes(r))
+    got, got_warned = caught(lambda: EXTERIOR._read().slopes(r))
     want, want_warned = caught(lambda: _per_channel_slopes(EXTERIOR, r))
     assert got_warned == want_warned != []
     _assert_same_slopes(got, want)
@@ -257,9 +290,9 @@ _FLOAT_JET_CASES = [
 
 @pytest.mark.parametrize("m, r, floats", _FLOAT_JET_CASES)
 def test_closed_form_float_jets_equal_the_numpy_path(m, r, floats):
-    fused = radial._schwarzschild_functions(m)[0]._fused
-    kind, got, got_warned = _outcome(lambda: fused.float_jets(r))
-    want_kind, want, want_warned = _outcome(lambda: fused.jets(r))
+    lapse, a, rareal = radial._schwarzschild_functions(m)
+    kind, got, got_warned = _outcome(lambda: lapse._fused.jets(r))
+    want_kind, want, want_warned = _outcome(lambda: (lapse.jet(r), a.jet(r), rareal.jet(r)))
     assert (got, got_warned) == (want, want_warned)
     if want_kind is not None:
         assert kind is (float if floats else want_kind)
@@ -273,7 +306,8 @@ def test_scalar_curvature_on_float_jets_equals_numpy_jets(name, monkeypatch):
     lo, hi = p.interior_window(pad=1e-6)
     radii = np.linspace(lo, hi, 9)[1:-1].tolist() + [1.0001 * lo, 0.9999 * hi]
     got = [repr(curvature_at(p, r)) for r in radii]
-    monkeypatch.setattr(radial.RadialProfile, "_float_jets", radial.RadialProfile._jets)
+    # the closed form's jets as each channel reads them, on numpy scalars
+    monkeypatch.setattr(radial._Schwarzschild, "jets", radial._Read.jets)
     assert got == [repr(curvature_at(p, r)) for r in radii]
 
 
@@ -281,13 +315,13 @@ def test_zero_radius_raises_as_the_leaves_do():
     with pytest.raises(ZeroDivisionError):
         EXTERIOR.N(0.0)
     with pytest.raises(ZeroDivisionError):
-        EXTERIOR._slopes(0.0)
+        EXTERIOR._read().slopes(0.0)
     with pytest.raises(ZeroDivisionError):
-        EXTERIOR._jets(0.0)
+        EXTERIOR._read().jets(0.0)
 
 
-def _scaled(f: RadialFunction) -> RadialFunction:
-    return RadialFunction(*(lambda r, nu=nu: 2.0 * f(r, nu) for nu in range(3)))
+def _reads_per_channel(p) -> bool:
+    return type(p._read()) is radial._Read
 
 
 @pytest.mark.parametrize("name", ["exterior", "neck", "table", "hat", "inverted"])
@@ -295,38 +329,39 @@ def _scaled(f: RadialFunction) -> RadialFunction:
 def test_replaced_channel_reads_per_channel(name, channel):
     p = PROFILES[name]
     changed = dataclasses.replace(p, **{channel: _scaled(getattr(p, channel))})
-    assert changed._fused_read() is None
+    assert _reads_per_channel(changed)
+    read = changed._read()
     r = 0.5 * (p.r_lo + p.r_hi)
-    got = changed._slopes(r)
+    got = read.slopes(r)
     assert got == _per_channel_slopes(changed, r)
-    assert got != p._slopes(r)
-    _assert_same_jets(changed._jets(r), _per_channel_jets(changed, r))
-    assert changed._metric_values(r) == _per_channel_values(changed, r)
+    assert got != p._read().slopes(r)
+    _assert_same_jets(read.jets(r), _per_channel_jets(changed, r))
+    assert read.values(r) == _per_channel_values(changed, r)
     # the same callables under a new function object are not the fused read
     same = dataclasses.replace(p, **{channel: RadialFunction(*getattr(p, channel)._d)})
-    assert same._fused_read() is None
+    assert _reads_per_channel(same)
 
 
 @pytest.mark.parametrize("name", ["exterior", "table"])
 def test_swapped_channels_read_per_channel(name):
     p = PROFILES[name]
     swapped = dataclasses.replace(p, N=p.A, A=p.N)
-    assert swapped._fused_read() is None
+    assert _reads_per_channel(swapped)
     r = 0.5 * (p.r_lo + p.r_hi)
-    assert swapped._slopes(r) == _per_channel_slopes(swapped, r)
+    assert swapped._read().slopes(r) == _per_channel_slopes(swapped, r)
 
 
 def test_restricted_profile_keeps_its_fused_read():
     for p in (EXTERIOR, TABLE, NECK):
         inner = p.restricted(p.r_lo + 0.1, p.r_hi - 0.1)
-        assert inner._fused_read() is p._fused_read() is not None
+        assert inner._read() is p._read() is p.N._fused
         r = 0.5 * (inner.r_lo + inner.r_hi)
-        assert inner._slopes(r) == _per_channel_slopes(inner, r)
+        assert inner._read().slopes(r) == _per_channel_slopes(inner, r)
 
 
 def test_dropped_profiles_leave_no_cyclic_garbage():
-    # the fused read refers to A and Rareal, not back to N, so profiles
-    # built in a loop are freed by reference counting alone
+    # a fused read holds a stand-in lapse, not the lapse that holds it, so
+    # profiles built in a loop are freed by reference counting alone
     gc.collect()
     gc.disable()
     try:
@@ -334,17 +369,52 @@ def test_dropped_profiles_leave_no_cyclic_garbage():
             ext = make_schwarzschild_family(M, 2.7, 130.0)
             tab = make_tabulated(NODES, ext.N(NODES), ext.A(NODES), ext.Rareal(NODES))
             neck = make_schwarzschild_neck(0.7)
+            fluid = make_interior_fluid(1.0, 2.5)
             rescaled = _presentations(_double())
-            del ext, tab, neck, rescaled
+            del ext, tab, neck, fluid, rescaled
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
 def test_other_kinds_read_per_channel():
-    fluid = make_interior_fluid(1.0, 2.5)
-    assert fluid._fused_read() is None
-    assert fluid._slopes(1.0) == _per_channel_slopes(fluid, 1.0)
+    # the fluid's read takes N'/A and the mean curvature in closed form and
+    # each channel on its own; the optical profile has no fused read
+    read = FLUID._read()
+    assert type(read) is radial._Fluid and read is FLUID.N._fused
+    for r in (0.5, 1.0, 2.5):
+        assert read.slopes(r) == _per_channel_slopes(FLUID, r)
+        _assert_same_jets(read.jets(r), _per_channel_jets(FLUID, r))
+        assert read.values(r) == _per_channel_values(FLUID, r)
+    assert _reads_per_channel(geodesics.fermat_profile(EXTERIOR))
+
+
+def test_closed_forms_of_nu_n_and_mean_curvature_keep_their_bits():
+    for p in (EXTERIOR, NECK):
+        m = p.mass
+        for r in (p.r_lo, 0.5 * (p.r_lo + p.r_hi), np.linspace(p.r_lo, p.r_hi, 5)):
+            assert np.array_equal(p.nu_N(r), m / np.asarray(r) ** 2)
+            assert np.array_equal(p.sphere_mean_curvature(r), 2.0 * p.N(r) / r)
+    assert NECK.sphere_mean_curvature(NECK.r_lo) == 0.0  # the horizon
+    k = FLUID.meta["curvature_k"]
+    for r in (1.0, np.linspace(0.5, 2.5, 5)):
+        assert np.array_equal(FLUID.nu_N(r), 0.5 * k * r)
+        assert np.array_equal(
+            FLUID.sphere_mean_curvature(r), 2.0 * np.sqrt(1.0 - k * r * r) / r
+        )
+
+
+@pytest.mark.parametrize("name", ["exterior", "neck", "table", "fluid"])
+@pytest.mark.parametrize("channel", ["N", "A", "Rareal"])
+def test_replaced_channel_reads_nu_n_and_mean_curvature_per_channel(name, channel):
+    p = FLUID if name == "fluid" else PROFILES[name]
+    changed = dataclasses.replace(p, **{channel: _scaled(getattr(p, channel))})
+    n, a, rr = changed.N, changed.A, changed.Rareal
+    for r in (0.5 * (p.r_lo + p.r_hi), np.linspace(p.r_lo, p.r_hi, 9)[1:-1]):
+        assert np.array_equal(changed.nu_N(r), n(r, 1) / a(r))
+        assert np.array_equal(
+            changed.sphere_mean_curvature(r), 2.0 * rr(r, 1) / (a(r) * rr(r))
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +447,7 @@ _STATE = (4.0, 1.0, 0.01, 0.1)  # r, dt, dr, dphi
 
 def test_one_rhs_takes_one_square_root_on_the_closed_form(monkeypatch):
     calls = _count_square_roots(monkeypatch)
-    geodesics._geodesic_rhs(EXTERIOR, EXTERIOR._slope_read(), *_STATE)
+    geodesics._geodesic_rhs(EXTERIOR._read().slopes, *_STATE)
     assert len(calls) == 1
     calls.clear()
     curvature_at(EXTERIOR, 4.0)
@@ -386,7 +456,7 @@ def test_one_rhs_takes_one_square_root_on_the_closed_form(monkeypatch):
 
 def test_one_rhs_takes_one_knot_search_on_a_table(monkeypatch):
     calls = _count_knot_searches(monkeypatch)
-    geodesics._geodesic_rhs(TABLE, TABLE._slope_read(), *_STATE)
+    geodesics._geodesic_rhs(TABLE._read().slopes, *_STATE)
     assert len(calls) == 1
     calls.clear()
     curvature_at(TABLE, 4.0)
@@ -397,7 +467,7 @@ def test_one_rhs_takes_one_knot_search_on_a_table(monkeypatch):
     # the oracle's A and Rareal at its 7n stencil radii: one search, not two
     for radii in (4.0, np.linspace(3.0, 5.0, 7 * 128)):
         calls.clear()
-        TABLE._metric_values(radii)
+        TABLE._read().values(radii)
         assert len(calls) == 1
 
 
@@ -447,7 +517,7 @@ def test_replaced_rescaled_channel_takes_u_per_channel():
     presentations, log = _counted_presentations()
     hat = presentations["hat"]
     changed = dataclasses.replace(hat, A=_scaled(hat.A))
-    assert changed._fused_read() is None
+    assert _reads_per_channel(changed)
     curvature_at(changed, 5.0)
     # the scaled A reads hat.A's three orders apart, Rareal takes one jet
     assert {nu: len(radii) for nu, radii in log.items()} == {0: 4, 1: 3, 2: 3}

@@ -352,9 +352,9 @@ def _counting_rhs(monkeypatch):
     calls = []
     rhs = geodesics._geodesic_rhs
 
-    def counting(profile, read, r, td, rd, pd):
+    def counting(read, r, td, rd, pd):
         calls.append(r)
-        return rhs(profile, read, r, td, rd, pd)
+        return rhs(read, r, td, rd, pd)
 
     monkeypatch.setattr(geodesics, "_geodesic_rhs", counting)
     return calls

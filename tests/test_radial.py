@@ -242,6 +242,21 @@ def test_composite_star_structure():
         CompositeProfile(pieces=star.pieces, breakpoints=(2.6,))
 
 
+@pytest.mark.parametrize("gap", [1e-5, 1e-12, math.ulp(2.5), -math.ulp(2.5)])
+def test_composite_refuses_pieces_that_do_not_abut(gap):
+    # within np.isclose of each other, but a radius between the pieces
+    # would be handed to a piece that does not contain it
+    interior = make_interior_fluid(1.0, 2.5)
+    exterior = make_schwarzschild_exterior(1.0, 2.5 + gap, 100.0)
+    for b in (2.5, 2.5 + gap):
+        with pytest.raises(DomainError, match="abut exactly"):
+            CompositeProfile(pieces=(interior, exterior), breakpoints=(b,))
+    exact = make_schwarzschild_exterior(1.0, 2.5, 100.0)
+    assert CompositeProfile(pieces=(interior, exact), breakpoints=(2.5,)).r_hi == 100.0
+    with pytest.raises(DomainError, match="abut exactly"):
+        CompositeProfile(pieces=(interior, exact), breakpoints=(math.nan,))
+
+
 # ---------------------------------------------------------------------------
 # Tabulated profiles and serialization
 # ---------------------------------------------------------------------------

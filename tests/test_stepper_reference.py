@@ -303,8 +303,8 @@ def test_zero_lapse_at_a_stage_radius_ends_as_the_reference(monkeypatch):
     seen = []
     rhs = geodesics._geodesic_rhs
 
-    def watching(profile_, read, r, td, rd, pd):
-        out = rhs(profile_, read, r, td, rd, pd)
+    def watching(read, r, td, rd, pd):
+        out = rhs(read, r, td, rd, pd)
         seen.append(out[3])  # the lapse the stage read
         return out
 
