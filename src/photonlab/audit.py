@@ -12,6 +12,7 @@ geometry shows up in at least one.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,16 +149,15 @@ class MonotonicityScan:
     nonincreasing: bool
 
 
-def _segments(profile, r_values):
-    """Split sample intervals at composite breakpoints for clean quadrature."""
+def _segments(pieces, cuts, r_values):
+    """Arclength at each radius: sample intervals split at the breakpoints
+    ``cuts`` between ``pieces``, one quadrature of A per segment.
+
+    ``quad`` samples the open segment only, which lies in one piece (the
+    one :meth:`CompositeProfile.piece_at` gives its interior), so the piece
+    is picked once per segment.
+    """
     from scipy.integrate import quad
-
-    cuts = list(getattr(profile, "breakpoints", ()))
-
-    def a_of(r):
-        if isinstance(profile, CompositeProfile):
-            return float(profile.piece_at(r).A(r))
-        return float(profile.A(r))
 
     out = np.zeros(len(r_values))
     for i in range(1, len(r_values)):
@@ -165,7 +165,10 @@ def _segments(profile, r_values):
         pts = [lo] + [c for c in cuts if lo < c < hi] + [hi]
         total = 0.0
         for a, b in zip(pts[:-1], pts[1:]):
-            val, _ = quad(a_of, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)
+            A = pieces[bisect_left(cuts, b)].A
+            val, _ = quad(
+                lambda r: float(A(r)), a, b, epsabs=1e-12, epsrel=1e-12, limit=200
+            )
             total += val
         out[i] = out[i - 1] + total
     return out
@@ -188,13 +191,15 @@ def monotonicity_scan(
     if isinstance(profile, CompositeProfile):
         profile.piece_at(r_start), profile.piece_at(r_end)  # refuse outside radii
         pieces, cuts = profile.pieces, profile.breakpoints
+    else:
+        profile.ensure_evaluable(rs)
     # a breakpoint belongs to the piece on its left, as in piece_at
     which = np.searchsorted(cuts, rs, side="left")
     ratios = np.empty(rs.size)
     for k, p in enumerate(pieces):
         at = which == k
         ratios[at] = p.sphere_mean_curvature(rs[at]) / p.N(rs[at])
-    t = _segments(profile, rs)
+    t = _segments(pieces, cuts, rs)
     rise = float(np.diff(ratios).max())
     worst = max(0.0, rise) if rise == rise else rise  # a NaN ratio fails the scan
     return MonotonicityScan(

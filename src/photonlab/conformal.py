@@ -35,6 +35,7 @@ from .gluing import (
     SAMPLE_GUARD,
     Chart,
     PiecewiseManifold,
+    _samples_per_chart,
     _worst_sample,
     collar_function,
     guarded_chart_samples,
@@ -46,6 +47,7 @@ from .radial import (
     RadialFunction,
     RadialProfile,
     _Read,
+    _Schwarzschild,
     _pulled_back,
 )
 
@@ -56,18 +58,12 @@ __all__ = [
     "conformal_scalar_residual",
     "conformal_scalar_prediction",
     "flatness_check",
-    "inverted_end_functions",
     "compactification_check",
     "CompactificationReport",
     "adm_mass_estimate",
     "conformal_end_mass_estimate",
     "richardson_limit",
 ]
-
-_SCHWARZSCHILD_KINDS = (
-    ProfileKind.SCHWARZSCHILD_EXTERIOR,
-    ProfileKind.SCHWARZSCHILD_NECK,
-)
 
 # Calibrated oracle steps and the inverted end's smallest areal scale m/r
 # for the scalar residual scan (see conformal_scalar_residual).
@@ -112,18 +108,16 @@ def _conformal_factor(chart: Chart) -> RadialFunction:
     (1 - s N)/2 loses precision wherever N is close to 1 (the far field).
     Multiplying through by (1 + s N) gives
     u = ((1 - s^2) + 2 m s^2 / r) / (2 (1 + s N)), whose numerator has no
-    cancellation for collar scales s <= 1; that form is used whenever the
-    chart is closed-form Schwarzschild with negative collar sign.
+    cancellation for collar scales s <= 1.  The identity N^2 = 1 - 2m/r
+    behind it is the closed-form lapse's own, so that form is used only
+    while the chart's N is the closed-form Schwarzschild lapse (its fused
+    read, which gives m), with negative collar sign; a replaced N takes the
+    straight expression, whatever its kind or mass.
     """
-    s_signed = chart.psi_sign * chart.collar_scale
-    if (
-        s_signed < 0.0
-        and chart.profile.kind in _SCHWARZSCHILD_KINDS
-        and chart.profile.mass is not None
-        and abs(s_signed) <= 1.0
-    ):
+    s_signed, n = chart.psi_scale, chart.profile.N
+    if s_signed < 0.0 and isinstance(n._fused, _Schwarzschild) and abs(s_signed) <= 1.0:
         s2, inv = s_signed * s_signed, _reciprocal_coordinate()
-        c_num, n = 2.0 * chart.profile.mass * s2, chart.profile.N
+        c_num = 2.0 * float(n._fused.m) * s2
         return RadialFunction.expression(
             lambda r: (c_num * inv(r) + (1.0 - s2)) / (2.0 * (-s_signed * n(r) + 1.0))
         )
@@ -257,7 +251,7 @@ def _neck_isotropic_profile(cc: ConformalChart) -> tuple[RadialProfile, RadialFu
     if p.kind is not ProfileKind.SCHWARZSCHILD_NECK or p.mass is None:
         raise DomainError("isotropic presentation requires a closed-form neck chart")
     mu = p.mass
-    s_signed = cc.base.psi_sign * cc.base.collar_scale
+    s_signed = cc.base.psi_scale
 
     n_iso = RadialFunction(
         lambda rho: (2.0 * rho - mu) / (2.0 * rho + mu),
@@ -291,8 +285,8 @@ def _neck_isotropic_profile(cc: ConformalChart) -> tuple[RadialProfile, RadialFu
 
 
 class _Inverted(_Read):
-    """Fused read of :func:`inverted_end_functions`: the rescaled chart's
-    own read at r = 1/x, pulled back to x, so a fused hat takes u once per
+    """Fused read of :func:`_inverted_profile`: the rescaled chart's own
+    read at r = 1/x, pulled back to x, so a fused hat takes u once per
     radius for values and jets."""
 
     __slots__ = ("hat",)
@@ -318,12 +312,17 @@ class _Inverted(_Read):
 def _inverted_profile(cc: ConformalChart) -> RadialProfile:
     """Rescaled reflected-end chart in the inverted coordinate x = 1/r.
 
-    Near the puncture x = 0 the components tend to the constant (m/2)^4,
-    so the far field — hopeless for finite differences in r, where noise
-    is amplified by the shrinking sphere radius — becomes an ordinary
-    regular region.
+    Substituting x = 1/r turns the end r -> infinity into x -> 0; the
+    metric becomes a_x(x)^2 dx^2 + r_x(x)^2 * sphere with
+    a_x(x) = A_hat(1/x)/x^2 and r_x(x) = Rareal_hat(1/x).  Near the
+    puncture x = 0 the components tend to the constant (m/2)^4, so the far
+    field — hopeless for finite differences in r, where noise is amplified
+    by the shrinking sphere radius — becomes an ordinary regular region.
+    This is the one builder of the inverted end: the residual scan, the
+    compactification check and the conformal-end mass all read it.
     """
-    a_x, r_x = inverted_end_functions(cc)
+    a_inv, r_x = cc.hat.A.compose_inverse(), cc.hat.Rareal.compose_inverse()
+    a_x = RadialFunction.expression(lambda x: _inverted_radial_factor(a_inv(x), x))
     p = cc.base.profile
     lapse = RadialFunction.constant(1.0)
     lapse._fused = _Inverted(a_x, r_x, cc.hat._read())
@@ -380,48 +379,41 @@ def conformal_scalar_residual(conformal: ConformalManifold, n_samples: int = 512
     records the r-interval actually sampled per chart; ``argmax`` is in
     manifold coordinates (chart id, r).
     """
-    per = max(8, n_samples // max(1, len(conformal.charts)))
-    chart_ids, vals, radii = [], [], []
+    per = _samples_per_chart(conformal.charts, n_samples, 8)
     coverage: dict[str, tuple[float, float]] = {}
 
-    def scan(profile, t, h, chart_id, to_r, refined):
-        lo, hi = profile.r_lo, profile.r_hi
-        h = np.minimum(np.minimum(h, 0.45 * (t - lo)), 0.45 * (hi - t))
-        if refined:
-            val = np.abs(_fd_scalar_refined(profile, t, h))
-        else:
-            val = np.abs(fd_curvature_oracle(profile, t, h).scalar)
-        rs = np.asarray(to_r(t), dtype=float)
-        chart_ids.append(chart_id)
-        vals.append(val)
-        radii.append(rs)
-        coverage[chart_id] = (float(np.min(rs)), float(np.max(rs)))
-
-    for cc in conformal.charts:
+    def scan(cc):
         cid = cc.base.chart_id
         if cc.base.role == "neck":
-            prof, r_of_rho = _neck_isotropic_profile(cc)
+            prof, to_r = _neck_isotropic_profile(cc)
             lo, hi = prof.r_lo, prof.r_hi
             pad = SAMPLE_GUARD * (hi - lo)
-            rho = np.linspace(lo + pad, hi - pad, per)
-            scan(prof, rho, np.full(per, FD_ISO_STEP * prof.mass), cid,
-                 r_of_rho, refined=True)
+            t = np.linspace(lo + pad, hi - pad, per)
+            h, refined = np.full(per, FD_ISO_STEP * prof.mass), True
         elif cc.base.orientation == "reflected":
             prof = _inverted_profile(cc)
             m = prof.mass if prof.mass else 1.0
             xi_hi = m * prof.r_hi * (1.0 - SAMPLE_GUARD)
             xi_lo = max(FD_INV_XI_MIN, m * prof.r_lo * (1.0 + SAMPLE_GUARD))
-            xs = np.geomspace(xi_lo, xi_hi, per) / m
-            scan(prof, xs, np.full(per, FD_INV_STEP / m), cid,
-                 lambda t: 1.0 / t, refined=True)
+            t = np.geomspace(xi_lo, xi_hi, per) / m
+            h, to_r, refined = np.full(per, FD_INV_STEP / m), lambda x: 1.0 / x, True
         else:
-            rs = guarded_chart_samples(cc.base, per)
-            scan(cc.hat, rs, FD_REL_STEP * rs, cid, lambda t: t, refined=False)
-    worst, arg = _worst_sample(vals, chart_ids, radii)
+            prof, t = cc.hat, guarded_chart_samples(cc.base, per)
+            h, to_r, refined = FD_REL_STEP * t, lambda r: r, False
+        h = np.minimum(np.minimum(h, 0.45 * (t - prof.r_lo)), 0.45 * (prof.r_hi - t))
+        if refined:
+            val = np.abs(_fd_scalar_refined(prof, t, h))
+        else:
+            val = np.abs(fd_curvature_oracle(prof, t, h).scalar)
+        rs = np.asarray(to_r(t), dtype=float)
+        coverage[cid] = (float(np.min(rs)), float(np.max(rs)))
+        return cid, rs, val
+
+    worst, arg, count = _worst_sample(map(scan, conformal.charts))
     return {
         "max_abs_scalar": worst,
         "argmax": arg,
-        "n_samples": sum(len(v) for v in vals),
+        "n_samples": count,
         "fd_coverage": coverage,
     }
 
@@ -435,18 +427,16 @@ def flatness_check(conformal: ConformalManifold, n_samples: int = 512) -> dict:
     vanishing Ricci is vanishing Riemann.  A non-finite sample is reported
     as the maximum.
     """
-    per = max(8, n_samples // max(1, len(conformal.charts)))
-    chart_ids, vals, radii = [], [], []
-    for cc in conformal.charts:
+    per = _samples_per_chart(conformal.charts, n_samples, 8)
+
+    def scan(cc):
         rs = guarded_chart_samples(cc.base, per)
         s = curvature_at(cc.hat, rs)
-        chart_ids.append(cc.base.chart_id)
-        vals.append(
-            np.maximum(np.maximum(np.abs(s.ric_nn), np.abs(s.ric_tt)), np.abs(s.scalar))
-        )
-        radii.append(rs)
-    worst, arg = _worst_sample(vals, chart_ids, radii)
-    return {"max_curvature": worst, "argmax": arg, "n_samples": per * len(conformal.charts)}
+        mag = np.maximum(np.maximum(np.abs(s.ric_nn), np.abs(s.ric_tt)), np.abs(s.scalar))
+        return cc.base.chart_id, rs, mag
+
+    worst, arg, count = _worst_sample(map(scan, conformal.charts))
+    return {"max_curvature": worst, "argmax": arg, "n_samples": count}
 
 
 # ---------------------------------------------------------------------------
@@ -573,19 +563,6 @@ def adm_mass_estimate(space, end_id: str, radii=(50.0, 100.0, 200.0, 400.0)) -> 
     return _adm_from_metric_functions(cc.hat.A, cc.hat.Rareal, radii)
 
 
-def inverted_end_functions(conformal_chart: ConformalChart):
-    """Metric functions of a reflected conformal end in the inverted chart.
-
-    Substituting x = 1/r turns the end r -> infinity into x -> 0; the
-    metric becomes a_x(x)^2 dx^2 + r_x(x)^2 * sphere with
-    a_x(x) = A_hat(1/x)/x^2 and r_x(x) = Rareal_hat(1/x).
-    """
-    a_hat, r_hat = conformal_chart.hat.A, conformal_chart.hat.Rareal
-    a_inv, r_x = a_hat.compose_inverse(), r_hat.compose_inverse()
-    a_x = RadialFunction.expression(lambda x: _inverted_radial_factor(a_inv(x), x))
-    return a_x, r_x
-
-
 _INV_SQ = RadialFunction(
     lambda x: x ** -2.0,
     lambda x: -2.0 * x ** -3.0,
@@ -657,7 +634,8 @@ def compactification_check(
             "profile has none"
         )
     mass_reference = float(cc.base.profile.mass)
-    a_x, r_x = inverted_end_functions(cc)
+    inverted = _inverted_profile(cc)
+    a_x, r_x = inverted.A, inverted.Rareal
     f_rad = np.array([float(a_x(x)) ** 2 for x in xs])
     f_tan = np.array([(float(r_x(x)) / x) ** 2 for x in xs])
     # limit from linear-in-x extrapolation of the two smallest nodes
@@ -710,7 +688,8 @@ def conformal_end_mass_estimate(
     compactification.  ``radii`` is checked as in :func:`adm_mass_estimate`.
     """
     radii = _validate_schedule(radii)
-    a_x, r_x = inverted_end_functions(conformal_chart)
+    inverted = _inverted_profile(conformal_chart)
+    a_x, r_x = inverted.A, inverted.Rareal
     xs = 1.0 / np.asarray(sorted(radii, reverse=True), dtype=float)  # increasing
     # normalization kappa = lim r_x / x, extrapolated linearly from the two
     # smallest nodes of the schedule itself

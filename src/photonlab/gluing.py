@@ -79,6 +79,11 @@ class Chart:
     def normal_dir(self) -> float:
         return 1.0 if self.orientation == "outward" else -1.0
 
+    @property
+    def psi_scale(self) -> float:
+        """Signed collar factor: psi = psi_scale * N on this chart."""
+        return self.psi_sign * self.collar_scale
+
     def reflect(self) -> "Chart":
         return replace(
             self,
@@ -159,18 +164,13 @@ def neck_parameters(mass_i: float, area_radius_i: float) -> dict:
 
 def collar_function(chart: Chart) -> RadialFunction:
     """psi on one chart as a differentiable radial function."""
-    scale, n = chart.psi_sign * chart.collar_scale, chart.profile.N
+    scale, n = chart.psi_scale, chart.profile.N
     return RadialFunction.expression(lambda r: scale * n(r))
 
 
 def _collar_normal_derivative(chart: Chart, r: float) -> float:
     """Continuing-normal derivative of psi; fused so horizons stay finite."""
-    return (
-        chart.normal_dir
-        * chart.psi_sign
-        * chart.collar_scale
-        * float(chart.profile.nu_N(r))
-    )
+    return chart.normal_dir * chart.psi_scale * float(chart.profile.nu_N(r))
 
 
 def _signed_mean_curvature(chart: Chart, r: float) -> float:
@@ -349,7 +349,7 @@ class MatchReport:
 
 def _side_values(chart: Chart, r: float) -> dict:
     profile = chart.profile
-    psi = chart.psi_sign * chart.collar_scale * float(profile.N(r))
+    psi = chart.psi_scale * float(profile.N(r))
     nu_psi = _collar_normal_derivative(chart, r)
     area_radius = float(profile.Rareal(r))
     h = _signed_mean_curvature(chart, r)
@@ -404,16 +404,25 @@ def guarded_chart_samples(chart: Chart, n: int) -> np.ndarray:
     return np.linspace(lo_eff, hi_eff, n)
 
 
-def _worst_sample(vals, chart_ids, rs) -> tuple[float, tuple[str, float]]:
-    """Largest per-sample value and where it is, over charts scanned in order.
+def _samples_per_chart(charts, n_samples: int, floor: int) -> int:
+    """Even split of ``n_samples`` over ``charts``, at least ``floor`` each."""
+    return max(floor, n_samples // max(1, len(charts)))
 
-    ``np.argmax`` picks the first NaN if there is one, so a non-finite
-    sample surfaces as the certificate instead of being skipped.
+
+def _worst_sample(scans) -> tuple[float, tuple[str, float], int]:
+    """Worst sample of a whole-manifold certificate.
+
+    ``scans`` gives one (chart id, radii, values) triple per chart, in
+    traversal order.  Returns the largest value, where it is as (chart id,
+    r), and the number of samples.  ``np.argmax`` picks the first NaN if
+    there is one, so a non-finite sample surfaces as the certificate
+    instead of being skipped.
     """
+    chart_ids, radii, vals = zip(*scans)
     vals = np.concatenate(vals)
     i = int(np.argmax(vals))
-    ids = np.repeat(chart_ids, [len(r) for r in rs])
-    return float(vals[i]), (str(ids[i]), float(np.concatenate(rs)[i]))
+    ids = np.repeat(chart_ids, [len(r) for r in radii])
+    return float(vals[i]), (str(ids[i]), float(np.concatenate(radii)[i])), len(vals)
 
 
 @dataclass(frozen=True)
@@ -433,21 +442,19 @@ def psi_bound_check(manifold: PiecewiseManifold, n_samples: int = 10000) -> PsiB
     each must itself be below 1.  A non-finite sample is reported as the
     maximum and fails the bound.
     """
-    per = max(16, n_samples // max(1, len(manifold.charts)))
-    chart_ids, vals, radii = [], [], []
-    for chart in manifold.charts:
+    per = _samples_per_chart(manifold.charts, n_samples, 16)
+
+    def scan(chart):
         lo, hi = chart.profile.r_lo, chart.profile.r_hi
         if chart.profile.degenerate_lo:
             lo = np.nextafter(lo, hi)
         if chart.profile.degenerate_hi:
             hi = np.nextafter(hi, lo)
         rs = np.linspace(lo, hi, per)
-        chart_ids.append(chart.chart_id)
-        vals.append(
-            np.abs(chart.collar_scale * np.asarray(chart.profile.N(rs), dtype=float))
-        )
-        radii.append(rs)
-    worst, arg = _worst_sample(vals, chart_ids, radii)
+        psi = chart.collar_scale * np.asarray(chart.profile.N(rs), dtype=float)
+        return chart.chart_id, rs, np.abs(psi)
+
+    worst, arg, count = _worst_sample(map(scan, manifold.charts))
     boundary = {}
     for g in manifold.gluings:
         if g.kind == "photon_sphere":
@@ -460,7 +467,7 @@ def psi_bound_check(manifold: PiecewiseManifold, n_samples: int = 10000) -> PsiB
         argmax=arg,
         strict_bound=worst < 1.0,
         boundary_lapse=boundary,
-        n_samples=per * len(manifold.charts),
+        n_samples=count,
     )
 
 
@@ -470,11 +477,13 @@ def psi_harmonicity_max(manifold: PiecewiseManifold, n_per_chart: int = 128) -> 
     psi restricted to a chart is a constant multiple of that chart's lapse,
     so its Laplacian is the same multiple of the lapse Laplacian already
     certified by the curvature layer.  Each chart is evaluated as one
-    array; a non-finite sample is reported as the maximum.
+    array; the worst sample is taken by :func:`_worst_sample`, so a
+    non-finite sample is reported as the maximum.
     """
-    worst = []
-    for chart in manifold.charts:
+
+    def scan(chart):
         rs = guarded_chart_samples(chart, n_per_chart)
         lap = curvature_at(chart.profile, rs).lap_N
-        worst.append(np.max(np.abs(chart.collar_scale * lap)))
-    return float(np.max(worst))
+        return chart.chart_id, rs, np.abs(chart.collar_scale * lap)
+
+    return _worst_sample(map(scan, manifold.charts))[0]

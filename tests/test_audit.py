@@ -4,6 +4,7 @@ monotonicity of H/N, and positivity gates."""
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from photonlab.audit import (
 )
 from photonlab.curvature import surface_geometry
 from photonlab.radial import (
+    CompositeProfile,
     DomainError,
     RadialFunction,
     make_composite_star,
@@ -161,6 +163,65 @@ def test_monotonicity_refuses_radii_outside_a_composite():
     star = make_composite_star(1.0, 2.5)
     with pytest.raises(DomainError):
         monotonicity_scan(star, 1.0, 101.0)
+
+
+def test_monotonicity_refuses_radii_outside_a_closed_form_domain():
+    # below r = 2 the lapse is the root of a negative number: the scan must
+    # refuse the range, not sample it with numpy's warning
+    ext = make_schwarzschild_family(1.0, 3.0, 100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="outside profile domain"):
+            monotonicity_scan(ext, 1.0, 200.0)
+
+
+def test_monotonicity_refuses_radii_outside_a_table():
+    # past the last node the end cubic extrapolates (H/N would read 0.005314
+    # at r = 400 against 2/r = 0.005) and the scan would still pass
+    src = make_schwarzschild_family(1.0, 3.0, 100.0)
+    r = np.geomspace(3.0, 100.0, 400)
+    tab = make_tabulated(r, src.N(r), src.A(r), src.Rareal(r))
+    with pytest.raises(DomainError, match="outside profile domain"):
+        monotonicity_scan(tab, 50.0, 400.0)
+
+
+def _flow_parameter_per_evaluation(profile, r_values):
+    """Arclength as the scan integrated it before picking the piece once per
+    segment: every evaluation of the integrand looks its piece up."""
+    from scipy.integrate import quad
+
+    cuts = list(getattr(profile, "breakpoints", ()))
+
+    def a_of(r):
+        if isinstance(profile, CompositeProfile):
+            return float(profile.piece_at(r).A(r))
+        return float(profile.A(r))
+
+    out = np.zeros(len(r_values))
+    for i in range(1, len(r_values)):
+        lo, hi = r_values[i - 1], r_values[i]
+        pts = [lo] + [c for c in cuts if lo < c < hi] + [hi]
+        total = 0.0
+        for a, b in zip(pts[:-1], pts[1:]):
+            val, _ = quad(a_of, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)
+            total += val
+        out[i] = out[i - 1] + total
+    return out
+
+
+@pytest.mark.parametrize(
+    "profile, lo, hi",
+    [
+        (make_composite_star(1.0, 2.5), 0.5, 100.0),
+        (make_composite_star(1.0, 2.5), 2.5, 100.0),
+        (make_schwarzschild_family(1.0, 3.0, 100.0), 3.0, 100.0),
+    ],
+    ids=["star", "star_exterior", "exterior"],
+)
+def test_flow_parameter_matches_a_per_evaluation_piece_lookup(profile, lo, hi):
+    scan = monotonicity_scan(profile, lo, hi, n=128)
+    ref = _flow_parameter_per_evaluation(profile, scan.r)
+    assert scan.flow_parameter.tobytes() == ref.tobytes()
 
 
 def test_mass_routes_share_one_formula(wide_m1):

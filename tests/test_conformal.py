@@ -23,7 +23,7 @@ from photonlab.conformal import (
     richardson_limit,
 )
 from photonlab.curvature import CurvatureSample, fd_curvature_oracle
-from photonlab.gluing import Chart, PiecewiseManifold, double, glue_neck
+from photonlab.gluing import Chart, PiecewiseManifold, collar_function, double, glue_neck
 from photonlab.pipeline import FLAT_TOL
 from photonlab.radial import (
     DomainError,
@@ -85,6 +85,27 @@ def test_factor_reflection_complement(conformal_m1, rng):
     u = np.asarray(conformal_m1.chart("exterior").u(rs), dtype=float)
     u_m = np.asarray(conformal_m1.chart("exterior_reflected").u(rs), dtype=float)
     assert np.max(np.abs(u + u_m - 1.0)) <= 1e-15
+
+
+def test_factor_of_a_replaced_lapse_is_the_straight_form(doubled_m1):
+    # the cancellation-free u rests on N^2 = 1 - 2m/r, the closed-form
+    # lapse's own identity; with N replaced by 1.01 N it no longer holds,
+    # so the reflected exterior's u must be (1 + psi)/2 as written
+    def scaled(f):
+        return RadialFunction(*(lambda r, nu=nu: 1.01 * f(r, nu) for nu in range(3)))
+
+    charts = tuple(
+        dataclasses.replace(c, profile=dataclasses.replace(c.profile, N=scaled(c.profile.N)))
+        if c.chart_id == "exterior_reflected" else c
+        for c in doubled_m1.charts
+    )
+    cc = conformal_transform(dataclasses.replace(doubled_m1, charts=charts)).chart(
+        "exterior_reflected"
+    )
+    rs = np.array([3.5, 10.0, 50.0, 99.0])
+    psi = collar_function(cc.base)
+    np.testing.assert_array_equal(cc.u(rs), 0.5 * psi(rs) + 0.5)
+    assert float(cc.u(50.0)) == 0.5 * float(psi(50.0)) + 0.5
 
 
 def test_hat_metric_is_u4_rescaling(conformal_m1):

@@ -144,13 +144,19 @@ def _values_only(f: RadialFunction) -> RadialFunction:
     return RadialFunction(lambda r: f(r), no_derivative, no_derivative)
 
 
-def _blind(profile):
+def _per_channel(profile, copy=lambda f: RadialFunction(*f._d)):
+    """The profile with each channel replaced by ``copy`` of it, so that it
+    holds no fused read; by default a copy that keeps its derivatives."""
     return dataclasses.replace(
         profile,
-        N=_values_only(profile.N),
-        A=_values_only(profile.A),
-        Rareal=_values_only(profile.Rareal),
+        N=copy(profile.N),
+        A=copy(profile.A),
+        Rareal=copy(profile.Rareal),
     )
+
+
+def _blind(profile):
+    return _per_channel(profile, _values_only)
 
 
 def _presentation(chart_id: str, present):
@@ -190,8 +196,12 @@ def test_oracle_reads_metric_values_only(case):
     # with every derivative slot raising, both the array pass and the
     # scalar call still run, and give what the unwrapped profile gives.
     # The conformal presentations are rebuilt from blinded chart profiles,
-    # so their own value path may not form a derivative either.
-    profile = _PRESENTATIONS[case](lambda p: p)
+    # so their own value path may not form a derivative either.  The
+    # reference is built from per-channel copies that keep their
+    # derivatives: a blinded N is no longer the closed-form lapse, so the
+    # conformal factor of a reflected chart takes its straight form, and
+    # the reference must take the same one.
+    profile = _PRESENTATIONS[case](_per_channel)
     blind = _PRESENTATIONS[case](_blind)
     lo, hi = profile.interior_window(pad=0.05)
     rs = np.linspace(lo + 0.01, hi - 0.01, 9)

@@ -10,8 +10,9 @@ and the fluid interior — the digest covers:
   longdouble radii, as arrays and (float64) per radius;
 * on the ``cc.hat`` charts, the conformal factor ``cc.u(r, nu)``.
 
-The inverted presentation's A and Rareal are the two functions
-:func:`inverted_end_functions` returns, so they are covered by its case.
+The inverted presentation's A and Rareal are the two functions that
+``compactification_check`` and ``conformal_end_mass_estimate`` read, so
+they are covered by its case.
 A change to how derivatives are formed that moves any bit of any of
 these values shows here.
 
