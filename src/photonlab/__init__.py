@@ -31,9 +31,7 @@ from .audit import (
     IdentityReport,
     audit_sphere,
     component_mass,
-    component_mass_quadrature,
     monotonicity_scan,
-    positivity_check,
 )
 from .conformal import (
     CompactificationReport,

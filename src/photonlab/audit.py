@@ -24,10 +24,8 @@ __all__ = [
     "IdentityReport",
     "audit_sphere",
     "component_mass",
-    "component_mass_quadrature",
     "MonotonicityScan",
     "monotonicity_scan",
-    "positivity_check",
 ]
 
 SQRT3 = math.sqrt(3.0)
@@ -68,9 +66,15 @@ class IdentityReport:
     sigma_scalar: float
 
     def worst_residual(self) -> tuple[str, float]:
-        """Name and signed value of the residual largest in magnitude;
-        ties go to the first of :data:`RESIDUAL_FIELDS`."""
-        name = max(RESIDUAL_FIELDS, key=lambda f: abs(getattr(self, f)))
+        """Name and signed value of the residual largest in magnitude: the
+        first NaN if there is one, else the first largest, in the order of
+        :data:`RESIDUAL_FIELDS`."""
+
+        def rank(field):
+            size = abs(getattr(self, field))
+            return size != size, size  # builtin max alone never picks a NaN
+
+        name = max(RESIDUAL_FIELDS, key=rank)
         return name, getattr(self, name)
 
     def max_residual(self) -> float:
@@ -107,25 +111,9 @@ def audit_sphere(profile: RadialProfile, r0: float) -> IdentityReport:
 
 def component_mass(profile: RadialProfile, r0: float) -> float:
     """Mass seen by the sphere r0: the audit's ``mass_i``, area_radius^2 *
-    nu(N) (closed form)."""
+    nu(N).  On a round sphere this is the flux (1/4 pi) * surface integral
+    of nu(N) exactly, so no quadrature is needed."""
     return audit_sphere(profile, r0).mass_i
-
-
-def component_mass_quadrature(
-    profile: RadialProfile, r0: float, panels: int = 4096
-) -> float:
-    """Mass from the flux integral (1/4 pi) * surface integral of nu(N).
-
-    A genuine midpoint-rule quadrature over the polar angle; on exactly
-    round data it reproduces :func:`component_mass` up to the midpoint
-    error of integrating sin(theta), which tabulated/noisy profiles then
-    inherit honestly.
-    """
-    theta = (np.arange(panels) + 0.5) * (np.pi / panels)
-    # integrand nu(N) * Rareal^2 sin(theta); azimuthal factor 2 pi exact
-    mass = component_mass(profile, r0)
-    flux = 2.0 * np.pi * np.sum(mass * np.sin(theta)) * (np.pi / panels)
-    return float(flux / (4.0 * np.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -210,25 +198,3 @@ def monotonicity_scan(
         nonincreasing=worst == 0.0,
     )
 
-
-def positivity_check(subject, r0: float | None = None) -> dict:
-    """Sanity gates that exclude degenerate alternatives.
-
-    * mean curvature strictly positive (no minimal photon sphere);
-    * induced scalar curvature strictly positive (spherical topology,
-      rather than the flat-torus alternative a nonpositive value would
-      permit).
-
-    Accepts either an :class:`IdentityReport` or ``(profile, r0)``.
-    """
-    if isinstance(subject, IdentityReport):
-        report = subject
-    else:
-        if r0 is None:
-            raise DomainError("positivity_check needs a radius with a profile")
-        report = audit_sphere(subject, r0)
-    return {
-        "H_positive": report.H_positive,
-        "sigma_scalar_positive": report.sigma_scalar > 0.0,
-        "pass": report.H_positive and report.sigma_scalar > 0.0,
-    }

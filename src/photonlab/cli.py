@@ -49,7 +49,14 @@ import numpy as np
 from .audit import audit_sphere
 from .curvature import VACUUM_FIELDS, vacuum_residual_scan
 from .geodesics import photon_sphere_search
-from .gluing import MATCH_FIELDS, MATCH_TOL, GluingRefusal, glue_neck, match_report
+from .gluing import (
+    MATCH_FIELDS,
+    MATCH_TOL,
+    GluingRefusal,
+    glue_neck,
+    largest_jump,
+    match_report,
+)
 from .pipeline import run_rigidity_pipeline
 from .radial import (
     BuchdahlError,
@@ -246,7 +253,7 @@ def cmd_glue(cfg: dict) -> int:
     profile = _build_profile(cfg)
     manifold = glue_neck(profile, profile.r_lo, match_tol=cfg["tol"])
     reports = [match_report(manifold, g.surface_id) for g in manifold.gluings]
-    worst = max(rep.max_jump for rep in reports)
+    worst = largest_jump(reports)
     ok = worst <= cfg["tol"]
     report = {
         "config": _echo(cfg),

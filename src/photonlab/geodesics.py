@@ -30,7 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radial import DomainError, ProfileKind, RadialFunction, RadialProfile
+from .radial import (
+    DomainError,
+    ProfileKind,
+    RadialFunction,
+    RadialProfile,
+    _require_finite,
+)
 
 __all__ = [
     "fermat_profile",
@@ -333,12 +339,6 @@ def _observables(lam, r, phi, td, rd, pd, n, a, rr):
     )
 
 
-def _require_launch(E, L) -> None:
-    for name, value in (("E", E), ("L", L)):
-        if value is not None and not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
-
-
 def tangential_launch(
     profile: RadialProfile, r0: float, E: float = 1.0, L: float | None = None
 ):
@@ -348,7 +348,7 @@ def tangential_launch(
     (the tangency condition); passing it explicitly lets callers reproduce
     book values exactly.  ``E`` and ``L`` must be finite.
     """
-    _require_launch(E, L)
+    _require_finite(E=E, L=L)
     profile.ensure_evaluable(r0, open_interior=True)
     n, _, _, _, rr, _ = profile._read().slopes(r0)
     if L is None:
@@ -365,7 +365,7 @@ def launch_with_momenta(
 
     ``E`` and ``L`` must be finite.
     """
-    _require_launch(E, L)
+    _require_finite(E=E, L=L)
     profile.ensure_evaluable(r0, open_interior=True)
     n, _, a, _, rr, _ = profile._read().slopes(r0)
     rd_sq = ((E / n) ** 2 - (L / rr) ** 2) / (a * a)

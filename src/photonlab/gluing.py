@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .audit import IdentityReport, audit_sphere
-from .curvature import curvature_at
+from .curvature import _max_or_nan, curvature_at
 from .radial import (
     DomainError,
     RadialFunction,
@@ -42,6 +42,7 @@ __all__ = [
     "neck_parameters",
     "glue_neck",
     "match_report",
+    "largest_jump",
     "double",
     "PsiBoundReport",
     "psi_bound_check",
@@ -208,7 +209,7 @@ def _glue_audited(
 ) -> PiecewiseManifold:
     """:func:`glue_neck` on the exterior's audit ``report`` at r0."""
     worst, value = report.worst_residual()
-    if abs(value) > match_tol:
+    if not abs(value) <= match_tol:  # a NaN residual is refused too
         raise GluingRefusal(
             f"not a photon sphere at r0={r0}: {worst} = {value:.3e} "
             f"exceeds match_tol = {match_tol:.1e}",
@@ -344,7 +345,12 @@ class MatchReport:
 
     @property
     def max_jump(self) -> float:
-        return max(abs(v) for v in self.jumps.values())
+        return _max_or_nan([abs(v) for v in self.jumps.values()])
+
+
+def largest_jump(reports) -> float:
+    """Largest ``max_jump`` over match reports; NaN if any jump is NaN."""
+    return _max_or_nan([rep.max_jump for rep in reports])
 
 
 def _side_values(chart: Chart, r: float) -> dict:

@@ -38,6 +38,7 @@ from .gluing import (
     PsiBoundReport,
     _glue_audited,
     double,
+    largest_jump,
     match_report,
     psi_bound_check,
     psi_harmonicity_max,
@@ -63,9 +64,10 @@ VERDICT_NOT_RIGID = "not_rigid"
 class PipelineReport:
     """Everything the rigidity run measured, plus the verdict.
 
-    ``reconstructed_mass`` is the neck mass parameter mu_1; it equals the
-    boundary component mass whenever the gluing audit passed.  The verdict
-    is rigid exactly when ``flatness_max_curvature`` <= ``flat_tol``, every
+    ``reconstructed_mass`` is the neck mass parameter mu_1, one third of
+    the boundary audit's area radius; :func:`reconstruct_schwarzschild`
+    checks it against the component mass.  The verdict is rigid exactly
+    when ``flatness_max_curvature`` <= ``flat_tol``, every
     match jump <= ``match_tol``, ``psi_bound.strict_bound``,
     ``compactification.converged``,
     |``adm_exterior["mass"]`` / mass_i - 1| <= ``mass_tol``,
@@ -93,7 +95,7 @@ class PipelineReport:
 
     @property
     def max_match_jump(self) -> float:
-        return max(r.max_jump for r in self.match_reports)
+        return largest_jump(self.match_reports)
 
     @property
     def psi_bound_ok(self) -> bool:
@@ -138,7 +140,7 @@ def run_rigidity_pipeline(
     flat = flatness_check(conformal, n_samples=n_samples)
 
     mu_1 = float(doubled.chart("neck").profile.mass)
-    worst_jump = max(m.max_jump for m in matches)
+    worst_jump = largest_jump(matches)
     fields = dict(
         boundary_audit=boundary_audit,
         match_reports=matches,
@@ -191,9 +193,16 @@ def reconstruct_schwarzschild(report: PipelineReport) -> tuple[float, float, flo
 
     Only a rigid verdict licenses reconstruction.  The returned triple is
     (m, 3m, 1/(sqrt(3) m)); each entry is cross-checked against the
-    independent boundary-audit values (component mass, audited area
+    boundary-audit values (component mass, audited area
     radius, audited spacetime mean curvature) to 1e-10 and the call fails
     loudly on disagreement.
+
+    Two of the four gaps are not independent.  m is the neck's mass
+    parameter, which :func:`neck_parameters` sets to area_radius / 3, so on
+    a report the pipeline produced ``r_photon - area_radius`` is within one
+    ulp by construction.  ``spacetime_h - spacetime_H`` is ``mass -
+    mass_from_H`` weighted by 1/(sqrt(3) m m_H).  ``mass - mass_i`` is not
+    an identity: on the m = 1 exterior from r0 = 3(1 + 1e-9) it is 1.0e-9.
     """
     if report.verdict != VERDICT_RIGID:
         raise DomainError(

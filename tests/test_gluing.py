@@ -12,11 +12,13 @@ import pytest
 from photonlab.gluing import (
     MATCH_FIELDS,
     GluingRefusal,
+    MatchReport,
     PiecewiseManifold,
     collar_function,
     double,
     glue_neck,
     guarded_chart_samples,
+    largest_jump,
     match_report,
     psi_bound_check,
     psi_harmonicity_max,
@@ -80,6 +82,22 @@ def test_glue_refuses_non_photon_sphere_boundary():
     assert "res_rH" in str(err.value)
 
 
+def test_glue_refuses_a_nan_residual():
+    # N' is NaN at the sphere, so res_NH and mass_i are NaN while res_rH
+    # reads 4.4e-16: the neck must not be built with a NaN collar scale
+    base = make_schwarzschild_family(1.0, 3.0, 100.0)
+    n = base.N
+
+    def slope(r):
+        return np.where(r < 3.01, np.nan, n(r, 1))
+
+    profile = replace(base, N=RadialFunction(lambda r: n(r), slope, lambda r: n(r, 2)))
+    with pytest.raises(GluingRefusal) as err:
+        glue_neck(profile, 3.0)
+    assert err.value.failing == "res_NH"
+    assert math.isnan(err.value.value)
+
+
 # ---------------------------------------------------------------------------
 # Match reports
 # ---------------------------------------------------------------------------
@@ -92,6 +110,16 @@ def test_match_at_photon_sphere_is_exact(glued_m1):
     assert abs(rep.left["psi"] - INV_SQRT3) <= 1e-15
     assert abs(rep.left["nu_psi"] - 1.0 / 9.0) <= 1e-16
     assert rep.left["area_radius"] == 3.0
+
+
+@pytest.mark.parametrize("field", ["psi", "nu_psi", "area_radius"])
+def test_max_jump_is_nan_when_any_jump_is(field):
+    jumps = {"psi": 1e-17, "nu_psi": 0.0, "area_radius": 0.0, field: math.nan}
+    rep = MatchReport("s", "photon_sphere", {}, {}, jumps)
+    assert math.isnan(rep.max_jump)
+    finite = MatchReport("t", "photon_sphere", {}, {}, {"psi": 2e-17})
+    assert math.isnan(largest_jump([finite, rep]))
+    assert largest_jump([finite, replace(rep, jumps={"psi": -1e-17})]) == 2e-17
 
 
 def test_match_detects_wrong_neck_mass():

@@ -99,6 +99,15 @@ def test_reconstruction_scales(mass):
     assert abs(lapse - 1.0 / (math.sqrt(3.0) * mass)) <= 1e-10
 
 
+@pytest.mark.parametrize("field", ["mass_i", "mass_from_H", "area_radius", "spacetime_H"])
+def test_reconstruction_checks_each_audit_value(pipeline_m1, field):
+    # each cross-check fires on its own: shift one audited value by 1e-9
+    audit = pipeline_m1.boundary_audit
+    shifted = replace(audit, **{field: getattr(audit, field) + 1e-9})
+    with pytest.raises(DomainError, match="disagree with the boundary audit"):
+        reconstruct_schwarzschild(replace(pipeline_m1, boundary_audit=shifted))
+
+
 def test_reconstruction_requires_rigid_verdict(pipeline_m1):
     demoted = replace(pipeline_m1, verdict=VERDICT_NOT_RIGID)
     with pytest.raises(DomainError):
