@@ -48,7 +48,7 @@ from .radial import (
     RadialProfile,
     _Read,
     _Schwarzschild,
-    _pulled_back,
+    _profile,
 )
 
 __all__ = [
@@ -110,24 +110,20 @@ def _conformal_factor(chart: Chart) -> RadialFunction:
     u = ((1 - s^2) + 2 m s^2 / r) / (2 (1 + s N)), whose numerator has no
     cancellation for collar scales s <= 1.  The identity N^2 = 1 - 2m/r
     behind it is the closed-form lapse's own, so that form is used only
-    while the chart's N is the closed-form Schwarzschild lapse (its fused
-    read, which gives m), with negative collar sign; a replaced N takes the
-    straight expression, whatever its kind or mass.
+    while the chart's N is the lapse of the profile's closed-form
+    Schwarzschild read (which gives m), with negative collar sign; a
+    replaced N takes the straight expression, whatever its kind or mass.
     """
-    s_signed, n = chart.psi_scale, chart.profile.N
-    if s_signed < 0.0 and isinstance(n._fused, _Schwarzschild) and abs(s_signed) <= 1.0:
+    s_signed, n, read = chart.psi_scale, chart.profile.N, chart.profile.fused
+    closed_form = isinstance(read, _Schwarzschild) and read.N is n
+    if s_signed < 0.0 and closed_form and abs(s_signed) <= 1.0:
         s2, inv = s_signed * s_signed, _reciprocal_coordinate()
-        c_num = 2.0 * float(n._fused.m) * s2
+        c_num = 2.0 * float(read.m) * s2
         return RadialFunction.expression(
             lambda r: (c_num * inv(r) + (1.0 - s2)) / (2.0 * (-s_signed * n(r) + 1.0))
         )
     psi = collar_function(chart)
     return RadialFunction.expression(lambda r: 0.5 * psi(r) + 0.5)
-
-
-# The stand-in lapse of the fused reads of every rescaled presentation,
-# whose own lapse is the constant 1.
-_UNIT = RadialFunction.constant(1.0)
 
 
 class _Rescaled(_Read):
@@ -144,7 +140,7 @@ class _Rescaled(_Read):
 
     def __init__(self, factor, a_of, rareal_of):
         super().__init__(
-            _UNIT,
+            RadialFunction.constant(1.0),
             RadialFunction.expression(lambda r: a_of(factor(r), r)),
             RadialFunction.expression(lambda r: rareal_of(factor(r), r)),
         )
@@ -160,14 +156,6 @@ class _Rescaled(_Read):
         return self.N.jet(r), self.a_of(c, seed), self.rareal_of(c, seed)
 
 
-def _rescaled_profile(factor, a_of, rareal_of, **fields) -> RadialProfile:
-    """A profile with unit lapse whose A and Rareal are read by :class:`_Rescaled`."""
-    read = _Rescaled(factor, a_of, rareal_of)
-    lapse = RadialFunction.constant(1.0)
-    lapse._fused = read
-    return RadialProfile(N=lapse, A=read.A, Rareal=read.Rareal, **fields)
-
-
 def _conformal_chart(chart: Chart, perturbation=None) -> ConformalChart:
     u = factor = _conformal_factor(chart)
     if perturbation is not None:
@@ -178,10 +166,8 @@ def _conformal_chart(chart: Chart, perturbation=None) -> ConformalChart:
         uu = u(r)
         return uu * uu
 
-    hat = _rescaled_profile(
-        u2,
-        lambda c, r: c * a(r),
-        lambda c, r: c * rareal(r),
+    hat = _profile(
+        _Rescaled(u2, lambda c, r: c * a(r), lambda c, r: c * rareal(r)),
         kind=ProfileKind.COMPOSITE_REFERENCE,
         r_lo=chart.profile.r_lo,
         r_hi=chart.profile.r_hi,
@@ -271,10 +257,8 @@ def _neck_isotropic_profile(cc: ConformalChart) -> tuple[RadialProfile, RadialFu
     def rho_of_r(r: float) -> float:
         return 0.5 * (r - mu + math.sqrt(r * (r - 2.0 * mu)))
 
-    profile = _rescaled_profile(
-        conf2,
-        lambda c, rho: c,
-        lambda c, rho: c * rho,
+    profile = _profile(
+        _Rescaled(conf2, lambda c, rho: c, lambda c, rho: c * rho),
         kind=ProfileKind.COMPOSITE_REFERENCE,
         r_lo=0.5 * mu,
         r_hi=rho_of_r(p.r_hi),
@@ -287,26 +271,17 @@ def _neck_isotropic_profile(cc: ConformalChart) -> tuple[RadialProfile, RadialFu
 class _Inverted(_Read):
     """Fused read of :func:`_inverted_profile`: the rescaled chart's own
     read at r = 1/x, pulled back to x, so a fused hat takes u once per
-    radius for values and jets."""
+    radius for the oracle's values."""
 
     __slots__ = ("hat",)
 
     def __init__(self, A, Rareal, hat: _Read):
-        super().__init__(_UNIT, A, Rareal)
+        super().__init__(RadialFunction.constant(1.0), A, Rareal)
         self.hat = hat
 
     def values(self, x):
         a, rareal = self.hat.values(1.0 / x)
         return _inverted_radial_factor(a, x), rareal
-
-    def jets(self, x) -> tuple[Jet, Jet, Jet]:
-        _, a, rareal = self.hat.jets(1.0 / x)
-        seed = Jet(x, 1.0, 0.0, seed=True)
-        return (
-            self.N.jet(x),
-            _inverted_radial_factor(_pulled_back(a, x), seed),
-            _pulled_back(rareal, x),
-        )
 
 
 def _inverted_profile(cc: ConformalChart) -> RadialProfile:
@@ -324,15 +299,11 @@ def _inverted_profile(cc: ConformalChart) -> RadialProfile:
     a_inv, r_x = cc.hat.A.compose_inverse(), cc.hat.Rareal.compose_inverse()
     a_x = RadialFunction.expression(lambda x: _inverted_radial_factor(a_inv(x), x))
     p = cc.base.profile
-    lapse = RadialFunction.constant(1.0)
-    lapse._fused = _Inverted(a_x, r_x, cc.hat._read())
-    return RadialProfile(
+    return _profile(
+        _Inverted(a_x, r_x, cc.hat._read()),
         kind=ProfileKind.COMPOSITE_REFERENCE,
         r_lo=1.0 / p.r_hi,
         r_hi=1.0 / p.r_lo,
-        N=lapse,
-        A=a_x,
-        Rareal=r_x,
         mass=p.mass,
         meta={"presentation": "inverted", "of_chart": cc.base.chart_id},
     )

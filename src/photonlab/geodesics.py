@@ -256,6 +256,7 @@ class GeodesicResult:
     states: list[NullGeodesicState]
     # "window" | "domain_exit_outer" | "domain_exit_inner" | "step_underflow"
     # | "step_limit" (the budget of _MAX_STEPS step attempts ran out)
+    # | "non_finite" (a stage radius came out NaN: the profile read was not finite)
     termination: str
     max_constraint: float
     E_drift: float
@@ -393,10 +394,12 @@ def integrate_null_geodesic(
     tolerance ``tol``; every accepted step records the state with its
     measured null-constraint violation.  Integration stops at the affine
     window ``lam_max``, on leaving the radial domain (outward or within
-    ``_INNER_MARGIN`` of the inner boundary, where horizons live), on
-    step-size underflow, or after ``_MAX_STEPS`` step attempts; the cause
-    is reported in ``termination`` rather than silently swallowed, beside
-    counts of right-hand-side evaluations and rejected step attempts.
+    ``_INNER_MARGIN`` of the inner boundary, where horizons live), at a
+    stage radius that stays NaN as the step shrinks (``non_finite``: the
+    profile read was not finite), on step-size underflow, or after
+    ``_MAX_STEPS`` step attempts; the cause is reported in ``termination``
+    rather than silently swallowed, beside counts of right-hand-side
+    evaluations and rejected step attempts.
     Steps run on Python floats.  ``lam_max`` and ``tol`` must be finite
     and positive, and ``y0`` = (t, r, phi, dt/dl, dr/dl, dphi/dl) finite,
     null and of nonzero energy E.
@@ -441,9 +444,12 @@ def integrate_null_geodesic(
         if left is not None:
             # terminate at the true edge, or retry a quarter of the step
             if h <= 1e-12 * max(1.0, lam):
-                termination = (
-                    "domain_exit_outer" if left >= hi else "domain_exit_inner"
-                )
+                if left >= hi:
+                    termination = "domain_exit_outer"
+                elif left <= lo:
+                    termination = "domain_exit_inner"
+                else:
+                    termination = "non_finite"
                 break
             rejected += 1
             h *= 0.25
@@ -602,7 +608,9 @@ def trapping_report(
     photon sphere sits at r0).  The budget is deliberately loose enough
     that integrator noise at tol = 1e-12 cannot fake an escape, yet tight
     against the exponential peel-off of off-sphere launches.  Windows and
-    budgets (and ``tol``) must be finite and positive.
+    budgets (and ``tol``) must be finite and positive.  A ray that met a
+    non-finite profile value (termination ``non_finite``) raises
+    :class:`DomainError` naming its last accepted radius.
     """
     scale = r0 / 3.0
     window = 50.0 * scale if affine_window is None else float(affine_window)
@@ -610,6 +618,11 @@ def trapping_report(
     y0 = tangential_launch(profile, r0, E=E)
     _require_positive(affine_window=window, trap_tol=budget)
     res = integrate_null_geodesic(profile, y0, window, tol=tol)
+    if res.termination == "non_finite":
+        raise DomainError(
+            "the ray met a non-finite profile value after its last accepted "
+            f"radius r = {res.states[-1].r!r}; no trapping verdict"
+        )
     dev = float(np.max(np.abs(res.radii - r0)))
     if res.termination == "domain_exit_inner":
         verdict = "fell_in"

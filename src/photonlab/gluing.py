@@ -72,7 +72,6 @@ class Chart:
     chart_id: str
     profile: RadialProfile
     orientation: str  # "outward" | "reflected"
-    psi_sign: int  # +1 | -1
     collar_scale: float  # 1 on original charts, 3 m_i / r_i on necks
     role: str  # "exterior" | "neck"
 
@@ -82,15 +81,15 @@ class Chart:
 
     @property
     def psi_scale(self) -> float:
-        """Signed collar factor: psi = psi_scale * N on this chart."""
-        return self.psi_sign * self.collar_scale
+        """Signed collar factor: psi = psi_scale * N on this chart, with
+        the sign of the orientation."""
+        return self.normal_dir * self.collar_scale
 
     def reflect(self) -> "Chart":
         return replace(
             self,
             chart_id=self.chart_id + "_reflected",
             orientation="reflected",
-            psi_sign=-self.psi_sign,
         )
 
 
@@ -232,7 +231,6 @@ def _glue_audited(
         chart_id="neck",
         profile=neck_profile,
         orientation="outward",
-        psi_sign=+1,
         collar_scale=params["collar_scale"],
         role="neck",
     )
@@ -243,7 +241,6 @@ def _glue_audited(
         chart_id="exterior",
         profile=ext_profile,
         orientation="outward",
-        psi_sign=+1,
         collar_scale=1.0,
         role="exterior",
     )

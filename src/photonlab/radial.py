@@ -113,7 +113,9 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "Jet") -> "Jet":
+    def __truediv__(self, other) -> "Jet":
+        if not isinstance(other, Jet):
+            return Jet(self.v / other, self.d1 / other, self.d2 / other)
         u, w = self, other
         return Jet(
             u.v / w.v,
@@ -134,20 +136,18 @@ class RadialFunction:
     derivative), written by hand.  An *expression*
     (:meth:`RadialFunction.expression`) is a plain ``f(r)`` in arithmetic
     over other radial functions: called on numbers or arrays it computes
-    values only, and :meth:`jet` carries all three orders in one pass.
-    Calling convention follows scipy's spline API: ``f(r, nu)`` returns
-    the ``nu``-th derivative; ``f(jet)`` composes by the chain rule.
-    The lapse of a closed-form, fluid or tabulated profile, or of a
-    rescaled presentation of the conformal double, also holds the fused
-    read of its construction (a :class:`_Read`); every other function holds
-    None there.
+    values only, and :meth:`jet` carries all three orders in one pass.  It
+    may combine radial functions and numbers with ``+``, ``*`` and ``/``
+    (a number may divide, not be divided); a difference is a sum with a
+    negative factor.  Calling convention follows scipy's spline API:
+    ``f(r, nu)`` returns the ``nu``-th derivative; ``f(jet)`` composes by
+    the chain rule.
     """
 
-    __slots__ = ("_d", "_fused")
+    __slots__ = ("_d",)
 
     def __init__(self, d0, d1, d2):
         self._d = (d0, d1, d2)
-        self._fused = None
 
     def __call__(self, r, nu: int = 0):
         if not isinstance(r, Jet):
@@ -231,13 +231,10 @@ class _Read:
     """N, A and Rareal of a profile, read together at a radius.
 
     This class reads each channel on its own.  A subclass is the *fused
-    read* of one construction: the construction's lapse holds it, and it
+    read* of one construction: the profile it builds holds it, and it
     reads all three channels once per radius (one square root, one knot
     search, one conformal factor) or takes a closed form where it can,
-    and reads through this class elsewhere.  It holds the A and Rareal
-    built with that lapse and, for N, a stand-in with the lapse's own
-    callables, so nothing it holds refers back to the lapse and a profile
-    is freed without waiting for the cycle collector.  Every read of
+    and reads through this class elsewhere.  Every read of
     ``slopes``, ``jets`` and ``values`` runs the operations of the
     per-channel reads in the same order, so they return the same bits;
     where a fused read answers on Python floats, its jets have float parts
@@ -300,6 +297,10 @@ class RadialProfile:
         :class:`EndpointDegeneracyError`.
     meta : dict
         Extra construction data (star radius, density, node arrays, ...).
+    fused : _Read or None
+        The fused read of the construction, filled in by each constructor
+        (see :func:`_profile`); a profile assembled by hand holds None and
+        reads each channel on its own.
     """
 
     kind: ProfileKind
@@ -312,6 +313,7 @@ class RadialProfile:
     degenerate_lo: bool = False
     degenerate_hi: bool = False
     meta: dict = field(default_factory=dict)
+    fused: _Read | None = field(default=None, repr=False, compare=False)
 
     # -- domain management --------------------------------------------
 
@@ -378,9 +380,10 @@ class RadialProfile:
     def _read(self) -> _Read:
         """The fused read built with this profile's N, A and Rareal, or,
         once any of them was replaced, a read of each channel on its own."""
-        read = self.N._fused
-        if read is not None and read.A is self.A and read.Rareal is self.Rareal:
-            return read
+        read = self.fused
+        if read is not None and read.N is self.N and read.A is self.A:
+            if read.Rareal is self.Rareal:
+                return read
         return _Read(self.N, self.A, self.Rareal)
 
     def nu_N(self, r):
@@ -399,6 +402,12 @@ class RadialProfile:
         give an exact 0 instead of a division by an infinite radial factor.
         """
         return self._read().sphere_mean_curvature(r)
+
+
+def _profile(read: _Read, **fields) -> RadialProfile:
+    """The profile of ``read``'s N, A and Rareal, holding ``read`` as its
+    fused read: the one way a construction attaches its read."""
+    return RadialProfile(N=read.N, A=read.A, Rareal=read.Rareal, fused=read, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +510,12 @@ class _Schwarzschild(_Read):
         )
 
 
-def _schwarzschild_functions(m):
-    """Lapse, radial factor A = 1/N and areal radius r of mass parameter m.
+def _schwarzschild_functions(m) -> _Schwarzschild:
+    """Fused read of the lapse, radial factor A = 1/N and areal radius r of
+    mass parameter m.
 
     Every channel derives from n = sqrt(1 - 2m/r); each leaf takes its own
-    n, and the fused read (:class:`_Schwarzschild`) one n per radius.
+    n, and the fused read one n per radius.
     """
 
     def n0(r):
@@ -524,9 +534,7 @@ def _schwarzschild_functions(m):
         n0, lambda r: _lapse_d1(m, r, n0(r)), lambda r: _lapse_d2(m, r, n0(r))
     )
     radial = RadialFunction(lambda r: 1.0 / n0(r), a1, a2)
-    areal = RadialFunction.coordinate()
-    lapse._fused = _Schwarzschild(RadialFunction(*lapse._d), radial, areal, m)
-    return lapse, radial, areal
+    return _Schwarzschild(lapse, radial, RadialFunction.coordinate(), m)
 
 
 def make_schwarzschild_family(
@@ -545,14 +553,11 @@ def make_schwarzschild_family(
         raise DomainError("require r_lo > 0")
     if mass > 0.0 and r_lo <= 2.0 * mass:
         raise DomainError("domain must stay outside the horizon r = 2m")
-    lapse, radial, areal = _schwarzschild_functions(mass)
-    return RadialProfile(
+    return _profile(
+        _schwarzschild_functions(mass),
         kind=ProfileKind.SCHWARZSCHILD_EXTERIOR,
         r_lo=float(r_lo),
         r_hi=float(r_hi),
-        N=lapse,
-        A=radial,
-        Rareal=areal,
         mass=float(mass),
     )
 
@@ -582,14 +587,11 @@ def make_schwarzschild_neck(mu: float, r_glue: float | None = None) -> RadialPro
     r_hi = 3.0 * mu if r_glue is None else float(r_glue)
     if not (r_hi > r_lo):
         raise DomainError("neck gluing radius must exceed the horizon radius")
-    lapse, radial, areal = _schwarzschild_functions(mu)
-    return RadialProfile(
+    return _profile(
+        _schwarzschild_functions(mu),
         kind=ProfileKind.SCHWARZSCHILD_NECK,
         r_lo=r_lo,
         r_hi=r_hi,
-        N=lapse,
-        A=radial,
-        Rareal=areal,
         mass=float(mu),
         degenerate_lo=True,
         meta={"mu": float(mu)},
@@ -670,17 +672,17 @@ def make_interior_fluid(mass: float, star_radius: float) -> RadialProfile:
         w = w0(r)
         return density * (w - f_b) / (3.0 * f_b - w)
 
-    lapse = RadialFunction(n0, n1, n2)
-    radial = RadialFunction(a0, a1, a2)
-    areal = RadialFunction.coordinate()
-    lapse._fused = _Fluid(RadialFunction(*lapse._d), radial, areal, k)
-    return RadialProfile(
+    read = _Fluid(
+        RadialFunction(n0, n1, n2),
+        RadialFunction(a0, a1, a2),
+        RadialFunction.coordinate(),
+        k,
+    )
+    return _profile(
+        read,
         kind=ProfileKind.INTERIOR_FLUID,
         r_lo=0.0,
         r_hi=float(star_radius),
-        N=lapse,
-        A=radial,
-        Rareal=areal,
         mass=float(mass),
         degenerate_lo=True,  # coordinate spheres collapse at the center
         meta={
@@ -785,8 +787,8 @@ class _Table(_Read):
 
     __slots__ = ("knots",)
 
-    def __init__(self, N, A, Rareal, knots: _Knots):
-        super().__init__(N, A, Rareal)
+    def __init__(self, knots: _Knots):
+        super().__init__(*(knots.channel(k) for k in range(3)))
         self.knots = knots
 
     def slopes(self, r):
@@ -808,17 +810,6 @@ class _Table(_Read):
             return tuple(_cubic_jet(c, s) for c in knots.records[i])
         with np.errstate(all="ignore"):
             return tuple(_cubic_jet(c[:, i], s) for c in knots.arrays)
-
-    def values(self, r):
-        """A and Rareal at a number or an array, located once."""
-        knots = self.knots
-        i, s = knots.locate(r)
-        if type(i) is int:
-            _, a, rr = knots.records[i]
-            return _cubic_value(a, s), _cubic_value(rr, s)
-        _, a, rr = knots.arrays
-        with np.errstate(all="ignore"):
-            return _cubic_value(a[:, i], s), _cubic_value(rr[:, i], s)
 
 
 def make_tabulated(r, N, A, Rareal) -> RadialProfile:
@@ -851,16 +842,11 @@ def make_tabulated(r, N, A, Rareal) -> RadialProfile:
     from scipy.interpolate import CubicSpline
 
     splines = [CubicSpline(r, v) for v in cols.values()]
-    knots = _Knots(splines[0].x, [spline.c for spline in splines])
-    n, a, rareal = (knots.channel(k) for k in range(3))
-    n._fused = _Table(RadialFunction(*n._d), a, rareal, knots)
-    return RadialProfile(
+    return _profile(
+        _Table(_Knots(splines[0].x, [spline.c for spline in splines])),
         kind=ProfileKind.TABULATED,
         r_lo=float(r[0]),
         r_hi=float(r[-1]),
-        N=n,
-        A=a,
-        Rareal=rareal,
         meta={
             "nodes": r.copy(),
             "values": {k: v.copy() for k, v in cols.items()},

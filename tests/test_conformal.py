@@ -42,8 +42,7 @@ def _flat_manifold(r_hi: float = 20.0) -> PiecewiseManifold:
     chart = Chart(
         chart_id="exterior",
         profile=flat,
-        orientation=1.0,
-        psi_sign=1.0,
+        orientation="outward",
         collar_scale=1.0,
         role="exterior",
     )
@@ -87,25 +86,46 @@ def test_factor_reflection_complement(conformal_m1, rng):
     assert np.max(np.abs(u + u_m - 1.0)) <= 1e-15
 
 
+def _reflected_with_scaled(doubled: PiecewiseManifold, channel: str):
+    """The rescaled reflected exterior once its ``channel`` is scaled by 1.01."""
+
+    def scaled(f):
+        return RadialFunction(*(lambda r, nu=nu: 1.01 * f(r, nu) for nu in range(3)))
+
+    def changed(c):
+        f = scaled(getattr(c.profile, channel))
+        return dataclasses.replace(c, profile=dataclasses.replace(c.profile, **{channel: f}))
+
+    charts = tuple(
+        changed(c) if c.chart_id == "exterior_reflected" else c for c in doubled.charts
+    )
+    return conformal_transform(dataclasses.replace(doubled, charts=charts)).chart(
+        "exterior_reflected"
+    )
+
+
 def test_factor_of_a_replaced_lapse_is_the_straight_form(doubled_m1):
     # the cancellation-free u rests on N^2 = 1 - 2m/r, the closed-form
     # lapse's own identity; with N replaced by 1.01 N it no longer holds,
     # so the reflected exterior's u must be (1 + psi)/2 as written
-    def scaled(f):
-        return RadialFunction(*(lambda r, nu=nu: 1.01 * f(r, nu) for nu in range(3)))
-
-    charts = tuple(
-        dataclasses.replace(c, profile=dataclasses.replace(c.profile, N=scaled(c.profile.N)))
-        if c.chart_id == "exterior_reflected" else c
-        for c in doubled_m1.charts
-    )
-    cc = conformal_transform(dataclasses.replace(doubled_m1, charts=charts)).chart(
-        "exterior_reflected"
-    )
+    cc = _reflected_with_scaled(doubled_m1, "N")
     rs = np.array([3.5, 10.0, 50.0, 99.0])
     psi = collar_function(cc.base)
     np.testing.assert_array_equal(cc.u(rs), 0.5 * psi(rs) + 0.5)
     assert float(cc.u(50.0)) == 0.5 * float(psi(50.0)) + 0.5
+
+
+def test_factor_of_a_replaced_radial_factor_keeps_the_closed_form(
+    doubled_m1, conformal_m1
+):
+    # u reads only N and the collar scale, so with A replaced the lapse is
+    # still the closed form's own and u keeps the cancellation-free form
+    cc = _reflected_with_scaled(doubled_m1, "A")
+    rs = np.array([3.5, 10.0, 50.0, 99.0])
+    want = conformal_m1.chart("exterior_reflected").u(rs)
+    np.testing.assert_array_equal(cc.u(rs), want)
+    psi = collar_function(cc.base)
+    assert not np.array_equal(want, 0.5 * psi(rs) + 0.5)
 
 
 def test_hat_metric_is_u4_rescaling(conformal_m1):

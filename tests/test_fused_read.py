@@ -1,17 +1,19 @@
 """One read of N, A and Rareal per radius against the per-channel reads.
 
 ``RadialProfile._read()`` is the fused read of a closed-form, fluid or
-tabulated profile, or of a rescaled presentation of the conformal double.
-Its ``slopes`` (values and first derivatives as floats, for the geodesic
-stepper), ``jets`` (for ``curvature_at``) and ``values`` (A and Rareal,
-for the finite-difference oracle) read all three channels once per
-radius.  They must return the same bits, of the same types, as reading
-each channel on its own, at knots, at and beyond both ends, at NaN and
-infinite radii, and where the closed form divides by zero or takes the
-root of a negative number; the closed form's jets at a Python-float
-radius may have float parts where the channels give numpy scalars.  A
-profile whose N, A or Rareal was replaced reads per channel again, and so
-do its normal derivative of the lapse and its sphere mean curvature.
+tabulated profile, or of a rescaled presentation of the conformal double,
+which the profile holds as ``fused``.  Its ``slopes`` (values and first
+derivatives as floats, for the geodesic stepper), ``jets`` (for
+``curvature_at``) and ``values`` (A and Rareal, for the finite-difference
+oracle) read all three channels once per radius, except a table's
+``values`` and the inverted end's ``jets``, which read per channel.  They
+must return the same bits, of the same types, as reading each channel on
+its own, at knots, at and beyond both ends, at NaN and infinite radii,
+and where the closed form divides by zero or takes the root of a negative
+number; the closed form's jets at a Python-float radius may have float
+parts where the channels give numpy scalars.  A profile whose N, A or Rareal was replaced reads per channel again, and so
+do its normal derivative of the lapse and its sphere mean curvature; so
+does a profile assembled by hand from another profile's channels.
 """
 
 from __future__ import annotations
@@ -192,7 +194,7 @@ def _assert_same_values(got, want):
 def test_fused_read_equals_per_channel_reads_on_floats(name):
     p = PROFILES[name]
     read = p._read()
-    assert read is p.N._fused is not None
+    assert read is p.fused is not None
     closed_form = isinstance(read, radial._Schwarzschild)
     for r in RADII[name]:
         for radius in (r, np.float64(r)):
@@ -290,9 +292,9 @@ _FLOAT_JET_CASES = [
 
 @pytest.mark.parametrize("m, r, floats", _FLOAT_JET_CASES)
 def test_closed_form_float_jets_equal_the_numpy_path(m, r, floats):
-    lapse, a, rareal = radial._schwarzschild_functions(m)
-    kind, got, got_warned = _outcome(lambda: lapse._fused.jets(r))
-    want_kind, want, want_warned = _outcome(lambda: (lapse.jet(r), a.jet(r), rareal.jet(r)))
+    read = radial._schwarzschild_functions(m)
+    kind, got, got_warned = _outcome(lambda: read.jets(r))
+    want_kind, want, want_warned = _outcome(lambda: _per_channel_jets(read, r))
     assert (got, got_warned) == (want, want_warned)
     if want_kind is not None:
         assert kind is (float if floats else want_kind)
@@ -354,14 +356,31 @@ def test_swapped_channels_read_per_channel(name):
 def test_restricted_profile_keeps_its_fused_read():
     for p in (EXTERIOR, TABLE, NECK):
         inner = p.restricted(p.r_lo + 0.1, p.r_hi - 0.1)
-        assert inner._read() is p._read() is p.N._fused
+        assert inner._read() is p._read() is p.fused
         r = 0.5 * (inner.r_lo + inner.r_hi)
         assert inner._read().slopes(r) == _per_channel_slopes(inner, r)
 
 
+@pytest.mark.parametrize("name", ["exterior", "neck", "table", "hat", "inverted"])
+def test_hand_assembled_profile_reads_per_channel(name):
+    # a bare RadialProfile(...) of another profile's own channels holds no
+    # fused read; a constructor, restricted and dataclasses.replace carry it
+    p = PROFILES[name]
+    fields = {f.name: getattr(p, f.name) for f in dataclasses.fields(p)}
+    del fields["fused"]
+    assembled = radial.RadialProfile(**fields)
+    assert assembled.fused is None and _reads_per_channel(assembled)
+    assert assembled == p  # the read takes no part in equality
+    assert dataclasses.replace(p, meta={})._read() is p.fused
+    r = 0.5 * (p.r_lo + p.r_hi)
+    assert assembled._read().slopes(r) == _per_channel_slopes(p, r)
+    _assert_same_jets(assembled._read().jets(r), _per_channel_jets(p, r))
+
+
 def test_dropped_profiles_leave_no_cyclic_garbage():
-    # a fused read holds a stand-in lapse, not the lapse that holds it, so
-    # profiles built in a loop are freed by reference counting alone
+    # a profile holds its fused read and the read holds the profile's
+    # functions, none of which refers back, so profiles built in a loop are
+    # freed by reference counting alone
     gc.collect()
     gc.disable()
     try:
@@ -381,7 +400,7 @@ def test_other_kinds_read_per_channel():
     # the fluid's read takes N'/A and the mean curvature in closed form and
     # each channel on its own; the optical profile has no fused read
     read = FLUID._read()
-    assert type(read) is radial._Fluid and read is FLUID.N._fused
+    assert type(read) is radial._Fluid and read is FLUID.fused
     for r in (0.5, 1.0, 2.5):
         assert read.slopes(r) == _per_channel_slopes(FLUID, r)
         _assert_same_jets(read.jets(r), _per_channel_jets(FLUID, r))
@@ -464,11 +483,6 @@ def test_one_rhs_takes_one_knot_search_on_a_table(monkeypatch):
     calls.clear()
     curvature_at(TABLE, np.linspace(3.0, 5.0, 9))
     assert len(calls) == 1
-    # the oracle's A and Rareal at its 7n stencil radii: one search, not two
-    for radii in (4.0, np.linspace(3.0, 5.0, 7 * 128)):
-        calls.clear()
-        TABLE._read().values(radii)
-        assert len(calls) == 1
 
 
 def _counted_presentations():

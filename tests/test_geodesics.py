@@ -3,8 +3,10 @@ trapping verdicts, and trajectory export."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from photonlab.geodesics import (
 )
 from photonlab.radial import (
     DomainError,
+    RadialFunction,
     make_composite_star,
     make_schwarzschild_family,
     make_tabulated,
@@ -300,6 +303,23 @@ def test_step_budget_ends_as_step_limit(wide_m1, monkeypatch):
     assert 1 < len(res.states) <= 6
     rep = trapping_report(wide_m1, 3.0)
     assert (rep.termination, rep.verdict) == ("step_limit", "escaped")
+
+
+def test_non_finite_profile_ends_as_non_finite_and_refuses_a_verdict(wide_m1):
+    # N is NaN on (3.1, 3.2); a ray launched tangentially at 1.01 * 3m moves
+    # outward into the window, which is neither an inner nor an outer exit
+    n = wide_m1.N
+
+    def order(nu):
+        return lambda r: np.where((r > 3.1) & (r < 3.2), np.nan, n(r, nu))
+
+    holed = dataclasses.replace(wide_m1, N=RadialFunction(order(0), order(1), order(2)))
+    res = integrate_null_geodesic(holed, tangential_launch(holed, 3.03), 50.0)
+    assert res.termination == "non_finite"
+    last = res.states[-1].r
+    assert 3.03 < last <= 3.1
+    with pytest.raises(DomainError, match=re.escape(f"r = {last!r}")):
+        trapping_report(holed, 3.03)
 
 
 def test_launch_with_momenta_is_null_and_directed(wide_m1):

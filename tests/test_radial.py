@@ -183,6 +183,19 @@ def test_expression_keeps_leaf_derivatives_at_the_coordinate():
     assert f(3.0, 2) == 2.0
 
 
+def test_expression_divided_by_a_number_has_derivatives():
+    x = RadialFunction.coordinate()
+    sq = RadialFunction(lambda r: r * r, lambda r: 2.0 * r, lambda r: 2.0 + 0 * r)
+    half = RadialFunction.expression(lambda r: x(r) / 2.0)
+    assert (half(3.0), half(3.0, 1), half(3.0, 2)) == (1.5, 0.5, 0.0)
+    quarter = RadialFunction.expression(lambda r: sq(r) / 4.0)  # r^2/4
+    rs = np.array([1.0, 3.0, 10.0])
+    np.testing.assert_array_equal(quarter(rs), [0.25, 2.25, 25.0])
+    np.testing.assert_array_equal(quarter(rs, 1), [0.5, 1.5, 5.0])
+    np.testing.assert_array_equal(quarter(rs, 2), [0.5, 0.5, 0.5])
+    assert (quarter(3.0), quarter(3.0, 1), quarter(3.0, 2)) == (2.25, 1.5, 0.5)
+
+
 def test_compose_inverse_substitutes_reciprocal():
     p = make_schwarzschild_family(1.0, 3.0, 100.0)
     g = p.N.compose_inverse()  # g(x) = N(1/x)
