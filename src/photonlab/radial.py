@@ -84,8 +84,9 @@ class Jet:
     Arithmetic propagates both derivatives term for term (univariate
     Taylor propagation; Griewank & Walther, *Evaluating Derivatives*, 2nd
     ed., SIAM 2008), so one pass of an expression yields all three orders.
-    A number operand is a constant.  The seed jet stands for the
-    coordinate itself.
+    A number operand is a constant.  The operators are ``+``, ``-``,
+    ``*``, ``/`` and unary ``-``, with a jet on either side; there is no
+    ``**``.  The seed jet stands for the coordinate itself.
     """
 
     __slots__ = ("v", "d1", "d2", "seed")
@@ -100,6 +101,17 @@ class Jet:
         return Jet(self.v + other, self.d1, self.d2)
 
     __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, Jet):
+            return Jet(self.v - other.v, self.d1 - other.d1, self.d2 - other.d2)
+        return Jet(self.v - other, self.d1, self.d2)
+
+    def __rsub__(self, other):
+        return Jet(other - self.v, -self.d1, -self.d2)
+
+    def __neg__(self):
+        return Jet(-self.v, -self.d1, -self.d2)
 
     def __mul__(self, other):
         if isinstance(other, Jet):
@@ -128,6 +140,14 @@ class Jet:
             ) / (w.v * w.v * w.v),
         )
 
+    def __rtruediv__(self, other) -> "Jet":
+        w = self
+        return Jet(
+            other / w.v,
+            -other * w.d1 / (w.v * w.v),
+            other * (2.0 * w.d1 * w.d1 - w.v * w.d2) / (w.v * w.v * w.v),
+        )
+
 
 class RadialFunction:
     """A scalar function of the radial coordinate with two derivatives.
@@ -137,9 +157,9 @@ class RadialFunction:
     (:meth:`RadialFunction.expression`) is a plain ``f(r)`` in arithmetic
     over other radial functions: called on numbers or arrays it computes
     values only, and :meth:`jet` carries all three orders in one pass.  It
-    may combine radial functions and numbers with ``+``, ``*`` and ``/``
-    (a number may divide, not be divided); a difference is a sum with a
-    negative factor.  Calling convention follows scipy's spline API:
+    may combine radial functions and numbers with ``+``, ``-``, ``*``,
+    ``/`` and unary ``-`` (the :class:`Jet` operators; not ``**``).
+    Calling convention follows scipy's spline API:
     ``f(r, nu)`` returns the ``nu``-th derivative; ``f(jet)`` composes by
     the chain rule.
     """
@@ -729,8 +749,10 @@ class _Knots:
     Each spline is a cubic in scipy's ``PPoly`` form: ``c[k, i]``
     multiplies ``(r - x[i])**(3 - k)`` on the half-open interval [x[i],
     x[i+1]); the last interval is closed, and radii outside [x[0], x[-1]]
-    extrapolate the end cubics.  Evaluation follows ``_ppoly.evaluate``, so
-    values match ``CubicSpline(x, y)(r, nu)`` bit for bit.  Every term but
+    extrapolate the end cubics.  The coefficients come from
+    :func:`_spline_coefficients`, equal to ``CubicSpline(x, y).c``, and
+    evaluation follows ``_ppoly.evaluate``, so values match
+    ``CubicSpline(x, y)(r, nu)`` bit for bit.  Every term but
     the first carries a power of s = r - x[i], so a NaN radius gives NaN
     without a test of its own.  Python floats are located by ``bisect``
     and read one record per interval, the coefficients of all three
@@ -812,15 +834,108 @@ class _Table(_Read):
             return tuple(_cubic_jet(c[:, i], s) for c in knots.arrays)
 
 
+def _not_a_knot_system(x, dx, slope):
+    """scipy's ``CubicSpline(x, y)`` system for the slopes s at the nodes.
+
+    Returns the sub-, main and super-diagonal and the right-hand side as
+    lists of floats, each entry formed by the operations scipy uses.  Row i
+    of the interior reads ``dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] +
+    dx[i-1] s[i+1] = 3 (dx[i] slope[i-1] + dx[i-1] slope[i])``, with
+    ``slope`` the secant slopes; the end rows are de Boor's not-a-knot
+    conditions (*A Practical Guide to Splines*, ch. IV): the third
+    derivative is continuous across x[1] and x[-2].
+    """
+    d, e = x[2] - x[0], x[-1] - x[-3]
+    b = np.empty_like(x)
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * e + dx[-1]) * dx[-2] * slope[-1]) / e
+    return (
+        dx[1:].tolist() + [float(e)],
+        [float(dx[1])] + (2 * (dx[:-1] + dx[1:])).tolist() + [float(dx[-2])],
+        [float(d)] + dx[:-1].tolist(),
+        b.tolist(),
+    )
+
+
+def _gtsv(dl, d, du, b):
+    """Solve a tridiagonal system in place; return the solution ``b``.
+
+    A line-by-line transcription of reference LAPACK ``dgtsv`` with one
+    right-hand side (Anderson et al., *LAPACK Users' Guide*, 3rd ed., SIAM
+    1999), the routine scipy's ``solve_banded`` calls for one band on each
+    side: Gaussian elimination with partial pivoting, a row interchange
+    whenever ``|d[i]| < |dl[i]|``, then back substitution through the
+    second superdiagonal that interchanges fill into ``dl``.  Same
+    operations in the same order, so it returns scipy's solution bit for
+    bit.  A zero pivot (LAPACK's ``INFO > 0``) raises :class:`DomainError`.
+    """
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            # no row interchange
+            if d[i] == 0.0:
+                raise DomainError(f"spline system is singular: zero pivot in row {i + 1}")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            # interchange rows i and i + 1; only rows above the last fill dl
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            temp = b[i]
+            b[i] = b[i + 1]
+            b[i + 1] = temp - fact * b[i + 1]
+    if d[n - 1] == 0.0:
+        raise DomainError(f"spline system is singular: zero pivot in row {n}")
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
+
+
+def _spline_coefficients(x, y, name: str) -> np.ndarray:
+    """``CubicSpline(x, y).c``: the not-a-knot spline through the nodes in
+    scipy's ``PPoly`` form, bit for bit.
+
+    The slopes at the nodes solve :func:`_not_a_knot_system` by
+    :func:`_gtsv`; the coefficients follow from them as in
+    ``CubicHermiteSpline.__init__``.  Non-finite slopes, which scipy
+    refuses, and any other non-finite coefficient raise a
+    :class:`DomainError` that names the channel.
+    """
+    dx = np.diff(x)
+    with np.errstate(all="ignore"):
+        slope = np.diff(y) / dx
+        s = np.array(_gtsv(*_not_a_knot_system(x, dx, slope)))
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+    if not np.all(np.isfinite(c)):
+        raise DomainError(f"tabulated channel {name} gives a non-finite spline")
+    return c
+
+
 def make_tabulated(r, N, A, Rareal) -> RadialProfile:
     """Profile interpolated from sampled nodes.
 
     Each channel becomes a not-a-knot cubic spline: nodes are reproduced
     exactly and the interpolant has continuous second derivatives, which is
-    the minimum smoothness the curvature formulas consume.  scipy solves
-    the spline coefficients; :class:`_Knots` evaluates them.
+    the minimum smoothness the curvature formulas consume.
+    :func:`_spline_coefficients` solves the coefficients, bit for bit those
+    of scipy's ``CubicSpline(r, values)``, without importing scipy;
+    :class:`_Knots` evaluates them.  A channel whose spline is not finite
+    (a secant slope that overflows, say) is refused with a
+    :class:`DomainError` that names it.
     """
-    r = np.asarray(r, dtype=float)
+    r = np.array(r, dtype=float)  # a copy: the knots keep it
     if r.ndim != 1 or r.size < 4:
         raise DomainError("tabulated profile needs at least 4 nodes")
     if not np.all(np.isfinite(r)):
@@ -839,11 +954,8 @@ def make_tabulated(r, N, A, Rareal) -> RadialProfile:
         raise DomainError("tabulated N and A must be positive on all nodes")
     if np.any(cols["Rareal"] <= 0.0):
         raise DomainError("tabulated areal radius must be positive")
-    from scipy.interpolate import CubicSpline
-
-    splines = [CubicSpline(r, v) for v in cols.values()]
     return _profile(
-        _Table(_Knots(splines[0].x, [spline.c for spline in splines])),
+        _Table(_Knots(r, [_spline_coefficients(r, v, k) for k, v in cols.items()])),
         kind=ProfileKind.TABULATED,
         r_lo=float(r[0]),
         r_hi=float(r[-1]),

@@ -1,11 +1,15 @@
-"""Cold start: importing the package and every closed-form verdict load numpy
-but not scipy, which only tabulated profiles and monotonicity scans need."""
+"""Cold start: importing the package, every closed-form verdict and every
+read of a tabulated profile load numpy but not scipy, which only
+monotonicity scans need."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
+
+import numpy as np
 
 import photonlab
 
@@ -30,9 +34,13 @@ wide = pl.make_schwarzschild_family(1.0, 2.1, 100.0)
 assert pl.audit_sphere(wide, root).max_residual() <= 1e-12
 print("closed-form", scipy_modules())
 
-r = np.geomspace(2.1, 100.0, 64)
-pl.make_tabulated(r, wide.N(r), wide.A(r), wide.Rareal(r))
-print("tabulated", "scipy.interpolate" in sys.modules)
+r = np.geomspace(2.1, 100.0, 400)
+table = pl.make_tabulated(r, wide.N(r), wide.A(r), wide.Rareal(r))
+loaded = pl.load_profile(pl.dump_profile(table))
+pl.curvature_at(loaded, 7.0)
+(root,) = pl.photon_sphere_search(loaded)
+assert pl.trapping_report(loaded, root).verdict == "trapped"
+print("tabulated", scipy_modules())
 """
 
 
@@ -49,21 +57,35 @@ def test_closed_form_verdicts_do_not_import_scipy():
         [sys.executable, "-c", _CHILD],
         capture_output=True, text=True, env=_env(), check=True,
     )
-    assert proc.stdout.splitlines() == ["closed-form []", "tabulated True"]
+    assert proc.stdout.splitlines() == ["closed-form []", "tabulated []"]
 
 
-def test_cli_photon_search_does_not_import_scipy():
+def _cli_imports(*args):
+    """stdout of a CLI run and every module it imported."""
     # -X importtime lists every module the interpreter imports on stderr
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "photonlab.cli",
-         "photon-search", "--mass", "1"],
+        [sys.executable, "-X", "importtime", "-m", "photonlab.cli", *args],
         capture_output=True, text=True, env=_env(), check=True,
     )
-    assert proc.stdout.strip() == "3.0000000000"
     imported = [
         line.rpartition("|")[2].strip()
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
     ]
     assert "photonlab.geodesics" in imported
-    assert [m for m in imported if m.partition(".")[0] == "scipy"] == []
+    return proc.stdout.strip(), [m for m in imported if m.partition(".")[0] == "scipy"]
+
+
+def test_cli_photon_search_does_not_import_scipy():
+    assert _cli_imports("photon-search", "--mass", "1") == ("3.0000000000", [])
+
+
+def test_cli_photon_search_on_a_table_does_not_import_scipy(tmp_path):
+    wide = photonlab.make_schwarzschild_family(1.0, 2.1, 100.0)
+    r = np.geomspace(2.1, 100.0, 400)
+    table = photonlab.make_tabulated(r, wide.N(r), wide.A(r), wide.Rareal(r))
+    doc = tmp_path / "table.json"
+    doc.write_text(json.dumps(photonlab.dump_profile(table)), encoding="utf-8")
+    out, scipy_modules = _cli_imports("photon-search", "--metric", str(doc))
+    assert abs(float(out) - 3.0) < 1e-5
+    assert scipy_modules == []

@@ -28,6 +28,7 @@ from photonlab.radial import (
     make_schwarzschild_neck,
     make_tabulated,
 )
+from photonlab.radial import _gtsv, _spline_coefficients
 
 INV_SQRT3 = 0.5773502691896258  # 1/sqrt(3)
 SQRT3 = 1.7320508075688772
@@ -216,6 +217,31 @@ def test_product_and_quotient_derivatives():
         assert abs(float(fn(r, 1)) - fd) <= 1e-8 * max(1.0, abs(fd))
 
 
+@pytest.mark.parametrize(
+    "expr, want",
+    [
+        (lambda x: 1.0 - x, (-2.0, -1.0, 0.0)),
+        (lambda x: x - 1.0, (2.0, 1.0, 0.0)),
+        (lambda x: -x, (-3.0, -1.0, 0.0)),
+        (lambda x: 2.0 / x, (2.0 / 3.0, -2.0 / 9.0, 4.0 / 27.0)),  # 2/r, -2/r^2, 4/r^3
+    ],
+)
+def test_expression_difference_negation_and_reciprocal(expr, want):
+    x = RadialFunction.coordinate()
+    f = RadialFunction.expression(lambda r: expr(x(r)))
+    assert (f(3.0), f(3.0, 1), f(3.0, 2)) == want
+    rs = np.array([3.0, 3.0])
+    for nu in (0, 1, 2):
+        np.testing.assert_array_equal(f(rs, nu), [want[nu]] * 2)
+
+
+def test_expression_difference_of_functions():
+    p = make_schwarzschild_family(1.0, 3.0, 100.0)
+    diff = RadialFunction.expression(lambda r: p.N(r) - p.Rareal(r))
+    for nu in (0, 1, 2):
+        assert diff(5.0, nu) == float(p.N(5.0, nu)) - float(p.Rareal(5.0, nu))
+
+
 # ---------------------------------------------------------------------------
 # Fluid interiors and composites
 # ---------------------------------------------------------------------------
@@ -327,6 +353,69 @@ def test_tabulated_evaluation_matches_cubic_spline_bitwise():
                 assert _same_bits(fn(r, nu), w), (name, nu, r)
             for r, w in zip(radii[::10], want[::10]):  # np.float64 scalars
                 assert _same_bits(fn(r, nu), w), (name, nu, r)
+
+
+def _spline_grids(rng, n):
+    """Geometric, uniform, random-gap and clustered nodes, n of each."""
+    lo = rng.uniform(0.1, 10.0)
+    hi = lo + rng.uniform(0.5, 100.0)
+    yield np.geomspace(lo, hi, n)
+    yield np.linspace(lo, hi, n)
+    yield lo + np.cumsum(rng.exponential(1.0, n))
+    clustered = lo + (hi - lo) * np.sort(rng.uniform(0.0, 1.0, n)) ** 3
+    if np.all(np.diff(clustered) > 0.0):
+        yield clustered
+
+
+def test_spline_coefficients_match_cubic_spline_bitwise():
+    interpolate = pytest.importorskip("scipy.interpolate")
+    solve_banded = pytest.importorskip("scipy.linalg").solve_banded
+    rng = np.random.default_rng(11)
+    grids = 0
+    for draw in range(800):
+        n = int(np.exp(rng.uniform(math.log(4.0), math.log(400.0))))
+        for x in _spline_grids(rng, n):
+            family = grids % 3
+            if family == 0:
+                y = np.sqrt(np.abs(1.0 - 2.0 / x))
+            elif family == 1:
+                y = rng.normal(size=n)
+            else:
+                y = np.exp(rng.uniform(-30.0, 30.0)) * np.sin(x * rng.uniform(0.1, 5.0))
+            want = interpolate.CubicSpline(x, y).c
+            assert _same_bits(_spline_coefficients(x, y, "N"), want), (draw, n)
+            grids += 1
+    assert grids >= 3000
+    # the solver alone, on random systems that pivot in every pattern
+    for n in range(2, 40):
+        dl, d, du, b = (rng.normal(size=k) for k in (n - 1, n, n - 1, n))
+        band = np.zeros((3, n))
+        band[0, 1:], band[1], band[2, :-1] = du, d, dl
+        want = solve_banded((1, 1), band, b.reshape(n, 1)).reshape(n)
+        got = _gtsv(dl.tolist(), d.tolist(), du.tolist(), b.tolist())
+        assert _same_bits(np.array(got), want), n
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tabulated_refuses_a_non_finite_spline_by_channel():
+    # the secant slope 1e300 / 2**-52 overflows; so do the node slopes
+    r = [1.0, 1.0 + 2.0 ** -52, 2.0, 3.0, 4.0]
+    spike = [1.0, 1e300, 1.0, 1.0, 1.0]
+    ones = [1.0] * 5
+    for channel in ("N", "A", "Rareal"):
+        cols = {"N": ones, "A": ones, "Rareal": ones, channel: spike}
+        with pytest.raises(DomainError, match=f"^tabulated channel {channel} gives a non-finite spline"):
+            make_tabulated(r, cols["N"], cols["A"], cols["Rareal"])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spline_solver_refuses_a_zero_pivot():
+    # LAPACK's INFO = 1: the first pivot and the entry below it are zero
+    with pytest.raises(DomainError, match="zero pivot in row 1"):
+        _gtsv([0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0], [1.0, 1.0, 1.0])
+    # INFO = n: elimination leaves the last pivot zero
+    with pytest.raises(DomainError, match="zero pivot in row 2"):
+        _gtsv([1.0], [1.0, 1.0], [1.0], [1.0, 2.0])
 
 
 def test_tabulated_validation():
