@@ -297,6 +297,38 @@ def _table_400():
     return make_tabulated(r, exact.N(r), exact.A(r), exact.Rareal(r))
 
 
+_SCALAR_SAMPLES = {
+    "closed_form": lambda conf: curvature_at(make_schwarzschild_family(1.0, 2.1, 100.0), 5.3),
+    "table": lambda conf: curvature_at(_table_400(), 5.3),
+    "neck": lambda conf: curvature_at(make_schwarzschild_neck(0.7), 1.75),
+    "rescaled": lambda conf: curvature_at(conf.chart("exterior_reflected").hat, 5.0),
+    "oracle": lambda conf: fd_curvature_oracle(make_schwarzschild_family(1.0, 3.0, 100.0), 5.0),
+}
+
+
+@pytest.mark.parametrize("case", list(_SCALAR_SAMPLES))
+def test_scalar_sample_is_a_plain_frozen_record(case, conformal_m1):
+    sample = _SCALAR_SAMPLES[case](conformal_m1)
+    names = [f.name for f in dataclasses.fields(CurvatureSample)]
+    fields = {name: getattr(sample, name) for name in names}
+    assert type(sample) is CurvatureSample
+    assert all(type(v) is float and math.isfinite(v) for v in fields.values())
+    built = CurvatureSample(**fields)
+    assert sample == built and built == sample
+    assert repr(sample) == repr(built)
+    assert hash(sample) == hash(built)
+    assert list(vars(sample)) == names
+    assert dataclasses.asdict(sample) == fields
+    moved = dataclasses.replace(sample, r=sample.r + 1.0)
+    assert type(moved) is CurvatureSample
+    assert moved == CurvatureSample(**{**fields, "r": sample.r + 1.0})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sample.r = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del sample.scalar
+    assert sample == built
+
+
 _SCAN_PROFILES = {
     "exterior": lambda: make_schwarzschild_family(1.0, 3.0, 100.0),
     "negative_mass": lambda: make_schwarzschild_family(-1.0, 1.0, 100.0),
