@@ -144,31 +144,17 @@ def _sample(r, n, ric_nn, ric_tt, scalar, hess_nn, hess_tt, lap_n) -> CurvatureS
     """Package assembled components, forming the vacuum residuals in their
     own precision first: floats for a scalar ``r``, float arrays for an
     array ``r``."""
-    if not isinstance(r, np.ndarray):
-        # The frozen dataclass __init__ sets each of the eleven fields through
-        # object.__setattr__, at about the cost of a scalar sample's curvature
-        # arithmetic; filling the instance dictionary in field order gives
-        # the same record (==, repr, fields, replace).
-        sample = object.__new__(CurvatureSample)
-        sample.__dict__.update(
-            r=float(r),
-            ric_nn=float(ric_nn),
-            ric_tt=float(ric_tt),
-            scalar=float(scalar),
-            hess_nn=float(hess_nn),
-            hess_tt=float(hess_tt),
-            lap_N=float(lap_n),
-            vac_residual_nn=float(n * ric_nn - hess_nn),
-            vac_residual_tt=float(n * ric_tt - hess_tt),
-            scalar_residual=float(scalar),
-            lap_residual=float(lap_n),
-        )
-        return sample
-
-    def cast(x):
-        return np.array(x, dtype=float)
-
-    return CurvatureSample(
+    if isinstance(r, np.ndarray):
+        def cast(x):
+            return np.array(x, dtype=float)
+    else:
+        cast = float
+    # The frozen dataclass __init__ sets each of the eleven fields through
+    # object.__setattr__, at about the cost of a scalar sample's curvature
+    # arithmetic; filling the instance dictionary in field order gives the
+    # same record (==, hash, repr, fields, replace).
+    sample = object.__new__(CurvatureSample)
+    sample.__dict__.update(
         r=cast(r),
         ric_nn=cast(ric_nn),
         ric_tt=cast(ric_tt),
@@ -181,6 +167,7 @@ def _sample(r, n, ric_nn, ric_tt, scalar, hess_nn, hess_tt, lap_n) -> CurvatureS
         scalar_residual=cast(scalar),
         lap_residual=cast(lap_n),
     )
+    return sample
 
 
 def curvature_at(profile: RadialProfile, r) -> CurvatureSample:

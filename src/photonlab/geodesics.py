@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -238,9 +239,12 @@ def photon_sphere_search(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NullGeodesicState:
-    """One accepted integrator step of an equatorial null geodesic."""
+class NullGeodesicState(NamedTuple):
+    """One accepted integrator step of an equatorial null geodesic.
+
+    A named tuple: the stepper builds one per accepted step, at a
+    fraction of a frozen dataclass's cost (:func:`_observables`).
+    """
 
     lam: float
     r: float
@@ -253,9 +257,7 @@ class NullGeodesicState:
 
 @dataclass(frozen=True)
 class GeodesicResult:
-    # one plain (lam, r, phi, p_r, E, L, constraint) row per accepted step,
-    # the fields of NullGeodesicState in order: no record is built per step
-    rows: list[tuple[float, float, float, float, float, float, float]]
+    states: list[NullGeodesicState]
     # "window" | "domain_exit_outer" | "domain_exit_inner" | "step_underflow"
     # | "step_limit" (the budget of _MAX_STEPS step attempts ran out)
     # | "non_finite" (a stage radius came out NaN: the profile read was not finite)
@@ -268,13 +270,8 @@ class GeodesicResult:
     rejected_steps: int
 
     @property
-    def states(self) -> list[NullGeodesicState]:
-        """The rows as state records, built on each read."""
-        return [NullGeodesicState(*row) for row in self.rows]
-
-    @property
     def radii(self) -> np.ndarray:
-        return np.array([row[1] for row in self.rows])
+        return np.array([s.r for s in self.states])
 
 
 # Integration stops this far (relative to max(1, |r_lo|)) above the inner
@@ -316,7 +313,7 @@ def _geodesic_rhs(read, r, td, rd, pd):
     ``read`` is the ``slopes`` of the profile's read
     (:meth:`RadialProfile._read`), resolved once per trajectory: the six
     channel values at r as floats.  The system is autonomous, so t and phi
-    do not enter.  :func:`_observables` records a step's row from the values
+    do not enter.  :func:`_observables` records a state from the values
     without evaluating again.  A zero denominator, which raises on floats,
     reruns on numpy scalars.
     """
@@ -336,7 +333,11 @@ def _observables(lam, r, phi, td, rd, pd, n, a, rr):
     except OverflowError:  # float powers raise where numpy scalars give inf
         f = np.float64
         constraint = float(-f(n * td) ** 2 + f(a * rd) ** 2 + f(rr * pd) ** 2)
-    return lam, r, phi, a * a * rd, n * n * td, rr * rr * pd, constraint
+    # tuple.__new__ skips the named tuple's Python-level constructor
+    return tuple.__new__(
+        NullGeodesicState,
+        (lam, r, phi, a * a * rd, n * n * td, rr * rr * pd, constraint),
+    )
 
 
 def tangential_launch(
@@ -390,15 +391,15 @@ def integrate_null_geodesic(
     """Adaptive embedded Runge-Kutta (Dormand-Prince 5(4)) trajectory.
 
     Steps are accepted on the mixed error norm at relative/absolute
-    tolerance ``tol``; every accepted step records a row of the state with
-    its measured null-constraint violation (:attr:`GeodesicResult.rows`).
-    Integration stops at the affine window ``lam_max``, on leaving the
-    radial domain (outward or within ``_INNER_MARGIN`` of the inner
-    boundary, where horizons live), at a stage radius that stays NaN as the
-    step shrinks (``non_finite``: the profile read was not finite), on
-    step-size underflow, or after ``_MAX_STEPS`` step attempts; the cause
-    is reported in ``termination`` rather than silently swallowed, beside
-    counts of right-hand-side evaluations and rejected step attempts.
+    tolerance ``tol``; every accepted step records the state with its
+    measured null-constraint violation.  Integration stops at the affine
+    window ``lam_max``, on leaving the radial domain (outward or within
+    ``_INNER_MARGIN`` of the inner boundary, where horizons live), at a
+    stage radius that stays NaN as the step shrinks (``non_finite``: the
+    profile read was not finite), on step-size underflow, or after
+    ``_MAX_STEPS`` step attempts; the cause is reported in ``termination``
+    rather than silently swallowed, beside counts of right-hand-side
+    evaluations and rejected step attempts.
     Steps run on Python floats.  ``lam_max`` and ``tol`` must be finite
     and positive, and ``y0`` = (t, r, phi, dt/dl, dr/dl, dphi/dl) finite,
     null and of nonzero energy E.
@@ -414,12 +415,13 @@ def integrate_null_geodesic(
     max_steps, rhs, read = _MAX_STEPS, _geodesic_rhs, profile._read().slopes
     lam = 0.0
     tdd, rdd, pdd, n, a, rr = rhs(read, r, td, rd, pd)
-    rows = [_observables(lam, r, phi, td, rd, pd, n, a, rr)]
-    _, _, _, _, e0, l0, con = rows[0]
-    max_con = abs(con)
+    states = [_observables(lam, r, phi, td, rd, pd, n, a, rr)]
+    e0, l0 = states[0].E, states[0].L
+    max_con = abs(states[0].constraint)
     if not (max_con <= 1e-10 * max(e0 * e0, 1e-30)):
         raise DomainError(
-            f"initial data is not null: constraint {con:.3e} relative to E^2"
+            f"initial data is not null: constraint {states[0].constraint:.3e} "
+            f"relative to E^2"
         )
     if e0 == 0.0:
         raise DomainError("E must be nonzero: a null ray with E = 0 has no momentum")
@@ -553,20 +555,19 @@ def integrate_null_geodesic(
             lam += h
             t, r, phi, td, rd, pd = t6, r6, phi6, td6, rd6, pd6
             tdd, rdd, pdd = tdd6, rdd6, pdd6
-            row = _observables(lam, r, phi, td, rd, pd, n, a, rr)
-            rows.append(row)
+            st = _observables(lam, r, phi, td, rd, pd, n, a, rr)
+            states.append(st)
             if not (inner_stop < r < hi):
                 termination = "domain_exit_outer" if r >= hi else "domain_exit_inner"
                 break
-            _, _, _, _, e, ell, con = row
-            max_con = max(max_con, abs(con))
-            e_drift = max(e_drift, abs(e - e0) / scale_e)
-            l_drift = max(l_drift, abs(ell - l0) / scale_l)
+            max_con = max(max_con, abs(st.constraint))
+            e_drift = max(e_drift, abs(st.E - e0) / scale_e)
+            l_drift = max(l_drift, abs(st.L - l0) / scale_l)
         else:
             rejected += 1
         h *= min(5.0, max(0.2, 0.9 * (1.0 / err) ** 0.2 if err > 0.0 else 5.0))
     return GeodesicResult(
-        rows=rows,
+        states=states,
         termination=termination,
         max_constraint=max_con,
         E_drift=e_drift,
@@ -620,7 +621,7 @@ def trapping_report(
     if res.termination == "non_finite":
         raise DomainError(
             "the ray met a non-finite profile value after its last accepted "
-            f"radius r = {res.rows[-1][1]!r}; no trapping verdict"
+            f"radius r = {res.states[-1].r!r}; no trapping verdict"
         )
     dev = float(np.max(np.abs(res.radii - r0)))
     if res.termination == "domain_exit_inner":
@@ -645,5 +646,5 @@ def write_trajectory_csv(path, result: GeodesicResult) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lambda", "r", "phi", "p_r", "constraint"])
-        for lam, r, phi, p_r, _, _, constraint in result.rows:
-            writer.writerow([f"{v:.17g}" for v in (lam, r, phi, p_r, constraint)])
+        for s in result.states:
+            writer.writerow([f"{v:.17g}" for v in (s.lam, s.r, s.phi, s.p_r, s.constraint)])

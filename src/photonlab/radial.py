@@ -816,27 +816,13 @@ class _Table(_Read):
     def slopes(self, r):
         if type(r) is not float:
             return super().slopes(r)
-        # The float branch of _Knots.locate and the sums of _cubic_value and
-        # _cubic_slope, written out: the six helper calls cost more than
-        # their arithmetic.  Same operations in the same order (z is s * s).
         knots = self.knots
-        xs = knots.xs
-        i = bisect_right(xs, r) - 1
-        if i < 0:
-            i = 0
-        elif i > knots.last:
-            i = knots.last
-        s = r - xs[i]
-        (n0, n1, n2, n3), (a0, a1, a2, a3), (r0, r1, r2, r3) = knots.records[i]
-        z = s * s
-        zs = z * s
+        i, s = knots.locate(r)
+        n, a, rr = knots.records[i]
         return (
-            0.0 + n3 + n2 * s + n1 * z + n0 * zs,
-            0.0 + n2 + n1 * s * 2.0 + n0 * z * 3.0,
-            0.0 + a3 + a2 * s + a1 * z + a0 * zs,
-            0.0 + a2 + a1 * s * 2.0 + a0 * z * 3.0,
-            0.0 + r3 + r2 * s + r1 * z + r0 * zs,
-            0.0 + r2 + r1 * s * 2.0 + r0 * z * 3.0,
+            _cubic_value(n, s), _cubic_slope(n, s),
+            _cubic_value(a, s), _cubic_slope(a, s),
+            _cubic_value(rr, s), _cubic_slope(rr, s),
         )
 
     def jets(self, r) -> tuple[Jet, Jet, Jet]:
@@ -861,25 +847,21 @@ def _not_a_knot_system(x, dx, slope):
     x[-2].  The matrix depends on the nodes only.
     """
     d, e = x[2] - x[0], x[-1] - x[-3]
-    b = np.empty(slope.shape[:-1] + x.shape)
-    b[..., 1:-1] = 3 * (dx[1:] * slope[..., :-1] + dx[:-1] * slope[..., 1:])
-    b[..., 0] = (
-        (dx[0] + 2 * d) * dx[1] * slope[..., 0] + dx[0] ** 2 * slope[..., 1]
-    ) / d
-    b[..., -1] = (
-        dx[-1] ** 2 * slope[..., -2] + (2 * e + dx[-1]) * dx[-2] * slope[..., -1]
-    ) / e
+    b = np.empty((len(slope), x.size))
+    b[:, 1:-1] = 3 * (dx[1:] * slope[:, :-1] + dx[:-1] * slope[:, 1:])
+    b[:, 0] = ((dx[0] + 2 * d) * dx[1] * slope[:, 0] + dx[0] ** 2 * slope[:, 1]) / d
+    b[:, -1] = (dx[-1] ** 2 * slope[:, -2] + (2 * e + dx[-1]) * dx[-2] * slope[:, -1]) / e
     return (
         dx[1:].tolist() + [float(e)],
         [float(dx[1])] + (2 * (dx[:-1] + dx[1:])).tolist() + [float(dx[-2])],
         [float(d)] + dx[:-1].tolist(),
-        b.reshape(-1, x.size).tolist(),
+        b.tolist(),
     )
 
 
-def _gtsv(dl, d, du, b, *more):
-    """Solve a tridiagonal system in place for the right-hand side ``b``
-    and each of ``more``; return the solution ``b``.
+def _gtsv(dl, d, du, bs):
+    """Solve a tridiagonal system in place for each right-hand side in the
+    list ``bs``; return ``bs``, each entry now its solution.
 
     A line-by-line transcription of reference LAPACK ``dgtsv`` (Anderson et
     al., *LAPACK Users' Guide*, 3rd ed., SIAM 1999), the routine scipy's
@@ -887,12 +869,11 @@ def _gtsv(dl, d, du, b, *more):
     with partial pivoting, a row interchange whenever ``|d[i]| < |dl[i]|``,
     then back substitution through the second superdiagonal that
     interchanges fill into ``dl``.  The elimination runs once; each
-    multiplier and interchange is applied to every right-hand side, each
-    by the operations of a one-column solve in the same order, so every
-    column is scipy's solution bit for bit.  A zero pivot (LAPACK's
-    ``INFO > 0``) raises :class:`DomainError`.
+    multiplier and interchange is applied to every right-hand side by the
+    operations of a one-column solve, in the same order, so every column is
+    scipy's solution bit for bit.  A zero pivot (LAPACK's ``INFO > 0``)
+    raises :class:`DomainError`.
     """
-    cols = (b, *more)
     n = len(d)
     for i in range(n - 1):
         if abs(d[i]) >= abs(dl[i]):
@@ -901,8 +882,8 @@ def _gtsv(dl, d, du, b, *more):
                 raise DomainError(f"spline system is singular: zero pivot in row {i + 1}")
             fact = dl[i] / d[i]
             d[i + 1] = d[i + 1] - fact * du[i]
-            for c in cols:
-                c[i + 1] = c[i + 1] - fact * c[i]
+            for b in bs:
+                b[i + 1] = b[i + 1] - fact * b[i]
             dl[i] = 0.0
         else:
             # interchange rows i and i + 1; only rows above the last fill dl
@@ -914,46 +895,39 @@ def _gtsv(dl, d, du, b, *more):
                 dl[i] = du[i + 1]
                 du[i + 1] = -fact * dl[i]
             du[i] = temp
-            for c in cols:
-                c[i], c[i + 1] = c[i + 1], c[i] - fact * c[i + 1]
+            for b in bs:
+                b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
     if d[n - 1] == 0.0:
         raise DomainError(f"spline system is singular: zero pivot in row {n}")
-    for c in cols:
-        c[n - 1] = c[n - 1] / d[n - 1]
-        c[n - 2] = (c[n - 2] - du[n - 2] * c[n - 1]) / d[n - 2]
+    for b in bs:
+        b[n - 1] = b[n - 1] / d[n - 1]
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
         for i in range(n - 3, -1, -1):
-            c[i] = (c[i] - du[i] * c[i + 1] - dl[i] * c[i + 2]) / d[i]
-    return b
+            b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return bs
 
 
-def _spline_coefficients(x, y, name) -> np.ndarray:
-    """``CubicSpline(x, y).c``: the not-a-knot spline through the nodes in
-    scipy's ``PPoly`` form, bit for bit.
+def _spline_coefficients(x, ys, names) -> np.ndarray:
+    """``CubicSpline(x, y).c`` for each row ``y`` of ``ys``: the not-a-knot
+    splines through the nodes in scipy's ``PPoly`` form, bit for bit,
+    stacked per channel, shape (channels, 4, intervals).
 
-    ``y`` holds one channel's node values, named ``name``, or one row per
-    channel with ``name`` the sequence of their names; the coefficients
-    then stack per channel, shape (channels, 4, intervals).  The slopes at
-    the nodes solve :func:`_not_a_knot_system` by :func:`_gtsv`, one
-    elimination for every channel, since the matrix is the nodes'; the
-    coefficients follow from them as in ``CubicHermiteSpline.__init__``.
-    Non-finite slopes, which scipy refuses, and any other non-finite
-    coefficient raise a :class:`DomainError` that names the first such
-    channel.
+    The slopes at the nodes solve :func:`_not_a_knot_system` by
+    :func:`_gtsv`, one elimination for every channel, since the matrix is
+    the nodes'; the coefficients follow from them as in
+    ``CubicHermiteSpline.__init__``.  Non-finite slopes, which scipy
+    refuses, and any other non-finite coefficient raise a
+    :class:`DomainError` that names the first such channel of ``names``.
     """
     dx = np.diff(x)
     with np.errstate(all="ignore"):
-        slope = np.diff(y) / dx
-        dl, d, du, rhs = _not_a_knot_system(x, dx, slope)
-        _gtsv(dl, d, du, *rhs)
-        s = np.array(rhs).reshape(y.shape)
-        t = (s[..., :-1] + s[..., 1:] - 2 * slope) / dx
-        c = np.stack(
-            (t / dx, (slope - s[..., :-1]) / dx - t, s[..., :-1], y[..., :-1]), axis=-2
-        )
-    names = (name,) if y.ndim == 1 else name
-    for k, ck in zip(names, c.reshape(len(names), 4, -1)):
-        if not np.all(np.isfinite(ck)):
-            raise DomainError(f"tabulated channel {k} gives a non-finite spline")
+        slope = np.diff(ys) / dx
+        s = np.array(_gtsv(*_not_a_knot_system(x, dx, slope)))
+        t = (s[:, :-1] + s[:, 1:] - 2 * slope) / dx
+        c = np.stack((t / dx, (slope - s[:, :-1]) / dx - t, s[:, :-1], ys[:, :-1]), axis=1)
+    for name, cn in zip(names, c):
+        if not np.all(np.isfinite(cn)):
+            raise DomainError(f"tabulated channel {name} gives a non-finite spline")
     return c
 
 

@@ -329,6 +329,22 @@ def test_scalar_sample_is_a_plain_frozen_record(case, conformal_m1):
     assert sample == built
 
 
+def test_array_sample_is_a_frozen_record_of_float_arrays():
+    radii = np.geomspace(3.0, 40.0, 7)
+    profile = make_schwarzschild_family(1.0, 2.1, 100.0)
+    sample = curvature_at(profile, radii)
+    names = [f.name for f in dataclasses.fields(CurvatureSample)]
+    assert type(sample) is CurvatureSample
+    assert list(vars(sample)) == names
+    for name in names:
+        value = getattr(sample, name)
+        assert type(value) is np.ndarray and value.dtype == np.float64
+        assert value.shape == radii.shape
+    assert np.array_equal(sample.r, radii) and sample.r is not radii
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sample.lap_N = radii
+
+
 _SCAN_PROFILES = {
     "exterior": lambda: make_schwarzschild_family(1.0, 3.0, 100.0),
     "negative_mass": lambda: make_schwarzschild_family(-1.0, 1.0, 100.0),

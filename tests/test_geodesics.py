@@ -13,6 +13,7 @@ import pytest
 
 from photonlab import geodesics
 from photonlab.geodesics import (
+    NullGeodesicState,
     _brent,
     _refine_root,
     fermat_geodesy_residual,
@@ -363,43 +364,48 @@ def test_trajectory_csv_shape(tmp_path, wide_m1):
     assert len(lines) == len(res.states) + 1
 
 
-class _NoStateRecord:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a NullGeodesicState was built")
+def _no_constructor(cls, *args, **kwargs):
+    raise AssertionError("NullGeodesicState's constructor ran")
 
 
 @pytest.mark.parametrize("kind", ["closed", "tabulated", "star_vacuum"])
-def test_trapping_reads_rows_and_builds_no_state_record(kind, monkeypatch):
+def test_trapping_builds_state_records_without_their_constructor(kind, monkeypatch):
     profile = _trajectory_profiles(1.0)[kind]
     root = photon_sphere_search(profile)[-1]
-    monkeypatch.setattr(geodesics, "NullGeodesicState", _NoStateRecord)
+    monkeypatch.setattr(NullGeodesicState, "__new__", _no_constructor)
+    # the stand-in is live: a constructor call raises
+    with pytest.raises(AssertionError, match="constructor"):
+        NullGeodesicState(*[0.0] * 7)
     reports = [trapping_report(profile, root * f) for f in (1.0, 1.01, 0.99)]
     assert [rep.verdict for rep in reports[1:]] == ["escaped", "fell_in"]
-    # the stand-in is live: a read of the records raises
     res = integrate_null_geodesic(profile, tangential_launch(profile, root), 1.0)
-    with pytest.raises(AssertionError, match="NullGeodesicState"):
-        res.states
+    assert all(type(s) is NullGeodesicState for s in res.states)
 
 
 @pytest.mark.parametrize("kind", ["closed", "tabulated", "star_vacuum"])
-def test_state_records_radii_and_csv_read_the_rows(kind, tmp_path):
+def test_state_records_are_named_tuples_read_by_radii_and_csv(kind, tmp_path):
     profile = _trajectory_profiles(1.0)[kind]
     root = photon_sphere_search(profile)[-1]
     res = integrate_null_geodesic(profile, tangential_launch(profile, 1.01 * root), 50.0)
-    assert len(res.rows) > 100
-    assert all(type(v) is float for row in res.rows for v in row)
     states = res.states
-    assert all(type(s) is geodesics.NullGeodesicState for s in states)
-    assert [
-        (s.lam, s.r, s.phi, s.p_r, s.E, s.L, s.constraint) for s in states
-    ] == res.rows
+    assert len(states) > 100
+    names = ("lam", "r", "phi", "p_r", "E", "L", "constraint")
+    assert NullGeodesicState._fields == names
+    for s in states:
+        assert type(s) is NullGeodesicState
+        assert all(type(v) is float for v in s)
+        assert tuple(getattr(s, k) for k in names) == tuple(s)
+        built = NullGeodesicState(**s._asdict())
+        assert s == built and repr(s) == repr(built) and hash(s) == hash(built)
+    with pytest.raises(AttributeError):
+        states[0].r = 0.0
     assert res.radii.dtype == np.float64
-    assert res.radii.tolist() == [row[1] for row in res.rows]
+    assert res.radii.tolist() == [s.r for s in states]
     out = tmp_path / "orbit.csv"
     write_trajectory_csv(out, res)
     lines = out.read_text().splitlines()[1:]
     assert [[float(v) for v in line.split(",")] for line in lines] == [
-        [lam, r, phi, p_r, con] for lam, r, phi, p_r, _, _, con in res.rows
+        [s.lam, s.r, s.phi, s.p_r, s.constraint] for s in states
     ]
 
 

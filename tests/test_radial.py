@@ -375,25 +375,35 @@ def test_spline_coefficients_match_cubic_spline_bitwise():
     for draw in range(800):
         n = int(np.exp(rng.uniform(math.log(4.0), math.log(400.0))))
         for x in _spline_grids(rng, n):
-            family = grids % 3
-            if family == 0:
-                y = np.sqrt(np.abs(1.0 - 2.0 / x))
-            elif family == 1:
-                y = rng.normal(size=n)
-            else:
-                y = np.exp(rng.uniform(-30.0, 30.0)) * np.sin(x * rng.uniform(0.1, 5.0))
-            want = interpolate.CubicSpline(x, y).c
-            assert _same_bits(_spline_coefficients(x, y, "N"), want), (draw, n)
+            # three value families solved as one stack, in a rotating order
+            families = [
+                np.sqrt(np.abs(1.0 - 2.0 / x)),
+                rng.normal(size=n),
+                np.exp(rng.uniform(-30.0, 30.0)) * np.sin(x * rng.uniform(0.1, 5.0)),
+            ]
+            ys = np.stack(families[grids % 3:] + families[:grids % 3])
+            got = _spline_coefficients(x, ys, ["N", "A", "Rareal"])
+            assert got.shape == (3, 4, n - 1)
+            for k, y in enumerate(ys):
+                want = interpolate.CubicSpline(x, y).c
+                assert _same_bits(got[k], want), (draw, n, k)
+            # one channel alone: the same bits as in the stack
+            assert _same_bits(_spline_coefficients(x, ys[1:2], ["A"])[0], got[1])
             grids += 1
     assert grids >= 3000
-    # the solver alone, on random systems that pivot in every pattern
+    # the solver alone, on random systems that pivot in every pattern, with
+    # one and with three right-hand sides
     for n in range(2, 40):
-        dl, d, du, b = (rng.normal(size=k) for k in (n - 1, n, n - 1, n))
+        dl, d, du = (rng.normal(size=k) for k in (n - 1, n, n - 1))
+        b = rng.normal(size=(n, 3))
         band = np.zeros((3, n))
         band[0, 1:], band[1], band[2, :-1] = du, d, dl
-        want = solve_banded((1, 1), band, b.reshape(n, 1)).reshape(n)
-        got = _gtsv(dl.tolist(), d.tolist(), du.tolist(), b.tolist())
-        assert _same_bits(np.array(got), want), n
+        want = solve_banded((1, 1), band, b)
+        got = _gtsv(dl.tolist(), d.tolist(), du.tolist(), b.T.tolist())
+        assert _same_bits(np.array(got).T, want), n
+        got = _gtsv(dl.tolist(), d.tolist(), du.tolist(), [b[:, 2].tolist()])
+        want = solve_banded((1, 1), band, b[:, 2:]).reshape(n)
+        assert _same_bits(np.array(got[0]), want), n
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -412,10 +422,10 @@ def test_tabulated_refuses_a_non_finite_spline_by_channel():
 def test_spline_solver_refuses_a_zero_pivot():
     # LAPACK's INFO = 1: the first pivot and the entry below it are zero
     with pytest.raises(DomainError, match="zero pivot in row 1"):
-        _gtsv([0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0], [1.0, 1.0, 1.0])
+        _gtsv([0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0], [[1.0, 1.0, 1.0]])
     # INFO = n: elimination leaves the last pivot zero
     with pytest.raises(DomainError, match="zero pivot in row 2"):
-        _gtsv([1.0], [1.0, 1.0], [1.0], [1.0, 2.0])
+        _gtsv([1.0], [1.0, 1.0], [1.0], [[1.0, 2.0]])
 
 
 def test_tabulated_validation():

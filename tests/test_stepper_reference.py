@@ -171,7 +171,7 @@ def _reference_integrate(profile, y0, lam_max, tol=1e-12, max_steps=2_000_000):
             errors += 1
         h *= min(5.0, max(0.2, 0.9 * (1.0 / err) ** 0.2 if err > 0.0 else 5.0))
     res = GeodesicResult(
-        rows=[(s.lam, s.r, s.phi, s.p_r, s.E, s.L, s.constraint) for s in states],
+        states=states,
         termination=termination,
         max_constraint=max_con,
         E_drift=e_drift,
