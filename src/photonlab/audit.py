@@ -12,7 +12,6 @@ geometry shows up in at least one.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,13 +120,21 @@ def component_mass(profile: RadialProfile, r0: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+# The flow parameter's Gauss-Legendre rule (Golub & Welsch, Math. Comp. 23
+# (1969) 221): nodes per segment, the gap between a segment's estimate and its
+# halves' allowed relative to its sample interval, halvings per segment.
+_GAUSS_NODES = 10
+_HALVING_RTOL = 1e-13
+_MAX_HALVINGS = 50
+
+
 @dataclass(frozen=True)
 class MonotonicityScan:
     """Sampled H/N sequence along the outward normal flow.
 
     ``flow_parameter`` is metric arclength (integral of A dr, adaptive
-    quadrature); ``max_upward_violation`` is the largest positive increment
-    between consecutive samples, exactly 0.0 for a monotone sequence.
+    Gauss-Legendre); ``max_upward_violation`` is the largest positive
+    increment between consecutive samples, exactly 0.0 for a monotone sequence.
     """
 
     r: np.ndarray
@@ -137,29 +144,39 @@ class MonotonicityScan:
     nonincreasing: bool
 
 
-def _segments(pieces, cuts, r_values):
-    """Arclength at each radius: sample intervals split at the breakpoints
-    ``cuts`` between ``pieces``, one quadrature of A per segment.
+def _arclength(pieces, r_values):
+    """Integral of A from r_values[0] to each radius: each piece halves the
+    sample intervals clipped to its domain, one read of A a round, until the
+    halves agree within ``_HALVING_RTOL`` of the interval (A's rounding near
+    a horizon exceeds that per segment).  A NaN estimate stays, unsplit."""
+    from numpy.polynomial.legendre import leggauss
 
-    ``quad`` samples the open segment only, which lies in one piece (the
-    one :meth:`CompositeProfile.piece_at` gives its interior), so the piece
-    is picked once per segment.
-    """
-    from scipy.integrate import quad
+    x, w = leggauss(_GAUSS_NODES)
 
-    out = np.zeros(len(r_values))
-    for i in range(1, len(r_values)):
-        lo, hi = r_values[i - 1], r_values[i]
-        pts = [lo] + [c for c in cuts if lo < c < hi] + [hi]
-        total = 0.0
-        for a, b in zip(pts[:-1], pts[1:]):
-            A = pieces[bisect_left(cuts, b)].A
-            val, _ = quad(
-                lambda r: float(A(r)), a, b, epsabs=1e-12, epsrel=1e-12, limit=200
-            )
-            total += val
-        out[i] = out[i - 1] + total
-    return out
+    def rule(A, a, b):  # estimates of the integral of A over each [a, b]
+        half = 0.5 * (b - a)
+        return half * (A((a + half)[:, None] + half[:, None] * x) @ w)
+
+    total = np.zeros(r_values.size - 1)
+    for p in pieces:
+        ends = np.unique(r_values.clip(p.r_lo, p.r_hi))
+        a, b, owner = ends[:-1], ends[1:], np.searchsorted(r_values, ends[1:]) - 1
+        whole = rule(p.A, a, b)
+        tol = _HALVING_RTOL * np.abs(np.bincount(owner, whole, total.size))
+        for _ in range(_MAX_HALVINGS):
+            k, mid = whole.size, 0.5 * (a + b)
+            a, b, owner = np.r_[a, mid], np.r_[mid, b], np.tile(owner, 2)
+            halves = rule(p.A, a, b)
+            fine = np.where(np.isnan(whole), whole, halves[:k] + halves[k:])
+            done = ~(np.abs(fine - whole) > tol[owner[:k]])  # NaN: done
+            total += np.bincount(owner[:k][done], fine[done], total.size)
+            if done.all():
+                break
+            go = np.tile(~done, 2)
+            a, b, owner, whole = a[go], b[go], owner[go], halves[go]
+        else:
+            raise DomainError(f"flow parameter did not converge on [{a[0]}, {b[0]}]")
+    return np.r_[0.0, np.cumsum(total)]
 
 
 def monotonicity_scan(
@@ -175,24 +192,19 @@ def monotonicity_scan(
     if n < 2:
         raise DomainError(f"n must be at least 2, got {n}")
     rs = np.linspace(r_start, r_end, int(n))
-    pieces, cuts = (profile,), ()
-    if isinstance(profile, CompositeProfile):
-        profile.piece_at(r_start), profile.piece_at(r_end)  # refuse outside radii
-        pieces, cuts = profile.pieces, profile.breakpoints
-    else:
-        profile.ensure_evaluable(rs)
-    # a breakpoint belongs to the piece on its left, as in piece_at
-    which = np.searchsorted(cuts, rs, side="left")
+    pieces = profile.pieces if isinstance(profile, CompositeProfile) else (profile,)
+    # a breakpoint (its left piece's r_hi) belongs to that piece, as in piece_at
+    which = np.searchsorted([p.r_hi for p in pieces[:-1]], rs, side="left")
     ratios = np.empty(rs.size)
     for k, p in enumerate(pieces):
         at = which == k
+        p.ensure_evaluable(rs[at])
         ratios[at] = p.sphere_mean_curvature(rs[at]) / p.N(rs[at])
-    t = _segments(pieces, cuts, rs)
     rise = float(np.diff(ratios).max())
     worst = max(0.0, rise) if rise == rise else rise  # a NaN ratio fails the scan
     return MonotonicityScan(
         r=rs,
-        flow_parameter=t,
+        flow_parameter=_arclength(pieces, rs),
         ratio=ratios,
         max_upward_violation=worst,
         nonincreasing=worst == 0.0,

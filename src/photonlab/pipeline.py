@@ -32,6 +32,7 @@ from .conformal import (
     conformal_transform,
     flatness_check,
 )
+from .curvature import _max_or_nan
 from .gluing import (
     MATCH_TOL,
     MatchReport,
@@ -213,16 +214,15 @@ def reconstruct_schwarzschild(report: PipelineReport) -> tuple[float, float, flo
     r_photon = 3.0 * mass
     spacetime_h = 1.0 / (math.sqrt(3.0) * mass)
     audit = report.boundary_audit
-    checks = (
+    gap = _max_or_nan((
         abs(mass - audit.mass_i),
         abs(mass - audit.mass_from_H),
         abs(r_photon - audit.area_radius),
         abs(spacetime_h - audit.spacetime_H),
-    )
-    scale = max(1.0, mass)
-    if max(checks) > 1e-10 * scale:
+    ))
+    if not gap <= 1e-10 * max(1.0, mass):  # a NaN gap is refused
         raise DomainError(
             "reconstructed values disagree with the boundary audit: "
-            f"max gap {max(checks):.3e}"
+            f"max gap {gap:.3e}"
         )
     return mass, r_photon, spacetime_h

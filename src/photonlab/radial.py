@@ -58,16 +58,7 @@ class DomainError(ValueError):
 
 
 class EndpointDegeneracyError(DomainError):
-    """Evaluation requested at a domain endpoint where the chart degenerates.
-
-    Quantities may still admit one-sided limits; ``side`` records which
-    endpoint was hit so callers can substitute the limit where one exists.
-    """
-
-    def __init__(self, message: str, r: float, side: str):
-        super().__init__(message)
-        self.r = r
-        self.side = side  # "lo" or "hi"
+    """Evaluation requested at a domain endpoint where the chart degenerates."""
 
 
 class BuchdahlError(ValueError):
@@ -357,18 +348,14 @@ class RadialProfile:
             if self.degenerate_lo:
                 raise EndpointDegeneracyError(
                     "chart degenerates at r_lo; only the one-sided limit from "
-                    "above is defined",
-                    self.r_lo,
-                    "lo",
+                    "above is defined"
                 )
             raise DomainError("operation requires the open interior; r == r_lo")
         if hit_hi and (self.degenerate_hi or open_interior):
             if self.degenerate_hi:
                 raise EndpointDegeneracyError(
                     "chart degenerates at r_hi; only the one-sided limit from "
-                    "below is defined",
-                    self.r_hi,
-                    "hi",
+                    "below is defined"
                 )
             raise DomainError("operation requires the open interior; r == r_hi")
 

@@ -10,11 +10,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from photonlab.audit import audit_sphere, component_mass, monotonicity_scan
+from photonlab.audit import (
+    _GAUSS_NODES,
+    audit_sphere,
+    component_mass,
+    monotonicity_scan,
+)
 from photonlab.curvature import surface_geometry
 from photonlab.radial import (
-    CompositeProfile,
     DomainError,
+    EndpointDegeneracyError,
     RadialFunction,
     make_composite_star,
     make_schwarzschild_family,
@@ -152,6 +157,11 @@ def test_monotonicity_refuses_radii_outside_a_composite():
     star = make_composite_star(1.0, 2.5)
     with pytest.raises(DomainError):
         monotonicity_scan(star, 1.0, 101.0)
+    # the centre: the fluid piece refuses r = 0, where H/N = 2/r divides by zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(EndpointDegeneracyError):
+            monotonicity_scan(star, 0.0, 100.0)
 
 
 def test_monotonicity_refuses_radii_outside_a_closed_form_domain():
@@ -174,43 +184,104 @@ def test_monotonicity_refuses_radii_outside_a_table():
         monotonicity_scan(tab, 50.0, 400.0)
 
 
-def _flow_parameter_per_evaluation(profile, r_values):
-    """Arclength as the scan integrated it before picking the piece once per
-    segment: every evaluation of the integrand looks its piece up."""
-    from scipy.integrate import quad
-
-    cuts = list(getattr(profile, "breakpoints", ()))
-
-    def a_of(r):
-        if isinstance(profile, CompositeProfile):
-            return float(profile.piece_at(r).A(r))
-        return float(profile.A(r))
-
-    out = np.zeros(len(r_values))
-    for i in range(1, len(r_values)):
-        lo, hi = r_values[i - 1], r_values[i]
-        pts = [lo] + [c for c in cuts if lo < c < hi] + [hi]
-        total = 0.0
-        for a, b in zip(pts[:-1], pts[1:]):
-            val, _ = quad(a_of, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)
-            total += val
-        out[i] = out[i - 1] + total
-    return out
+def _schwarzschild_arclength(m, r):
+    """Integral of A = (1 - 2m/r)^(-1/2) dr, up to a constant."""
+    return np.sqrt(r * (r - 2.0 * m)) + 2.0 * m * np.log(np.sqrt(r) + np.sqrt(r - 2.0 * m))
 
 
-@pytest.mark.parametrize(
-    "profile, lo, hi",
-    [
-        (make_composite_star(1.0, 2.5), 0.5, 100.0),
-        (make_composite_star(1.0, 2.5), 2.5, 100.0),
-        (make_schwarzschild_family(1.0, 3.0, 100.0), 3.0, 100.0),
-    ],
-    ids=["star", "star_exterior", "exterior"],
-)
-def test_flow_parameter_matches_a_per_evaluation_piece_lookup(profile, lo, hi):
-    scan = monotonicity_scan(profile, lo, hi, n=128)
-    ref = _flow_parameter_per_evaluation(profile, scan.r)
-    assert scan.flow_parameter.tobytes() == ref.tobytes()
+def _assert_arclength(scan, ref):
+    # within 1e-12 of the total arclength at every sample
+    assert np.all(np.abs(scan.flow_parameter - ref) <= 1e-12 * ref[-1])
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("start", [3.0, 2.1, 2.0001])
+def test_flow_parameter_is_schwarzschild_arclength(m, start):
+    lo = start * m
+    scan = monotonicity_scan(make_schwarzschild_family(m, lo, 100.0 * m), lo, 100.0 * m)
+    F = _schwarzschild_arclength
+    _assert_arclength(scan, F(m, scan.r) - F(m, lo))
+
+
+def test_flow_parameter_is_the_radius_on_flat_space():
+    scan = monotonicity_scan(make_schwarzschild_family(0.0, 1.0, 100.0), 3.0, 100.0)
+    _assert_arclength(scan, scan.r - 3.0)
+
+
+def test_flow_parameter_on_a_fluid_piece_and_across_a_star_surface():
+    star = make_composite_star(1.0, 2.5)
+    fluid = star.pieces[0]
+    k = fluid.meta["curvature_k"]
+
+    def F(r):  # integral of A = (1 - k r^2)^(-1/2) dr
+        return np.arcsin(math.sqrt(k) * r) / math.sqrt(k)
+
+    scan = monotonicity_scan(fluid, 0.5, 2.5, n=64)
+    _assert_arclength(scan, F(scan.r) - F(0.5))
+    # 128 radii from 0.5 put no sample on the surface r = 2.5
+    scan = monotonicity_scan(star, 0.5, 100.0, n=128)
+    assert 2.5 not in scan.r
+    S = _schwarzschild_arclength
+    out = np.maximum(scan.r, 2.5)
+    ref = F(np.minimum(scan.r, 2.5)) - F(0.5) + S(1.0, out) - S(1.0, 2.5)
+    _assert_arclength(scan, ref)
+
+
+def test_flow_parameter_on_a_table_is_its_spline_integral():
+    CubicSpline = pytest.importorskip("scipy.interpolate").CubicSpline
+    src = make_schwarzschild_family(1.0, 2.1, 100.0)
+    r = np.geomspace(2.1, 100.0, 400)
+    tab = make_tabulated(r, src.N(r), src.A(r), src.Rareal(r))
+    scan = monotonicity_scan(tab, 2.1, 100.0)
+    spline = CubicSpline(r, src.A(r))
+    _assert_arclength(scan, np.array([spline.integrate(2.1, x) for x in scan.r]))
+
+
+def test_flow_parameter_reads_nan_from_a_nan_interval_on():
+    base = make_schwarzschild_family(1.0, 3.0, 100.0)
+
+    def holed(order):
+        def f(r):
+            return np.where((r > 40.0) & (r < 50.0), np.nan, base.A(r, order))
+        return f
+
+    profile = replace(base, A=RadialFunction(holed(0), holed(1), holed(2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scan = monotonicity_scan(profile, 3.0, 100.0, n=64)
+    t = scan.flow_parameter
+    first = int(np.argmax(np.isnan(t)))
+    assert 40.0 < scan.r[first] and scan.r[first - 1] < 50.0
+    assert np.isnan(t[first:]).all() and np.isfinite(t[:first]).all()
+
+
+def test_flow_parameter_keeps_a_nan_first_estimate():
+    # A is NaN at one node of the first estimate on [3, 100] only, so the
+    # halves' sum is finite; the segment must still read NaN, not that sum
+    x = np.polynomial.legendre.leggauss(_GAUSS_NODES)[0]
+    node = 51.5 + 48.5 * x[3]
+    base = make_schwarzschild_family(1.0, 3.0, 100.0)
+
+    def holed(r):
+        return np.where(r == node, np.nan, base.A(r))
+
+    profile = replace(base, A=RadialFunction(holed, holed, holed))
+    scan = monotonicity_scan(profile, 3.0, 100.0, n=2)
+    assert scan.flow_parameter[0] == 0.0 and math.isnan(scan.flow_parameter[1])
+
+
+def test_flow_parameter_refuses_a_segment_that_does_not_converge():
+    # A = (r - 3)^(-1/2) is integrable, but each halving of the first segment
+    # is a scaled copy of it, so its estimate never settles; two samples keep
+    # the halved segments far wider than the spacing of floats near r = 3
+    def spike(r):
+        r = np.asarray(r, dtype=float)
+        return np.divide(1.0, np.sqrt(r - 3.0), out=np.full(r.shape, np.inf), where=r > 3.0)
+
+    base = make_schwarzschild_family(1.0, 3.0, 100.0)
+    profile = replace(base, A=RadialFunction(spike, spike, spike))
+    with pytest.raises(DomainError, match=r"did not converge on \[3\.0, "):
+        monotonicity_scan(profile, 3.0, 100.0, n=2)
 
 
 def test_mass_routes_share_one_formula(wide_m1):

@@ -1,9 +1,12 @@
-"""Cold start: importing the package, every closed-form verdict and every
-read of a tabulated profile load numpy but not scipy, which only
-monotonicity scans need."""
+"""Cold start: importing the package, every closed-form verdict, every read
+of a tabulated profile and the H/N monotonicity scan load numpy but not
+scipy, which only the tests' reference checks use.  The import loads no
+``numpy.polynomial`` either: the scan takes its Gauss-Legendre nodes when
+it runs."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -27,6 +30,7 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 
 
+print("import", scipy_modules(), "numpy.polynomial" in sys.modules)
 report = pl.run_rigidity_pipeline(pl.make_schwarzschild_family(1.0, 3.0, 100.0))
 assert report.verdict == "schwarzschild_rigid", report.verdict
 wide = pl.make_schwarzschild_family(1.0, 2.1, 100.0)
@@ -41,6 +45,10 @@ pl.curvature_at(loaded, 7.0)
 (root,) = pl.photon_sphere_search(loaded)
 assert pl.trapping_report(loaded, root).verdict == "trapped"
 print("tabulated", scipy_modules())
+
+assert pl.monotonicity_scan(wide, 3.0, 100.0).nonincreasing
+assert pl.monotonicity_scan(pl.make_composite_star(1.0, 2.5), 0.5, 100.0).nonincreasing
+print("monotonicity", scipy_modules())
 """
 
 
@@ -52,12 +60,31 @@ def _env():
     return env
 
 
+def test_no_library_module_imports_scipy():
+    package = os.path.dirname(os.path.abspath(photonlab.__file__))
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert all(m.partition(".")[0] != "scipy" for m in modules), name
+
+
 def test_closed_form_verdicts_do_not_import_scipy():
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD],
         capture_output=True, text=True, env=_env(), check=True,
     )
-    assert proc.stdout.splitlines() == ["closed-form []", "tabulated []"]
+    assert proc.stdout.splitlines() == [
+        "import [] False", "closed-form []", "tabulated []", "monotonicity []",
+    ]
 
 
 def _cli_imports(*args):

@@ -101,11 +101,13 @@ def test_reconstruction_scales(mass):
 
 @pytest.mark.parametrize("field", ["mass_i", "mass_from_H", "area_radius", "spacetime_H"])
 def test_reconstruction_checks_each_audit_value(pipeline_m1, field):
-    # each cross-check fires on its own: shift one audited value by 1e-9
+    # each cross-check fires on its own: shift one audited value by 1e-9, or
+    # make it NaN (a NaN gap fails every comparison, so it must be refused)
     audit = pipeline_m1.boundary_audit
-    shifted = replace(audit, **{field: getattr(audit, field) + 1e-9})
-    with pytest.raises(DomainError, match="disagree with the boundary audit"):
-        reconstruct_schwarzschild(replace(pipeline_m1, boundary_audit=shifted))
+    for value in (getattr(audit, field) + 1e-9, math.nan):
+        shifted = replace(audit, **{field: value})
+        with pytest.raises(DomainError, match="disagree with the boundary audit"):
+            reconstruct_schwarzschild(replace(pipeline_m1, boundary_audit=shifted))
 
 
 def test_reconstruction_requires_rigid_verdict(pipeline_m1):
