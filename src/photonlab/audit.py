@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import surface_geometry
-from .radial import CompositeProfile, DomainError, RadialProfile
+from .radial import CompositeProfile, DomainError, RadialProfile, _require_piece
 
 __all__ = [
     "IdentityReport",
@@ -86,6 +86,7 @@ class IdentityReport:
 
 def audit_sphere(profile: RadialProfile, r0: float) -> IdentityReport:
     """Evaluate the photon-sphere identity system at radius r0."""
+    _require_piece(profile, "audit_sphere")
     geom = surface_geometry(profile, r0)
     h = geom.H
     spacetime_h = 1.5 * h

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import curvature_at, fd_curvature_oracle, radial_laplacian
+from .curvature import _fd_scalar, curvature_at, radial_laplacian
 from .gluing import (
     SAMPLE_GUARD,
     Chart,
@@ -313,13 +313,11 @@ def _fd_scalar_refined(profile: RadialProfile, t, h):
     """One Richardson step on the second-order oracle scalar.
 
     Combining the oracle at steps h and h/2 cancels the leading quadratic
-    truncation term.  Both steps run in one oracle pass over the samples
-    taken twice, each sample as its own call would give it, so the result
-    still derives from metric values only.
+    truncation term.  Both steps run in one pass of the oracle's scalar
+    route over the samples taken twice, each sample as its own call would
+    give it, so the result still derives from metric values only.
     """
-    both = fd_curvature_oracle(
-        profile, np.concatenate([t, t]), np.concatenate([h, 0.5 * h])
-    ).scalar
+    both = _fd_scalar(profile, np.concatenate([t, t]), np.concatenate([h, 0.5 * h]))
     d1, d2 = both[: len(t)], both[len(t):]
     return (4.0 * d2 - d1) / 3.0
 
@@ -335,8 +333,9 @@ def conformal_scalar_residual(conformal: ConformalManifold, n_samples: int = 512
     inverted reflected-end charts (both Richardson-refined).  Each sample
     carries its own step, shrunk to 0.45 times its distance from the
     nearer chart edge so the stencil stays inside, and each presentation
-    is one array pass of the oracle over all its samples (on refined
-    charts over the samples taken twice, at h and h/2).  A non-finite
+    is one array pass of the oracle's scalar route (its scalar, bit for
+    bit, without the lapse) over all its samples (on refined charts over
+    the samples taken twice, at h and h/2).  A non-finite
     sample is reported as the maximum.
 
     Reflected-end coverage: close to the puncture the sphere areal radius
@@ -375,7 +374,7 @@ def conformal_scalar_residual(conformal: ConformalManifold, n_samples: int = 512
         if refined:
             val = np.abs(_fd_scalar_refined(prof, t, h))
         else:
-            val = np.abs(fd_curvature_oracle(prof, t, h).scalar)
+            val = np.abs(_fd_scalar(prof, t, h))
         rs = np.asarray(to_r(t), dtype=float)
         coverage[cid] = (float(np.min(rs)), float(np.max(rs)))
         return cid, rs, val

@@ -9,18 +9,23 @@ Two routes to the same tensors, deliberately kept apart:
   symbols, nested differencing for their derivatives — so agreement between
   the two is a genuine cross-check, not a tautology.
 
-The oracle works internally in extended precision (``np.longdouble``) so
-its truncation error, not roundoff, dominates down to step sizes of 1e-4.
-Its 25 stencil points per sample lie on seven distinct radii, r, r +- h
-and (r +- h) +- h: A and Rareal are read once on those seven, N once on
-the central three, and the sines of the seven angles pi/2 +- h once per
-run of equal steps.  The assembly uses only that the metric is diagonal:
-each Christoffel symbol comes from d_e g_aa by its index class (13
-distinct values of 27).  Only the twelve symbol derivatives the Ricci
-contraction reads are differenced, so the four displaced centres form
-only the five symbols their own difference reads.  The 54 quadratic
-terms are gathered products, 18 for each c, summed in the order of the
-full index loops.
+The oracle works internally in extended precision (:data:`ORACLE_DTYPE`,
+``np.longdouble``) so its truncation error, not roundoff, dominates down
+to step sizes of 1e-4.  Its 25 stencil points per sample lie on seven
+distinct radii, r, r +- h and (r +- h) +- h: A and Rareal are read once on
+those seven, N once on the central three, and the sines of the seven
+angles pi/2 +- h once per run of equal steps.  The assembly uses only that
+the metric is diagonal and radial: each Christoffel symbol comes from
+d_e g_aa by its index class (13 distinct values of 27), and the metric
+is inverted once at each centre along r.  Only the twelve symbol derivatives the Ricci
+contraction reads are differenced, so the two displaced centres along r
+form only the five symbols their own difference reads, and the two
+along th only the two that read d_th g_phph (g_rr and g_thth do not
+depend on th).  The 54 quadratic terms are products of 28 distinct
+symbol pairs, each formed once, and summed in the order of the full index
+loops.  The curvature is one core, :func:`_fd_ricci`; the oracle adds the
+lapse Hessian to it, and the conformal scalar scan reads only its scalar
+(:func:`_fd_scalar`), with the same bits and no read of N.
 
 Both routes are array-shaped: given an array of radii (and, for the
 oracle, a matching array of per-sample steps) they evaluate every sample
@@ -34,6 +39,7 @@ vectorized float64 ``**`` does not round exactly like the scalar one.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -45,6 +51,7 @@ from .radial import (
     ProfileKind,
     RadialFunction,
     RadialProfile,
+    _require_piece,
 )
 
 __all__ = [
@@ -59,6 +66,10 @@ __all__ = [
     "radial_laplacian",
     "convergence_study",
 ]
+
+# The oracle's working precision: x87 80-bit extended where numpy's
+# longdouble is (x86-64 Linux), IEEE double where C long double is.
+ORACLE_DTYPE = np.longdouble
 
 # The static vacuum residuals, in the order scans report them and break ties.
 VACUUM_FIELDS = ("vac_residual_nn", "vac_residual_tt", "scalar_residual", "lap_residual")
@@ -140,15 +151,15 @@ def _proper_second(f: Jet, a: Jet):
     return (f.d2 - f.d1 * a.d1 / a.v) / (a.v * a.v)
 
 
+def _float_array(x):
+    return np.array(x, dtype=float)
+
+
 def _sample(r, n, ric_nn, ric_tt, scalar, hess_nn, hess_tt, lap_n) -> CurvatureSample:
     """Package assembled components, forming the vacuum residuals in their
     own precision first: floats for a scalar ``r``, float arrays for an
     array ``r``."""
-    if isinstance(r, np.ndarray):
-        def cast(x):
-            return np.array(x, dtype=float)
-    else:
-        cast = float
+    cast = _float_array if isinstance(r, np.ndarray) else float
     # The frozen dataclass __init__ sets each of the eleven fields through
     # object.__setattr__, at about the cost of a scalar sample's curvature
     # arithmetic; filling the instance dictionary in field order gives the
@@ -176,7 +187,11 @@ def curvature_at(profile: RadialProfile, r) -> CurvatureSample:
     ``r`` may also be an array of radii, evaluated in one pass; the
     sample's fields are then float arrays of the same shape.
     """
-    profile.ensure_evaluable(r, open_interior=True)
+    try:  # a composite has no ensure_evaluable: refused by name, at no cost here
+        profile.ensure_evaluable(r, open_interior=True)
+    except AttributeError:
+        _require_piece(profile, "curvature_at")
+        raise
     n, a, rj = profile._read().jets(r)
     rr = rj.v
     # proper-radial derivatives of Rareal and N
@@ -216,6 +231,7 @@ def vacuum_residual_scan(profile: RadialProfile, n: int) -> VacuumResidualScan:
     one array :func:`curvature_at` call: degenerate ends are avoided by
     :meth:`RadialProfile.interior_window` (pad 1e-6), other ends inset by
     1e-9 of the span."""
+    _require_piece(profile, "vacuum_residual_scan")
     if n < 1:
         raise DomainError(f"n must be at least 1, got {n}")
     lo, hi = profile.interior_window(pad=1e-6)
@@ -269,7 +285,7 @@ def _stencil_sines(h):
     start = np.empty(flat.shape, dtype=bool)
     start[:1] = True
     np.not_equal(flat[1:], flat[:-1], out=start[1:])
-    sines = np.sin(_nested(np.longdouble(np.pi) / 2.0, flat[start]))
+    sines = np.sin(_nested(ORACLE_DTYPE(np.pi) / 2.0, flat[start]))
     return sines[:, np.cumsum(start) - 1].reshape((7,) + h.shape)
 
 
@@ -286,36 +302,42 @@ def _metric(a2, r2, sin_th):
 _OTHERS = (slice(1, 3), slice(0, 3, 2))
 
 
-def _christoffel_along(g0, dg, h, e):
-    """The five Christoffel symbols of a diagonal metric that read its
-    difference along coordinate e (0 for r, 1 for th): all that a
-    displaced centre of the oracle's stencil contributes.
+def _christoffel_reading(w_c, d_c, w_e, out):
+    """The two Christoffel symbols of a diagonal metric that read
+    d_c = d_e g_cc for a c != e: w_c (d_c + 0) and w_e ((0 + 0) - d_c),
+    with w_c = g^cc / 2 and w_e = g^ee / 2, on the leading axis of
+    ``out`` (for a stack of c, all of the first kind, then the second).
+    (d + 0) - 0 is d + 0 bit for bit.
+    """
+    half = len(out) // 2
+    np.multiply(w_c, d_c + 0.0, out=out[:half])
+    np.multiply(w_e, 0.0 - d_c, out=out[half:])
 
-    ``g0`` holds the metric diagonal (g_rr, g_thth, g_phph) on a leading
-    axis, ``dg`` the difference numerators g(+h) - g(-h) along e at the
-    same points (same shape and dtype), and ``h`` the step, which
-    broadcasts against the trailing axes.  With w = g^cc / 2 and
-    d[a] = d_e g_aa, the rows are w[c] ((d[c] + 0) - 0) for the two c != e
-    in order, w[e] ((0 + 0) - d[a]) for the two a != e in order, and
+
+def _christoffel_along(w, d, e, out):
+    """The five Christoffel symbols of a diagonal metric that read its
+    derivative along coordinate e (0 for r, 1 for th), written to ``out``.
+
+    ``w`` holds w[a] = g^aa / 2 and ``d`` the derivatives d[a] = d_e g_aa
+    at the same points, both on a leading axis a = (r, th, ph).  The rows
+    are w[c] (d[c] + 0) for the two c != e in order, w[e] ((0 + 0) - d[a])
+    for the two a != e in order (:func:`_christoffel_reading`), and
     w[e] ((d[e] + d[e]) - d[e]) (see :func:`_christoffel`).
     """
-    d = dg / (2.0 * h)
-    w = 0.5 * (1.0 / g0)
     others = _OTHERS[e]
-    gamma = np.empty((5,) + g0.shape[1:], dtype=d.dtype)
-    np.multiply(w[others], (d[others] + 0.0) - 0.0, out=gamma[:2])
-    np.multiply(w[e], 0.0 - d[others], out=gamma[2:4])
-    np.multiply(w[e], (d[e] + d[e]) - d[e], out=gamma[4:])
-    return gamma
+    _christoffel_reading(w[others], d[others], w[e], out[:4])
+    np.multiply(w[e], (d[e] + d[e]) - d[e], out=out[4:])
 
 
-def _christoffel(g0, rows_r, rows_th):
-    """Christoffel symbols from centered differences of a diagonal metric.
+def _christoffel(w, d_r, d_th, w_ph, d_ph):
+    """Christoffel symbols of a radial metric from its derivatives, at the
+    oracle's centres.
 
-    ``g0`` holds the metric diagonal (g_rr, g_thth, g_phph) on a leading
-    axis, and ``rows_r`` and ``rows_th`` are :func:`_christoffel_along` at
-    the same points along r and along th.  Coordinates are ordered
-    (r, th, ph).
+    ``w`` holds g^aa / 2 and ``d_r`` the derivatives d_r g_aa at K centres
+    along r, as [a, k, ...] with a in (r, th, ph); ``d_th`` holds d_th g_aa
+    at centre 0 as [a, ...].  The other K - 1 centres along th (at radius
+    r) have centre 0's g_rr and g_thth and their derivatives, so only
+    g^phph / 2 and d_th g_phph there are passed, in ``w_ph`` and ``d_ph``.
 
     For any diagonal metric
     gamma[c, a, b] = g^cc (delta_bc d_a g_cc + delta_ac d_b g_cc
@@ -328,12 +350,23 @@ def _christoffel(g0, rows_r, rows_th):
     ph.  So signed zeros, infinities and NaNs come out as the full
     contraction gives them.
 
-    The 27 entries take 13 distinct values, returned as rows on a leading
-    axis: gamma[c, a, b] is row ``_GAMMA_ROW[c, a, b]``.  Rows 0-2 are the
-    zero classes g^cc (0 + 0 - 0) / 2 of c, rows 3-7 are ``rows_r`` and
-    rows 8-12 ``rows_th``.
+    Returns rows on a leading axis.  Rows 0-2 are the zero classes
+    g^cc (0 + 0 - 0) / 2 of c at centre 0, and row 3 + 10 k + 5 e + j is
+    row j of :func:`_christoffel_along` along e at centre k.  So rows
+    0-12 are the 13 distinct values of the 27 symbols at centre 0:
+    gamma[c, a, b] is row ``_GAMMA_ROW[c, a, b]``.  At the centres k > 0
+    along th, rows 0, 2 and 4 read only what centre 0's do and are
+    copied; rows 1 and 3 read d_th g_phph.
     """
-    return np.concatenate([np.multiply(0.5 * (1.0 / g0), 0.0), rows_r, rows_th])
+    k = d_r.shape[1]
+    table = np.empty((3 + 10 * k,) + d_th.shape[1:], dtype=d_r.dtype)
+    np.multiply(w[:, 0], 0.0, out=table[:3])
+    along = table[3:].reshape((k, 2, 5) + d_th.shape[1:])
+    _christoffel_along(w, d_r, 0, along[:, 0].swapaxes(0, 1))
+    _christoffel_along(w[:, 0], d_th, 1, along[0, 1])
+    along[1:, 1, ::2] = along[:1, 1, ::2]
+    _christoffel_reading(w_ph, d_ph, w[1, 0], along[1:, 1, 1::2].swapaxes(0, 1))
+    return table
 
 
 def _gamma_row(c, a, b):
@@ -356,33 +389,107 @@ _GAMMA_ROW = np.array(
     [[[_gamma_row(c, a, b) for b in range(3)] for a in range(3)] for c in range(3)]
 )
 
-
-# The derivatives of gamma that the Ricci contraction reads are
-# d_c gamma^c_aa for c < 2 and d_a gamma^c_ca for a < 2 (ph has no
-# stencil).  For each of those twelve: its slot [k, c, a] in the
-# contraction, the direction e of its difference and its row in
-# :func:`_christoffel_along`'s result for that e.
-_DIV = [((0, c, a), _GAMMA_ROW[c, a, a], c) for c in range(2) for a in range(3)] + [
-    ((1, c, a), _GAMMA_ROW[c, c, a], a) for c in range(3) for a in range(2)
+# The quadratic Ricci terms gamma^c_cd gamma^d_aa (k = 0) and
+# gamma^c_ad gamma^d_ca (k = 1), in [c, d, k, a] order, as the symbol-table
+# rows of their two factors: 54 products of 28 distinct row pairs, the
+# order of two factors being immaterial to their product, bit for bit.
+_QUAD_ROWS = [
+    tuple(sorted(
+        (_GAMMA_ROW[c, c, d], _GAMMA_ROW[d, a, a]) if k == 0
+        else (_GAMMA_ROW[c, a, d], _GAMMA_ROW[d, c, a])
+    ))
+    for c, d, k, a in itertools.product(range(3), range(3), range(2), range(3))
 ]
-_DIV_SLOT = tuple(np.array([slot for slot, _, _ in _DIV]).T)
-_DIV_DIR = np.array([e for _, _, e in _DIV])
-_DIV_ALONG = np.array([row for _, row, _ in _DIV]) - 3 - 5 * _DIV_DIR
-
-_D, _A = np.indices((3, 3))
+_PAIRS = sorted(set(_QUAD_ROWS))
+_PRODUCT = np.array([_PAIRS.index(p) for p in _QUAD_ROWS]).reshape(3, 3, 2, 3)
+_PAIRS = np.array(_PAIRS)
 
 
-def _quad_factors(c):
-    """Indices into gamma of the left and right factors of
-    gamma^c_cd gamma^d_aa (k = 0) and gamma^c_ad gamma^d_ca (k = 1), as
-    [k, d, a], for one c."""
-    c = np.full_like(_D, c)
-    left = (np.stack([c, c]), np.stack([c, _A]), np.stack([_D, _D]))
-    right = (np.stack([_D, _D]), np.stack([_A, c]), np.stack([_A, _A]))
-    return left, right
+def _products(table, out=None):
+    """The 28 distinct products behind the 54 quadratic Ricci terms: the
+    term of [c, d, k, a] is row ``_PRODUCT[c, d, k, a]``."""
+    return np.multiply(table[_PAIRS[:, 0]], table[_PAIRS[:, 1]], out=out)
 
 
-_QUAD = [_quad_factors(c) for c in range(3)]
+# Each ric[a] sums, for c in order, +d_c gamma^c_aa, -d_a gamma^c_ca, and
+# for d in order +gamma^c_cd gamma^d_aa, -gamma^c_ad gamma^d_ca: eight
+# terms per c, as [c, t, a] rows of the oracle's term table.  Its rows are
+# the 28 products, the ten symbol differences (row j of
+# _christoffel_along along e is difference 5 e + j, that is its symbol
+# row less 3) and a zero for the derivatives that no stencil takes (along
+# ph, and of gamma^c_c ph).
+_ZERO_TERM = len(_PAIRS) + 10
+_c, _a = np.indices((3, 3))
+_TERMS = np.empty((3, 8, 3), dtype=int)
+_TERMS[:, 0] = np.where(_c < 2, len(_PAIRS) - 3 + _GAMMA_ROW[_c, _a, _a], _ZERO_TERM)
+_TERMS[:, 1] = np.where(_a < 2, len(_PAIRS) - 3 + _GAMMA_ROW[_c, _c, _a], _ZERO_TERM)
+_TERMS[:, 2::2] = _PRODUCT[:, :, 0]
+_TERMS[:, 3::2] = _PRODUCT[:, :, 1]
+del _c, _a
+
+
+def _fd_ricci(profile: RadialProfile, r, h):
+    """The oracle's shared core: the diagonal Ricci components and scalar
+    curvature of the metric values at r, with what the lapse Hessian reads.
+
+    Returns (ric, ginv, scalar, table, radii, hl): the coordinate Ricci
+    diagonal ric[a], the inverse metric diagonal g^aa and the scalar
+    sum of ric[a] g^aa at the centre, the symbol table of
+    :func:`_christoffel`, the seven nested stencil radii and the steps,
+    all in :data:`ORACLE_DTYPE`.
+    """
+    profile.ensure_evaluable(r, open_interior=True)
+    if not np.all((profile.r_lo < r - 2.0 * h) & (r + 2.0 * h < profile.r_hi)):
+        raise DomainError("finite-difference stencil leaves the profile domain")
+
+    rl, hl = np.broadcast_arrays(
+        np.asarray(r, dtype=ORACLE_DTYPE), np.asarray(h, dtype=ORACLE_DTYPE)
+    )
+    radii = _nested(rl, hl)
+    a_val, r_val = profile._read().values(radii)
+    a2, r2 = a_val * a_val, r_val * r_val
+    sin_th = _stencil_sines(hl)
+    # The metric at the seven radii on th = pi/2, at radius r on th +- h,
+    # and its g_phph at (th +- h) +- h: only g_phph changes along th.  The
+    # Christoffel centres are (r, pi/2), (r +- h, pi/2) and (r, th +- h).
+    g_r = _metric(a2, r2, sin_th[0])
+    g_th = _metric(a2[0], r2[0], sin_th[1:3])
+    ph_out = r2[0] * sin_th[3:] * sin_th[3:]
+    two_h = 2.0 * hl
+    d_r = (g_r[:, 1::2] - g_r[:, 2::2]) / two_h
+    d_th = (g_th[:, 0] - g_th[:, 1]) / two_h
+    d_ph = (ph_out[::2] - ph_out[1::2]) / two_h
+    inv = 1.0 / g_r[:, :3]
+    w = 0.5 * inv
+
+    table = _christoffel(w, d_r, d_th, 0.5 * (1.0 / g_th[2]), d_ph)
+
+    # The Ricci terms: the products, the derivatives of the symbols (their
+    # differences between the centres a step above and below) and a zero.
+    # Each ric[a] sums its terms in the order of the index loops over c and d.
+    n_products = len(_PAIRS)
+    terms = np.empty((_ZERO_TERM + 1,) + hl.shape, dtype=table.dtype)
+    _products(table, out=terms[:n_products])
+    div = terms[n_products:_ZERO_TERM]
+    np.subtract(table[13:23], table[23:33], out=div)
+    div /= two_h
+    terms[_ZERO_TERM] = 0.0
+    ric = np.zeros((3,) + hl.shape, dtype=table.dtype)
+    for c in range(3):
+        terms_c = terms[_TERMS[c]]
+        for t in range(0, 8, 2):
+            ric += terms_c[t]
+            ric -= terms_c[t + 1]
+    ginv = inv[:, 0]
+    return ric, ginv, sum(ric[i] * ginv[i] for i in range(3)), table, radii, hl
+
+
+def _fd_scalar(profile: RadialProfile, r, h):
+    """The oracle's scalar curvature alone, as :func:`fd_curvature_oracle`
+    gives it (same bits), without reading N: a float for a number ``r``, a
+    float array for an array."""
+    scalar = _fd_ricci(profile, r, h)[2]
+    return _float_array(scalar) if isinstance(r, np.ndarray) else float(scalar)
 
 
 def fd_curvature_oracle(profile: RadialProfile, r, h=1e-3) -> CurvatureSample:
@@ -401,8 +508,10 @@ def fd_curvature_oracle(profile: RadialProfile, r, h=1e-3) -> CurvatureSample:
     (through the profile's read, fused where it has one) and N once on the
     central three.  The metric is differenced along r at the centres
     (r, th), (r +- h, th) and along th at (r, th), (r, th +- h); the
-    centre forms every Christoffel symbol, each displaced centre only the
-    five its own difference reads.
+    centre forms every Christoffel symbol, each displaced centre along r
+    the five its own difference reads and each along th the two that read
+    d_th g_phph.  The curvature is :func:`_fd_ricci`, which the scalar scan
+    also reads; this adds the lapse.
 
     ``r`` may be an array of radii and ``h`` a matching array of
     per-sample steps (or one step for all).  Every stencil is then one
@@ -411,50 +520,8 @@ def fd_curvature_oracle(profile: RadialProfile, r, h=1e-3) -> CurvatureSample:
     A run of equal steps shares one set of angle sines, which are the
     same values its samples would each compute.
     """
-    profile.ensure_evaluable(r, open_interior=True)
-    if not np.all((profile.r_lo < r - 2.0 * h) & (r + 2.0 * h < profile.r_hi)):
-        raise DomainError("finite-difference stencil leaves the profile domain")
-
-    ld = np.longdouble
-    rl, hl = np.broadcast_arrays(np.asarray(r, dtype=ld), np.asarray(h, dtype=ld))
-    radii = _nested(rl, hl)
-    a_val, r_val = profile._read().values(radii)
-    a2, r2 = a_val * a_val, r_val * r_val
-    sin_th = _stencil_sines(hl)
-    # The metric at the seven radii on th = pi/2, and at radius r on the
-    # seven angles; the first three of each are the Christoffel centres
-    # along r and along th, (r, pi/2) in both.
-    g_r = _metric(a2, r2, sin_th[0])
-    g_th = _metric(a2[0], r2[0], sin_th)
-    dg_r = g_r[:, 1::2] - g_r[:, 2::2]
-    dg_th = g_th[:, 1::2] - g_th[:, 2::2]
-
-    # rows[e, :, k]: the symbols that read the difference along e, at the
-    # centre (k = 0) and a step above and below it along e (k = 1, 2).
-    # Only the centre forms every symbol.
-    rows = np.stack([
-        _christoffel_along(g_r[:, :3], dg_r, hl, 0),
-        _christoffel_along(g_th[:, :3], dg_th, hl, 1),
-    ])
-    gam = _christoffel(g_r[:, 0], rows[0, :, 0], rows[1, :, 0])[_GAMMA_ROW]
-    ginv = 1.0 / g_r[:, 0]
-    div = np.zeros((2, 3, 3) + gam.shape[3:], dtype=gam.dtype)
-    div[_DIV_SLOT] = (
-        rows[_DIV_DIR, _DIV_ALONG, 1] - rows[_DIV_DIR, _DIV_ALONG, 2]
-    ) / (2.0 * hl)
-    # Only the diagonal Ricci and Hessian components are reported.  Each
-    # ric[a] sums its terms in the order of the index loops over c and d;
-    # the quadratic terms are formed for one c at a time.
-    ric = np.zeros((3,) + gam.shape[3:], dtype=gam.dtype)
-    for c in range(3):
-        left, right = _QUAD[c]
-        quad = gam[left]
-        quad *= gam[right]
-        ric += div[0, c]
-        ric -= div[1, c]
-        for d in range(3):
-            ric += quad[0, d]
-            ric -= quad[1, d]
+    _require_piece(profile, "fd_curvature_oracle")
+    ric, ginv, scalar, gam, radii, hl = _fd_ricci(profile, r, h)
 
     # Lapse derivatives on the central stencil, whose theta-neighbours sit
     # at radius r (theta-differences vanish by symmetry but are computed,
@@ -467,14 +534,17 @@ def fd_curvature_oracle(profile: RadialProfile, r, h=1e-3) -> CurvatureSample:
         (n_tp - 2.0 * n0 + n_tm) / (hl * hl),
         0.0,
     )
-    hess = [d2n[a] - sum(gam[c, a, a] * dn[c] for c in range(3)) for a in range(3)]
+    hess = [
+        d2n[a] - sum(gam[_GAMMA_ROW[c, a, a]] * dn[c] for c in range(3))
+        for a in range(3)
+    ]
 
     return _sample(
         r,
         n0,
         ric[0] * ginv[0],
         ric[1] * ginv[1],
-        sum(ric[i] * ginv[i] for i in range(3)),
+        scalar,
         hess[0] * ginv[0],
         hess[1] * ginv[1],
         sum(hess[i] * ginv[i] for i in range(3)),

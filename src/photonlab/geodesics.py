@@ -37,6 +37,7 @@ from .radial import (
     RadialFunction,
     RadialProfile,
     _require_finite,
+    _require_piece,
 )
 
 __all__ = [
@@ -203,6 +204,7 @@ def photon_sphere_search(
     empty list is the definitive "no photon sphere" answer for profiles
     where the residual keeps one sign.
     """
+    _require_piece(profile, "photon_sphere_search")
     if n_scan < 2:
         raise DomainError(f"n_scan must be at least 2, got {n_scan}")
     lo0, hi0 = profile.interior_window(pad=1e-7)
@@ -612,6 +614,7 @@ def trapping_report(
     non-finite profile value (termination ``non_finite``) raises
     :class:`DomainError` naming its last accepted radius.
     """
+    _require_piece(profile, "trapping_report")
     scale = r0 / 3.0
     window = 50.0 * scale if affine_window is None else float(affine_window)
     budget = 1e-3 * scale if trap_tol is None else float(trap_tol)

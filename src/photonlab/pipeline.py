@@ -44,7 +44,7 @@ from .gluing import (
     psi_bound_check,
     psi_harmonicity_max,
 )
-from .radial import DomainError, RadialProfile
+from .radial import DomainError, RadialProfile, _require_piece
 
 __all__ = [
     "FLAT_TOL",
@@ -121,6 +121,7 @@ def run_rigidity_pipeline(
     compactification schedules scale with the audited component mass, so
     the same call covers any mass without retuning.
     """
+    _require_piece(exterior, "run_rigidity_pipeline")
     r0 = float(exterior.r_lo)
     boundary_audit = audit_sphere(exterior, r0)
     glued = _glue_audited(exterior, r0, boundary_audit, match_tol, None)

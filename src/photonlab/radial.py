@@ -1038,6 +1038,16 @@ class CompositeProfile:
         return self.pieces[-1]
 
 
+def _require_piece(profile, entry: str) -> None:
+    """Refuse a :class:`CompositeProfile` at an entry point that evaluates
+    one radial profile, naming the entry point."""
+    if isinstance(profile, CompositeProfile):
+        raise DomainError(
+            f"{entry} takes one RadialProfile, not a CompositeProfile; "
+            "pass one of its pieces (.pieces, or .piece_at(r))"
+        ) from None
+
+
 def make_composite_star(
     mass: float, star_radius: float, r_hi: float | None = None
 ) -> CompositeProfile:

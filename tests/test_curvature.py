@@ -4,6 +4,7 @@ vacuum residuals, sphere geometry, and the two chart-free identities."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -15,8 +16,10 @@ from photonlab.conformal import (
     conformal_transform,
 )
 from photonlab.curvature import (
+    ORACLE_DTYPE,
     VACUUM_FIELDS,
     CurvatureSample,
+    _fd_scalar,
     _stencil_sines,
     convergence_study,
     curvature_at,
@@ -222,12 +225,10 @@ def _counted(f: RadialFunction, log: list) -> RadialFunction:
     return RadialFunction(value, lambda r: f(r, 1), lambda r: f(r, 2))
 
 
-@pytest.mark.parametrize("as_array", [True, False], ids=["array", "scalar"])
-def test_oracle_reads_each_stencil_radius_once(as_array):
-    # the 25 stencil points of a sample lie on seven radius expressions, so
-    # one oracle call makes one call each to N, A and Rareal; A and Rareal
-    # see exactly the seven expressions as nested stencils form them, and N
-    # the central three.  At r just below 4, (r + h) - h is not r.
+def _count_stencil_reads(route, as_array):
+    """Call ``route`` on a profile whose N, A and Rareal log their radii;
+    assert that A and Rareal see exactly the seven nested stencil radius
+    expressions, in one call each, and return the logs and the stencil."""
     profile = make_schwarzschild_family(1.0, 2.5, 100.0)
     calls = {"N": [], "A": [], "Rareal": []}
     counted = dataclasses.replace(
@@ -237,24 +238,82 @@ def test_oracle_reads_each_stencil_radius_once(as_array):
     hs = np.array([0.0007471803000898322, 3e-4, 2e-2])
     if not as_array:
         rs, hs = float(rs[0]), float(hs[0])
-    fd_curvature_oracle(counted, rs, hs)
-    assert {k: len(log) for k, log in calls.items()} == {"N": 1, "A": 1, "Rareal": 1}
+    route(counted, rs, hs)
+    assert len(calls["A"]) == len(calls["Rareal"]) == 1
 
-    r, h = np.asarray(rs, dtype=np.longdouble), np.asarray(hs, dtype=np.longdouble)
+    r, h = np.asarray(rs, dtype=ORACLE_DTYPE), np.asarray(hs, dtype=ORACLE_DTYPE)
     rp, rm = r + h, r - h
     assert np.atleast_1d(rp - h != r)[0]
     stencil = np.array(np.broadcast_arrays(r, rp, rm, rp + h, rp - h, rm + h, rm - h))
     for k in ("A", "Rareal"):
-        assert calls[k][0].dtype == np.longdouble
+        assert calls[k][0].dtype == ORACLE_DTYPE
         np.testing.assert_array_equal(calls[k][0], stencil)
+    return calls, stencil
+
+
+@pytest.mark.parametrize("as_array", [True, False], ids=["array", "scalar"])
+def test_oracle_reads_each_stencil_radius_once(as_array):
+    # the 25 stencil points of a sample lie on seven radius expressions, so
+    # one oracle call makes one call each to N, A and Rareal; A and Rareal
+    # see exactly the seven expressions as nested stencils form them, and N
+    # the central three.  At r just below 4, (r + h) - h is not r.
+    calls, stencil = _count_stencil_reads(fd_curvature_oracle, as_array)
+    assert len(calls["N"]) == 1
     np.testing.assert_array_equal(calls["N"][0], stencil[:3])
+
+
+@pytest.mark.parametrize("as_array", [True, False], ids=["array", "scalar"])
+def test_fd_scalar_reads_a_and_rareal_once_and_n_never(as_array):
+    # the scan's scalar route reads the metric as the oracle does, and no lapse
+    calls, _ = _count_stencil_reads(_fd_scalar, as_array)
+    assert calls["N"] == []
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_profiles(mass: float) -> dict:
+    """The profiles of the oracle's golden digests (test_oracle_golden.py)."""
+    exterior = make_schwarzschild_family(mass, 3.0 * mass, 100.0 * mass)
+    conf = conformal_transform(double(glue_neck(exterior, 3.0 * mass)))
+    nodes = np.geomspace(2.1 * mass, 100.0 * mass, 400)
+    return {
+        "exterior": exterior,
+        "neck_isotropic": _neck_isotropic_profile(conf.chart("neck"))[0],
+        "inverted_end": _inverted_profile(conf.chart("exterior_reflected")),
+        "hat": conf.chart("exterior").hat,
+        "tabulated": make_tabulated(
+            nodes, exterior.N(nodes), exterior.A(nodes), exterior.Rareal(nodes)
+        ),
+        "fluid": make_interior_fluid(mass, 2.5 * mass),
+    }
+
+
+@pytest.mark.parametrize("mass", [0.5, 1.0, 2.0, 0.5085834761425084])
+@pytest.mark.parametrize(
+    "case", ["exterior", "neck_isotropic", "inverted_end", "hat", "tabulated", "fluid"]
+)
+def test_fd_scalar_is_the_oracle_scalar_bit_for_bit(case, mass):
+    # the scan's scalar route against the oracle's scalar field, at the
+    # golden digests' radii and steps, on arrays and one radius at a time
+    profile = _oracle_profiles(mass)[case]
+    span = profile.r_hi - profile.r_lo
+    t = profile.r_lo + span * np.linspace(0.02, 0.98, 12)
+    h = 2e-3 * span * (1.0 + 0.5 * np.sin(np.arange(t.size)))
+    for step in (h, 0.5 * h):
+        got = _fd_scalar(profile, t, step)
+        assert type(got) is np.ndarray and got.dtype == np.float64
+        assert got.tobytes() == fd_curvature_oracle(profile, t, step).scalar.tobytes()
+        for r, hr in zip(t.tolist(), step.tolist()):
+            one = _fd_scalar(profile, r, hr)
+            assert type(one) is float
+            want = fd_curvature_oracle(profile, r, hr).scalar
+            assert np.float64(one).tobytes() == np.float64(want).tobytes()
 
 
 def test_stencil_sines_take_one_sine_per_run_of_equal_steps(monkeypatch):
     # runs of equal steps, a NaN step (unequal to itself: a run of its
     # own), signed zeros (equal: one run) and a step that comes back after
     # another; on one and two axes and as a single step
-    ld = np.longdouble
+    ld = ORACLE_DTYPE
     h = np.array(
         [1e-3, 1e-3, 1e-3, np.nan, np.nan, 2e-3, -0.0, 0.0, 1e-3, 1e-3], dtype=ld
     )

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import photonlab as pl
 from photonlab.radial import (
     BuchdahlError,
     CompositeProfile,
@@ -294,6 +295,30 @@ def test_composite_refuses_pieces_that_do_not_abut(gap):
     assert CompositeProfile(pieces=(interior, exact), breakpoints=(2.5,)).r_hi == 100.0
     with pytest.raises(DomainError, match="abut exactly"):
         CompositeProfile(pieces=(interior, exact), breakpoints=(math.nan,))
+
+
+_ONE_PROFILE_ENTRIES = {
+    "curvature_at": lambda star: pl.curvature_at(star, 5.0),
+    "curvature_at on an array": lambda star: pl.curvature_at(star, np.array([5.0, 6.0])),
+    "fd_curvature_oracle": lambda star: pl.fd_curvature_oracle(star, 5.0),
+    "vacuum_residual_scan": lambda star: pl.vacuum_residual_scan(star, 8),
+    "audit_sphere": lambda star: pl.audit_sphere(star, 3.0),
+    "photon_sphere_search": lambda star: pl.photon_sphere_search(star),
+    "trapping_report": lambda star: pl.trapping_report(star, 3.0),
+    "run_rigidity_pipeline": lambda star: pl.run_rigidity_pipeline(star),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ONE_PROFILE_ENTRIES))
+def test_one_profile_entry_points_refuse_a_composite_by_name(entry):
+    # each names itself and says what to pass; monotonicity_scan takes one
+    star = make_composite_star(1.0, 2.5)
+    name = entry.split()[0]
+    with pytest.raises(DomainError, match=rf"^{name} takes one RadialProfile, "
+                       r"not a CompositeProfile; pass one of its pieces") as err:
+        _ONE_PROFILE_ENTRIES[entry](star)
+    assert err.value.__suppress_context__
+    assert pl.monotonicity_scan(star, 0.5, 100.0).nonincreasing
 
 
 # ---------------------------------------------------------------------------
