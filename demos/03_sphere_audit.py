@@ -7,7 +7,6 @@ Run:  python3 demos/03_sphere_audit.py
 
 from photonlab import (
     audit_sphere,
-    component_mass,
     make_schwarzschild_family,
     monotonicity_scan,
 )
@@ -43,7 +42,7 @@ def main():
 
     section("quasi-local mass is radius-independent in vacuum")
     for r in (3.0, 10.0, 77.0):
-        print(f"  r = {r:5.1f}   component mass = {component_mass(wide, r):.12f}")
+        print(f"  r = {r:5.1f}   component mass = {audit_sphere(wide, r).mass_i:.12f}")
 
     section("H/N decreases monotonically along the outward flow")
     scan = monotonicity_scan(wide, 3.0, 100.0, n=256)

@@ -10,8 +10,8 @@ The package is organized bottom-up:
     Closed-form curvature in an orthonormal frame, a finite-difference
     oracle that consumes only metric values, and identity residuals.
 ``geodesics``
-    Null geodesic integration, the optical rescaling, and photon-sphere
-    root search.
+    Null geodesic integration, trapping verdicts, and photon-sphere root
+    search by the optical mean curvature.
 ``audit``
     The photon-sphere identity system: umbilicity, lapse coupling,
     curvature normalization, and the implied mass.
@@ -30,7 +30,6 @@ The package is organized bottom-up:
 from .audit import (
     IdentityReport,
     audit_sphere,
-    component_mass,
     monotonicity_scan,
 )
 from .conformal import (
@@ -39,11 +38,9 @@ from .conformal import (
     ConformalManifold,
     adm_mass_estimate,
     compactification_check,
-    conformal_scalar_prediction,
     conformal_scalar_residual,
     conformal_transform,
     flatness_check,
-    richardson_limit,
 )
 from .curvature import (
     CurvatureSample,
@@ -60,14 +57,11 @@ from .geodesics import (
     NullGeodesicState,
     TrappingReport,
     fermat_geodesy_residual,
-    fermat_profile,
     impact_parameter,
     integrate_null_geodesic,
-    launch_with_momenta,
     photon_sphere_search,
     tangential_launch,
     trapping_report,
-    write_trajectory_csv,
 )
 from .gluing import (
     Chart,

@@ -22,7 +22,6 @@ from .radial import CompositeProfile, DomainError, RadialProfile, _require_piece
 __all__ = [
     "IdentityReport",
     "audit_sphere",
-    "component_mass",
     "MonotonicityScan",
     "monotonicity_scan",
 ]
@@ -107,13 +106,6 @@ def audit_sphere(profile: RadialProfile, r0: float) -> IdentityReport:
         nu_N=geom.nu_N,
         sigma_scalar=geom.sigma_scalar,
     )
-
-
-def component_mass(profile: RadialProfile, r0: float) -> float:
-    """Mass seen by the sphere r0: the audit's ``mass_i``, area_radius^2 *
-    nu(N).  On a round sphere this is the flux (1/4 pi) * surface integral
-    of nu(N) exactly, so no quadrature is needed."""
-    return audit_sphere(profile, r0).mass_i
 
 
 # ---------------------------------------------------------------------------

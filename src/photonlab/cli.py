@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -112,6 +113,17 @@ def _load_config_file(path: str) -> dict:
     return {str(k).replace("-", "_"): v for k, v in doc.items()}
 
 
+def _finite(key: str, value) -> float:
+    """A config value as a finite float, or a :class:`ConfigError` naming the key."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return x
+
+
 def _resolve_config(args: argparse.Namespace) -> dict:
     cfg = {
         "metric": "schwarzschild",
@@ -135,9 +147,18 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             cfg[key] = val
     cfg["command"] = args.command
     cfg["config_file"] = args.config
-    for key in ("mass", "r_min", "r_max", "tol", "r_b"):
+    # open() takes a number as a file descriptor: 0 would read stdin
+    if not isinstance(cfg["metric"], str):
+        raise ConfigError(f"metric must be a string, got {cfg['metric']!r}")
+    if not isinstance(cfg["out"], (str, type(None))):
+        raise ConfigError(f"out must be a path, got {cfg['out']!r}")
+    for key in ("mass", "tol", "samples"):
+        cfg[key] = _finite(key, cfg[key])
+    for key in ("r_min", "r_max", "r_b"):  # None: derived from the others
         if cfg[key] is not None:
-            cfg[key] = float(cfg[key])
+            cfg[key] = _finite(key, cfg[key])
+    if not cfg["samples"].is_integer():
+        raise ConfigError(f"samples must be an integer, got {cfg['samples']!r}")
     cfg["samples"] = int(cfg["samples"])
     if cfg["samples"] <= 0:
         raise ConfigError("samples must be positive")

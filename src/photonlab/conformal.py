@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import _fd_scalar, curvature_at, radial_laplacian
+from .curvature import _fd_scalar, curvature_at
 from .gluing import (
     SAMPLE_GUARD,
     Chart,
@@ -56,13 +56,11 @@ __all__ = [
     "ConformalManifold",
     "conformal_transform",
     "conformal_scalar_residual",
-    "conformal_scalar_prediction",
     "flatness_check",
     "compactification_check",
     "CompactificationReport",
     "adm_mass_estimate",
     "conformal_end_mass_estimate",
-    "richardson_limit",
 ]
 
 # Calibrated oracle steps and the inverted end's smallest areal scale m/r
@@ -198,22 +196,6 @@ def conformal_transform(
                 f"conformal factor not finite and positive on chart {cc.base.chart_id}"
             )
     return ConformalManifold(charts=charts, source=manifold)
-
-
-def conformal_scalar_prediction(
-    base_profile: RadialProfile, u: RadialFunction, r
-) -> float:
-    """Scalar curvature of u^4 * g predicted by the conformal transformation law.
-
-    In three dimensions R_hat = u^-5 (R u - 8 Lap u).  The sign of the
-    Laplacian term is fixed empirically in the test suite by comparing this
-    prediction against the finite-difference oracle on a deliberately
-    non-flat rescaling; the minus sign is the one that matches.
-    """
-    sample = curvature_at(base_profile, r)
-    uj = u.jet(r)
-    lap_u = radial_laplacian(uj, base_profile.A.jet(r), base_profile.Rareal.jet(r))
-    return float((sample.scalar * uj.v - 8.0 * lap_u) / uj.v ** 5)
 
 
 # ---------------------------------------------------------------------------

@@ -560,6 +560,7 @@ def convergence_study(
     rate in log-log, and the implied constant C of the error model C h^2
     taken at the middle step.
     """
+    _require_piece(profile, "convergence_study")
     exact = curvature_at(profile, r)
     steps = tuple(float(h) for h in steps)
     errors = [fd_curvature_oracle(profile, r, h).difference(exact) for h in steps]
@@ -588,6 +589,7 @@ def surface_geometry(profile: RadialProfile, r: float) -> SurfaceGeometry:
     raising, because every quantity reported here stays finite there.
     The center r = 0 has no sphere and still raises.
     """
+    _require_piece(profile, "surface_geometry")
     if r == profile.r_lo and profile.degenerate_lo:
         if profile.kind is ProfileKind.INTERIOR_FLUID:
             profile.ensure_evaluable(r)  # raises: sphere degenerates to a point
@@ -637,6 +639,7 @@ def identity_residuals(
     ``f`` defaults to the lapse; pass e.g. the coordinate function or its
     square for independent checks.
     """
+    _require_piece(profile, "identity_residuals")
     sample = curvature_at(profile, r)
     geom = surface_geometry(profile, r)
     a, rr = profile.A.jet(r), profile.Rareal.jet(r)

@@ -1,4 +1,4 @@
-"""Null geodesics, the optical (Fermat) rescaling, and photon-sphere search.
+"""Null geodesics and photon-sphere search.
 
 A photon sphere of a static profile shows up two independent ways:
 
@@ -24,24 +24,15 @@ evaluations and rejected steps it cost.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .radial import (
-    DomainError,
-    ProfileKind,
-    RadialFunction,
-    RadialProfile,
-    _require_finite,
-    _require_piece,
-)
+from .radial import DomainError, RadialProfile, _require_finite, _require_piece
 
 __all__ = [
-    "fermat_profile",
     "fermat_geodesy_residual",
     "photon_sphere_search",
     "impact_parameter",
@@ -49,46 +40,19 @@ __all__ = [
     "GeodesicResult",
     "integrate_null_geodesic",
     "tangential_launch",
-    "launch_with_momenta",
     "TrappingReport",
     "trapping_report",
-    "write_trajectory_csv",
 ]
-
-
-def fermat_profile(profile: RadialProfile) -> RadialProfile:
-    """Optical rescaling: divide the spatial metric by N^2.
-
-    Returns a profile with A -> A/N and Rareal -> Rareal/N and unit lapse
-    (the optical metric is Riemannian data only).  Requires N > 0 on the
-    whole domain, so horizon-touching profiles must be truncated first.
-    """
-    lo, hi = profile.r_lo, profile.r_hi
-    if profile.degenerate_lo or profile.degenerate_hi:
-        raise DomainError("optical rescaling requires N > 0 up to the boundary")
-    probe = np.linspace(lo, hi, 64)
-    if np.any(profile.N(probe) <= 0.0):
-        raise DomainError("optical rescaling requires a positive lapse")
-    n, a, rareal = profile.N, profile.A, profile.Rareal
-    return RadialProfile(
-        kind=ProfileKind.COMPOSITE_REFERENCE,
-        r_lo=lo,
-        r_hi=hi,
-        N=RadialFunction.constant(1.0),
-        A=RadialFunction.expression(lambda r: a(r) / n(r)),
-        Rareal=RadialFunction.expression(lambda r: rareal(r) / n(r)),
-        mass=profile.mass,
-        meta={"optical_of": profile.kind.value},
-    )
 
 
 def fermat_geodesy_residual(profile: RadialProfile, r):
     """Mean curvature of the r = const sphere in the optical metric.
 
-    Simplifies to 2 (R' N - R N') / (A R); the N^2 factors of the rescaled
-    profile cancel.  Zero exactly at photon spheres, positive where spheres
+    Simplifies to 2 (R' N - R N') / (A R); the N^2 factors of the optical
+    metric g/N^2 cancel.  Zero exactly at photon spheres, positive where spheres
     bulge outward in the optical geometry.
     """
+    _require_piece(profile, "fermat_geodesy_residual")
     n, dn = profile.N(r), profile.N(r, 1)
     a = profile.A(r)
     rr, drr = profile.Rareal(r), profile.Rareal(r, 1)
@@ -97,6 +61,7 @@ def fermat_geodesy_residual(profile: RadialProfile, r):
 
 def impact_parameter(profile: RadialProfile, r):
     """Critical impact parameter Rareal/N of a tangential null ray at r."""
+    _require_piece(profile, "impact_parameter")
     return profile.Rareal(r) / profile.N(r)
 
 
@@ -351,6 +316,7 @@ def tangential_launch(
     (the tangency condition); passing it explicitly lets callers reproduce
     book values exactly.  ``E`` and ``L`` must be finite.
     """
+    _require_piece(profile, "tangential_launch")
     _require_finite(E=E, L=L)
     profile.ensure_evaluable(r0, open_interior=True)
     n, _, _, _, rr, _ = profile._read().slopes(r0)
@@ -359,23 +325,6 @@ def tangential_launch(
     td = E / (n * n)
     pd = L / (rr * rr)
     return np.array([0.0, float(r0), 0.0, td, 0.0, pd])
-
-
-def launch_with_momenta(
-    profile: RadialProfile, r0: float, E: float, L: float, outgoing: bool = True
-):
-    """Initial condition with radial motion fixed by the null constraint.
-
-    ``E`` and ``L`` must be finite.
-    """
-    _require_finite(E=E, L=L)
-    profile.ensure_evaluable(r0, open_interior=True)
-    n, _, a, _, rr, _ = profile._read().slopes(r0)
-    rd_sq = ((E / n) ** 2 - (L / rr) ** 2) / (a * a)
-    if rd_sq < 0.0:
-        raise DomainError("E, L incompatible with a null ray at this radius")
-    rd = math.sqrt(rd_sq) * (1.0 if outgoing else -1.0)
-    return np.array([0.0, float(r0), 0.0, E / (n * n), rd, L / (rr * rr)])
 
 
 def _require_positive(**values) -> None:
@@ -643,11 +592,3 @@ def trapping_report(
         max_constraint=res.max_constraint,
     )
 
-
-def write_trajectory_csv(path, result: GeodesicResult) -> None:
-    """Emit one row per accepted step: lambda, r, phi, p_r, constraint."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "r", "phi", "p_r", "constraint"])
-        for s in result.states:
-            writer.writerow([f"{v:.17g}" for v in (s.lam, s.r, s.phi, s.p_r, s.constraint)])

@@ -30,6 +30,7 @@ from .radial import (
     DomainError,
     RadialFunction,
     RadialProfile,
+    _require_piece,
     make_schwarzschild_neck,
 )
 
@@ -196,6 +197,7 @@ def glue_neck(
     named (:class:`GluingRefusal`).  ``mu_override`` deliberately builds a
     wrong-mass neck on the same gluing surface, for negative controls.
     """
+    _require_piece(exterior, "glue_neck")
     return _glue_audited(exterior, r0, audit_sphere(exterior, r0), match_tol, mu_override)
 
 

@@ -99,10 +99,6 @@ class PipelineReport:
         return largest_jump(self.match_reports)
 
     @property
-    def psi_bound_ok(self) -> bool:
-        return self.psi_bound.strict_bound
-
-    @property
     def rigid(self) -> bool:
         return self.verdict == VERDICT_RIGID
 

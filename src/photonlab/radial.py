@@ -962,36 +962,6 @@ def make_tabulated(r, N, A, Rareal) -> RadialProfile:
     )
 
 
-def interpolation_error_bound(profile: RadialProfile) -> dict:
-    """Crude per-channel error model for a tabulated profile.
-
-    Estimates the fourth derivative of each channel from jumps of the
-    spline's third derivative across interior nodes, then applies the
-    classical cubic-interpolation bounds ~ h^4 |f''''|/384 for values and
-    ~ h^2 |f''''|/12 for second derivatives (a safety factor of 8 absorbs
-    constants the model drops).  Only meaningful for TABULATED profiles.
-    """
-    if profile.kind is not ProfileKind.TABULATED:
-        raise DomainError("interpolation error model applies to tabulated profiles")
-    nodes = profile.meta["nodes"]
-    h = float(np.max(np.diff(nodes)))
-    out = {}
-    for name, fn in (("N", profile.N), ("A", profile.A), ("Rareal", profile.Rareal)):
-        mids = nodes[1:-1]
-        eps = 1e-7 * max(h, 1.0)
-        jump3 = np.abs(
-            np.asarray(fn(mids + eps, 2) - fn(mids - eps, 2)) / (2.0 * eps)
-        )
-        f4 = float(np.max(jump3)) / h if mids.size else 0.0
-        out[name] = {
-            "value": 8.0 * f4 * h ** 4 / 384.0,
-            "d1": 8.0 * f4 * h ** 3 / 24.0,
-            "d2": 8.0 * f4 * h ** 2 / 12.0,
-        }
-    out["spacing"] = h
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Composite (piecewise) profiles
 # ---------------------------------------------------------------------------
@@ -1079,33 +1049,48 @@ def load_profile(source) -> RadialProfile:
         {"kind": "schwarzschild", "mass": 1.0, "r_lo": 3.0, "r_hi": 100.0}
         {"kind": "tabulated", "r": [...], "N": [...], "A": [...], "Rareal": [...]}
     """
-    if isinstance(source, dict):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    try:
+        if isinstance(source, dict):
+            doc = source
+        elif hasattr(source, "read"):
+            doc = json.load(source)
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+    except ValueError as exc:  # a JSON decode error, or bytes that are not UTF-8
+        raise DomainError(f"profile document is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "kind" not in doc:
         raise DomainError("profile document must be an object with a 'kind' key")
     kind = doc["kind"]
     if kind == "schwarzschild":
-        try:
-            return make_schwarzschild_family(
-                float(doc["mass"]), float(doc["r_lo"]), float(doc["r_hi"])
-            )
-        except KeyError as exc:
-            raise DomainError(f"schwarzschild profile missing key {exc}") from exc
+        keys = ("mass", "r_lo", "r_hi")
+        return make_schwarzschild_family(*_numbers(doc, kind, keys, float))
     if kind == "tabulated":
-        try:
-            return make_tabulated(doc["r"], doc["N"], doc["A"], doc["Rareal"])
-        except KeyError as exc:
-            raise DomainError(f"tabulated profile missing key {exc}") from exc
+        keys = ("r", "N", "A", "Rareal")
+        return make_tabulated(*_numbers(doc, kind, keys, lambda v: np.asarray(v, float)))
     raise DomainError(f"unsupported profile kind {kind!r}")
+
+
+def _numbers(doc: dict, kind: str, keys, convert) -> list:
+    """The document's values at ``keys`` through ``convert``; a missing or
+    non-numeric one is refused with a :class:`DomainError` naming the kind
+    and the key."""
+    out = []
+    for key in keys:
+        if key not in doc:
+            raise DomainError(f"{kind} profile missing key {key!r}")
+        try:
+            out.append(convert(doc[key]))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(
+                f"{kind} profile key {key!r} is not numeric: {exc}"
+            ) from None
+    return out
 
 
 def dump_profile(profile: RadialProfile) -> dict:
     """Serialize a profile to the JSON document format of :func:`load_profile`."""
+    _require_piece(profile, "dump_profile")
     if profile.kind is ProfileKind.SCHWARZSCHILD_EXTERIOR:
         return {
             "kind": "schwarzschild",

@@ -273,6 +273,42 @@ def test_malformed_config_file_is_rejected(capsys, tmp_path):
     assert "not valid JSON" in err
 
 
+_SCHWARZSCHILD_DOC = '{"kind": "schwarzschild", "mass": 1, "r_lo": 3, "r_hi": 100}'
+
+# (config file, profile document or None, text stderr must name)
+_MALFORMED = {
+    "samples not a number": ({"samples": "abc"}, None, "samples"),
+    "samples not integral": ({"samples": 2.5}, None, "samples"),
+    "mass not a number": ({"mass": "heavy"}, None, "mass"),
+    "mass null": ({"mass": None}, None, "mass"),
+    "tol nan": ({"tol": "nan"}, None, "tol"),
+    "metric a descriptor": ({"metric": 0}, None, "metric"),
+    "metric a list": ({"metric": ["a"]}, None, "metric"),
+    "out a descriptor": ({"out": 1}, None, "out"),
+    "document not JSON": ({}, "{not json", "not valid JSON"),
+    "document mass": ({}, _SCHWARZSCHILD_DOC.replace("1,", '"x",'), "'mass'"),
+    "document nodes": (
+        {}, '{"kind": "tabulated", "r": ["a", 4, 5, 6], "N": [1, 1, 1, 1], '
+        '"A": [1, 1, 1, 1], "Rareal": [3, 4, 5, 6]}', "tabulated profile key 'r'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_input_is_config_error_naming_the_key(capsys, tmp_path, case):
+    # exit 1 means "verification failed"; malformed input never gets that far
+    config, document, named = _MALFORMED[case]
+    if document is not None:
+        doc = tmp_path / "profile.json"
+        doc.write_text(document, encoding="utf-8")
+        config = {**config, "metric": str(doc)}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = _run(capsys, "verify", "--config", str(cfg))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("config error: ") and named in err
+
+
 def test_missing_profile_document_is_io_error(capsys, tmp_path):
     code, _, err = _run(
         capsys, "verify", "--metric", str(tmp_path / "absent.json")

@@ -16,7 +16,6 @@ from photonlab.conformal import (
     adm_mass_estimate,
     compactification_check,
     conformal_end_mass_estimate,
-    conformal_scalar_prediction,
     conformal_scalar_residual,
     conformal_transform,
     flatness_check,
@@ -170,17 +169,15 @@ def test_nan_between_probe_points_surfaces_in_certificates(doubled_m1):
 
 
 def test_scalar_law_sign_on_flat_base():
-    # flat base, u = 1 + eps r^2: the law predicts -48 eps / u^5, and the
-    # finite-difference oracle on the rescaled metric must agree — this
-    # pins the sign of the lap-u term
+    # flat base, u = 1 + eps r^2 (lap u = 6 eps): the law predicts
+    # -48 eps / u^5, and the finite-difference oracle on the rescaled
+    # metric must agree — this pins the sign of the lap-u term
     eps = 1e-3
     conf = conformal_transform(_flat_manifold(), perturbation=_quadratic(eps))
     cc = conf.chart("exterior")
     for r in (2.0, 5.0, 10.0, 15.0):
         u = float(cc.u(r))
         closed = -48.0 * eps / u**5
-        pred = conformal_scalar_prediction(cc.base.profile, cc.u, r)
-        assert abs(pred - closed) <= 1e-12 * abs(closed)
         measured = fd_curvature_oracle(cc.hat, r, h=1e-4).scalar
         assert abs(measured - closed) <= 1e-6
 

@@ -2,8 +2,9 @@
 
 For each profile the rigidity run differentiates analytically — the four
 rescaled charts ``cc.hat`` of the doubled manifold, the isotropic neck
-and inverted reflected-end presentations, the optical (Fermat) profile
-and the fluid interior — the digest covers:
+and inverted reflected-end presentations, the optical (Fermat) metric
+of the exterior (built by ``_optical`` below) and the fluid interior — the
+digest covers:
 
 * ``curvature_at`` as one array pass and as per-radius scalar calls;
 * ``f(r, nu)`` for nu = 0, 1, 2 of N, A and Rareal, on float64 and on
@@ -37,9 +38,14 @@ from photonlab.conformal import (
     conformal_transform,
 )
 from photonlab.curvature import CurvatureSample, curvature_at
-from photonlab.geodesics import fermat_profile
 from photonlab.gluing import double, glue_neck
-from photonlab.radial import make_interior_fluid, make_schwarzschild_family
+from photonlab.radial import (
+    ProfileKind,
+    RadialFunction,
+    RadialProfile,
+    make_interior_fluid,
+    make_schwarzschild_family,
+)
 
 pytestmark = pytest.mark.skipif(
     np.finfo(np.longdouble).nmant != 63,
@@ -95,6 +101,20 @@ GOLDEN = {
 }
 
 
+def _optical(p: RadialProfile) -> RadialProfile:
+    """The optical metric g/N^2 of ``p``: A/N and Rareal/N, unit lapse."""
+    n, a, rareal = p.N, p.A, p.Rareal
+    return RadialProfile(
+        kind=ProfileKind.COMPOSITE_REFERENCE,
+        r_lo=p.r_lo,
+        r_hi=p.r_hi,
+        N=RadialFunction.constant(1.0),
+        A=RadialFunction.expression(lambda r: a(r) / n(r)),
+        Rareal=RadialFunction.expression(lambda r: rareal(r) / n(r)),
+        mass=p.mass,
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def _cases(mass: float) -> dict:
     """case name -> (profile, conformal factor or None)."""
@@ -103,7 +123,7 @@ def _cases(mass: float) -> dict:
     cases = {f"hat:{cc.base.chart_id}": (cc.hat, cc.u) for cc in conf.charts}
     cases["neck_isotropic"] = (_neck_isotropic_profile(conf.chart("neck"))[0], None)
     cases["inverted_end"] = (_inverted_profile(conf.chart("exterior_reflected")), None)
-    cases["fermat"] = (fermat_profile(exterior), None)
+    cases["fermat"] = (_optical(exterior), None)
     cases["fluid"] = (make_interior_fluid(mass, 2.5 * mass), None)
     return cases
 

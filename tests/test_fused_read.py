@@ -398,14 +398,13 @@ def test_dropped_profiles_leave_no_cyclic_garbage():
 
 def test_other_kinds_read_per_channel():
     # the fluid's read takes N'/A and the mean curvature in closed form and
-    # each channel on its own; the optical profile has no fused read
+    # each channel on its own
     read = FLUID._read()
     assert type(read) is radial._Fluid and read is FLUID.fused
     for r in (0.5, 1.0, 2.5):
         assert read.slopes(r) == _per_channel_slopes(FLUID, r)
         _assert_same_jets(read.jets(r), _per_channel_jets(FLUID, r))
         assert read.values(r) == _per_channel_values(FLUID, r)
-    assert _reads_per_channel(geodesics.fermat_profile(EXTERIOR))
 
 
 def test_closed_forms_of_nu_n_and_mean_curvature_keep_their_bits():

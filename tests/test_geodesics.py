@@ -1,5 +1,5 @@
-"""Null geodesics: the optical rescaling, root search, orbit integration,
-trapping verdicts, and trajectory export."""
+"""Null geodesics: the optical residual, root search, orbit integration and
+trapping verdicts."""
 
 from __future__ import annotations
 
@@ -17,14 +17,11 @@ from photonlab.geodesics import (
     _brent,
     _refine_root,
     fermat_geodesy_residual,
-    fermat_profile,
     impact_parameter,
     integrate_null_geodesic,
-    launch_with_momenta,
     photon_sphere_search,
     tangential_launch,
     trapping_report,
-    write_trajectory_csv,
 )
 from photonlab.radial import (
     DomainError,
@@ -43,18 +40,8 @@ def wide_m1():
 
 
 # ---------------------------------------------------------------------------
-# Optical rescaling
+# Impact parameter
 # ---------------------------------------------------------------------------
-
-
-def test_fermat_profile_values(wide_m1):
-    opt = fermat_profile(wide_m1)
-    assert abs(float(opt.Rareal(3.0)) - B_CRIT) <= 1e-14
-    assert abs(float(opt.Rareal(3.0, 1))) <= 1e-14  # critical point at 3m
-    flat = make_schwarzschild_family(0.0, 1.0, 50.0)
-    opt_flat = fermat_profile(flat)
-    assert float(opt_flat.A(7.0)) == float(flat.A(7.0))
-    assert float(opt_flat.Rareal(7.0)) == float(flat.Rareal(7.0))
 
 
 def test_impact_parameter(wide_m1):
@@ -323,19 +310,6 @@ def test_non_finite_profile_ends_as_non_finite_and_refuses_a_verdict(wide_m1):
         trapping_report(holed, 3.03)
 
 
-def test_launch_with_momenta_is_null_and_directed(wide_m1):
-    e, ell = 1.0, 4.0  # below the critical 3*sqrt(3) E: radial motion at r = 5
-    for outgoing, sign in ((True, 1.0), (False, -1.0)):
-        y0 = launch_with_momenta(wide_m1, 5.0, e, ell, outgoing=outgoing)
-        state = integrate_null_geodesic(wide_m1, y0, 1e-3).states[0]
-        assert abs(state.constraint) <= 1e-12 * e * e
-        assert state.E == pytest.approx(e, rel=1e-15)
-        assert state.L == pytest.approx(ell, rel=1e-15)
-        assert math.copysign(1.0, state.p_r) == sign and state.p_r != 0.0
-    with pytest.raises(DomainError, match="incompatible"):
-        launch_with_momenta(wide_m1, 5.0, e, 7.0)  # b = 7 > R/N = 6.45 at r = 5
-
-
 def test_flat_space_ray_escapes():
     flat = make_schwarzschild_family(0.0, 1.0, 1000.0)
     rep = trapping_report(flat, 7.0, affine_window=100.0)
@@ -352,16 +326,6 @@ def test_non_null_initial_data_rejected(wide_m1):
     y0[3] *= 1.5  # break the null constraint
     with pytest.raises(DomainError):
         integrate_null_geodesic(wide_m1, y0, 10.0, tol=1e-12)
-
-
-def test_trajectory_csv_shape(tmp_path, wide_m1):
-    y0 = tangential_launch(wide_m1, 3.0)
-    res = integrate_null_geodesic(wide_m1, y0, 5.0, tol=1e-10)
-    out = tmp_path / "orbit.csv"
-    write_trajectory_csv(out, res)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "lambda,r,phi,p_r,constraint"
-    assert len(lines) == len(res.states) + 1
 
 
 def _no_constructor(cls, *args, **kwargs):
@@ -383,7 +347,7 @@ def test_trapping_builds_state_records_without_their_constructor(kind, monkeypat
 
 
 @pytest.mark.parametrize("kind", ["closed", "tabulated", "star_vacuum"])
-def test_state_records_are_named_tuples_read_by_radii_and_csv(kind, tmp_path):
+def test_state_records_are_named_tuples_read_by_radii(kind):
     profile = _trajectory_profiles(1.0)[kind]
     root = photon_sphere_search(profile)[-1]
     res = integrate_null_geodesic(profile, tangential_launch(profile, 1.01 * root), 50.0)
@@ -401,12 +365,6 @@ def test_state_records_are_named_tuples_read_by_radii_and_csv(kind, tmp_path):
         states[0].r = 0.0
     assert res.radii.dtype == np.float64
     assert res.radii.tolist() == [s.r for s in states]
-    out = tmp_path / "orbit.csv"
-    write_trajectory_csv(out, res)
-    lines = out.read_text().splitlines()[1:]
-    assert [[float(v) for v in line.split(",")] for line in lines] == [
-        [s.lam, s.r, s.phi, s.p_r, s.constraint] for s in states
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +453,6 @@ def test_launches_refuse_non_finite_momenta(wide_m1, value):
         tangential_launch(wide_m1, 3.0, E=value)
     with pytest.raises(DomainError, match="L must be finite"):
         tangential_launch(wide_m1, 3.0, L=value)
-    with pytest.raises(DomainError, match="E must be finite"):
-        launch_with_momenta(wide_m1, 5.0, value, 4.0)
-    with pytest.raises(DomainError, match="L must be finite"):
-        launch_with_momenta(wide_m1, 5.0, 1.0, value)
 
 
 def test_zero_momentum_launch_is_refused(wide_m1):

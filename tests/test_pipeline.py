@@ -29,7 +29,7 @@ def _assert_rigid(report, mass):
     assert report.verdict == VERDICT_RIGID
     assert report.rigid
     assert report.max_match_jump <= 1e-10
-    assert report.psi_bound_ok
+    assert report.psi_bound.strict_bound
     assert report.psi_harmonicity <= 1e-10
     assert report.conformal_scalar_max <= 1e-8
     assert abs(report.adm_exterior["mass"] - mass) <= MASS_TOL * max(1.0, mass)

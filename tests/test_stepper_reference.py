@@ -28,7 +28,6 @@ from photonlab.geodesics import (
     GeodesicResult,
     NullGeodesicState,
     integrate_null_geodesic,
-    launch_with_momenta,
     tangential_launch,
 )
 from photonlab.radial import (
@@ -199,13 +198,21 @@ def _profile(kind, m):
     return make_schwarzschild_neck(m)
 
 
+def _null_launch(profile, r0, E, L, outgoing):
+    """(t, r, phi, dt/dl, dr/dl, dphi/dl) at r0 with dr/dl from the null
+    constraint, outward or inward; the stepper checks it is null."""
+    n, _, a, _, rr, _ = profile._read().slopes(r0)
+    rd = math.sqrt(((E / n) ** 2 - (L / rr) ** 2) / (a * a))
+    return np.array([0.0, float(r0), 0.0, E / (n * n), rd if outgoing else -rd,
+                     L / (rr * rr)])
+
+
 def _launch(profile, r0, launch, b):
     if launch == "tangential":
         return tangential_launch(profile, r0)
     # impact parameter b times the tangential one keeps dr/dl real
     crit = float(profile.Rareal(r0)) / float(profile.N(r0))
-    outgoing = launch == "outgoing"
-    return launch_with_momenta(profile, r0, 1.0, b * crit, outgoing=outgoing)
+    return _null_launch(profile, r0, 1.0, b * crit, launch == "outgoing")
 
 
 def _compare(profile, y0, lam_max, tol):
@@ -297,7 +304,7 @@ def _clamped_lapse_profile(m):
 def test_zero_lapse_at_a_stage_radius_ends_as_the_reference(monkeypatch):
     m = 1.0
     profile = _clamped_lapse_profile(m)
-    y0 = launch_with_momenta(profile, 2.0001 * m, 1.0, 0.5, outgoing=False)
+    y0 = _null_launch(profile, 2.0001 * m, 1.0, 0.5, outgoing=False)
     budget = 400
     monkeypatch.setattr(geodesics, "_MAX_STEPS", budget)
     seen = []
@@ -326,7 +333,7 @@ def test_overflowing_constraint_ends_as_the_reference():
     r0 = 10.0 * m
     n0 = float(profile.N(r0))
     e = 1.2e154 * n0
-    y0 = launch_with_momenta(profile, r0, e, 0.5 * e * r0 / n0, outgoing=False)
+    y0 = _null_launch(profile, r0, e, 0.5 * e * r0 / n0, outgoing=False)
     with np.errstate(over="ignore", invalid="ignore"):
         ref, _, _ = _reference_integrate(profile, y0, 40.0 * m / e, 1e-10)
         got = integrate_null_geodesic(profile, y0, 40.0 * m / e, 1e-10)
