@@ -264,15 +264,6 @@ _DP_B4 = (
 )
 
 
-def _accelerations(n, dn, a, da, rr, drr, td, rd, pd):
-    inv_a2 = 1.0 / (a * a)
-    return (
-        -2.0 * (dn / n) * td * rd,
-        (rr * drr * pd * pd - n * dn * td * td) * inv_a2 - (da / a) * rd * rd,
-        -2.0 * (drr / rr) * rd * pd,
-    )
-
-
 def _geodesic_rhs(read, r, td, rd, pd):
     """Accelerations of the geodesic system at radius r and velocity
     (dt, dr, dphi), and the (N, A, Rareal) read there.
@@ -281,17 +272,24 @@ def _geodesic_rhs(read, r, td, rd, pd):
     (:meth:`RadialProfile._read`), resolved once per trajectory: the six
     channel values at r as floats.  The system is autonomous, so t and phi
     do not enter.  :func:`_observables` records a state from the values
-    without evaluating again.  A zero denominator, which raises on floats,
-    reruns on numpy scalars.
+    without evaluating again.  The accelerations are formed here on the
+    floats; a zero denominator, which raises on floats, runs this same
+    arithmetic again on the values as numpy scalars, which give inf or
+    NaN with a ``RuntimeWarning``, and returns those as floats.
     """
-    n, dn, a, da, rr, drr = read(r)
+    n, dn, a, da, rr, drr = values = read(r)
     try:
-        tdd, rdd, pdd = _accelerations(n, dn, a, da, rr, drr, td, rd, pd)
+        inv_a2 = 1.0 / (a * a)
+        return (
+            -2.0 * (dn / n) * td * rd,
+            (rr * drr * pd * pd - n * dn * td * td) * inv_a2 - (da / a) * rd * rd,
+            -2.0 * (drr / rr) * rd * pd,
+            n, a, rr,
+        )
     except ZeroDivisionError:
-        f = np.float64
-        acc = _accelerations(f(n), f(dn), f(a), f(da), f(rr), f(drr), td, rd, pd)
-        tdd, rdd, pdd = map(float, acc)
-    return tdd, rdd, pdd, n, a, rr
+        scalars = tuple(map(np.float64, values))
+        tdd, rdd, pdd, _, _, _ = _geodesic_rhs(lambda _: scalars, r, td, rd, pd)
+        return float(tdd), float(rdd), float(pdd), n, a, rr
 
 
 def _observables(lam, r, phi, td, rd, pd, n, a, rr):
@@ -488,19 +486,44 @@ def integrate_null_geodesic(
         evals += 1
         tdd6, rdd6, pdd6, n, a, rr = rhs(read, r6, td6, rd6, pd6)
         # root mean square of the scaled 5(4) difference, summed left to right
-        sq = 0.0
-        for u, u5, p, v, w, x, z, g in (
-            (t, t6, td, td2, td3, td4, td5, td6),
-            (r, r6, rd, rd2, rd3, rd4, rd5, rd6),
-            (phi, phi6, pd, pd2, pd3, pd4, pd5, pd6),
-            (td, td6, tdd, tdd2, tdd3, tdd4, tdd5, tdd6),
-            (rd, rd6, rdd, rdd2, rdd3, rdd4, rdd5, rdd6),
-            (pd, pd6, pdd, pdd2, pdd3, pdd4, pdd5, pdd6),
-        ):
-            u4 = u + h * (0.0 + c0 * p + c2 * v + c3 * w + c4 * x + c5 * z + c6 * g)
-            s, s5 = abs(u), abs(u5)  # np.maximum's NaN propagation below
-            q = (u5 - u4) / (tol + tol * (s if (s > s5 or s != s) else s5))
-            sq += q * q
+        # over t, r, phi and their velocities; each scale is tol (1 + the
+        # larger of |u|, |u5|), with np.maximum's NaN propagation
+        s, s5 = abs(t), abs(t6)
+        u4 = t + h * (
+            0.0 + c0 * td + c2 * td2 + c3 * td3 + c4 * td4 + c5 * td5 + c6 * td6
+        )
+        q = (t6 - u4) / (tol + tol * (s if (s > s5 or s != s) else s5))
+        sq = 0.0 + q * q
+        s, s5 = abs(r), abs(r6)
+        u4 = r + h * (
+            0.0 + c0 * rd + c2 * rd2 + c3 * rd3 + c4 * rd4 + c5 * rd5 + c6 * rd6
+        )
+        q = (r6 - u4) / (tol + tol * (s if (s > s5 or s != s) else s5))
+        sq += q * q
+        s, s5 = abs(phi), abs(phi6)
+        u4 = phi + h * (
+            0.0 + c0 * pd + c2 * pd2 + c3 * pd3 + c4 * pd4 + c5 * pd5 + c6 * pd6
+        )
+        q = (phi6 - u4) / (tol + tol * (s if (s > s5 or s != s) else s5))
+        sq += q * q
+        s, s5 = abs(td), abs(td6)
+        u4 = td + h * (
+            0.0 + c0 * tdd + c2 * tdd2 + c3 * tdd3 + c4 * tdd4 + c5 * tdd5 + c6 * tdd6
+        )
+        q = (td6 - u4) / (tol + tol * (s if (s > s5 or s != s) else s5))
+        sq += q * q
+        s, s5 = abs(rd), abs(rd6)
+        u4 = rd + h * (
+            0.0 + c0 * rdd + c2 * rdd2 + c3 * rdd3 + c4 * rdd4 + c5 * rdd5 + c6 * rdd6
+        )
+        q = (rd6 - u4) / (tol + tol * (s if (s > s5 or s != s) else s5))
+        sq += q * q
+        s, s5 = abs(pd), abs(pd6)
+        u4 = pd + h * (
+            0.0 + c0 * pdd + c2 * pdd2 + c3 * pdd3 + c4 * pdd4 + c5 * pdd5 + c6 * pdd6
+        )
+        q = (pd6 - u4) / (tol + tol * (s if (s > s5 or s != s) else s5))
+        sq += q * q
         err = math.sqrt(sq / 6)
         if err <= 1.0:
             lam += h

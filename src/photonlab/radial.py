@@ -741,29 +741,29 @@ class _Knots:
     evaluation follows ``_ppoly.evaluate``, so values match
     ``CubicSpline(x, y)(r, nu)`` bit for bit.  Every term but
     the first carries a power of s = r - x[i], so a NaN radius gives NaN
-    without a test of its own.  Python floats are located by ``bisect``
-    and read one record per interval, the coefficients of all three
-    splines as floats; anything else is cast to a float64 array first, as
-    ``PPoly.__call__`` does (the oracle passes longdouble), located by
-    ``np.searchsorted`` and read by gathering coefficient columns.
+    without a test of its own.  A Python float is located by one
+    ``bisect_right`` over the inner nodes x[1:-1], whose count of nodes at
+    or below r is the clamped interval index, and reads that interval's
+    record: one flat tuple of 12 floats, the coefficients of N, A and
+    Rareal in turn, each highest power first.  Anything else is cast to a
+    float64 array first, as ``PPoly.__call__`` does (the oracle passes
+    longdouble), located by ``np.searchsorted`` and read by gathering
+    coefficient columns.
     """
 
-    __slots__ = ("x", "xs", "last", "arrays", "records")
+    __slots__ = ("x", "xs", "inner", "last", "arrays", "records")
 
     def __init__(self, x: np.ndarray, coefficients):
         self.x, self.xs, self.last = x, x.tolist(), x.size - 2
+        self.inner = self.xs[1:-1]
         self.arrays = tuple(coefficients)
-        self.records = list(zip(*(c.T.tolist() for c in self.arrays)))
+        self.records = list(map(tuple, np.concatenate(self.arrays).T.tolist()))
 
     def locate(self, r):
         """Interval index and offset: an int and a float for a Python
         float, else arrays."""
         if type(r) is float:
-            i = bisect_right(self.xs, r) - 1
-            if i < 0:
-                i = 0
-            elif i > self.last:
-                i = self.last
+            i = bisect_right(self.inner, r)
             return i, r - self.xs[i]
         r = np.asarray(r, dtype=np.float64)
         i = np.clip(np.searchsorted(self.x, r, side="right") - 1, 0, self.last)
@@ -771,12 +771,13 @@ class _Knots:
 
     def channel(self, k: int) -> RadialFunction:
         locate, records, c = self.locate, self.records, self.arrays[k]
+        lo, hi = 4 * k, 4 * k + 4
 
         def order(f):
             def at(r):
                 i, s = locate(r)
                 if type(i) is int:
-                    return f(records[i][k], s)
+                    return f(records[i][lo:hi], s)
                 # silent on infinite radii, as the compiled evaluator is
                 with np.errstate(all="ignore"):
                     return f(c[:, i], s)
@@ -790,8 +791,13 @@ class _Knots:
 class _Table(_Read):
     """N, A and Rareal of a table, located once per radius for all three.
 
-    ``slopes`` reads one coefficient record at a Python-float radius and
-    each channel on its own at any other radius type.
+    At a Python-float radius ``slopes`` and ``jets`` bisect once, read the
+    interval's flat record and form their sums (six values and slopes, or
+    nine jet orders) from one s, s^2 and s^3, each sum written out in the
+    operation order of :func:`_cubic_value`, :func:`_cubic_slope` and
+    :func:`_cubic_curvature`, so they return those functions' bits.  At any
+    other radius type ``slopes`` reads each channel on its own and ``jets``
+    gathers coefficient columns.
     """
 
     __slots__ = ("knots",)
@@ -804,19 +810,35 @@ class _Table(_Read):
         if type(r) is not float:
             return super().slopes(r)
         knots = self.knots
-        i, s = knots.locate(r)
-        n, a, rr = knots.records[i]
+        i = bisect_right(knots.inner, r)
+        s = r - knots.xs[i]
+        n3, n2, n1, n0, a3, a2, a1, a0, r3, r2, r1, r0 = knots.records[i]
+        z = s * s
+        zs = z * s
         return (
-            _cubic_value(n, s), _cubic_slope(n, s),
-            _cubic_value(a, s), _cubic_slope(a, s),
-            _cubic_value(rr, s), _cubic_slope(rr, s),
+            0.0 + n0 + n1 * s + n2 * z + n3 * zs,
+            0.0 + n1 + n2 * s * 2.0 + n3 * z * 3.0,
+            0.0 + a0 + a1 * s + a2 * z + a3 * zs,
+            0.0 + a1 + a2 * s * 2.0 + a3 * z * 3.0,
+            0.0 + r0 + r1 * s + r2 * z + r3 * zs,
+            0.0 + r1 + r2 * s * 2.0 + r3 * z * 3.0,
         )
 
     def jets(self, r) -> tuple[Jet, Jet, Jet]:
         knots = self.knots
         i, s = knots.locate(r)
         if type(i) is int:
-            return tuple(_cubic_jet(c, s) for c in knots.records[i])
+            c = knots.records[i]
+            z = s * s
+            zs = z * s
+            return tuple(
+                Jet(
+                    0.0 + c[k + 3] + c[k + 2] * s + c[k + 1] * z + c[k] * zs,
+                    0.0 + c[k + 2] + c[k + 1] * s * 2.0 + c[k] * z * 3.0,
+                    0.0 + c[k + 1] * 2.0 + c[k] * s * 6.0,
+                )
+                for k in (0, 4, 8)
+            )
         with np.errstate(all="ignore"):
             return tuple(_cubic_jet(c[:, i], s) for c in knots.arrays)
 

@@ -230,6 +230,41 @@ def test_fused_read_equals_per_channel_reads_on_arrays(name):
         )
 
 
+def _same_float(got, want):
+    """A float equal to ``want`` bit for bit (any NaN matches any NaN)."""
+    want = float(want)
+    if type(got) is not float:
+        return False
+    if math.isnan(want):
+        return math.isnan(got)
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_table_float_reads_equal_cubic_sums_and_scipy_on_every_interval():
+    # slopes and float jets write the cubic sums out on one flat record per
+    # interval; each must be the per-channel _cubic_* read and scipy's value
+    CubicSpline = pytest.importorskip("scipy.interpolate").CubicSpline
+    read = TABLE._read()
+    channels = (TABLE.N, TABLE.A, TABLE.Rareal)
+    values = TABLE.meta["values"]
+    splines = [CubicSpline(NODES, values[k]) for k in ("N", "A", "Rareal")]
+    xs = NODES.tolist()
+    radii = [xs[-1], xs[0] - 0.5, xs[0] - 1e-9, xs[-1] + 1e-9, xs[-1] + 7.0, math.nan]
+    for left, right in zip(xs[:-1], xs[1:]):
+        radii += [left, 0.5 * (left + right)]
+    for r in radii:
+        slopes, jets = read.slopes(r), read.jets(r)
+        for k, (f, spline) in enumerate(zip(channels, splines)):
+            value, slope, curvature = (f(r, nu) for nu in range(3))
+            assert _same_float(slopes[2 * k], value), (r, k)
+            assert _same_float(slopes[2 * k + 1], slope), (r, k)
+            jet = jets[k]
+            orders = zip((jet.v, jet.d1, jet.d2), (value, slope, curvature), range(3))
+            for got, want, nu in orders:
+                assert _same_float(got, want), (r, k, nu)
+                assert _same_float(want, spline(r, nu)), (r, k, nu)
+
+
 @pytest.mark.parametrize("r", [2.0, 2.0 * M])
 def test_closed_form_float_read_warns_as_numpy_does(r):
     # a negative root and a zero lapse: math.sqrt and float division would

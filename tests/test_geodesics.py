@@ -407,6 +407,74 @@ def test_counts_match_a_counting_wrapper(kind, f, monkeypatch):
     assert 6 * accepted < res.rhs_evals - 1 <= 6 * (accepted + res.rejected_steps)
 
 
+# (rhs_evals, rejected_steps, len(states)) of the tangential launches at
+# f * 3m, m = 1, over the default trapping window 50 r0/3.  Steps that cross
+# a spline knot see the jump in its third derivative and are rejected, so a
+# table costs more evaluations than the closed form; a faster stepper must
+# not change how many it takes.
+STEP_COUNTS = {
+    ("closed", 0.99): (1862, 7, 310),
+    ("closed", 1.0): (427, 9, 63),
+    ("closed", 1.01): (1933, 0, 323),
+    ("tabulated", 0.99): (2160, 46, 322),
+    ("tabulated", 1.0): (3991, 211, 455),
+    ("tabulated", 1.01): (3619, 207, 397),
+}
+
+
+@pytest.mark.parametrize("kind, f", sorted(STEP_COUNTS))
+def test_step_counts_are_pinned(kind, f):
+    profile = _trajectory_profiles(1.0)[kind]
+    r0 = 3.0 * f
+    y0 = tangential_launch(profile, r0)
+    res = integrate_null_geodesic(profile, y0, 50.0 * r0 / 3.0)
+    assert (res.rhs_evals, res.rejected_steps, len(res.states)) == STEP_COUNTS[kind, f]
+
+
+# reads (N, N', A, A', Rareal, Rareal') with a zero N, A or Rareal, the
+# velocity (dt, dr, dphi) at r = 4, and what numpy scalars make of them
+_ZERO_READS = [
+    (
+        (0.0, 0.5, 2.0, 0.25, 3.0, 1.0), (1.0, 0.5, 0.1),
+        (-math.inf, -0.02375, -0.03333333333333333),
+        ["divide by zero encountered in scalar divide"],
+    ),
+    (
+        (0.0, 0.0, 2.0, 0.25, 3.0, 1.0), (1.0, 0.5, 0.1),
+        (math.nan, -0.02375, -0.03333333333333333),
+        ["invalid value encountered in scalar divide"],
+    ),
+    (
+        (0.75, 0.5, 0.0, 0.25, 3.0, 1.0), (1.0, 0.5, 0.1),
+        (-0.6666666666666666, -math.inf, -0.03333333333333333),
+        ["divide by zero encountered in scalar divide"] * 2,
+    ),
+    (
+        (0.75, 0.5, 0.0, 0.25, 3.0, 1.0), (1.0, 0.5, 1.0),
+        (-0.6666666666666666, math.nan, -0.3333333333333333),
+        ["divide by zero encountered in scalar divide"] * 2
+        + ["invalid value encountered in scalar subtract"],
+    ),
+    (
+        (0.75, 0.5, 2.0, 0.25, 0.0, 1.0), (1.0, 0.5, 0.1),
+        (-0.6666666666666666, -0.125, -math.inf),
+        ["divide by zero encountered in scalar divide"],
+    ),
+]
+
+
+@pytest.mark.parametrize("values, velocity, want, messages", _ZERO_READS)
+def test_zero_denominator_takes_numpy_values_as_floats(
+    values, velocity, want, messages
+):
+    with pytest.warns(RuntimeWarning) as record:
+        got = geodesics._geodesic_rhs(lambda r: values, 4.0, *velocity)
+    assert [str(w.message) for w in record] == messages
+    assert all(type(v) is float for v in got)
+    # the accelerations, then the read's own N, A and Rareal
+    assert repr(got) == repr(want + values[::2])
+
+
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
 def test_trapping_refuses_affine_window(wide_m1, value):
     # a zero or NaN window made no step and read "trapped" at r0 = 4
