@@ -30,14 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import _fd_scalar, curvature_at
+from .curvature import _fd_scalar, _jets_at, _ricci
 from .gluing import (
     SAMPLE_GUARD,
     Chart,
     PiecewiseManifold,
     _samples_per_chart,
     _worst_sample,
-    collar_function,
     guarded_chart_samples,
 )
 from .radial import (
@@ -99,8 +98,11 @@ def _reciprocal_coordinate() -> RadialFunction:
     )
 
 
-def _conformal_factor(chart: Chart) -> RadialFunction:
-    """u = (1 + psi)/2 on one chart, in a cancellation-free form.
+def _conformal_factor(chart: Chart):
+    """u = (1 + psi)/2 on one chart, in a cancellation-free form, as the
+    formula ``u_of(N, r)`` in the lapse and the radius: numbers or arrays,
+    or the lapse's jet and the seed jet.  The chart's ``u`` and its sealed
+    read (:class:`_SealedSchwarzschild`) both evaluate it.
 
     On reflected closed-form charts psi = -s N and the straight expression
     (1 - s N)/2 loses precision wherever N is close to 1 (the far field).
@@ -117,11 +119,10 @@ def _conformal_factor(chart: Chart) -> RadialFunction:
     if s_signed < 0.0 and closed_form and abs(s_signed) <= 1.0:
         s2, inv = s_signed * s_signed, _reciprocal_coordinate()
         c_num = 2.0 * float(read.m) * s2
-        return RadialFunction.expression(
-            lambda r: (c_num * inv(r) + (1.0 - s2)) / (2.0 * (-s_signed * n(r) + 1.0))
+        return lambda lapse, r: (
+            (c_num * inv(r) + (1.0 - s2)) / (2.0 * (-s_signed * lapse + 1.0))
         )
-    psi = collar_function(chart)
-    return RadialFunction.expression(lambda r: 0.5 * psi(r) + 0.5)
+    return lambda lapse, r: 0.5 * (s_signed * lapse) + 0.5
 
 
 class _Rescaled(_Read):
@@ -154,8 +155,41 @@ class _Rescaled(_Read):
         return self.N.jet(r), self.a_of(c, seed), self.rareal_of(c, seed)
 
 
+class _SealedSchwarzschild(_Rescaled):
+    """Fused read of the rescaled chart of a closed-form Schwarzschild
+    chart, whose read is ``closed_form``, sealed by u = ``u_of(N, r)``.
+
+    One n = sqrt(1 - 2m/r) per radius gives u, A u^2 and Rareal u^2, where
+    the channels take n once in u and once more in A (three times each
+    for jets).  The reads run the channels' operations in their order, on
+    numpy's square root as the leaves take it, so they return the
+    channels' bits and types.
+    """
+
+    __slots__ = ("closed_form", "u_of")
+
+    def __init__(self, factor, a_of, rareal_of, closed_form: _Schwarzschild, u_of):
+        super().__init__(factor, a_of, rareal_of)
+        self.closed_form, self.u_of = closed_form, u_of
+
+    def values(self, r):
+        read = self.closed_form
+        n = read.N(r)
+        u = self.u_of(n, r)
+        c = u * u
+        return c * (1.0 / n), c * read.Rareal(r)
+
+    def jets(self, r) -> tuple[Jet, Jet, Jet]:
+        read = self.closed_form
+        n, a, rareal = read._jets_of(read.m, r, read.N(r))
+        u = self.u_of(n, Jet(r, 1.0, 0.0, seed=True))
+        c = u * u
+        return self.N.jet(r), c * a, c * rareal
+
+
 def _conformal_chart(chart: Chart, perturbation=None) -> ConformalChart:
-    u = factor = _conformal_factor(chart)
+    u_of, n = _conformal_factor(chart), chart.profile.N
+    u = factor = RadialFunction.expression(lambda r: u_of(n(r), r))
     if perturbation is not None:
         u = RadialFunction.expression(lambda r: factor(r) + perturbation(r))
     a, rareal = chart.profile.A, chart.profile.Rareal
@@ -164,8 +198,14 @@ def _conformal_chart(chart: Chart, perturbation=None) -> ConformalChart:
         uu = u(r)
         return uu * uu
 
+    channels = (u2, lambda c, r: c * a(r), lambda c, r: c * rareal(r))
+    closed_form = chart.profile._read()
+    if perturbation is None and isinstance(closed_form, _Schwarzschild):
+        read = _SealedSchwarzschild(*channels, closed_form, u_of)
+    else:
+        read = _Rescaled(*channels)
     hat = _profile(
-        _Rescaled(u2, lambda c, r: c * a(r), lambda c, r: c * rareal(r)),
+        read,
         kind=ProfileKind.COMPOSITE_REFERENCE,
         r_lo=chart.profile.r_lo,
         r_hi=chart.profile.r_hi,
@@ -376,15 +416,18 @@ def flatness_check(conformal: ConformalManifold, n_samples: int = 512) -> dict:
     Flatness of the curvature tensor itself (not just the scalar): the
     largest of |Ric(nn)|, |Ric(tt)|, |Scal| over guarded samples of every
     chart, each chart evaluated as one array.  In the radial family
-    vanishing Ricci is vanishing Riemann.  A non-finite sample is reported
-    as the maximum.
+    vanishing Ricci is vanishing Riemann.  The three come from the Ricci
+    assembly of :func:`~photonlab.curvature.curvature_at`, after its
+    checks, with its bits; no lapse quantity is formed.  A non-finite
+    sample is reported as the maximum.
     """
     per = _samples_per_chart(conformal.charts, n_samples, 8)
 
     def scan(cc):
         rs = guarded_chart_samples(cc.base, per)
-        s = curvature_at(cc.hat, rs)
-        mag = np.maximum(np.maximum(np.abs(s.ric_nn), np.abs(s.ric_tt)), np.abs(s.scalar))
+        _, a, rj = _jets_at(cc.hat, rs)
+        _, ric_nn, ric_tt, scalar = _ricci(a, rj)
+        mag = np.maximum(np.maximum(np.abs(ric_nn), np.abs(ric_tt)), np.abs(scalar))
         return cc.base.chart_id, rs, mag
 
     worst, arg, count = _worst_sample(map(scan, conformal.charts))

@@ -163,22 +163,54 @@ def _sample(r, n, ric_nn, ric_tt, scalar, hess_nn, hess_tt, lap_n) -> CurvatureS
     # The frozen dataclass __init__ sets each of the eleven fields through
     # object.__setattr__, at about the cost of a scalar sample's curvature
     # arithmetic; filling the instance dictionary in field order gives the
-    # same record (==, hash, repr, fields, replace).
+    # same record (==, hash, repr, fields, replace).  The scalar and the
+    # lapse Laplacian are their own residuals, each cast once for both.
     sample = object.__new__(CurvatureSample)
+    scalar, lap_n = cast(scalar), cast(lap_n)
     sample.__dict__.update(
         r=cast(r),
         ric_nn=cast(ric_nn),
         ric_tt=cast(ric_tt),
-        scalar=cast(scalar),
+        scalar=scalar,
         hess_nn=cast(hess_nn),
         hess_tt=cast(hess_tt),
-        lap_N=cast(lap_n),
+        lap_N=lap_n,
         vac_residual_nn=cast(n * ric_nn - hess_nn),
         vac_residual_tt=cast(n * ric_tt - hess_tt),
-        scalar_residual=cast(scalar),
-        lap_residual=cast(lap_n),
+        scalar_residual=scalar,
+        lap_residual=lap_n,
     )
     return sample
+
+
+def _jets_at(profile: RadialProfile, r):
+    """Jets of N, A and Rareal at r after :func:`curvature_at`'s checks:
+    the open interior only, and a composite refused by that name."""
+    try:  # a composite has no ensure_evaluable: refused by name, at no cost here
+        profile.ensure_evaluable(r, open_interior=True)
+    except AttributeError:
+        _require_piece(profile, "curvature_at")
+        raise
+    return profile._read().jets(r)
+
+
+def _ricci(a: Jet, rj: Jet):
+    """Ricci components on the unit normal and a unit sphere tangent, and
+    the scalar curvature, from jets of A and Rareal at one radius.
+
+    Returns (r_s, ric_nn, ric_tt, scalar), with r_s = dRareal/ds along
+    proper radial distance, which the lapse Hessian also reads.
+    """
+    rr = rj.v
+    r_s = rj.d1 / a.v
+    r_ss = _proper_second(rj, a)
+    ric_nn = -2.0 * r_ss / rr
+    ric_tt = (1.0 - r_s * r_s - rr * r_ss) / (rr * rr)
+    # Direct scalar formula; the trace identity scalar = ric_nn + 2 ric_tt is
+    # asserted in tests rather than used for assembly.
+    rr2 = rr ** 2
+    scalar = 2.0 / rr2 - 2.0 * r_s ** 2 / rr2 - 4.0 * r_ss / rr
+    return r_s, ric_nn, ric_tt, scalar
 
 
 def curvature_at(profile: RadialProfile, r) -> CurvatureSample:
@@ -187,27 +219,12 @@ def curvature_at(profile: RadialProfile, r) -> CurvatureSample:
     ``r`` may also be an array of radii, evaluated in one pass; the
     sample's fields are then float arrays of the same shape.
     """
-    try:  # a composite has no ensure_evaluable: refused by name, at no cost here
-        profile.ensure_evaluable(r, open_interior=True)
-    except AttributeError:
-        _require_piece(profile, "curvature_at")
-        raise
-    n, a, rj = profile._read().jets(r)
-    rr = rj.v
-    # proper-radial derivatives of Rareal and N
-    r_s = rj.d1 / a.v
-    r_ss = _proper_second(rj, a)
+    n, a, rj = _jets_at(profile, r)
+    r_s, ric_nn, ric_tt, scalar = _ricci(a, rj)
+    # proper-radial derivatives of N
     n_s = n.d1 / a.v
-    n_ss = _proper_second(n, a)
-
-    ric_nn = -2.0 * r_ss / rr
-    ric_tt = (1.0 - r_s * r_s - rr * r_ss) / (rr * rr)
-    # Direct scalar formula; the trace identity scalar = ric_nn + 2 ric_tt is
-    # asserted in tests rather than used for assembly.
-    scalar = 2.0 / rr ** 2 - 2.0 * r_s ** 2 / rr ** 2 - 4.0 * r_ss / rr
-
-    hess_nn = n_ss
-    hess_tt = n_s * r_s / rr
+    hess_nn = _proper_second(n, a)
+    hess_tt = n_s * r_s / rj.v
     lap_n = radial_laplacian(n, a, rj)
     return _sample(r, n.v, ric_nn, ric_tt, scalar, hess_nn, hess_tt, lap_n)
 

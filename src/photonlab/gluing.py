@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .audit import IdentityReport, audit_sphere
-from .curvature import _max_or_nan, curvature_at
+from .curvature import _jets_at, _max_or_nan, radial_laplacian
 from .radial import (
     DomainError,
     RadialFunction,
@@ -480,15 +480,17 @@ def psi_harmonicity_max(manifold: PiecewiseManifold, n_per_chart: int = 128) -> 
     """max |Laplacian of psi| over guarded samples of every chart.
 
     psi restricted to a chart is a constant multiple of that chart's lapse,
-    so its Laplacian is the same multiple of the lapse Laplacian already
-    certified by the curvature layer.  Each chart is evaluated as one
+    so its Laplacian is the same multiple of the lapse Laplacian, which
+    :func:`~photonlab.curvature.curvature_at` reports as ``lap_N``: the
+    scan reads the chart's jets with that function's checks and forms
+    only the Laplacian, with its bits.  Each chart is evaluated as one
     array; the worst sample is taken by :func:`_worst_sample`, so a
     non-finite sample is reported as the maximum.
     """
 
     def scan(chart):
         rs = guarded_chart_samples(chart, n_per_chart)
-        lap = curvature_at(chart.profile, rs).lap_N
+        lap = np.asarray(radial_laplacian(*_jets_at(chart.profile, rs)), dtype=float)
         return chart.chart_id, rs, np.abs(chart.collar_scale * lap)
 
     return _worst_sample(map(scan, manifold.charts))[0]

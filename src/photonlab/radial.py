@@ -184,16 +184,11 @@ class RadialFunction:
 
     @staticmethod
     def constant(c: float) -> "RadialFunction":
-        # r * 0.0 + c preserves shape and floating dtype (incl. longdouble)
-        return RadialFunction(
-            lambda r: r * 0.0 + c,
-            lambda r: r * 0.0,
-            lambda r: r * 0.0,
-        )
+        return _Constant(c)
 
     @staticmethod
     def coordinate() -> "RadialFunction":
-        return RadialFunction(_identity, _one, _zero)
+        return _Coordinate(_identity, _one, _zero)
 
     def compose_inverse(self) -> "RadialFunction":
         """Pull back along the coordinate inversion x -> 1/x.
@@ -223,6 +218,32 @@ def _one(r):
 
 def _zero(r):
     return r * 0.0
+
+
+class _Constant(RadialFunction):
+    """The constant c; r * 0.0 + c preserves shape and floating dtype
+    (incl. longdouble).  Its jet takes r * 0.0 once for all three orders."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c):
+        super().__init__(lambda r: r * 0.0 + c, _zero, _zero)
+        self.c = c
+
+    def jet(self, r) -> Jet:
+        z = r * 0.0
+        return Jet(z + self.c, z, z)
+
+
+class _Coordinate(RadialFunction):
+    """The coordinate r.  Its jet runs the leaves' operations without
+    calling them and takes r * 0.0 once for both derivatives."""
+
+    __slots__ = ()
+
+    def jet(self, r) -> Jet:
+        z = r * 0.0
+        return Jet(r, z + 1.0, z)
 
 
 class _Expression(RadialFunction):
@@ -331,19 +352,23 @@ class RadialProfile:
     def ensure_evaluable(self, r, *, open_interior: bool = False) -> None:
         """Validate sample points, raising on domain or degeneracy faults.
 
-        A NaN radius fails every comparison and passes.
+        A NaN radius fails every comparison and passes.  An array is
+        judged by its smallest and largest radius as doubles; ``np.fmin``
+        and ``np.fmax`` skip NaN, so a NaN cannot hide a radius outside the
+        domain, and an empty or all-NaN array passes.
         """
         if isinstance(r, float):  # one radius: no array, no reductions
-            outside = r < self.r_lo or r > self.r_hi
-            hit_lo, hit_hi = r == self.r_lo, r == self.r_hi
+            lo = hi = r
         else:
-            arr = np.atleast_1d(np.asarray(r, dtype=float))
-            outside = np.any(arr < self.r_lo) or np.any(arr > self.r_hi)
-            hit_lo, hit_hi = np.any(arr == self.r_lo), np.any(arr == self.r_hi)
-        if outside:
-            raise DomainError(
-                f"radius outside profile domain [{self.r_lo}, {self.r_hi}]"
-            )
+            arr = np.asarray(r, dtype=float)
+            lo = np.fmin.reduce(arr, axis=None, initial=math.inf)
+            hi = np.fmax.reduce(arr, axis=None, initial=-math.inf)
+        r_lo, r_hi = self.r_lo, self.r_hi
+        if r_lo < lo and hi < r_hi:  # the open interior
+            return
+        if lo < r_lo or hi > r_hi:
+            raise DomainError(f"radius outside profile domain [{r_lo}, {r_hi}]")
+        hit_lo, hit_hi = lo == r_lo, hi == r_hi
         if hit_lo and (self.degenerate_lo or open_interior):
             if self.degenerate_lo:
                 raise EndpointDegeneracyError(
@@ -831,14 +856,14 @@ class _Table(_Read):
             c = knots.records[i]
             z = s * s
             zs = z * s
-            return tuple(
+            return tuple([  # a list display: a generator costs more per call
                 Jet(
                     0.0 + c[k + 3] + c[k + 2] * s + c[k + 1] * z + c[k] * zs,
                     0.0 + c[k + 2] + c[k + 1] * s * 2.0 + c[k] * z * 3.0,
                     0.0 + c[k + 1] * 2.0 + c[k] * s * 6.0,
                 )
                 for k in (0, 4, 8)
-            )
+            ])
         with np.errstate(all="ignore"):
             return tuple(_cubic_jet(c[:, i], s) for c in knots.arrays)
 

@@ -13,7 +13,11 @@ and where the closed form divides by zero or takes the root of a negative
 number; the closed form's jets at a Python-float radius may have float
 parts where the channels give numpy scalars.  A profile whose N, A or Rareal was replaced reads per channel again, and so
 do its normal derivative of the lapse and its sphere mean curvature; so
-does a profile assembled by hand from another profile's channels.
+does a profile assembled by hand from another profile's channels.  A
+rescaled chart of a closed-form chart takes one square root per radius
+for u, A u^2 and Rareal u^2 alike, and has no float path, so its types
+are the channels' everywhere; a wrapped lapse or a perturbed u reads
+per channel.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import warnings
 import numpy as np
 import pytest
 
-from photonlab import geodesics, radial
+from photonlab import conformal, geodesics, radial
 from photonlab.conformal import (
     _inverted_profile,
     _neck_isotropic_profile,
@@ -73,6 +77,8 @@ def _presentations(conf) -> dict:
     return {
         "hat": conf.chart("exterior").hat,
         "hat_reflected": reflected.hat,
+        "hat_neck": conf.chart("neck").hat,
+        "hat_neck_reflected": conf.chart("neck_reflected").hat,
         "isotropic": _neck_isotropic_profile(conf.chart("neck"))[0],
         "inverted": _inverted_profile(reflected),
         "inverted_replaced_hat": _inverted_profile(replaced),
@@ -97,6 +103,9 @@ RADII = {
     # N = 0 at 2M, a negative root inside it; 1/r and 1/x fail at 0
     "hat": _INTERIOR + [3.9, 130.0, 2.0 * M, 2.0, 1e3, 0.0] + _SPECIAL,
     "hat_reflected": _INTERIOR + [3.9, 130.0, 2.0 * M, 2.0, 1e3, 0.0] + _SPECIAL,
+    # the neck of mass M on [2M, 3M]: N = 0 at its horizon
+    "hat_neck": [2.7, 3.0, 3.5, 3.9, 2.0 * M, 2.0, 5.0, 0.0] + _SPECIAL,
+    "hat_neck_reflected": [2.7, 3.0, 3.5, 3.9, 2.0 * M, 2.0, 5.0, 0.0] + _SPECIAL,
     "isotropic": [0.33, 0.5, 0.9, 1.2, 1.5, 0.0, -0.65, 1e3] + _SPECIAL,
     "inverted": [0.0077, 0.01, 0.1, 0.2, 0.25, 0.5, 0.0, -0.1] + _SPECIAL,
     "inverted_replaced_hat": [0.0077, 0.01, 0.1, 0.25, 0.5, 0.0, -0.1] + _SPECIAL,
@@ -573,3 +582,107 @@ def test_replaced_rescaled_channel_takes_u_per_channel():
         radii.clear()
     fd_curvature_oracle(changed, np.linspace(5.0, 6.0, 4), np.full(4, 1e-3))
     assert [np.size(r) for r in log[0]] == [28, 28]
+
+
+# ---------------------------------------------------------------------------
+# The sealed closed-form chart: one square root per radius
+# ---------------------------------------------------------------------------
+
+_HATS = ("hat", "hat_reflected", "hat_neck", "hat_neck_reflected")
+
+
+def test_rescaled_closed_form_charts_hold_the_sealed_read():
+    # all four charts of a closed-form double: u straight on the outward
+    # charts, cancellation-free on the reflected ones
+    for name in _HATS:
+        assert type(PROFILES[name]._read()) is conformal._SealedSchwarzschild
+    assert type(PROFILES["isotropic"]._read()) is conformal._Rescaled
+
+
+def _counting_lapse_squared(monkeypatch):
+    calls = []
+    inner = radial._lapse_squared
+    monkeypatch.setattr(
+        radial, "_lapse_squared", lambda m, r: calls.append(r) or inner(m, r)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("name", _HATS)
+def test_sealed_read_takes_one_square_root_per_radius(name, monkeypatch):
+    p = PROFILES[name]
+    read = p._read()
+    roots, squares = _count_square_roots(monkeypatch), _counting_lapse_squared(monkeypatch)
+    radii = np.linspace(p.r_lo, p.r_hi, 9)[1:-1]
+    mid = float(radii[3])
+    for r in (mid, np.float64(mid), radii, radii.astype(np.longdouble)):
+        for fn in (read.values, read.jets):
+            roots.clear()
+            squares.clear()
+            fn(r)
+            assert len(roots) == len(squares) == 1
+            assert squares[0] is r
+    roots.clear()
+    curvature_at(p, mid)
+    assert len(roots) == 1
+    roots.clear()
+    fd_curvature_oracle(p, radii, np.full(7, 1e-4 * (p.r_hi - p.r_lo)))
+    assert len(roots) == 1 and np.size(roots[0]) == 7 * 7
+
+
+def test_inverted_end_takes_one_square_root_per_pass(monkeypatch):
+    p = PROFILES["inverted"]
+    roots = _count_square_roots(monkeypatch)
+    x = np.linspace(0.01, 0.2, 16)
+    fd_curvature_oracle(p, x, np.full(16, 1e-4))
+    assert [np.size(r) for r in roots] == [7 * 16]
+
+
+def _wrapped_lapse_double():
+    """The double of the m = M exterior whose lapse is wrapped, so that it
+    is no longer the closed form's own."""
+    exterior = make_schwarzschild_family(M, 3.0 * M, 130.0)
+    n = exterior.N
+    wrapped = RadialFunction(lambda r: n(r), lambda r: n(r, 1), lambda r: n(r, 2))
+    exterior = dataclasses.replace(exterior, N=wrapped)
+    return conformal_transform(double(glue_neck(exterior, 3.0 * M)))
+
+
+def test_wrapped_lapse_and_perturbation_read_per_channel(monkeypatch):
+    wrapped = _wrapped_lapse_double()
+    perturbed = _double(RadialFunction.constant(0.0))
+    cases = [
+        wrapped.chart("exterior").hat,
+        wrapped.chart("exterior_reflected").hat,
+        perturbed.chart("exterior").hat,
+        perturbed.chart("exterior_reflected").hat,
+    ]
+    roots = _count_square_roots(monkeypatch)
+    for hat in cases:
+        read = hat._read()
+        assert type(read) is conformal._Rescaled
+        r = np.linspace(4.0, 120.0, 5)
+        roots.clear()
+        values = read.values(r)
+        assert len(roots) == 2  # u, then A
+        roots.clear()
+        jets = read.jets(r)
+        assert len(roots) == 6  # three orders of N in u, three of A
+        _assert_same_values(values, _per_channel_values(hat, r))
+        _assert_same_jets(jets, _per_channel_jets(hat, r))
+
+
+def test_unperturbed_u_and_the_sealed_read_share_the_formula():
+    # the perturbation zero adds nothing, so the per-channel read of the
+    # perturbed hat gives the sealed read's bits on every chart
+    perturbed = _double(RadialFunction.constant(0.0))
+    sealed = _double()
+    r = np.linspace(4.0, 120.0, 33)
+    for chart_id in ("exterior", "exterior_reflected"):
+        got = sealed.chart(chart_id).hat._read()
+        want = perturbed.chart(chart_id).hat._read()
+        _assert_same_values(got.values(r), want.values(r))
+        _assert_same_jets(got.jets(r), want.jets(r))
+        np.testing.assert_array_equal(
+            sealed.chart(chart_id).u(r), perturbed.chart(chart_id).u(r)
+        )

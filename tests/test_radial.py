@@ -154,6 +154,87 @@ def test_ensure_evaluable_float_path_matches_array_path(profile, where, open_int
         assert expected is None
 
 
+def _element_rule(profile, r, open_interior):
+    """The array rule element by element, as (type, end) or None: a radius
+    outside the domain raises DomainError before any endpoint hit; a hit at
+    a degenerate end raises EndpointDegeneracyError, and under
+    ``open_interior`` a hit at any end raises DomainError, r_lo first.
+    Radii are compared as doubles and NaN fails every comparison."""
+    arr = np.asarray(r, dtype=float).ravel()
+    if any(x < profile.r_lo or x > profile.r_hi for x in arr):
+        return DomainError, "outside"
+    for end, degenerate in (("r_lo", profile.degenerate_lo), ("r_hi", profile.degenerate_hi)):
+        if any(x == getattr(profile, end) for x in arr):
+            if degenerate:
+                return EndpointDegeneracyError, end
+            if open_interior:
+                return DomainError, end
+    return None
+
+
+def _outcome_kind(profile, r, open_interior):
+    outcome = _ensure_outcome(profile, r, open_interior)
+    if outcome is None:
+        return None
+    kind, message = outcome
+    if message.startswith("radius outside profile domain"):
+        return kind, "outside"
+    return kind, "r_lo" if "r_lo" in message else "r_hi"
+
+
+def _array_cases(lo, hi):
+    mid, nan = 0.5 * (lo + hi), math.nan
+    below, above = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    # a long double just above r_hi that is r_hi as a double (on x87)
+    ld_hi = np.longdouble(hi) + np.longdouble(hi) * np.finfo(np.longdouble).eps
+    return {
+        "empty": np.array([]),
+        "0-d interior": np.asarray(mid),
+        "0-d r_lo": np.asarray(lo),
+        "0-d above": np.asarray(above),
+        "all NaN": np.array([nan, nan, nan]),
+        "NaN, 2-D": np.array([[nan, mid], [mid, nan]]),
+        "NaN beside below": np.array([nan, below, mid]),
+        "above beside NaN": np.array([mid, above, nan]),
+        "NaN first, inf": np.array([nan, math.inf]),
+        "-inf beside NaN": np.array([-math.inf, nan]),
+        "r_lo": np.array([mid, lo, mid]),
+        "r_hi": np.array([hi, mid]),
+        "both ends": np.array([hi, mid, lo]),
+        "r_lo beside above": np.array([lo, above]),
+        "r_hi beside NaN": np.array([nan, hi]),
+        "long double interior": np.linspace(lo, hi, 9, dtype=np.longdouble)[1:-1],
+        "long double r_hi": np.array([mid, ld_hi], dtype=np.longdouble),
+        "long double below": np.array([np.longdouble(below), mid], dtype=np.longdouble),
+    }
+
+
+_ARRAY_CASES = sorted(_array_cases(3.0, 10.0))
+
+
+@pytest.mark.parametrize("open_interior", [False, True], ids=["closed", "open"])
+@pytest.mark.parametrize("case", _ARRAY_CASES)
+@pytest.mark.parametrize(
+    "profile",
+    [
+        _PLAIN,
+        make_schwarzschild_neck(1.0),
+        dataclasses.replace(_PLAIN, degenerate_lo=True, degenerate_hi=True),
+    ],
+    ids=["plain", "neck", "both_degenerate"],
+)
+def test_ensure_evaluable_on_arrays_follows_the_element_rule(profile, case, open_interior):
+    # an array raises what its worst element raises: no NaN hides a radius
+    # outside the domain, and an empty or all-NaN array passes
+    r = _array_cases(profile.r_lo, profile.r_hi)[case]
+    want = _element_rule(profile, r, open_interior)
+    assert _outcome_kind(profile, r, open_interior) == want
+    if case in ("empty", "all NaN", "NaN, 2-D", "long double interior"):
+        assert want is None
+    if case.startswith(("NaN beside", "above beside", "NaN first", "-inf", "r_lo beside")):
+        assert want == (DomainError, "outside")
+
+
 # ---------------------------------------------------------------------------
 # RadialFunction expressions and jets
 # ---------------------------------------------------------------------------
@@ -233,6 +314,34 @@ def test_expression_difference_negation_and_reciprocal(expr, want):
     rs = np.array([3.0, 3.0])
     for nu in (0, 1, 2):
         np.testing.assert_array_equal(f(rs, nu), [want[nu]] * 2)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [RadialFunction.coordinate(), RadialFunction.constant(1.0), RadialFunction.constant(-2.5)],
+    ids=["coordinate", "one", "constant"],
+)
+def test_coordinate_and_constant_jets_are_their_three_orders(f):
+    # both form their jet without calling their leaves: same bits, types
+    # and shapes as the three orders read apart
+    rs = np.array([3.0, -0.0, 0.0, 1e300, math.inf, -math.inf, math.nan])
+    for r in [*rs.tolist(), np.float64(2.0), rs, rs.reshape(7, 1), rs.astype(np.longdouble)]:
+        with np.errstate(invalid="ignore"):
+            jet = f.jet(r)
+            orders = [f(r, nu) for nu in range(3)]
+        for got, want in zip((jet.v, jet.d1, jet.d2), orders):
+            assert type(got) is type(want)
+            got, want = np.asarray(got), np.asarray(want)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert _double_bits(got) == _double_bits(want)
+
+
+def _double_bits(x):
+    """Bytes of an array; a long double as float64 hi + lo, since its
+    padding bytes are not reproducible."""
+    hi = x.astype(np.float64)
+    with np.errstate(invalid="ignore"):
+        return hi.tobytes() + (x - hi).astype(np.float64).tobytes()
 
 
 def test_expression_difference_of_functions():
