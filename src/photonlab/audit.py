@@ -138,10 +138,12 @@ class MonotonicityScan:
 
 
 def _arclength(pieces, r_values):
-    """Integral of A from r_values[0] to each radius: each piece halves the
-    sample intervals clipped to its domain, one read of A a round, until the
-    halves agree within ``_HALVING_RTOL`` of the interval (A's rounding near
-    a horizon exceeds that per segment).  A NaN estimate stays, unsplit."""
+    """Integral of A from r_values[0] to each radius: each piece splits the
+    sample intervals clipped to its domain at its read's knots (inside one
+    knot interval a table's A is a cubic, which the rule integrates
+    exactly), then halves them, one read of A a round, until the halves
+    agree within ``_HALVING_RTOL`` of the interval (A's rounding near a
+    horizon exceeds that per segment).  A NaN estimate stays, unsplit."""
     from numpy.polynomial.legendre import leggauss
 
     x, w = leggauss(_GAUSS_NODES)
@@ -152,7 +154,8 @@ def _arclength(pieces, r_values):
 
     total = np.zeros(r_values.size - 1)
     for p in pieces:
-        ends = np.unique(r_values.clip(p.r_lo, p.r_hi))
+        ends, knots = r_values.clip(p.r_lo, p.r_hi), p._read().knots
+        ends = np.unique(np.r_[ends, knots[(knots > ends[0]) & (knots < ends[-1])]])
         a, b, owner = ends[:-1], ends[1:], np.searchsorted(r_values, ends[1:]) - 1
         whole = rule(p.A, a, b)
         tol = _HALVING_RTOL * np.abs(np.bincount(owner, whole, total.size))

@@ -40,6 +40,7 @@ from .gluing import (
     guarded_chart_samples,
 )
 from .radial import (
+    _UNIT,
     DomainError,
     Jet,
     ProfileKind,
@@ -47,6 +48,7 @@ from .radial import (
     RadialProfile,
     _Read,
     _Schwarzschild,
+    _View,
     _profile,
 )
 
@@ -90,19 +92,25 @@ class ConformalManifold:
         raise KeyError(chart_id)
 
 
-def _reciprocal_coordinate() -> RadialFunction:
-    return RadialFunction(
-        lambda r: 1.0 / r,
-        lambda r: -(r ** -2.0),
-        lambda r: 2.0 * r ** -3.0,
-    )
+_INV = RadialFunction(
+    lambda r: 1.0 / r,
+    lambda r: -(r ** -2.0),
+    lambda r: 2.0 * r ** -3.0,
+)
+
+
+_INV_SQ = RadialFunction(
+    lambda x: x ** -2.0,
+    lambda x: -2.0 * x ** -3.0,
+    lambda x: 6.0 * x ** -4.0,
+)
 
 
 def _conformal_factor(chart: Chart):
     """u = (1 + psi)/2 on one chart, in a cancellation-free form, as the
     formula ``u_of(N, r)`` in the lapse and the radius: numbers or arrays,
-    or the lapse's jet and the seed jet.  The chart's ``u`` and its sealed
-    read (:class:`_SealedSchwarzschild`) both evaluate it.
+    or the lapse's jet and the seed jet.  The chart's ``u`` and its
+    rescaled read (:class:`_Rescaled`) both evaluate it.
 
     On reflected closed-form charts psi = -s N and the straight expression
     (1 - s N)/2 loses precision wherever N is close to 1 (the far field).
@@ -115,76 +123,67 @@ def _conformal_factor(chart: Chart):
     replaced N takes the straight expression, whatever its kind or mass.
     """
     s_signed, n, read = chart.psi_scale, chart.profile.N, chart.profile.fused
-    closed_form = isinstance(read, _Schwarzschild) and read.N is n
+    lapse_of = (n.read, n.ch) if type(n) is _View else None
+    closed_form = isinstance(read, _Schwarzschild) and lapse_of == (read, 0)
     if s_signed < 0.0 and closed_form and abs(s_signed) <= 1.0:
-        s2, inv = s_signed * s_signed, _reciprocal_coordinate()
+        s2 = s_signed * s_signed
         c_num = 2.0 * float(read.m) * s2
         return lambda lapse, r: (
-            (c_num * inv(r) + (1.0 - s2)) / (2.0 * (-s_signed * lapse + 1.0))
+            (c_num * _INV(r) + (1.0 - s2)) / (2.0 * (-s_signed * lapse + 1.0))
         )
     return lambda lapse, r: 0.5 * (s_signed * lapse) + 0.5
 
 
-class _Rescaled(_Read):
-    """Fused read of a presentation whose A and Rareal share one factor.
+class _Seeded(_Read):
+    """A read of unit lapse whose A and Rareal are a formula ``at(r, ch)``
+    on a number, an array or the seed jet, which gives the derivatives."""
 
-    With c = ``factor(r)`` (the square of the presentation's conformal
-    factor, on a number, an array or a seed jet), A is ``a_of(c, r)`` and
-    Rareal is ``rareal_of(c, r)``, and the lapse is the constant 1.  The
-    read takes c once per radius for values and jets, where A and Rareal
-    read apart take it once each.
-    """
+    __slots__ = ()
 
-    __slots__ = ("factor", "a_of", "rareal_of")
+    def order(self, r, ch, nu):
+        if nu == 0:
+            return self.at(r, ch)
+        jet = self.jet(r, ch)
+        return jet.d1 if nu == 1 else jet.d2
 
-    def __init__(self, factor, a_of, rareal_of):
-        super().__init__(
-            RadialFunction.constant(1.0),
-            RadialFunction.expression(lambda r: a_of(factor(r), r)),
-            RadialFunction.expression(lambda r: rareal_of(factor(r), r)),
-        )
-        self.factor, self.a_of, self.rareal_of = factor, a_of, rareal_of
-
-    def values(self, r):
-        c = self.factor(r)
-        return self.a_of(c, r), self.rareal_of(c, r)
-
-    def jets(self, r) -> tuple[Jet, Jet, Jet]:
-        seed = Jet(r, 1.0, 0.0, seed=True)
-        c = self.factor(seed)
-        return self.N.jet(r), self.a_of(c, seed), self.rareal_of(c, seed)
+    def jet(self, r, ch) -> Jet:
+        return self.at(Jet(r, 1.0, 0.0, seed=True), ch)
 
 
-class _SealedSchwarzschild(_Rescaled):
-    """Fused read of the rescaled chart of a closed-form Schwarzschild
-    chart, whose read is ``closed_form``, sealed by u = ``u_of(N, r)``.
+class _Rescaled(_Seeded):
+    """Read of a chart rescaled by u^4: A u^2 and Rareal u^2 of the chart's
+    read ``base``, u = ``u_of(N, r)`` (+ ``perturbation(r)``).  ``values``
+    and ``jets`` read the base's channels together: on a closed-form chart
+    one n = sqrt(1 - 2m/r) per radius gives them all."""
 
-    One n = sqrt(1 - 2m/r) per radius gives u, A u^2 and Rareal u^2, where
-    the channels take n once in u and once more in A (three times each
-    for jets).  The reads run the channels' operations in their order, on
-    numpy's square root as the leaves take it, so they return the
-    channels' bits and types.
-    """
+    __slots__ = ("base", "u_of", "perturbation")
 
-    __slots__ = ("closed_form", "u_of")
+    def __init__(self, base: _Read, u_of, perturbation=None):
+        self.base, self.u_of, self.perturbation = base, u_of, perturbation
 
-    def __init__(self, factor, a_of, rareal_of, closed_form: _Schwarzschild, u_of):
-        super().__init__(factor, a_of, rareal_of)
-        self.closed_form, self.u_of = closed_form, u_of
-
-    def values(self, r):
-        read = self.closed_form
-        n = read.N(r)
+    def _square(self, n, r):
         u = self.u_of(n, r)
-        c = u * u
-        return c * (1.0 / n), c * read.Rareal(r)
+        if self.perturbation is not None:
+            u = u + self.perturbation(r)
+        return u * u
+
+    def at(self, r, ch):
+        if ch == 0:
+            return _UNIT(r)
+        base = self.base
+        if isinstance(r, Jet):  # the seed: jets of the base channels
+            return self._square(base.jet(r.v, 0), r) * base.jet(r.v, ch)
+        return self._square(base.order(r, 0, 0), r) * base.order(r, ch, 0)
+
+    def values(self, r):
+        n, a, rareal = self.base.channel_values(r)
+        c = self._square(n, r)
+        return c * a, c * rareal
 
     def jets(self, r) -> tuple[Jet, Jet, Jet]:
-        read = self.closed_form
-        n, a, rareal = read._jets_of(read.m, r, read.N(r))
-        u = self.u_of(n, Jet(r, 1.0, 0.0, seed=True))
-        c = u * u
-        return self.N.jet(r), c * a, c * rareal
+        n, a, rareal = self.base.channel_jets(r)
+        c = self._square(n, Jet(r, 1.0, 0.0, seed=True))
+        return _UNIT.jet(r), c * a, c * rareal
 
 
 def _conformal_chart(chart: Chart, perturbation=None) -> ConformalChart:
@@ -192,20 +191,8 @@ def _conformal_chart(chart: Chart, perturbation=None) -> ConformalChart:
     u = factor = RadialFunction.expression(lambda r: u_of(n(r), r))
     if perturbation is not None:
         u = RadialFunction.expression(lambda r: factor(r) + perturbation(r))
-    a, rareal = chart.profile.A, chart.profile.Rareal
-
-    def u2(r):
-        uu = u(r)
-        return uu * uu
-
-    channels = (u2, lambda c, r: c * a(r), lambda c, r: c * rareal(r))
-    closed_form = chart.profile._read()
-    if perturbation is None and isinstance(closed_form, _Schwarzschild):
-        read = _SealedSchwarzschild(*channels, closed_form, u_of)
-    else:
-        read = _Rescaled(*channels)
     hat = _profile(
-        read,
+        _Rescaled(chart.profile._read(), u_of, perturbation),
         kind=ProfileKind.COMPOSITE_REFERENCE,
         r_lo=chart.profile.r_lo,
         r_hi=chart.profile.r_hi,
@@ -266,44 +253,79 @@ def _neck_isotropic_profile(cc: ConformalChart) -> tuple[RadialProfile, RadialFu
         lambda rho: 4.0 * mu / (2.0 * rho + mu) ** 2,
         lambda rho: -16.0 * mu / (2.0 * rho + mu) ** 3,
     )
-    inv, perturbation = _reciprocal_coordinate(), cc.perturbation
-    r_of_rho = RadialFunction.expression(lambda rho: rho + mu + 0.25 * mu * mu * inv(rho))
+    perturbation = cc.perturbation
+    r_of_rho = RadialFunction.expression(lambda rho: rho + mu + 0.25 * mu * mu * _INV(rho))
 
     def conf2(rho):
         u = 0.5 * s_signed * n_iso(rho) + 0.5
         if perturbation is not None:
             u = u + perturbation(r_of_rho(rho))
-        conf = u * (0.5 * mu * inv(rho) + 1.0)
+        conf = u * (0.5 * mu * _INV(rho) + 1.0)
         return conf * conf
 
-    def rho_of_r(r: float) -> float:
-        return 0.5 * (r - mu + math.sqrt(r * (r - 2.0 * mu)))
-
+    r_hi = p.r_hi
     profile = _profile(
-        _Rescaled(conf2, lambda c, rho: c, lambda c, rho: c * rho),
+        _Isotropic(conf2),
         kind=ProfileKind.COMPOSITE_REFERENCE,
         r_lo=0.5 * mu,
-        r_hi=rho_of_r(p.r_hi),
+        r_hi=0.5 * (r_hi - mu + math.sqrt(r_hi * (r_hi - 2.0 * mu))),
         mass=mu,
         meta={"presentation": "isotropic", "of_chart": cc.base.chart_id},
     )
     return profile, r_of_rho
 
 
-class _Inverted(_Read):
-    """Fused read of :func:`_inverted_profile`: the rescaled chart's own
-    read at r = 1/x, pulled back to x, so a fused hat takes u once per
-    radius for the oracle's values."""
+class _Isotropic(_Seeded):
+    """Read of :func:`_neck_isotropic_profile`: A = c and Rareal = c rho,
+    c = ``conf2(rho)`` once per radius for ``values`` and ``jets``."""
+
+    __slots__ = ("conf2",)
+
+    def __init__(self, conf2):
+        self.conf2 = conf2
+
+    def at(self, rho, ch):
+        if ch == 0:
+            return _UNIT(rho)
+        c = self.conf2(rho)
+        return c if ch == 1 else c * rho
+
+    def values(self, rho):
+        c = self.conf2(rho)
+        return c, c * rho
+
+    def jets(self, rho) -> tuple[Jet, Jet, Jet]:
+        seed = Jet(rho, 1.0, 0.0, seed=True)
+        c = self.conf2(seed)
+        return _UNIT.jet(rho), c, c * seed
+
+
+def _pulled_back(j: Jet, x) -> Jet:
+    """Jet at x of g(x) = f(1/x), from f's jet ``j`` at 1/x."""
+    return Jet(j.v, -j.d1 / (x * x), j.d2 / (x ** 4) + 2.0 * j.d1 / (x ** 3))
+
+
+class _Inverted(_Seeded):
+    """Read of :func:`_inverted_profile`: the rescaled chart's read ``hat``
+    at r = 1/x pulled back to x, a_x = A_hat(1/x) / x^2."""
 
     __slots__ = ("hat",)
 
-    def __init__(self, A, Rareal, hat: _Read):
-        super().__init__(RadialFunction.constant(1.0), A, Rareal)
+    def __init__(self, hat: _Read):
         self.hat = hat
+
+    def at(self, x, ch):
+        if ch == 0:
+            return _UNIT(x)
+        if isinstance(x, Jet):
+            value = _pulled_back(self.hat.jet(1.0 / x.v, ch), x.v)
+        else:
+            value = self.hat.order(1.0 / x, ch, 0)
+        return value * _INV_SQ(x) if ch == 1 else value
 
     def values(self, x):
         a, rareal = self.hat.values(1.0 / x)
-        return _inverted_radial_factor(a, x), rareal
+        return a * _INV_SQ(x), rareal
 
 
 def _inverted_profile(cc: ConformalChart) -> RadialProfile:
@@ -318,11 +340,9 @@ def _inverted_profile(cc: ConformalChart) -> RadialProfile:
     This is the one builder of the inverted end: the residual scan, the
     compactification check and the conformal-end mass all read it.
     """
-    a_inv, r_x = cc.hat.A.compose_inverse(), cc.hat.Rareal.compose_inverse()
-    a_x = RadialFunction.expression(lambda x: _inverted_radial_factor(a_inv(x), x))
     p = cc.base.profile
     return _profile(
-        _Inverted(a_x, r_x, cc.hat._read()),
+        _Inverted(cc.hat._read()),
         kind=ProfileKind.COMPOSITE_REFERENCE,
         r_lo=1.0 / p.r_hi,
         r_hi=1.0 / p.r_lo,
@@ -557,18 +577,6 @@ def adm_mass_estimate(space, end_id: str, radii=(50.0, 100.0, 200.0, 400.0)) -> 
         return conformal_end_mass_estimate(cc, radii)
     return _adm_from_metric_functions(cc.hat.A, cc.hat.Rareal, radii)
 
-
-_INV_SQ = RadialFunction(
-    lambda x: x ** -2.0,
-    lambda x: -2.0 * x ** -3.0,
-    lambda x: 6.0 * x ** -4.0,
-)
-
-
-def _inverted_radial_factor(a, x):
-    """a_x = A_hat(1/x) / x^2 from ``a``, A_hat at 1/x (a value, or its jet
-    pulled back to x), at x (a number, or the seed jet)."""
-    return a * _INV_SQ(x)
 
 
 @dataclass(frozen=True)

@@ -151,15 +151,13 @@ def _proper_second(f: Jet, a: Jet):
     return (f.d2 - f.d1 * a.d1 / a.v) / (a.v * a.v)
 
 
-def _float_array(x):
-    return np.array(x, dtype=float)
-
-
 def _sample(r, n, ric_nn, ric_tt, scalar, hess_nn, hess_tt, lap_n) -> CurvatureSample:
     """Package assembled components, forming the vacuum residuals in their
     own precision first: floats for a scalar ``r``, float arrays for an
-    array ``r``."""
-    cast = _float_array if isinstance(r, np.ndarray) else float
+    array ``r``, where only ``r`` is copied, apart from the caller's array;
+    the other fields are the curvature arithmetic's own results."""
+    array = isinstance(r, np.ndarray)
+    cast = (lambda x: np.asarray(x, dtype=float)) if array else float
     # The frozen dataclass __init__ sets each of the eleven fields through
     # object.__setattr__, at about the cost of a scalar sample's curvature
     # arithmetic; filling the instance dictionary in field order gives the
@@ -168,7 +166,7 @@ def _sample(r, n, ric_nn, ric_tt, scalar, hess_nn, hess_tt, lap_n) -> CurvatureS
     sample = object.__new__(CurvatureSample)
     scalar, lap_n = cast(scalar), cast(lap_n)
     sample.__dict__.update(
-        r=cast(r),
+        r=np.array(r, dtype=float) if array else float(r),
         ric_nn=cast(ric_nn),
         ric_tt=cast(ric_tt),
         scalar=scalar,
@@ -506,7 +504,7 @@ def _fd_scalar(profile: RadialProfile, r, h):
     gives it (same bits), without reading N: a float for a number ``r``, a
     float array for an array."""
     scalar = _fd_ricci(profile, r, h)[2]
-    return _float_array(scalar) if isinstance(r, np.ndarray) else float(scalar)
+    return np.array(scalar, dtype=float) if isinstance(r, np.ndarray) else float(scalar)
 
 
 def fd_curvature_oracle(profile: RadialProfile, r, h=1e-3) -> CurvatureSample:

@@ -53,16 +53,21 @@ def fermat_geodesy_residual(profile: RadialProfile, r):
     bulge outward in the optical geometry.
     """
     _require_piece(profile, "fermat_geodesy_residual")
-    n, dn = profile.N(r), profile.N(r, 1)
-    a = profile.A(r)
-    rr, drr = profile.Rareal(r), profile.Rareal(r, 1)
+    n, dn, a, _, rr, drr = _slopes(profile, r)
     return 2.0 * (drr * n - rr * dn) / (a * rr)
 
 
 def impact_parameter(profile: RadialProfile, r):
     """Critical impact parameter Rareal/N of a tangential null ray at r."""
     _require_piece(profile, "impact_parameter")
-    return profile.Rareal(r) / profile.N(r)
+    n, _, _, _, rr, _ = _slopes(profile, r)
+    return rr / n
+
+
+def _slopes(profile: RadialProfile, r):
+    # numpy scalars at one radius, where a zero denominator gives inf or NaN
+    values = profile._read().slopes(r)
+    return values if np.ndim(r) else map(np.float64, values)
 
 
 _BRENT_MAXITER = 100

@@ -21,6 +21,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -190,24 +191,6 @@ class RadialFunction:
     def coordinate() -> "RadialFunction":
         return _Coordinate(_identity, _one, _zero)
 
-    def compose_inverse(self) -> "RadialFunction":
-        """Pull back along the coordinate inversion x -> 1/x.
-
-        Returns g with g(x) = f(1/x), g' = -f'(1/x)/x^2 and
-        g'' = f''(1/x)/x^4 + 2 f'(1/x)/x^3, from one jet of f at 1/x.
-        Used to study asymptotic ends near x = 0.
-        """
-        f = self
-        return _Expression(
-            lambda x: f(1.0 / x), lambda x: _pulled_back(f.jet(1.0 / x), x)
-        )
-
-
-def _pulled_back(j: Jet, x) -> Jet:
-    """Jet at x of g(x) = f(1/x), from f's jet ``j`` at 1/x."""
-    return Jet(j.v, -j.d1 / (x * x), j.d2 / (x ** 4) + 2.0 * j.d1 / (x ** 3))
-
-
 def _identity(r):
     return r
 
@@ -262,47 +245,84 @@ class _Expression(RadialFunction):
 class _Read:
     """N, A and Rareal of a profile, read together at a radius.
 
-    This class reads each channel on its own.  A subclass is the *fused
-    read* of one construction: the profile it builds holds it, and it
-    reads all three channels once per radius (one square root, one knot
-    search, one conformal factor) or takes a closed form where it can,
-    and reads through this class elsewhere.  Every read of
-    ``slopes``, ``jets`` and ``values`` runs the operations of the
-    per-channel reads in the same order, so they return the same bits;
-    where a fused read answers on Python floats, its jets have float parts
-    where the per-channel jets have numpy scalars.
+    ``order(r, ch, nu)`` is the nu-th derivative of channel ``ch`` (0 N,
+    1 A, 2 Rareal), ``jet(r, ch)`` its jet.  A subclass is a construction's
+    read, the only home of its formulas; ``slopes``, ``jets`` and
+    ``values`` share its square root, knot search or conformal factor.
+    :class:`_Channels` reads hand-assembled and channel-replaced profiles.
     """
 
-    __slots__ = ("N", "A", "Rareal")
+    __slots__ = ()
+    knots = np.empty(0)  # a table's nodes, between which its channels are cubic
 
-    def __init__(self, N: RadialFunction, A: RadialFunction, Rareal: RadialFunction):
-        self.N, self.A, self.Rareal = N, A, Rareal
+    def jet(self, r, ch) -> Jet:
+        return Jet(self.order(r, ch, 0), self.order(r, ch, 1), self.order(r, ch, 2))
 
-    def slopes(self, r) -> tuple[float, float, float, float, float, float]:
-        """N, N', A, A', Rareal and Rareal' at one radius, as floats."""
-        n, a, rr = self.N, self.A, self.Rareal
-        return (
-            float(n(r)), float(n(r, 1)),
-            float(a(r)), float(a(r, 1)),
-            float(rr(r)), float(rr(r, 1)),
-        )
+    def slopes(self, r):
+        """N, N', A, A', Rareal, Rareal': floats at a radius, else arrays."""
+        o = self.order
+        out = (o(r, 0, 0), o(r, 0, 1), o(r, 1, 0), o(r, 1, 1), o(r, 2, 0), o(r, 2, 1))
+        return out if np.ndim(r) else tuple(map(float, out))
+
+    # N, A and Rareal, and their jets, in numpy arithmetic (no float path)
+    def channel_values(self, r):
+        return self.order(r, 0, 0), self.order(r, 1, 0), self.order(r, 2, 0)
+
+    def channel_jets(self, r) -> tuple[Jet, Jet, Jet]:
+        return self.jet(r, 0), self.jet(r, 1), self.jet(r, 2)
 
     def jets(self, r) -> tuple[Jet, Jet, Jet]:
-        """Jets of N, A and Rareal at a number or an array."""
-        return self.N.jet(r), self.A.jet(r), self.Rareal.jet(r)
+        return self.channel_jets(r)
 
     def values(self, r):
-        """A and Rareal at a number or an array: the values the
-        finite-difference oracle differences."""
-        return self.A(r), self.Rareal(r)
+        """A and Rareal, the values the finite-difference oracle reads."""
+        return self.order(r, 1, 0), self.order(r, 2, 0)
 
     def nu_N(self, r):
         """Outward-normal derivative of the lapse, N'/A."""
-        return self.N(r, 1) / self.A(r)
+        return self.order(r, 0, 1) / self.order(r, 1, 0)
 
     def sphere_mean_curvature(self, r):
         """Mean curvature 2 Rareal'/(A Rareal) of the r = const sphere."""
-        return 2.0 * self.Rareal(r, 1) / (self.A(r) * self.Rareal(r))
+        o = self.order
+        return 2.0 * o(r, 2, 1) / (o(r, 1, 0) * o(r, 2, 0))
+
+
+class _Channels(_Read):
+    """The read of three radial functions, each read on its own."""
+
+    __slots__ = ("channels",)
+
+    def __init__(self, N: RadialFunction, A: RadialFunction, Rareal: RadialFunction):
+        self.channels = (N, A, Rareal)
+
+    def order(self, r, ch, nu):
+        return self.channels[ch](r, nu)
+
+    def jet(self, r, ch) -> Jet:
+        return self.channels[ch].jet(r)
+
+
+class _View(RadialFunction):
+    """Channel ``ch`` of a construction's read, ``read.order(r, ch, nu)``
+    and ``read.jet(r, ch)``; the read holds no reference back."""
+
+    __slots__ = ("read", "ch")
+
+    def __init__(self, read: _Read, ch: int):
+        self.read, self.ch = read, ch
+
+    def __call__(self, r, nu: int = 0):
+        if isinstance(r, Jet):
+            return super().__call__(r, nu)
+        return self.read.order(r, self.ch, nu)
+
+    def jet(self, r) -> Jet:
+        return self.read.jet(r, self.ch)
+
+    @property
+    def _d(self):  # the three orders as callables, as a leaf holds them
+        return tuple(partial(self.read.order, ch=self.ch, nu=nu) for nu in range(3))
 
 
 @dataclass(frozen=True)
@@ -330,9 +350,9 @@ class RadialProfile:
     meta : dict
         Extra construction data (star radius, density, node arrays, ...).
     fused : _Read or None
-        The fused read of the construction, filled in by each constructor
-        (see :func:`_profile`); a profile assembled by hand holds None and
-        reads each channel on its own.
+        The read of the construction, filled in by each constructor with
+        N, A and Rareal as its views (see :func:`_profile`); a profile
+        assembled by hand holds None and reads each channel on its own.
     """
 
     kind: ProfileKind
@@ -409,37 +429,35 @@ class RadialProfile:
 
     # -- N, A and Rareal read together ---------------------------------
 
+    def __post_init__(self):
+        # the read, resolved once: a frozen profile's channels do not change
+        read, channels = self.fused, (self.N, self.A, self.Rareal)
+        keys = [(f.read, f.ch) if type(f) is _View else None for f in channels]
+        if keys != [(read, 0), (read, 1), (read, 2)]:
+            read = _Channels(*channels)
+        object.__setattr__(self, "_reader", read)
+
     def _read(self) -> _Read:
-        """The fused read built with this profile's N, A and Rareal, or,
-        once any of them was replaced, a read of each channel on its own."""
-        read = self.fused
-        if read is not None and read.N is self.N and read.A is self.A:
-            if read.Rareal is self.Rareal:
-                return read
-        return _Read(self.N, self.A, self.Rareal)
+        """The construction's read while N, A and Rareal are its views,
+        else a read of each channel on its own."""
+        return self._reader
 
     def nu_N(self, r):
-        """Outward-normal derivative of the lapse, N'(r)/A(r).
-
-        A closed-form read gives it in a fused form where the raw quotient
-        is indeterminate (neck horizon: N' and A both diverge while the
-        ratio stays finite).
-        """
+        """Outward-normal derivative of the lapse, N'(r)/A(r), finite at a
+        closed-form horizon where N' and A both diverge."""
         return self._read().nu_N(r)
 
     def sphere_mean_curvature(self, r):
-        """Mean curvature 2 Rareal'/(A Rareal) of the r = const sphere.
-
-        A closed-form read gives it in a fused form, so horizon endpoints
-        give an exact 0 instead of a division by an infinite radial factor.
-        """
+        """Mean curvature 2 Rareal'/(A Rareal) of the r = const sphere; a
+        closed-form read gives an exact 0 at a horizon endpoint."""
         return self._read().sphere_mean_curvature(r)
 
 
 def _profile(read: _Read, **fields) -> RadialProfile:
-    """The profile of ``read``'s N, A and Rareal, holding ``read`` as its
-    fused read: the one way a construction attaches its read."""
-    return RadialProfile(N=read.N, A=read.A, Rareal=read.Rareal, fused=read, **fields)
+    """The profile whose N, A and Rareal are views of ``read``, which it
+    holds as ``fused``: the one way a construction attaches its read."""
+    n, a, rareal = _View(read, 0), _View(read, 1), _View(read, 2)
+    return RadialProfile(N=n, A=a, Rareal=rareal, fused=read, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +475,10 @@ def _require_finite(**values) -> None:
             raise DomainError(f"{name} must be finite, got {value!r}")
 
 
+# The closed form's formulas: the lapse n = sqrt(1 - 2m/r) and its two
+# derivatives from n, and orders 0, 1 and 2 of A = 1/N from N's orders.
+
+
 def _lapse_squared(m, r):
     return 1.0 - 2.0 * m / r
 
@@ -469,8 +491,11 @@ def _lapse_d2(m, r, n):
     return -2.0 * m / (r ** 3 * n) - m * m / (r ** 4 * n ** 3)
 
 
+def _reciprocal(n):
+    return 1.0 / n
+
+
 def _reciprocal_d1(n, dn):
-    """First derivative of A = 1/N."""
     return -dn / (n * n)
 
 
@@ -478,28 +503,49 @@ def _reciprocal_d2(n, dn, ddn):
     return -ddn / (n * n) + 2.0 * dn * dn / (n ** 3)
 
 
-class _Schwarzschild(_Read):
-    """Fused read of :func:`_schwarzschild_functions`: one n per radius.
+_COORDINATE = RadialFunction.coordinate()
+_UNIT = RadialFunction.constant(1.0)
 
-    On a Python-float radius ``slopes`` and ``jets`` take ``math.sqrt``,
-    where the per-channel leaves take ``np.sqrt``: ``slopes`` runs on
-    ``float(m)``, whose arithmetic equals m's own for int and double
-    masses, and ``jets`` on m itself.  For any other mass or radius type,
-    and wherever float arithmetic raises (a negative root, a zero
-    denominator, an overflowing power, where numpy gives NaN or inf with a
-    warning), ``slopes`` reads per channel and ``jets`` takes one
-    ``np.sqrt``; so do float jets that come out NaN or infinite, so that
-    numpy warns where the leaves warn.  ``nu_N`` and
-    ``sphere_mean_curvature`` are closed forms that stay finite at the
-    horizon.
+
+class _Schwarzschild(_Read):
+    """Read of the lapse N = n = sqrt(1 - 2m/r), A = 1/N and Rareal = r.
+
+    At a Python-float radius ``slopes`` (on ``float(m)``, whose arithmetic
+    equals m's own for int and double masses) and ``jets`` take
+    ``math.sqrt``; for other mass or radius types, where float arithmetic
+    raises (numpy gives NaN or inf and warns) and for float jets that come
+    out NaN or infinite, they read in numpy.  ``nu_N`` and
+    ``sphere_mean_curvature`` are closed forms finite at the horizon.
     """
 
     __slots__ = ("m", "m_float")
 
-    def __init__(self, N, A, Rareal, m):
-        super().__init__(N, A, Rareal)
+    def __init__(self, m):
         self.m = m
         self.m_float = float(m) if isinstance(m, (int, float)) else None
+
+    def _n(self, r):
+        return np.sqrt(_lapse_squared(self.m, r))
+
+    def order(self, r, ch, nu):
+        if ch == 2:
+            return _COORDINATE(r, nu)
+        m, n = self.m, self._n(r)
+        if ch == 0:
+            return n if nu == 0 else (_lapse_d1 if nu == 1 else _lapse_d2)(m, r, n)
+        if nu == 0:
+            return _reciprocal(n)
+        dn = _lapse_d1(m, r, n)
+        if nu == 1:
+            return _reciprocal_d1(n, dn)
+        return _reciprocal_d2(n, dn, _lapse_d2(m, r, n))
+
+    def channel_values(self, r):
+        n = self._n(r)
+        return n, _reciprocal(n), _COORDINATE(r)
+
+    def channel_jets(self, r) -> tuple[Jet, Jet, Jet]:
+        return self._jets_of(r, self._n(r))
 
     def slopes(self, r):
         m = self.m_float
@@ -513,17 +559,14 @@ class _Schwarzschild(_Read):
         return super().slopes(r)
 
     def jets(self, r) -> tuple[Jet, Jet, Jet]:
-        m = self.m
         if self.m_float is not None and type(r) is float:
             try:
-                jets = self._jets_of(m, r, math.sqrt(_lapse_squared(m, r)))
-            except (ValueError, ZeroDivisionError, OverflowError):
-                pass
-            else:
-                n, a, _ = jets
+                jets = n, a, _ = self._jets_of(r, math.sqrt(_lapse_squared(self.m, r)))
                 if math.isfinite(n.v + n.d1 + n.d2 + a.v + a.d1 + a.d2):
                     return jets
-        return self._jets_of(m, r, self.N(r))
+            except (ValueError, ZeroDivisionError, OverflowError):
+                pass
+        return self.channel_jets(r)
 
     def nu_N(self, r):
         # N = sqrt(1 - 2m/r), A = 1/N  =>  N'/A = m/r^2 exactly.
@@ -531,42 +574,16 @@ class _Schwarzschild(_Read):
 
     def sphere_mean_curvature(self, r):
         # Rareal = r, A = 1/N  =>  2 Rareal'/(A Rareal) = 2N/r.
-        return 2.0 * self.N(r) / r
+        return 2.0 * self._n(r) / r
 
-    def _jets_of(self, m, r, n) -> tuple[Jet, Jet, Jet]:
+    def _jets_of(self, r, n) -> tuple[Jet, Jet, Jet]:
+        m = self.m
         dn, ddn = _lapse_d1(m, r, n), _lapse_d2(m, r, n)
         return (
             Jet(n, dn, ddn),
-            Jet(1.0 / n, _reciprocal_d1(n, dn), _reciprocal_d2(n, dn, ddn)),
-            self.Rareal.jet(r),
+            Jet(_reciprocal(n), _reciprocal_d1(n, dn), _reciprocal_d2(n, dn, ddn)),
+            _COORDINATE.jet(r),
         )
-
-
-def _schwarzschild_functions(m) -> _Schwarzschild:
-    """Fused read of the lapse, radial factor A = 1/N and areal radius r of
-    mass parameter m.
-
-    Every channel derives from n = sqrt(1 - 2m/r); each leaf takes its own
-    n, and the fused read one n per radius.
-    """
-
-    def n0(r):
-        return np.sqrt(_lapse_squared(m, r))
-
-    def a1(r):
-        n = n0(r)
-        return _reciprocal_d1(n, _lapse_d1(m, r, n))
-
-    def a2(r):
-        n = n0(r)
-        dn = _lapse_d1(m, r, n)
-        return _reciprocal_d2(n, dn, _lapse_d2(m, r, n))
-
-    lapse = RadialFunction(
-        n0, lambda r: _lapse_d1(m, r, n0(r)), lambda r: _lapse_d2(m, r, n0(r))
-    )
-    radial = RadialFunction(lambda r: 1.0 / n0(r), a1, a2)
-    return _Schwarzschild(lapse, radial, RadialFunction.coordinate(), m)
 
 
 def make_schwarzschild_family(
@@ -586,7 +603,7 @@ def make_schwarzschild_family(
     if mass > 0.0 and r_lo <= 2.0 * mass:
         raise DomainError("domain must stay outside the horizon r = 2m")
     return _profile(
-        _schwarzschild_functions(mass),
+        _Schwarzschild(mass),
         kind=ProfileKind.SCHWARZSCHILD_EXTERIOR,
         r_lo=float(r_lo),
         r_hi=float(r_hi),
@@ -620,7 +637,7 @@ def make_schwarzschild_neck(mu: float, r_glue: float | None = None) -> RadialPro
     if not (r_hi > r_lo):
         raise DomainError("neck gluing radius must exceed the horizon radius")
     return _profile(
-        _schwarzschild_functions(mu),
+        _Schwarzschild(mu),
         kind=ProfileKind.SCHWARZSCHILD_NECK,
         r_lo=r_lo,
         r_hi=r_hi,
@@ -635,14 +652,41 @@ def buchdahl_ratio(mass: float, star_radius: float) -> float:
 
 
 class _Fluid(_Read):
-    """Read of :func:`make_interior_fluid`: each channel on its own, and
-    N'/A and the sphere's mean curvature in closed form from k = 2m/R^3."""
+    """Read of :func:`make_interior_fluid`: N and A from w = sqrt(1 - k
+    r^2), k = 2m/R^3, f_b the boundary lapse, one w for all jets; N'/A
+    and the sphere's mean curvature in closed form."""
 
-    __slots__ = ("k",)
+    __slots__ = ("k", "f_b")
 
-    def __init__(self, N, A, Rareal, k):
-        super().__init__(N, A, Rareal)
-        self.k = k
+    def __init__(self, k, f_b):
+        self.k, self.f_b = k, f_b
+
+    def _w(self, r):
+        return np.sqrt(1.0 - self.k * r * r)
+
+    def _of_w(self, r, w, ch, nu):
+        k = self.k
+        if ch == 0:
+            if nu == 0:
+                return 1.5 * self.f_b - 0.5 * w
+            if nu == 1:
+                return 0.5 * k * r / w
+            return 0.5 * k / w + 0.5 * (k * r) ** 2 / w ** 3
+        if nu == 0:
+            return 1.0 / w
+        if nu == 1:
+            return k * r / w ** 3
+        return k / w ** 3 + 3.0 * (k * r) ** 2 / w ** 5
+
+    def order(self, r, ch, nu):
+        if ch == 2:
+            return _COORDINATE(r, nu)
+        return self._of_w(r, self._w(r), ch, nu)
+
+    def channel_jets(self, r) -> tuple[Jet, Jet, Jet]:
+        w = self._w(r)
+        n, a = (Jet(*(self._of_w(r, w, ch, nu) for nu in range(3))) for ch in (0, 1))
+        return n, a, _COORDINATE.jet(r)
 
     def nu_N(self, r):
         # N' = k r / (2 w), A = 1/w  =>  N'/A = k r / 2.
@@ -650,7 +694,7 @@ class _Fluid(_Read):
 
     def sphere_mean_curvature(self, r):
         # Rareal = r, A = 1/w  =>  2 Rareal'/(A Rareal) = 2w/r.
-        return 2.0 * np.sqrt(1.0 - self.k * r * r) / r
+        return 2.0 * self._w(r) / r
 
 
 def make_interior_fluid(mass: float, star_radius: float) -> RadialProfile:
@@ -674,42 +718,13 @@ def make_interior_fluid(mass: float, star_radius: float) -> RadialProfile:
         )
     k = 2.0 * mass / star_radius ** 3
     f_b = np.sqrt(1.0 - ratio)  # boundary lapse value
-
-    def w0(r):
-        return np.sqrt(1.0 - k * r * r)
-
-    def n0(r):
-        return 1.5 * f_b - 0.5 * w0(r)
-
-    def n1(r):
-        return 0.5 * k * r / w0(r)
-
-    def n2(r):
-        w = w0(r)
-        return 0.5 * k / w + 0.5 * (k * r) ** 2 / w ** 3
-
-    def a0(r):
-        return 1.0 / w0(r)
-
-    def a1(r):
-        return k * r / w0(r) ** 3
-
-    def a2(r):
-        w = w0(r)
-        return k / w ** 3 + 3.0 * (k * r) ** 2 / w ** 5
-
+    read = _Fluid(k, f_b)
     density = 3.0 * mass / (4.0 * np.pi * star_radius ** 3)
 
     def pressure(r):
-        w = w0(r)
+        w = read._w(r)
         return density * (w - f_b) / (3.0 * f_b - w)
 
-    read = _Fluid(
-        RadialFunction(n0, n1, n2),
-        RadialFunction(a0, a1, a2),
-        RadialFunction.coordinate(),
-        k,
-    )
     return _profile(
         read,
         kind=ProfileKind.INTERIOR_FLUID,
@@ -755,89 +770,58 @@ def _cubic_jet(c, s) -> Jet:
     return Jet(_cubic_value(c, s), _cubic_slope(c, s), _cubic_curvature(c, s))
 
 
-class _Knots:
-    """Nodes shared by a table's three splines, and their coefficients.
+_CUBIC = (_cubic_value, _cubic_slope, _cubic_curvature)
 
-    Each spline is a cubic in scipy's ``PPoly`` form: ``c[k, i]``
-    multiplies ``(r - x[i])**(3 - k)`` on the half-open interval [x[i],
-    x[i+1]); the last interval is closed, and radii outside [x[0], x[-1]]
-    extrapolate the end cubics.  The coefficients come from
-    :func:`_spline_coefficients`, equal to ``CubicSpline(x, y).c``, and
-    evaluation follows ``_ppoly.evaluate``, so values match
-    ``CubicSpline(x, y)(r, nu)`` bit for bit.  Every term but
-    the first carries a power of s = r - x[i], so a NaN radius gives NaN
-    without a test of its own.  A Python float is located by one
-    ``bisect_right`` over the inner nodes x[1:-1], whose count of nodes at
-    or below r is the clamped interval index, and reads that interval's
-    record: one flat tuple of 12 floats, the coefficients of N, A and
-    Rareal in turn, each highest power first.  Anything else is cast to a
-    float64 array first, as ``PPoly.__call__`` does (the oracle passes
-    longdouble), located by ``np.searchsorted`` and read by gathering
-    coefficient columns.
+
+class _Table(_Read):
+    """Read of a table: three cubic splines on shared knots, located once
+    per read.
+
+    Each spline is in scipy's ``PPoly`` form: ``c[k, i]`` multiplies
+    ``(r - x[i])**(3 - k)`` on [x[i], x[i+1]) (the last interval closed,
+    the end cubics extrapolated), coefficients ``CubicSpline(x, y).c`` from
+    :func:`_spline_coefficients`, evaluated as ``_ppoly.evaluate`` does, so
+    values match ``CubicSpline(x, y)(r, nu)`` bit for bit.  A Python float
+    is located by one ``bisect_right`` over the inner knots and reads its
+    interval's record: 12 floats, N's, A's and Rareal's coefficients,
+    highest power first; there ``slopes`` and ``jets`` write their sums
+    out from one s, s^2 and s^3 in the ``_cubic_*`` operation order.
+    Anything else is cast to float64, as ``PPoly.__call__`` does, located
+    by ``np.searchsorted`` and gathers coefficient columns, silent on
+    infinite radii as the compiled evaluator is.
     """
 
-    __slots__ = ("x", "xs", "inner", "last", "arrays", "records")
+    __slots__ = ("knots", "xs", "inner", "last", "arrays", "records")
 
     def __init__(self, x: np.ndarray, coefficients):
-        self.x, self.xs, self.last = x, x.tolist(), x.size - 2
+        self.knots, self.xs, self.last = x, x.tolist(), x.size - 2
         self.inner = self.xs[1:-1]
         self.arrays = tuple(coefficients)
         self.records = list(map(tuple, np.concatenate(self.arrays).T.tolist()))
 
-    def locate(self, r):
-        """Interval index and offset: an int and a float for a Python
-        float, else arrays."""
+    def _locate(self, r):
+        """Interval index and offset: int and float at a float, else arrays."""
         if type(r) is float:
             i = bisect_right(self.inner, r)
             return i, r - self.xs[i]
         r = np.asarray(r, dtype=np.float64)
-        i = np.clip(np.searchsorted(self.x, r, side="right") - 1, 0, self.last)
-        return i, r - self.x[i]
+        i = np.clip(np.searchsorted(self.knots, r, side="right") - 1, 0, self.last)
+        return i, r - self.knots[i]
 
-    def channel(self, k: int) -> RadialFunction:
-        locate, records, c = self.locate, self.records, self.arrays[k]
-        lo, hi = 4 * k, 4 * k + 4
-
-        def order(f):
-            def at(r):
-                i, s = locate(r)
-                if type(i) is int:
-                    return f(records[i][lo:hi], s)
-                # silent on infinite radii, as the compiled evaluator is
-                with np.errstate(all="ignore"):
-                    return f(c[:, i], s)
-            return at
-
-        return RadialFunction(
-            order(_cubic_value), order(_cubic_slope), order(_cubic_curvature)
-        )
-
-
-class _Table(_Read):
-    """N, A and Rareal of a table, located once per radius for all three.
-
-    At a Python-float radius ``slopes`` and ``jets`` bisect once, read the
-    interval's flat record and form their sums (six values and slopes, or
-    nine jet orders) from one s, s^2 and s^3, each sum written out in the
-    operation order of :func:`_cubic_value`, :func:`_cubic_slope` and
-    :func:`_cubic_curvature`, so they return those functions' bits.  At any
-    other radius type ``slopes`` reads each channel on its own and ``jets``
-    gathers coefficient columns.
-    """
-
-    __slots__ = ("knots",)
-
-    def __init__(self, knots: _Knots):
-        super().__init__(*(knots.channel(k) for k in range(3)))
-        self.knots = knots
+    def order(self, r, ch, nu):
+        i, s = self._locate(r)
+        if type(i) is int:
+            return _CUBIC[nu](self.records[i][4 * ch:4 * ch + 4], s)
+        with np.errstate(all="ignore"):
+            return _CUBIC[nu](self.arrays[ch][:, i], s)
 
     def slopes(self, r):
         if type(r) is not float:
-            return super().slopes(r)
-        knots = self.knots
-        i = bisect_right(knots.inner, r)
-        s = r - knots.xs[i]
-        n3, n2, n1, n0, a3, a2, a1, a0, r3, r2, r1, r0 = knots.records[i]
+            out = tuple(x for jet in self.jets(r) for x in (jet.v, jet.d1))
+            return out if np.ndim(r) else tuple(map(float, out))
+        i = bisect_right(self.inner, r)
+        s = r - self.xs[i]
+        n3, n2, n1, n0, a3, a2, a1, a0, r3, r2, r1, r0 = self.records[i]
         z = s * s
         zs = z * s
         return (
@@ -850,10 +834,9 @@ class _Table(_Read):
         )
 
     def jets(self, r) -> tuple[Jet, Jet, Jet]:
-        knots = self.knots
-        i, s = knots.locate(r)
+        i, s = self._locate(r)
         if type(i) is int:
-            c = knots.records[i]
+            c = self.records[i]
             z = s * s
             zs = z * s
             return tuple([  # a list display: a generator costs more per call
@@ -865,7 +848,9 @@ class _Table(_Read):
                 for k in (0, 4, 8)
             ])
         with np.errstate(all="ignore"):
-            return tuple(_cubic_jet(c[:, i], s) for c in knots.arrays)
+            return tuple(_cubic_jet(c[:, i], s) for c in self.arrays)
+
+    channel_jets = jets
 
 
 def _not_a_knot_system(x, dx, slope):
@@ -973,7 +958,7 @@ def make_tabulated(r, N, A, Rareal) -> RadialProfile:
     the minimum smoothness the curvature formulas consume.
     :func:`_spline_coefficients` solves the coefficients, bit for bit those
     of scipy's ``CubicSpline(r, values)``, without importing scipy;
-    :class:`_Knots` evaluates them.  A channel whose spline is not finite
+    :class:`_Table` evaluates them.  A channel whose spline is not finite
     (a secant slope that overflows, say) is refused with a
     :class:`DomainError` that names it.
     """
@@ -998,7 +983,7 @@ def make_tabulated(r, N, A, Rareal) -> RadialProfile:
         raise DomainError("tabulated areal radius must be positive")
     coefficients = _spline_coefficients(r, np.stack(list(cols.values())), list(cols))
     return _profile(
-        _Table(_Knots(r, coefficients)),
+        _Table(r, coefficients),
         kind=ProfileKind.TABULATED,
         r_lo=float(r[0]),
         r_hi=float(r[-1]),

@@ -3,9 +3,11 @@ monotonicity of H/N."""
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -233,6 +235,36 @@ def test_flow_parameter_on_a_table_is_its_spline_integral():
     scan = monotonicity_scan(tab, 2.1, 100.0)
     spline = CubicSpline(r, src.A(r))
     _assert_arclength(scan, np.array([spline.integrate(2.1, x) for x in scan.r]))
+
+
+def test_flow_parameter_on_a_table_is_exact_per_sample_interval():
+    # the rule runs between the table's knots, where A is a cubic it
+    # integrates exactly: every increment is the interval's exact spline
+    # integral (in rationals, from the coefficients) to 1e-14, plus 2 ulp
+    # of the running sum for the rounding of the sum itself
+    src = make_schwarzschild_family(1.0, 2.1, 100.0)
+    x = np.geomspace(2.1, 100.0, 400)
+    tab = make_tabulated(x, src.N(x), src.A(x), src.Rareal(x))
+    scan = monotonicity_scan(tab, 2.1, 100.0, n=256)
+    coefficients = tab._read().arrays[1].T.tolist()  # A's, per interval
+    knots = [Fraction(k) for k in x.tolist()]
+
+    def primitive(i, end):  # of interval i's cubic, from its left knot
+        s = end - knots[i]
+        return sum(Fraction(c) * s ** (4 - k) / (4 - k) for k, c in enumerate(coefficients[i]))
+
+    def exact(a, b):
+        total, i = Fraction(0), bisect.bisect_right(knots, a) - 1
+        while i < len(coefficients) and knots[i] < b:
+            total += primitive(i, min(b, knots[i + 1])) - primitive(i, max(a, knots[i]))
+            i += 1
+        return total
+
+    t, r = scan.flow_parameter, [Fraction(v) for v in scan.r.tolist()]
+    for j in range(len(r) - 1):
+        want = exact(r[j], r[j + 1])
+        got = Fraction(t[j + 1]) - Fraction(t[j])
+        assert abs(got - want) <= Fraction(1e-14) * want + 2 * Fraction(np.spacing(t[j + 1]))
 
 
 def test_flow_parameter_reads_nan_from_a_nan_interval_on():

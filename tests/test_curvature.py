@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -399,6 +400,20 @@ def test_array_sample_is_a_frozen_record_of_float_arrays():
     assert np.array_equal(sample.r, radii) and sample.r is not radii
     with pytest.raises(dataclasses.FrozenInstanceError):
         sample.lap_N = radii
+
+
+def test_array_sample_copies_only_the_radii():
+    # r is copied apart from the caller's array; every other field is the
+    # curvature arithmetic's own result, taken as it is (vars(sample)
+    # holds the scalar and the lapse Laplacian once for two fields each)
+    profile = make_schwarzschild_family(1.0, 2.1, 100.0)
+    radii = np.geomspace(3.0, 40.0, 7)
+    for r in (radii, radii.astype(np.longdouble)):
+        sample = curvature_at(profile, r)
+        fields = list({id(v): v for v in vars(sample).values()}.values())
+        assert len(fields) == 9 and np.array_equal(sample.r, radii)
+        assert not any(np.shares_memory(v, r) for v in fields)
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(fields, 2))
 
 
 _SCAN_PROFILES = {

@@ -3,15 +3,17 @@
 For each profile the rigidity run differentiates analytically — the four
 rescaled charts ``cc.hat`` of the doubled manifold, the isotropic neck
 and inverted reflected-end presentations, the optical (Fermat) metric
-of the exterior (built by ``_optical`` below) and the fluid interior — the
-digest covers:
+of the exterior (built by ``_optical`` below), the fluid interior, the
+plain closed-form exterior and neck, and a 400-node geometric table of
+the exterior on [2.1m, 100m] — the digest covers:
 
 * ``curvature_at`` as one array pass and as per-radius scalar calls;
 * ``f(r, nu)`` for nu = 0, 1, 2 of N, A and Rareal, on float64 and on
   longdouble radii, as arrays and (float64) per radius;
 * on the ``cc.hat`` charts, the conformal factor ``cc.u(r, nu)``.
 
-The inverted presentation's A and Rareal are the two functions that
+The table's radii also include its interior knots.  The inverted
+presentation's A and Rareal are the two functions that
 ``compactification_check`` and ``conformal_end_mass_estimate`` read, so
 they are covered by its case.
 A change to how derivatives are formed that moves any bit of any of
@@ -45,9 +47,10 @@ from photonlab.radial import (
     RadialProfile,
     make_interior_fluid,
     make_schwarzschild_family,
+    make_tabulated,
 )
 
-pytestmark = pytest.mark.skipif(
+x87 = pytest.mark.skipif(
     np.finfo(np.longdouble).nmant != 63,
     reason="digests are of x87 80-bit extended precision",
 )
@@ -63,6 +66,9 @@ CASES = [
     "inverted_end",
     "fermat",
     "fluid",
+    "exterior",
+    "neck",
+    "table",
 ]
 
 GOLDEN = {
@@ -98,6 +104,18 @@ GOLDEN = {
     ("fluid", 1.0): "a22b32a54ef30ba79ff2d2c925722cdf35a9cbd0931b9652885b64801364947e",
     ("fluid", 2.0): "0eeaf50a8c979f77123a8f9f2937d67b5c41a93242d73a007514f85275b36ef1",
     ("fluid", 0.5085834761425084): "76ffb4954e63310d5e67d667a91645d60581f6292c9deaa68e67141018086a53",
+    ("exterior", 0.5): "d8cadf034070781e7df75ae596db52d27c91672df63252b500cef6a89c193309",
+    ("exterior", 1.0): "01adfc21662578044bf3b3813be9f742d2da9805bdaef683f064c29761149599",
+    ("exterior", 2.0): "dd45108409f0c30270ed83275ff6a38e95c905aef2b2f850b986c28a28871876",
+    ("exterior", 0.5085834761425084): "af584528ce40034c2be244f953e0a882b7c5f994da4a2e26fb2b13170850b015",
+    ("neck", 0.5): "84d890f9c426c71cd67767e4c5f2d34b8c373e172839b77793e0786aaf2e37ae",
+    ("neck", 1.0): "68a2a460394107092191af034262dde9e93e038a848b3cac95c26e41a251de0c",
+    ("neck", 2.0): "ed72a871ed7f72e5f23787a6ee0f1984ffc30da811ed72fe7df49dc10cc254fd",
+    ("neck", 0.5085834761425084): "565bf2ed3b6809ca470b219a06576667e84301510e5c91f9bb231f73fd8bcb49",
+    ("table", 0.5): "39192355acdadcecf3de13dfa24affcdb4178dce628bd4ac2e9971581c3f4761",
+    ("table", 1.0): "3b658ac63c534f2f7874bf9db76fa648e925cb6da162a481905190c03c8b50ec",
+    ("table", 2.0): "a67eab2fb517df7a2ef562bac031d2571e7c9b155ae7153ca460ab7da4b22387",
+    ("table", 0.5085834761425084): "02032227cf2b7d9ba669b6f9ebcc021eb490f658ed03b452c49e639f7b515068",
 }
 
 
@@ -125,6 +143,11 @@ def _cases(mass: float) -> dict:
     cases["inverted_end"] = (_inverted_profile(conf.chart("exterior_reflected")), None)
     cases["fermat"] = (_optical(exterior), None)
     cases["fluid"] = (make_interior_fluid(mass, 2.5 * mass), None)
+    cases["exterior"] = (exterior, None)
+    cases["neck"] = (conf.chart("neck").base.profile, None)
+    wide = make_schwarzschild_family(mass, 2.1 * mass, 100.0 * mass)
+    nodes = np.geomspace(2.1 * mass, 100.0 * mass, 400)
+    cases["table"] = (make_tabulated(nodes, wide.N(nodes), wide.A(nodes), wide.Rareal(nodes)), None)
     return cases
 
 
@@ -142,6 +165,8 @@ def _digest(profile, u) -> str:
     lo, hi = profile.r_lo, profile.r_hi
     span = hi - lo
     t = lo + span * np.linspace(0.02, 0.98, 12)
+    if "nodes" in profile.meta:  # a table: its interior knots too
+        t = np.concatenate([t, profile.meta["nodes"][1:-1]])
     # longdouble radii off the float64 grid, so the extended path is exercised
     t_ld = t.astype(np.longdouble) + np.longdouble(span) / np.longdouble(3e5)
     digest = hashlib.sha256()
@@ -162,8 +187,56 @@ def _digest(profile, u) -> str:
     return digest.hexdigest()
 
 
+@x87
 @pytest.mark.parametrize("mass", MASSES)
 @pytest.mark.parametrize("case", CASES)
 def test_derivative_digest_frozen(case, mass):
     profile, u = _cases(mass)[case]
     assert _digest(profile, u) == GOLDEN[case, mass]
+
+
+# The type each channel returns at a Python-float radius, per construction:
+# N, A and Rareal.  Every order and every jet part of a channel shares it.
+# A numpy float64 radius gives numpy float64 everywhere, and a float64 array
+# float64 arrays; a longdouble array gives longdouble arrays except on a
+# table, which casts to float64 as scipy's PPoly does.
+_FLOAT_TYPES = {
+    "exterior": (np.float64, np.float64, float),
+    "neck": (np.float64, np.float64, float),
+    "fluid": (np.float64, np.float64, float),
+    "table": (float, float, float),
+    "hat:exterior": (float, np.float64, np.float64),
+    "hat:exterior_reflected": (float, np.float64, np.float64),
+    "hat:neck": (float, np.float64, np.float64),
+    "hat:neck_reflected": (float, np.float64, np.float64),
+    "neck_isotropic": (float, float, float),
+    "inverted_end": (float, np.float64, np.float64),
+}
+_RADII = {
+    "float": lambda r: r,
+    "float64": np.float64,
+    "array": lambda r: np.array([r, r]),
+    "longdouble": lambda r: np.array([r, r], dtype=np.longdouble),
+}
+
+
+def _kind(x):
+    return (type(x), x.dtype) if isinstance(x, np.ndarray) else (type(x), None)
+
+
+@pytest.mark.parametrize("radius", sorted(_RADII))
+@pytest.mark.parametrize("case", sorted(_FLOAT_TYPES))
+def test_channel_types_are_pinned(case, radius):
+    profile, _ = _cases(1.0)[case]
+    r = _RADII[radius](0.5 * (profile.r_lo + profile.r_hi))
+    for f, on_float in zip((profile.N, profile.A, profile.Rareal), _FLOAT_TYPES[case]):
+        if radius == "float":
+            want = (on_float, None)
+        elif radius == "float64":
+            want = (np.float64, None)
+        else:
+            ld = radius == "longdouble" and case != "table"
+            want = (np.ndarray, np.dtype(np.longdouble if ld else np.float64))
+        jet = f.jet(r)
+        got = [f(r, nu) for nu in range(3)] + [jet.v, jet.d1, jet.d2]
+        assert [_kind(x) for x in got] == [want] * 6

@@ -1,23 +1,14 @@
-"""One read of N, A and Rareal per radius against the per-channel reads.
+"""Each constructed profile's N, A and Rareal are views of its read.
 
-``RadialProfile._read()`` is the fused read of a closed-form, fluid or
-tabulated profile, or of a rescaled presentation of the conformal double,
-which the profile holds as ``fused``.  Its ``slopes`` (values and first
-derivatives as floats, for the geodesic stepper), ``jets`` (for
-``curvature_at``) and ``values`` (A and Rareal, for the finite-difference
-oracle) read all three channels once per radius, except a table's
-``values`` and the inverted end's ``jets``, which read per channel.  They
-must return the same bits, of the same types, as reading each channel on
-its own, at knots, at and beyond both ends, at NaN and infinite radii,
-and where the closed form divides by zero or takes the root of a negative
-number; the closed form's jets at a Python-float radius may have float
-parts where the channels give numpy scalars.  A profile whose N, A or Rareal was replaced reads per channel again, and so
-do its normal derivative of the lapse and its sphere mean curvature; so
-does a profile assembled by hand from another profile's channels.  A
-rescaled chart of a closed-form chart takes one square root per radius
-for u, A u^2 and Rareal u^2 alike, and has no float path, so its types
-are the channels' everywhere; a wrapped lapse or a perturbed u reads
-per channel.
+``RadialProfile._read()`` is the read of a closed-form, fluid or tabulated
+profile, or of a presentation of the conformal double; its ``slopes``,
+``jets`` and ``values`` read all three channels once per radius and must
+return the bits, types and warnings of the channels read one by one, at
+knots, at and beyond both ends, at NaN and infinite radii, and where a
+formula divides by zero or takes a negative root (the closed form's jets
+at a Python-float radius may have float parts where the channels give
+numpy scalars).  A hand-assembled or channel-replaced profile reads each
+channel on its own.
 """
 
 from __future__ import annotations
@@ -92,6 +83,7 @@ RADII = {
     "int_mass": [2.5, 3.0, 40.0, 2.0, 1.0] + _SPECIAL,
     "float32_mass": [2.7, 3.9, 40.0] + _SPECIAL,
     "neck": [1.4, 1.5, 1.75, 2.1, 1.0, 3.0] + _SPECIAL,
+    "fluid": [0.5, 1.0, 2.0, 2.5, 2.7, 1e3, 0.0, -1.0] + _SPECIAL,  # w = 0 at 2.5
     "table": (
         NODES[::7].tolist()
         + [math.nextafter(x, -math.inf) for x in NODES[1::9].tolist()]
@@ -116,6 +108,7 @@ PROFILES = {
     "float32_mass": make_schwarzschild_family(np.float32(1.3), 2.7, 130.0),
     "neck": NECK,
     "table": TABLE,
+    "fluid": FLUID,
     **CONFORMAL,
 }
 
@@ -133,8 +126,7 @@ def _per_channel_values(p, r):
 
 
 def _bits(x):
-    """Bytes of a float or array; x87 long doubles as float64 hi + lo, since
-    their padding bytes are not reproducible."""
+    """Bytes of a float or array; x87 long doubles as float64 hi + lo."""
     x = np.asarray(x)
     if x.dtype == np.longdouble:
         hi = x.astype(np.float64)
@@ -159,9 +151,7 @@ def _assert_same_jets(got, want):
 
 def _assert_same_float_jets(got, want):
     """As :func:`_assert_same_jets`, but a part may be a float where the
-    channel gives a numpy scalar of the same bits: the closed form's jets
-    at a Python-float radius (``test_closed_form_float_jets_equal_the_numpy_path``
-    pins which path answers)."""
+    channel gives a numpy scalar of the same bits."""
     assert len(got) == len(want) == 3
     for g, w in zip(got, want):
         for order in ("v", "d1", "d2"):
@@ -187,30 +177,33 @@ def _assert_same_outcome(got, want, same):
         same(got, want)
 
 
-def _assert_same_slopes(got, want):
-    assert len(got) == len(want) == 6
-    for g, w in zip(got, want):
-        _assert_same(g, w)
-
-
 def _assert_same_values(got, want):
-    assert len(got) == len(want) == 2
+    """Each value the same as ``want``'s: the six slopes, or A and Rareal."""
+    assert len(got) == len(want) in (2, 6)
     for g, w in zip(got, want):
         _assert_same(g, w)
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_channels_are_views_of_the_read(name):
+    p = PROFILES[name]
+    read = p._read()
+    assert read is p.fused is not None and type(read) is not radial._Channels
+    for ch, f in enumerate((p.N, p.A, p.Rareal)):
+        assert type(f) is radial._View and (f.read, f.ch) == (read, ch)
 
 
 @pytest.mark.parametrize("name", sorted(PROFILES))
 def test_fused_read_equals_per_channel_reads_on_floats(name):
     p = PROFILES[name]
     read = p._read()
-    assert read is p.fused is not None
     closed_form = isinstance(read, radial._Schwarzschild)
     for r in RADII[name]:
         for radius in (r, np.float64(r)):
             _assert_same_outcome(
                 _quiet(read.slopes, radius),
                 _quiet(_per_channel_slopes, p, radius),
-                _assert_same_slopes,
+                _assert_same_values,
             )
             _assert_same_outcome(
                 _quiet(read.jets, radius),
@@ -287,7 +280,7 @@ def test_closed_form_float_read_warns_as_numpy_does(r):
     got, got_warned = caught(lambda: EXTERIOR._read().slopes(r))
     want, want_warned = caught(lambda: _per_channel_slopes(EXTERIOR, r))
     assert got_warned == want_warned != []
-    _assert_same_slopes(got, want)
+    _assert_same_values(got, want)
 
 
 def _outcome(fn):
@@ -336,17 +329,15 @@ _FLOAT_JET_CASES = [
 
 @pytest.mark.parametrize("m, r, floats", _FLOAT_JET_CASES)
 def test_closed_form_float_jets_equal_the_numpy_path(m, r, floats):
-    read = radial._schwarzschild_functions(m)
+    read = radial._Schwarzschild(m)
     kind, got, got_warned = _outcome(lambda: read.jets(r))
-    want_kind, want, want_warned = _outcome(lambda: _per_channel_jets(read, r))
+    want_kind, want, want_warned = _outcome(lambda: [read.jet(r, ch) for ch in range(3)])
     assert (got, got_warned) == (want, want_warned)
     if want_kind is not None:
         assert kind is (float if floats else want_kind)
 
 
-@pytest.mark.parametrize(
-    "name", ["exterior", "int_mass", "float32_mass", "neck", "table"]
-)
+@pytest.mark.parametrize("name", ["exterior", "int_mass", "float32_mass", "neck", "table"])
 def test_scalar_curvature_on_float_jets_equals_numpy_jets(name, monkeypatch):
     p = PROFILES[name]
     lo, hi = p.interior_window(pad=1e-6)
@@ -367,7 +358,7 @@ def test_zero_radius_raises_as_the_leaves_do():
 
 
 def _reads_per_channel(p) -> bool:
-    return type(p._read()) is radial._Read
+    return type(p._read()) is radial._Channels
 
 
 @pytest.mark.parametrize("name", ["exterior", "neck", "table", "hat", "inverted"])
@@ -438,17 +429,6 @@ def test_dropped_profiles_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-def test_other_kinds_read_per_channel():
-    # the fluid's read takes N'/A and the mean curvature in closed form and
-    # each channel on its own
-    read = FLUID._read()
-    assert type(read) is radial._Fluid and read is FLUID.fused
-    for r in (0.5, 1.0, 2.5):
-        assert read.slopes(r) == _per_channel_slopes(FLUID, r)
-        _assert_same_jets(read.jets(r), _per_channel_jets(FLUID, r))
-        assert read.values(r) == _per_channel_values(FLUID, r)
 
 
 def test_closed_forms_of_nu_n_and_mean_curvature_keep_their_bits():
@@ -528,6 +508,21 @@ def test_one_rhs_takes_one_knot_search_on_a_table(monkeypatch):
     assert len(calls) == 1
 
 
+def test_photon_search_takes_one_knot_search_per_residual(monkeypatch):
+    # the scan and each Brent step read N, N', A, Rareal and Rareal' at once
+    residual, evaluated = geodesics.fermat_geodesy_residual, []
+
+    def counted(p, r):
+        evaluated.append(r)
+        return residual(p, r)
+
+    monkeypatch.setattr(geodesics, "fermat_geodesy_residual", counted)
+    calls = _count_knot_searches(monkeypatch)
+    assert len(geodesics.photon_sphere_search(TABLE)) == 1
+    assert len(evaluated) > 2 and len(calls) == len(evaluated)
+    assert np.size(calls[0]) == 1024 and all(type(r) is float for r in calls[1:])
+
+
 def _counted_presentations():
     """The presentations with u = factor + z, z a counting zero, and its
     log, emptied of the transform's own probes."""
@@ -591,12 +586,14 @@ def test_replaced_rescaled_channel_takes_u_per_channel():
 _HATS = ("hat", "hat_reflected", "hat_neck", "hat_neck_reflected")
 
 
-def test_rescaled_closed_form_charts_hold_the_sealed_read():
+def test_rescaled_closed_form_charts_read_the_closed_form():
     # all four charts of a closed-form double: u straight on the outward
     # charts, cancellation-free on the reflected ones
     for name in _HATS:
-        assert type(PROFILES[name]._read()) is conformal._SealedSchwarzschild
-    assert type(PROFILES["isotropic"]._read()) is conformal._Rescaled
+        read = PROFILES[name]._read()
+        assert type(read) is conformal._Rescaled
+        assert type(read.base) is radial._Schwarzschild
+    assert type(PROFILES["isotropic"]._read()) is conformal._Isotropic
 
 
 def _counting_lapse_squared(monkeypatch):
@@ -648,26 +645,28 @@ def _wrapped_lapse_double():
     return conformal_transform(double(glue_neck(exterior, 3.0 * M)))
 
 
-def test_wrapped_lapse_and_perturbation_read_per_channel(monkeypatch):
+def test_wrapped_lapse_reads_per_channel_and_perturbation_reads_once(monkeypatch):
+    # a wrapped lapse makes the chart's read per channel, so its rescaled
+    # read takes N for u and A apart; a perturbed u keeps the closed form
     wrapped = _wrapped_lapse_double()
     perturbed = _double(RadialFunction.constant(0.0))
     cases = [
-        wrapped.chart("exterior").hat,
-        wrapped.chart("exterior_reflected").hat,
-        perturbed.chart("exterior").hat,
-        perturbed.chart("exterior_reflected").hat,
+        (wrapped.chart("exterior").hat, 2, 6),  # u, then A; 3 orders each
+        (wrapped.chart("exterior_reflected").hat, 2, 6),
+        (perturbed.chart("exterior").hat, 1, 1),
+        (perturbed.chart("exterior_reflected").hat, 1, 1),
     ]
     roots = _count_square_roots(monkeypatch)
-    for hat in cases:
+    for hat, for_values, for_jets in cases:
         read = hat._read()
         assert type(read) is conformal._Rescaled
         r = np.linspace(4.0, 120.0, 5)
         roots.clear()
         values = read.values(r)
-        assert len(roots) == 2  # u, then A
+        assert len(roots) == for_values
         roots.clear()
         jets = read.jets(r)
-        assert len(roots) == 6  # three orders of N in u, three of A
+        assert len(roots) == for_jets
         _assert_same_values(values, _per_channel_values(hat, r))
         _assert_same_jets(jets, _per_channel_jets(hat, r))
 

@@ -278,16 +278,6 @@ def test_expression_divided_by_a_number_has_derivatives():
     assert (quarter(3.0), quarter(3.0, 1), quarter(3.0, 2)) == (2.25, 1.5, 0.5)
 
 
-def test_compose_inverse_substitutes_reciprocal():
-    p = make_schwarzschild_family(1.0, 3.0, 100.0)
-    g = p.N.compose_inverse()  # g(x) = N(1/x)
-    x = 0.1
-    assert abs(float(g(x)) - float(p.N(10.0))) <= 1e-16
-    h = 1e-7
-    fd = (float(g(x + h)) - float(g(x - h))) / (2 * h)
-    assert abs(float(g(x, 1)) - fd) <= 1e-6 * abs(fd)
-
-
 def test_product_and_quotient_derivatives():
     p = make_schwarzschild_family(1.0, 3.0, 100.0)
     prod = RadialFunction.expression(lambda r: p.N(r) * p.Rareal(r))
