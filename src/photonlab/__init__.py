@@ -49,7 +49,6 @@ from .curvature import (
     curvature_at,
     fd_curvature_oracle,
     identity_residuals,
-    surface_geometry,
     vacuum_residual_scan,
 )
 from .geodesics import (

@@ -16,8 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import surface_geometry
-from .radial import CompositeProfile, DomainError, RadialProfile, _require_piece
+from .radial import (
+    CompositeProfile,
+    DomainError,
+    ProfileKind,
+    RadialProfile,
+    _require_piece,
+)
 
 __all__ = [
     "IdentityReport",
@@ -37,7 +42,12 @@ class IdentityReport:
 
     Residuals (all exactly zero on a true photon sphere):
 
-    * ``res_umbilic``  — norm of the trace-free second fundamental form;
+    * ``res_umbilic``  — norm of the trace-free second fundamental form.
+      A coordinate sphere of a radial profile is umbilic, so this is 0.0
+      for every finite shape operator; it is NaN where k is NaN or
+      infinite and inf where H = k + k overflows.  It cannot fail on a
+      finite sphere, and stays while ``perfbench``'s ``audit_residual``
+      check reads it;
     * ``res_NH``       — N H - 2 nu(N), constancy of the lapse coupling;
     * ``res_rH``       — (area_radius * H)^2 - 4/3;
     * ``res_sigmaR``   — induced scalar curvature - (3/2) H^2.
@@ -84,27 +94,49 @@ class IdentityReport:
 
 
 def audit_sphere(profile: RadialProfile, r0: float) -> IdentityReport:
-    """Evaluate the photon-sphere identity system at radius r0."""
+    """Evaluate the photon-sphere identity system at radius r0.
+
+    At a degenerate horizon endpoint the mean curvature has one-sided limit
+    0, and the sphere is audited with H = 0 instead of raising, because
+    every quantity it reads stays finite there.  The centre of a fluid ball
+    has no sphere and still raises.
+    """
     _require_piece(profile, "audit_sphere")
-    geom = surface_geometry(profile, r0)
-    h = geom.H
+    if r0 == profile.r_lo and profile.degenerate_lo:
+        if profile.kind is ProfileKind.INTERIOR_FLUID:
+            profile.ensure_evaluable(r0)  # raises: the sphere is a point
+        area_radius = float(profile.Rareal(r0))
+        h = tracefree = 0.0
+        rr_sq = area_radius ** 2
+    else:
+        profile.ensure_evaluable(r0)
+        a, rj = profile.A(r0), profile.Rareal.jet(r0)
+        rr = rj.v
+        k = rj.d1 / (a * rr)  # the shape operator's one frame eigenvalue
+        h = float(k + k)
+        t = np.subtract(k, 0.5 * h)  # 0 for finite k; numpy warns on inf - inf
+        tracefree = math.sqrt(t * t + t * t)
+        area_radius, rr_sq = float(rr), rr * rr
+    nu_n = float(profile.nu_N(r0))
+    sigma = float(2.0 / rr_sq)
+    n_val = float(profile.N(r0))
     spacetime_h = 1.5 * h
     mass_h = 1.0 / (SQRT3 * spacetime_h) if spacetime_h != 0.0 else math.inf
     return IdentityReport(
         r0=float(r0),
-        res_umbilic=geom.tracefree_h_norm,
-        res_NH=geom.N_val * h - 2.0 * geom.nu_N,
-        res_rH=(geom.area_radius * h) ** 2 - 4.0 / 3.0,
-        res_sigmaR=geom.sigma_scalar - 1.5 * h * h,
-        mass_i=geom.area_radius ** 2 * geom.nu_N,
+        res_umbilic=tracefree,
+        res_NH=n_val * h - 2.0 * nu_n,
+        res_rH=(area_radius * h) ** 2 - 4.0 / 3.0,
+        res_sigmaR=sigma - 1.5 * h * h,
+        mass_i=area_radius ** 2 * nu_n,
         H_positive=h > 0.0,
         spacetime_H=spacetime_h,
         mass_from_H=mass_h,
-        area_radius=geom.area_radius,
-        N_val=geom.N_val,
+        area_radius=area_radius,
+        N_val=n_val,
         H=h,
-        nu_N=geom.nu_N,
-        sigma_scalar=geom.sigma_scalar,
+        nu_N=nu_n,
+        sigma_scalar=sigma,
     )
 
 

@@ -114,9 +114,10 @@ def _load_config_file(path: str) -> dict:
 
 
 def _finite(key: str, value) -> float:
-    """A config value as a finite float, or a :class:`ConfigError` naming the key."""
+    """A config value as a finite float, or a :class:`ConfigError` naming the
+    key; a boolean, which ``float`` reads as 0 or 1, is refused too."""
     try:
-        x = float(value)
+        x = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not math.isfinite(x):

@@ -61,7 +61,6 @@ __all__ = [
     "compactification_check",
     "CompactificationReport",
     "adm_mass_estimate",
-    "conformal_end_mass_estimate",
 ]
 
 # Calibrated oracle steps and the inverted end's smallest areal scale m/r
@@ -498,19 +497,15 @@ def _adm_integrand(a, rr, drr, r: float) -> float:
     return 0.5 * r * (a - b) - 0.5 * r * r * db
 
 
-def _adm_from_metric_functions(
-    a_fn: RadialFunction,
-    r_fn: RadialFunction,
-    radii=(50.0, 100.0, 200.0, 400.0),
-) -> dict:
+def _adm_from_metric_functions(a_fn: RadialFunction, r_fn: RadialFunction, radii) -> dict:
     """ADM mass of an asymptotically flat radial end given its metric
     functions.
 
-    Evaluates the coordinate-sphere integrand on the increasing radius
-    schedule and Richardson-extrapolates in 1/r; the error bar is the gap
-    between the last two extrapolants.
+    Evaluates the coordinate-sphere integrand on the validated (increasing)
+    radius schedule and Richardson-extrapolates in 1/r; the error bar is
+    the gap between the last two extrapolants.
     """
-    radii = np.asarray(sorted(radii), dtype=float)
+    radii = np.array(radii)
     jets = [(r, r_fn.jet(r)) for r in radii.tolist()]
     vals = np.array([_adm_integrand(a_fn(r), j.v, j.d1, r) for r, j in jets])
     x = 1.0 / radii[::-1]
@@ -555,10 +550,14 @@ def _reach(chart: Chart, r_far: float) -> None:
 def adm_mass_estimate(space, end_id: str, radii=(50.0, 100.0, 200.0, 400.0)) -> dict:
     """ADM mass of one end of a piecewise or conformal manifold.
 
-    Physical ends are integrated in the working chart; a *conformal
-    reflected* end is integrated in inverted coordinates around its
-    puncture (see :func:`conformal_end_mass_estimate`), where a smooth
-    compactification must report zero.  The end's chart and its rescaled
+    Physical ends are integrated in the working chart.  A *conformal
+    reflected* end compactifies: spheres r = const become small spheres
+    around the puncture of the inverted chart.  After normalizing
+    coordinates by the measured limit factor kappa (so the metric tends to
+    the identity), the same coordinate-sphere integrand applies on the
+    shrinking schedule x = 1/r and extrapolates to the mass of the point,
+    zero for a smooth compactification; its result carries ``kappa`` and
+    ``schedule_x`` in place of ``radii``.  The end's chart and its rescaled
     ``hat`` are read as the pipeline built them, not extended: a
     closed-form exterior evaluates at any radius, and a schedule beyond
     the truncation of any other chart kind raises :class:`DomainError`.
@@ -573,10 +572,28 @@ def adm_mass_estimate(space, end_id: str, radii=(50.0, 100.0, 200.0, 400.0)) -> 
         p = space.chart(end_id).profile
         return _adm_from_metric_functions(p.A, p.Rareal, radii)
     cc = space.chart(end_id)
-    if cc.base.orientation == "reflected":
-        return conformal_end_mass_estimate(cc, radii)
-    return _adm_from_metric_functions(cc.hat.A, cc.hat.Rareal, radii)
-
+    if cc.base.orientation != "reflected":
+        return _adm_from_metric_functions(cc.hat.A, cc.hat.Rareal, radii)
+    inverted = _inverted_profile(cc)
+    a_x, r_x = inverted.A, inverted.Rareal
+    xs = 1.0 / np.array(radii[::-1])  # increasing
+    # kappa = lim r_x / x, extrapolated linearly from the two smallest nodes
+    k1, k2 = float(r_x(xs[0])) / xs[0], float(r_x(xs[1])) / xs[1]
+    kappa = _limit_at_zero(xs[0], k1, xs[1], k2)
+    ys = kappa * xs
+    jets = [(y, r_x.jet(y / kappa)) for y in ys.tolist()]
+    vals = np.array([
+        _adm_integrand(float(a_x(y / kappa)) / kappa, j.v, float(j.d1) / kappa, y)
+        for y, j in jets
+    ])
+    limit, err = richardson_limit(ys[::-1], vals[::-1])
+    return {
+        "mass": limit,
+        "error": err,
+        "kappa": float(kappa),
+        "schedule_x": xs.tolist(),
+        "integrand": vals.tolist(),
+    }
 
 
 @dataclass(frozen=True)
@@ -676,39 +693,3 @@ def compactification_check(
         rate=rate,
         converged=converged,
     )
-
-
-def conformal_end_mass_estimate(
-    conformal_chart: ConformalChart, radii=(50.0, 100.0, 200.0, 400.0)
-) -> dict:
-    """Mass integral of a reflected conformal end around its puncture.
-
-    The end compactifies: spheres r = const become small spheres around the
-    point at infinity of the inverted chart.  After normalizing coordinates
-    by the measured limit factor (so the metric tends to the identity), the
-    same coordinate-sphere integrand applies on the shrinking schedule
-    x = 1/r and extrapolates to the mass of the point — zero for a smooth
-    compactification.  ``radii`` is checked as in :func:`adm_mass_estimate`.
-    """
-    radii = _validate_schedule(radii)
-    inverted = _inverted_profile(conformal_chart)
-    a_x, r_x = inverted.A, inverted.Rareal
-    xs = 1.0 / np.asarray(sorted(radii, reverse=True), dtype=float)  # increasing
-    # normalization kappa = lim r_x / x, extrapolated linearly from the two
-    # smallest nodes of the schedule itself
-    k1, k2 = float(r_x(xs[0])) / xs[0], float(r_x(xs[1])) / xs[1]
-    kappa = _limit_at_zero(xs[0], k1, xs[1], k2)
-    ys = kappa * xs
-    jets = [(y, r_x.jet(y / kappa)) for y in ys.tolist()]
-    vals = np.array([
-        _adm_integrand(float(a_x(y / kappa)) / kappa, j.v, float(j.d1) / kappa, y)
-        for y, j in jets
-    ])
-    limit, err = richardson_limit(ys[::-1], vals[::-1])
-    return {
-        "mass": limit,
-        "error": err,
-        "kappa": float(kappa),
-        "schedule_x": xs.tolist(),
-        "integrand": vals.tolist(),
-    }

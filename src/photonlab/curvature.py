@@ -48,7 +48,6 @@ import numpy as np
 from .radial import (
     DomainError,
     Jet,
-    ProfileKind,
     RadialFunction,
     RadialProfile,
     _require_piece,
@@ -56,12 +55,10 @@ from .radial import (
 
 __all__ = [
     "CurvatureSample",
-    "SurfaceGeometry",
     "VacuumResidualScan",
     "curvature_at",
     "vacuum_residual_scan",
     "fd_curvature_oracle",
-    "surface_geometry",
     "identity_residuals",
     "radial_laplacian",
     "convergence_study",
@@ -114,27 +111,6 @@ class CurvatureSample:
     def difference(self, other: "CurvatureSample") -> float:
         """Largest field-wise deviation from another sample (same radius)."""
         return _max_or_nan([abs(getattr(self, f) - getattr(other, f)) for f in _FIELDS])
-
-
-@dataclass(frozen=True)
-class SurfaceGeometry:
-    """First/second fundamental form data of one coordinate sphere.
-
-    ``tracefree_h_norm`` is computed from the actual frame components of the
-    second fundamental form rather than assumed zero, so asymmetry bugs
-    would surface here.  ``minimal_surface`` marks a horizon endpoint where
-    H has the one-sided limit 0.
-    """
-
-    r: float
-    area: float
-    area_radius: float
-    H: float
-    tracefree_h_norm: float
-    nu_N: float
-    sigma_scalar: float
-    N_val: float
-    minimal_surface: bool = False
 
 
 def radial_laplacian(f: Jet, a: Jet, rr: Jet):
@@ -596,49 +572,6 @@ def convergence_study(
 # ---------------------------------------------------------------------------
 
 
-def surface_geometry(profile: RadialProfile, r: float) -> SurfaceGeometry:
-    """Fundamental forms of the sphere r = const.
-
-    At a degenerate horizon endpoint the mean curvature has one-sided limit
-    0; the sample is returned with ``minimal_surface`` set instead of
-    raising, because every quantity reported here stays finite there.
-    The center r = 0 has no sphere and still raises.
-    """
-    _require_piece(profile, "surface_geometry")
-    if r == profile.r_lo and profile.degenerate_lo:
-        if profile.kind is ProfileKind.INTERIOR_FLUID:
-            profile.ensure_evaluable(r)  # raises: sphere degenerates to a point
-        area_radius = float(profile.Rareal(r))
-        return SurfaceGeometry(
-            r=float(r),
-            area=float(4.0 * np.pi * area_radius ** 2),
-            area_radius=area_radius,
-            H=0.0,
-            tracefree_h_norm=0.0,
-            nu_N=float(profile.nu_N(r)),
-            sigma_scalar=float(2.0 / area_radius ** 2),
-            N_val=float(profile.N(r)),
-            minimal_surface=True,
-        )
-    profile.ensure_evaluable(r)
-    a, rj = profile.A(r), profile.Rareal.jet(r)
-    rr = rj.v
-    k = rj.d1 / (a * rr)  # common frame eigenvalue of the shape operator
-    h_frame = np.array([k, k])
-    H = float(h_frame.sum())
-    tracefree = h_frame - 0.5 * H
-    return SurfaceGeometry(
-        r=float(r),
-        area=float(4.0 * np.pi * rr * rr),
-        area_radius=float(rr),
-        H=H,
-        tracefree_h_norm=float(np.sqrt(np.sum(tracefree ** 2))),
-        nu_N=float(profile.nu_N(r)),
-        sigma_scalar=float(2.0 / (rr * rr)),
-        N_val=float(profile.N(r)),
-    )
-
-
 def identity_residuals(
     profile: RadialProfile, r: float, f: RadialFunction | None = None
 ) -> dict:
@@ -656,16 +589,16 @@ def identity_residuals(
     """
     _require_piece(profile, "identity_residuals")
     sample = curvature_at(profile, r)
-    geom = surface_geometry(profile, r)
     a, rr = profile.A.jet(r), profile.Rareal.jet(r)
-    k = rr.d1 / (a.v * rr.v)
+    k = rr.d1 / (a.v * rr.v)  # the shape operator's one frame eigenvalue
+    H = float(k + k)
     h_sq = 2.0 * k * k
     gauss = (sample.scalar - 2.0 * sample.ric_nn) - (
-        geom.sigma_scalar - geom.H ** 2 + h_sq
+        float(2.0 / (rr.v * rr.v)) - H ** 2 + h_sq
     )
 
     fj = (profile.N if f is None else f).jet(r)
     hess_f_nn = _proper_second(fj, a)
-    surf = radial_laplacian(fj, a, rr) - (hess_f_nn + geom.H * fj.d1 / a.v)
+    surf = radial_laplacian(fj, a, rr) - (hess_f_nn + H * fj.d1 / a.v)
 
     return {"gauss": float(gauss), "surface_laplacian": float(surf)}

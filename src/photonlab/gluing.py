@@ -40,7 +40,6 @@ __all__ = [
     "PiecewiseManifold",
     "MatchReport",
     "GluingRefusal",
-    "neck_parameters",
     "glue_neck",
     "match_report",
     "largest_jump",
@@ -139,25 +138,6 @@ class PiecewiseManifold:
         raise DomainError(f"manifold has no {orientation} end")
 
 
-def neck_parameters(mass_i: float, area_radius_i: float) -> dict:
-    """Neck data matched to a photon-sphere component.
-
-    The neck mass parameter is one third of the component's area radius;
-    its chart runs from its horizon (twice the parameter) to its own photon
-    sphere (three times, i.e. exactly the component's area radius), and the
-    collar scaling 3 m_i / r_i makes the scaled neck lapse continue the
-    exterior lapse across the gluing.
-    """
-    if area_radius_i <= 0.0:
-        raise DomainError("area radius must be positive")
-    mu = area_radius_i / 3.0
-    return {
-        "mu": mu,
-        "interval": (2.0 * mu, 3.0 * mu),
-        "collar_scale": 3.0 * mass_i / area_radius_i,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Collar function
 # ---------------------------------------------------------------------------
@@ -167,16 +147,6 @@ def collar_function(chart: Chart) -> RadialFunction:
     """psi on one chart as a differentiable radial function."""
     scale, n = chart.psi_scale, chart.profile.N
     return RadialFunction.expression(lambda r: scale * n(r))
-
-
-def _collar_normal_derivative(chart: Chart, r: float) -> float:
-    """Continuing-normal derivative of psi; fused so horizons stay finite."""
-    return chart.normal_dir * chart.psi_scale * float(chart.profile.nu_N(r))
-
-
-def _signed_mean_curvature(chart: Chart, r: float) -> float:
-    """Sphere mean curvature with respect to the continuing normal."""
-    return chart.normal_dir * float(chart.profile.sphere_mean_curvature(r))
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +193,22 @@ def _glue_audited(
             failing="H_positive",
             value=report.H,
         )
+    # The neck's mass parameter is a third of the component's area radius,
+    # so its chart runs from its horizon to its own photon sphere at exactly
+    # that radius; the collar scale 3 m_i / r_i makes the scaled neck lapse
+    # continue the exterior lapse across the gluing.
     r_i = report.area_radius
-    params = neck_parameters(report.mass_i, r_i)
+    if r_i <= 0.0:
+        raise DomainError("area radius must be positive")
     if mu_override is None:
-        neck_profile = make_schwarzschild_neck(params["mu"])
+        neck_profile = make_schwarzschild_neck(r_i / 3.0)
     else:
         neck_profile = make_schwarzschild_neck(float(mu_override), r_glue=r_i)
     neck = Chart(
         chart_id="neck",
         profile=neck_profile,
         orientation="outward",
-        collar_scale=params["collar_scale"],
+        collar_scale=3.0 * report.mass_i / r_i,
         role="neck",
     )
     ext_profile = exterior
@@ -355,9 +330,10 @@ def largest_jump(reports) -> float:
 def _side_values(chart: Chart, r: float) -> dict:
     profile = chart.profile
     psi = chart.psi_scale * float(profile.N(r))
-    nu_psi = _collar_normal_derivative(chart, r)
+    # along the continuing normal; nu(N) is fused so horizons stay finite
+    nu_psi = chart.normal_dir * chart.psi_scale * float(profile.nu_N(r))
     area_radius = float(profile.Rareal(r))
-    h = _signed_mean_curvature(chart, r)
+    h = chart.normal_dir * float(profile.sphere_mean_curvature(r))
     if nu_psi != 0.0:
         dpsi_g_tangent = h * area_radius ** 2 / nu_psi
         g_psipsi = 1.0 / (nu_psi * nu_psi)

@@ -196,8 +196,8 @@ def reconstruct_schwarzschild(report: PipelineReport) -> tuple[float, float, flo
     loudly on disagreement.
 
     Two of the four gaps are not independent.  m is the neck's mass
-    parameter, which :func:`neck_parameters` sets to area_radius / 3, so on
-    a report the pipeline produced ``r_photon - area_radius`` is within one
+    parameter, which :func:`glue_neck` sets to area_radius / 3, so on a
+    report the pipeline produced ``r_photon - area_radius`` is within one
     ulp by construction.  ``spacetime_h - spacetime_H`` is ``mass -
     mass_from_H`` weighted by 1/(sqrt(3) m m_H).  ``mass - mass_i`` is not
     an identity: on the m = 1 exterior from r0 = 3(1 + 1e-9) it is 1.0e-9.

@@ -21,7 +21,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
@@ -319,10 +318,6 @@ class _View(RadialFunction):
 
     def jet(self, r) -> Jet:
         return self.read.jet(r, self.ch)
-
-    @property
-    def _d(self):  # the three orders as callables, as a leaf holds them
-        return tuple(partial(self.read.order, ch=self.ch, nu=nu) for nu in range(3))
 
 
 @dataclass(frozen=True)
@@ -1105,12 +1100,14 @@ def load_profile(source) -> RadialProfile:
 
 def _numbers(doc: dict, kind: str, keys, convert) -> list:
     """The document's values at ``keys`` through ``convert``; a missing or
-    non-numeric one is refused with a :class:`DomainError` naming the kind
-    and the key."""
+    non-numeric one, or a boolean (which ``float`` reads as 0 or 1), is
+    refused with a :class:`DomainError` naming the kind and the key."""
     out = []
     for key in keys:
         if key not in doc:
             raise DomainError(f"{kind} profile missing key {key!r}")
+        if _is_boolean(doc[key]):
+            raise DomainError(f"{kind} profile key {key!r} is a boolean, not a number")
         try:
             out.append(convert(doc[key]))
         except (TypeError, ValueError, OverflowError) as exc:
@@ -1118,6 +1115,14 @@ def _numbers(doc: dict, kind: str, keys, convert) -> list:
                 f"{kind} profile key {key!r} is not numeric: {exc}"
             ) from None
     return out
+
+
+def _is_boolean(value) -> bool:
+    """Whether a document value is a boolean, a boolean array or a list
+    holding one."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_is_boolean, value))
+    return isinstance(value, bool) or getattr(value, "dtype", None) == bool
 
 
 def dump_profile(profile: RadialProfile) -> dict:

@@ -17,13 +17,14 @@ from photonlab.audit import (
     audit_sphere,
     monotonicity_scan,
 )
-from photonlab.curvature import surface_geometry
 from photonlab.radial import (
     DomainError,
     EndpointDegeneracyError,
     RadialFunction,
     make_composite_star,
+    make_interior_fluid,
     make_schwarzschild_family,
+    make_schwarzschild_neck,
     make_tabulated,
 )
 
@@ -43,6 +44,32 @@ def test_audit_passes_at_photon_sphere(wide_m1):
     assert abs(rep.mass_from_H - 1.0) <= 1e-12
     assert abs(rep.spacetime_H - INV_SQRT3) <= 1e-15
     assert rep.chain_residual() <= 1e-12  # N = sqrt(3) m / r on the sphere
+
+
+def test_audit_reads_the_photon_sphere_geometry(wide_m1):
+    rep = audit_sphere(wide_m1, 3.0)
+    assert abs(rep.H - 2.0 / (3.0 * math.sqrt(3.0))) <= 1e-15
+    assert abs(rep.H - 0.3849001794597505) <= 1e-15
+    assert abs(rep.nu_N - 1.0 / 9.0) <= 1e-16
+    assert abs(rep.sigma_scalar - 2.0 / 9.0) <= 1e-16
+    assert rep.res_umbilic == 0.0  # the trace-free second fundamental form
+    assert rep.area_radius == 3.0
+    rep10 = audit_sphere(wide_m1, 10.0)
+    assert abs(rep10.H - 2.0 * math.sqrt(0.8) / 10.0) <= 1e-15
+    assert abs(rep10.H - 0.17888543819998318) <= 1e-15
+
+
+def test_audit_at_a_horizon_endpoint_reads_a_minimal_sphere():
+    # H has the one-sided limit 0 at the neck's horizon: audited, not refused
+    rep = audit_sphere(make_schwarzschild_neck(1.0), 2.0)
+    assert rep.H == 0.0 and rep.res_umbilic == 0.0 and not rep.H_positive
+    assert rep.area_radius == 2.0 and rep.sigma_scalar == 0.5
+    assert rep.nu_N == 0.25  # m / r^2
+
+
+def test_audit_refuses_the_centre_of_a_fluid_ball():
+    with pytest.raises(EndpointDegeneracyError):
+        audit_sphere(make_interior_fluid(1.0, 2.5), 0.0)
 
 
 def test_audit_residuals_off_sphere(wide_m1):
@@ -319,6 +346,5 @@ def test_mass_routes_share_one_formula(wide_m1):
     tab = make_tabulated(r, wide_m1.N(r), wide_m1.A(r), wide_m1.Rareal(r))
     for profile in (wide_m1, tab):
         for r0 in (3.0, 10.0, 77.0):
-            geom = surface_geometry(profile, r0)
-            mass = geom.area_radius ** 2 * geom.nu_N
+            mass = float(profile.Rareal(r0)) ** 2 * float(profile.nu_N(r0))
             assert audit_sphere(profile, r0).mass_i == mass

@@ -285,11 +285,18 @@ _MALFORMED = {
     "metric a descriptor": ({"metric": 0}, None, "metric"),
     "metric a list": ({"metric": ["a"]}, None, "metric"),
     "out a descriptor": ({"out": 1}, None, "out"),
+    "samples a boolean": ({"samples": True}, None, "samples"),
+    "mass a boolean": ({"mass": True}, None, "mass"),
+    "r_max a boolean": ({"r_max": False}, None, "r_max"),
     "document not JSON": ({}, "{not json", "not valid JSON"),
+    "document mass a boolean": ({}, _SCHWARZSCHILD_DOC.replace("1,", "true,"), "'mass'"),
     "document mass": ({}, _SCHWARZSCHILD_DOC.replace("1,", '"x",'), "'mass'"),
     "document nodes": (
         {}, '{"kind": "tabulated", "r": ["a", 4, 5, 6], "N": [1, 1, 1, 1], '
         '"A": [1, 1, 1, 1], "Rareal": [3, 4, 5, 6]}', "tabulated profile key 'r'"),
+    "document nodes a boolean": (
+        {}, '{"kind": "tabulated", "r": [3, 4, 5, 6], "N": [true, 1, 1, 1], '
+        '"A": [1, 1, 1, 1], "Rareal": [3, 4, 5, 6]}', "tabulated profile key 'N'"),
 }
 
 

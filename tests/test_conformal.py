@@ -15,7 +15,6 @@ from photonlab.conformal import (
     _neck_isotropic_profile,
     adm_mass_estimate,
     compactification_check,
-    conformal_end_mass_estimate,
     conformal_scalar_residual,
     conformal_transform,
     flatness_check,
@@ -448,11 +447,22 @@ def test_compactification_refuses_non_finite_schedule(conformal_m1, schedule):
         compactification_check(conformal_m1, R_schedule=schedule)
 
 
-@pytest.mark.parametrize("radii", [(50.0,), (50.0, 100.0)], ids=["one", "two"])
-def test_conformal_end_mass_refuses_malformed_schedule(conformal_m1, radii):
-    # the rule of adm_mass_estimate: three or more increasing radii
-    with pytest.raises(DomainError):
-        conformal_end_mass_estimate(conformal_m1.chart("exterior_reflected"), radii)
+@pytest.mark.parametrize(
+    "radii, message",
+    [
+        ((50.0,), "at least three radii"),
+        ((50.0, 100.0), "at least three radii"),
+        ((50.0, math.nan, 200.0), "finite and positive"),
+        ((-50.0, 100.0, 200.0), "finite and positive"),
+        ((50.0, 200.0, 100.0), "must increase"),
+    ],
+    ids=["one", "two", "nan", "negative", "decreasing"],
+)
+def test_conformal_end_mass_refuses_malformed_schedule(conformal_m1, radii, message):
+    # the reflected end's mass around its puncture keeps the schedule rule
+    # of every end: three or more finite, positive, increasing radii
+    with pytest.raises(DomainError, match=message):
+        adm_mass_estimate(conformal_m1, "exterior_reflected", radii)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Curvature layer: closed forms against the finite-difference oracle,
-vacuum residuals, sphere geometry, and the two chart-free identities."""
+vacuum residuals, and the two chart-free identities."""
 
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ from photonlab.curvature import (
     curvature_at,
     fd_curvature_oracle,
     identity_residuals,
-    surface_geometry,
     vacuum_residual_scan,
 )
 from photonlab.gluing import double, glue_neck
@@ -145,7 +144,12 @@ def _values_only(f: RadialFunction) -> RadialFunction:
     return RadialFunction(lambda r: f(r), no_derivative, no_derivative)
 
 
-def _per_channel(profile, copy=lambda f: RadialFunction(*f._d)):
+def _orders(f: RadialFunction) -> RadialFunction:
+    """A leaf of f's three orders, each read as ``f(r, nu)``."""
+    return RadialFunction(*(functools.partial(f, nu=nu) for nu in range(3)))
+
+
+def _per_channel(profile, copy=_orders):
     """The profile with each channel replaced by ``copy`` of it, so that it
     holds no fused read; by default a copy that keeps its derivatives."""
     return dataclasses.replace(
@@ -494,29 +498,8 @@ def test_scalar_maxima_keep_a_nan_in_any_place():
 
 
 # ---------------------------------------------------------------------------
-# Sphere geometry and identities
+# Chart-free identities
 # ---------------------------------------------------------------------------
-
-
-def test_surface_geometry_photon_sphere_values():
-    p = make_schwarzschild_family(1.0, 2.5, 100.0)
-    g = surface_geometry(p, 3.0)
-    assert abs(g.H - 2.0 / (3.0 * math.sqrt(3.0))) <= 1e-15
-    assert abs(g.H - 0.3849001794597505) <= 1e-15
-    assert abs(g.nu_N - 1.0 / 9.0) <= 1e-16
-    assert abs(g.sigma_scalar - 2.0 / 9.0) <= 1e-16
-    assert g.tracefree_h_norm == 0.0
-    assert abs(g.area - 4.0 * math.pi * 9.0) <= 1e-12
-    g10 = surface_geometry(p, 10.0)
-    assert abs(g10.H - 2.0 * math.sqrt(0.8) / 10.0) <= 1e-15
-    assert abs(g10.H - 0.17888543819998318) <= 1e-15
-
-
-def test_surface_geometry_horizon_minimality():
-    neck = make_schwarzschild_neck(1.0)
-    g = surface_geometry(neck, 2.0)
-    assert g.minimal_surface
-    assert g.H == 0.0
 
 
 @pytest.mark.parametrize(

@@ -14,8 +14,8 @@ the exterior on [2.1m, 100m] — the digest covers:
 
 The table's radii also include its interior knots.  The inverted
 presentation's A and Rareal are the two functions that
-``compactification_check`` and ``conformal_end_mass_estimate`` read, so
-they are covered by its case.
+``compactification_check`` and the reflected-end branch of
+``adm_mass_estimate`` read, so they are covered by its case.
 A change to how derivatives are formed that moves any bit of any of
 these values shows here.
 

@@ -14,6 +14,7 @@ channel on its own.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gc
 import math
 import warnings
@@ -375,7 +376,10 @@ def test_replaced_channel_reads_per_channel(name, channel):
     _assert_same_jets(read.jets(r), _per_channel_jets(changed, r))
     assert read.values(r) == _per_channel_values(changed, r)
     # the same callables under a new function object are not the fused read
-    same = dataclasses.replace(p, **{channel: RadialFunction(*getattr(p, channel)._d)})
+    f = getattr(p, channel)
+    same = dataclasses.replace(
+        p, **{channel: RadialFunction(*(functools.partial(f, nu=nu) for nu in range(3)))}
+    )
     assert _reads_per_channel(same)
 
 

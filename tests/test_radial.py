@@ -404,7 +404,6 @@ _ONE_PROFILE_ENTRIES = {
     "photon_sphere_search": lambda star: pl.photon_sphere_search(star),
     "trapping_report": lambda star: pl.trapping_report(star, 3.0),
     "run_rigidity_pipeline": lambda star: pl.run_rigidity_pipeline(star),
-    "surface_geometry": lambda star: pl.surface_geometry(star, 5.0),
     "identity_residuals": lambda star: pl.identity_residuals(star, 5.0),
     "convergence_study": lambda star: pl.convergence_study(star, 5.0),
     "glue_neck": lambda star: pl.glue_neck(star, 3.0),
@@ -606,6 +605,26 @@ def test_load_profile_refuses_non_finite_json_literals(literal):
         '"A": [1, 1, 1, 1], "Rareal": [3, 4, 5, 6]}'
     with pytest.raises(DomainError, match="channel N must be finite"):
         load_profile(io.StringIO(table % literal))
+
+
+@pytest.mark.parametrize("key", ["mass", "r_lo", "r_hi"])
+def test_load_profile_refuses_a_boolean_number(key):
+    # float(True) is 1.0: {"mass": true} used to build m = 1
+    doc = {"kind": "schwarzschild", "mass": 1.0, "r_lo": 3.0, "r_hi": 100.0, key: True}
+    with pytest.raises(DomainError, match=f"schwarzschild profile key '{key}' is a boolean"):
+        load_profile(io.StringIO(json.dumps(doc)))
+
+
+@pytest.mark.parametrize(
+    "nodes",
+    [[True, 1, 1, 1], [1.0, 1.0, False, 1.0], np.array([True, True, True, True])],
+    ids=["json-true", "json-false", "numpy-bool"],
+)
+def test_load_profile_refuses_boolean_nodes(nodes):
+    doc = {"kind": "tabulated", "r": [3, 4, 5, 6], "N": nodes, "A": [1, 1, 1, 1],
+           "Rareal": [3, 4, 5, 6]}
+    with pytest.raises(DomainError, match="tabulated profile key 'N' is a boolean"):
+        load_profile(doc)
 
 
 def test_profile_document_round_trip():
