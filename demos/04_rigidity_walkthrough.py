@@ -47,7 +47,7 @@ def main():
     doubled = double(glued)
     print(f"  charts: {[c.chart_id for c in doubled.charts]}")
     print(f"  ends:   {list(doubled.ends)}")
-    bound = psi_bound_check(doubled, n_samples=10000)
+    bound = psi_bound_check(doubled)
     print(f"  collar function: max |psi| = {bound.max_abs_psi:.10f} < 1 "
           f"(attained on chart {bound.argmax[0]})")
     print(f"  harmonicity residual of psi: {psi_harmonicity_max(doubled):.3e}")

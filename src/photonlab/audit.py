@@ -44,8 +44,8 @@ class IdentityReport:
 
     * ``res_umbilic``  — norm of the trace-free second fundamental form.
       A coordinate sphere of a radial profile is umbilic, so this is 0.0
-      for every finite shape operator; it is NaN where k is NaN or
-      infinite and inf where H = k + k overflows.  It cannot fail on a
+      for every finite shape operator, NaN for a NaN one (an infinite one
+      is refused) and inf where H = k + k overflows.  It cannot fail on a
       finite sphere, and stays while ``perfbench``'s ``audit_residual``
       check reads it;
     * ``res_NH``       — N H - 2 nu(N), constancy of the lapse coupling;
@@ -99,7 +99,8 @@ def audit_sphere(profile: RadialProfile, r0: float) -> IdentityReport:
     At a degenerate horizon endpoint the mean curvature has one-sided limit
     0, and the sphere is audited with H = 0 instead of raising, because
     every quantity it reads stays finite there.  The centre of a fluid ball
-    has no sphere and still raises.
+    has no sphere and still raises.  An infinite shape operator k or nu(N)
+    (A zero or subnormal) is refused; a residual that overflows reads inf.
     """
     _require_piece(profile, "audit_sphere")
     if r0 == profile.r_lo and profile.degenerate_lo:
@@ -112,21 +113,29 @@ def audit_sphere(profile: RadialProfile, r0: float) -> IdentityReport:
         profile.ensure_evaluable(r0)
         a, rj = profile.A(r0), profile.Rareal.jet(r0)
         rr = rj.v
-        k = rj.d1 / (a * rr)  # the shape operator's one frame eigenvalue
-        h = float(k + k)
-        t = np.subtract(k, 0.5 * h)  # 0 for finite k; numpy warns on inf - inf
+        d = float(a * rr)  # float division: an overflow gives inf, not a warning
+        k = float(rj.d1) / d if d else math.inf  # the shape operator's eigenvalue
+        _refuse_infinite("the shape operator k = Rareal'/(A Rareal)", k, r0)
+        h = k + k
+        t = k - 0.5 * h  # 0.0, or -inf where h overflows
         tracefree = math.sqrt(t * t + t * t)
         area_radius, rr_sq = float(rr), rr * rr
-    nu_n = float(profile.nu_N(r0))
+    with np.errstate(all="ignore"):  # NaN reads as NaN residuals
+        nu_n = float(profile.nu_N(r0))
+    _refuse_infinite("nu(N) = N'/A", nu_n, r0)
     sigma = float(2.0 / rr_sq)
     n_val = float(profile.N(r0))
     spacetime_h = 1.5 * h
     mass_h = 1.0 / (SQRT3 * spacetime_h) if spacetime_h != 0.0 else math.inf
+    try:
+        res_rh = (area_radius * h) ** 2 - 4.0 / 3.0
+    except OverflowError:  # a float power raises where a product gives inf
+        res_rh = math.inf
     return IdentityReport(
         r0=float(r0),
         res_umbilic=tracefree,
         res_NH=n_val * h - 2.0 * nu_n,
-        res_rH=(area_radius * h) ** 2 - 4.0 / 3.0,
+        res_rH=res_rh,
         res_sigmaR=sigma - 1.5 * h * h,
         mass_i=area_radius ** 2 * nu_n,
         H_positive=h > 0.0,
@@ -138,6 +147,11 @@ def audit_sphere(profile: RadialProfile, r0: float) -> IdentityReport:
         nu_N=nu_n,
         sigma_scalar=sigma,
     )
+
+
+def _refuse_infinite(name: str, value: float, r0) -> None:
+    if math.isinf(value):
+        raise DomainError(f"audit_sphere: {name} is infinite at r = {r0!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -542,18 +542,16 @@ def fd_curvature_oracle(profile: RadialProfile, r, h=1e-3) -> CurvatureSample:
     )
 
 
-def convergence_study(
-    profile: RadialProfile, r: float, steps=(1e-2, 1e-3, 1e-4)
-) -> dict:
+def convergence_study(profile: RadialProfile, r: float) -> dict:
     """Measure the oracle's convergence against the closed form.
 
-    Returns the per-step worst field errors, the least-squares convergence
-    rate in log-log, and the implied constant C of the error model C h^2
-    taken at the middle step.
+    Returns the worst field errors at steps h = 1e-2, 1e-3 and 1e-4, the
+    least-squares convergence rate in log-log, and the implied constant C
+    of the error model C h^2 taken at the middle step.
     """
     _require_piece(profile, "convergence_study")
     exact = curvature_at(profile, r)
-    steps = tuple(float(h) for h in steps)
+    steps = (1e-2, 1e-3, 1e-4)
     errors = [fd_curvature_oracle(profile, r, h).difference(exact) for h in steps]
     logs_h = np.log(np.asarray(steps))
     logs_e = np.log(np.asarray(errors))
@@ -585,20 +583,24 @@ def identity_residuals(
       function vanishes).
 
     ``f`` defaults to the lapse; pass e.g. the coordinate function or its
-    square for independent checks.
+    square for independent checks.  A float division by zero or overflow
+    (A zero or subnormal) is refused.
     """
     _require_piece(profile, "identity_residuals")
-    sample = curvature_at(profile, r)
-    a, rr = profile.A.jet(r), profile.Rareal.jet(r)
-    k = rr.d1 / (a.v * rr.v)  # the shape operator's one frame eigenvalue
-    H = float(k + k)
-    h_sq = 2.0 * k * k
-    gauss = (sample.scalar - 2.0 * sample.ric_nn) - (
-        float(2.0 / (rr.v * rr.v)) - H ** 2 + h_sq
-    )
+    try:
+        sample = curvature_at(profile, r)
+        a, rr = profile.A.jet(r), profile.Rareal.jet(r)
+        k = rr.d1 / (a.v * rr.v)  # the shape operator's one frame eigenvalue
+        H = float(k + k)
+        h_sq = 2.0 * k * k
+        gauss = (sample.scalar - 2.0 * sample.ric_nn) - (
+            float(2.0 / (rr.v * rr.v)) - H ** 2 + h_sq
+        )
 
-    fj = (profile.N if f is None else f).jet(r)
-    hess_f_nn = _proper_second(fj, a)
-    surf = radial_laplacian(fj, a, rr) - (hess_f_nn + H * fj.d1 / a.v)
+        fj = (profile.N if f is None else f).jet(r)
+        hess_f_nn = _proper_second(fj, a)
+        surf = radial_laplacian(fj, a, rr) - (hess_f_nn + H * fj.d1 / a.v)
+    except ArithmeticError as exc:  # floats raise where numpy gives inf or NaN
+        raise DomainError(f"identity_residuals: {exc} at r = {r!r}") from None
 
     return {"gauss": float(gauss), "surface_laplacian": float(surf)}

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .radial import DomainError, RadialProfile, _require_finite, _require_piece
+from .radial import DomainError, RadialProfile, _require_piece
 
 __all__ = [
     "fermat_geodesy_residual",
@@ -159,29 +159,20 @@ def _refine_root(fun, lo, hi, flo, fhi, rtol):
     )
 
 
-def photon_sphere_search(
-    profile: RadialProfile,
-    r_lo: float | None = None,
-    r_hi: float | None = None,
-    n_scan: int = 1024,
-    rtol: float = 1e-14,
-) -> list[float]:
-    """All roots of the optical mean curvature on the (sub)domain.
+def photon_sphere_search(profile: RadialProfile, n_scan: int = 1024) -> list[float]:
+    """All roots of the optical mean curvature on the profile's domain.
 
-    Scans ``n_scan`` radii (at least 2, the window's ends included) for
-    sign changes and refines each bracket with Brent-Dekker steps down to
-    floating-point resolution.  Returns an increasing list of radii; an
-    empty list is the definitive "no photon sphere" answer for profiles
-    where the residual keeps one sign.
+    Scans ``n_scan`` radii (at least 2) of the interior window (pad 1e-7)
+    for sign changes and refines each bracket with Brent-Dekker steps down
+    to a relative tolerance of 1e-14.  Returns an increasing list of radii;
+    an empty list is the definitive "no photon sphere" answer for profiles
+    where the residual keeps one sign.  To search part of the domain,
+    search ``profile.restricted(r_lo, r_hi)``.
     """
     _require_piece(profile, "photon_sphere_search")
     if n_scan < 2:
         raise DomainError(f"n_scan must be at least 2, got {n_scan}")
-    lo0, hi0 = profile.interior_window(pad=1e-7)
-    lo = lo0 if r_lo is None else max(float(r_lo), lo0)
-    hi = hi0 if r_hi is None else min(float(r_hi), hi0)
-    if not (lo < hi):
-        raise DomainError("empty search window")
+    lo, hi = profile.interior_window(pad=1e-7)
     grid = np.linspace(lo, hi, int(n_scan))
     vals = np.asarray(fermat_geodesy_residual(profile, grid), dtype=float)
     if not np.all(np.isfinite(vals)):
@@ -193,7 +184,7 @@ def photon_sphere_search(
     # brackets: a zero at the left node (the refiner returns it) or a sign change
     f0, f1 = vals[:-1], vals[1:]
     roots = [
-        _refine_root(fun, float(grid[i]), float(grid[i + 1]), f0[i], f1[i], rtol)
+        _refine_root(fun, float(grid[i]), float(grid[i + 1]), f0[i], f1[i], 1e-14)
         for i in np.flatnonzero((f0 == 0.0) | (f0 * f1 < 0.0))
     ]
     if vals[-1] == 0.0:
@@ -310,30 +301,15 @@ def _observables(lam, r, phi, td, rd, pd, n, a, rr):
     )
 
 
-def tangential_launch(
-    profile: RadialProfile, r0: float, E: float = 1.0, L: float | None = None
-):
-    """Initial condition for a null ray launched tangent to the r0 sphere.
-
-    When ``L`` is omitted it is set to E * Rareal/N at the launch radius
-    (the tangency condition); passing it explicitly lets callers reproduce
-    book values exactly.  ``E`` and ``L`` must be finite.
-    """
+def tangential_launch(profile: RadialProfile, r0: float):
+    """Initial condition for a null ray launched tangent to the r0 sphere,
+    with energy E = 1 and angular momentum L = Rareal/N at r0 (the
+    tangency condition): (t, r, phi, dt/dl, dr/dl, dphi/dl) =
+    (0, r0, 0, 1/N^2, 0, L/Rareal^2)."""
     _require_piece(profile, "tangential_launch")
-    _require_finite(E=E, L=L)
     profile.ensure_evaluable(r0, open_interior=True)
     n, _, _, _, rr, _ = profile._read().slopes(r0)
-    if L is None:
-        L = E * rr / n
-    td = E / (n * n)
-    pd = L / (rr * rr)
-    return np.array([0.0, float(r0), 0.0, td, 0.0, pd])
-
-
-def _require_positive(**values) -> None:
-    for name, value in values.items():
-        if not (math.isfinite(value) and value > 0.0):
-            raise DomainError(f"{name} must be finite and positive, got {value!r}")
+    return np.array([0.0, float(r0), 0.0, 1.0 / (n * n), 0.0, rr / n / (rr * rr)])
 
 
 def integrate_null_geodesic(
@@ -358,7 +334,9 @@ def integrate_null_geodesic(
     and positive, and ``y0`` = (t, r, phi, dt/dl, dr/dl, dphi/dl) finite,
     null and of nonzero energy E.
     """
-    _require_positive(lam_max=lam_max, tol=tol)
+    for name, value in (("lam_max", lam_max), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise DomainError(f"{name} must be finite and positive, got {value!r}")
     lam_max, tol = float(lam_max), float(tol)
     y = np.array(y0, dtype=float).tolist()
     if not all(map(math.isfinite, y)):
@@ -572,32 +550,22 @@ class TrappingReport:
     max_constraint: float
 
 
-def trapping_report(
-    profile: RadialProfile,
-    r0: float,
-    affine_window: float | None = None,
-    trap_tol: float | None = None,
-    tol: float = 1e-12,
-    E: float = 1.0,
-) -> TrappingReport:
+def trapping_report(profile: RadialProfile, r0: float) -> TrappingReport:
     """Integrate a tangential launch and classify the orbit.
 
-    Defaults scale with the launch radius: the affine window is 50 and the
-    deviation budget 1e-3 in units of r0/3 (the mass of the profile whose
-    photon sphere sits at r0).  The budget is deliberately loose enough
-    that integrator noise at tol = 1e-12 cannot fake an escape, yet tight
-    against the exponential peel-off of off-sphere launches.  Windows and
-    budgets (and ``tol``) must be finite and positive.  A ray that met a
-    non-finite profile value (termination ``non_finite``) raises
-    :class:`DomainError` naming its last accepted radius.
+    The window and the budget scale with the launch radius: the affine
+    window is 50 and the deviation budget 1e-3 in units of r0/3 (the mass
+    of the profile whose photon sphere sits at r0), and the ray is
+    integrated at tol = 1e-12.  The budget is deliberately loose enough
+    that integrator noise at that tolerance cannot fake an escape, yet
+    tight against the exponential peel-off of off-sphere launches.  A ray
+    that met a non-finite profile value (termination ``non_finite``)
+    raises :class:`DomainError` naming its last accepted radius.
     """
     _require_piece(profile, "trapping_report")
     scale = r0 / 3.0
-    window = 50.0 * scale if affine_window is None else float(affine_window)
-    budget = 1e-3 * scale if trap_tol is None else float(trap_tol)
-    y0 = tangential_launch(profile, r0, E=E)
-    _require_positive(affine_window=window, trap_tol=budget)
-    res = integrate_null_geodesic(profile, y0, window, tol=tol)
+    window, budget = 50.0 * scale, 1e-3 * scale
+    res = integrate_null_geodesic(profile, tangential_launch(profile, r0), window)
     if res.termination == "non_finite":
         raise DomainError(
             "the ray met a non-finite profile value after its last accepted "

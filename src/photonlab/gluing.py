@@ -28,7 +28,6 @@ from .audit import IdentityReport, audit_sphere
 from .curvature import _jets_at, _max_or_nan, radial_laplacian
 from .radial import (
     DomainError,
-    RadialFunction,
     RadialProfile,
     _require_piece,
     make_schwarzschild_neck,
@@ -47,7 +46,6 @@ __all__ = [
     "PsiBoundReport",
     "psi_bound_check",
     "psi_harmonicity_max",
-    "collar_function",
     "guarded_chart_samples",
 ]
 
@@ -136,17 +134,6 @@ class PiecewiseManifold:
             if self.chart(end_id).orientation == orientation:
                 return end_id
         raise DomainError(f"manifold has no {orientation} end")
-
-
-# ---------------------------------------------------------------------------
-# Collar function
-# ---------------------------------------------------------------------------
-
-
-def collar_function(chart: Chart) -> RadialFunction:
-    """psi on one chart as a differentiable radial function."""
-    scale, n = chart.psi_scale, chart.profile.N
-    return RadialFunction.expression(lambda r: scale * n(r))
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +402,16 @@ class PsiBoundReport:
     n_samples: int
 
 
-def psi_bound_check(manifold: PiecewiseManifold, n_samples: int = 10000) -> PsiBoundReport:
-    """Verify |psi| < 1 by dense sampling (endpoints included where finite).
+def psi_bound_check(manifold: PiecewiseManifold) -> PsiBoundReport:
+    """Verify |psi| < 1 by dense sampling: 10^4 radii split evenly over the
+    charts, at least 16 each (endpoints included where finite).
 
     Also reports the lapse value at each photon-sphere gluing: these are
     the boundary values that the maximum principle propagates inward, so
     each must itself be below 1.  A non-finite sample is reported as the
     maximum and fails the bound.
     """
-    per = _samples_per_chart(manifold.charts, n_samples, 16)
+    per = _samples_per_chart(manifold.charts, 10000, 16)
 
     def scan(chart):
         lo, hi = chart.profile.r_lo, chart.profile.r_hi
@@ -452,8 +440,8 @@ def psi_bound_check(manifold: PiecewiseManifold, n_samples: int = 10000) -> PsiB
     )
 
 
-def psi_harmonicity_max(manifold: PiecewiseManifold, n_per_chart: int = 128) -> float:
-    """max |Laplacian of psi| over guarded samples of every chart.
+def psi_harmonicity_max(manifold: PiecewiseManifold) -> float:
+    """max |Laplacian of psi| over 128 guarded samples of every chart.
 
     psi restricted to a chart is a constant multiple of that chart's lapse,
     so its Laplacian is the same multiple of the lapse Laplacian, which
@@ -465,7 +453,7 @@ def psi_harmonicity_max(manifold: PiecewiseManifold, n_per_chart: int = 128) -> 
     """
 
     def scan(chart):
-        rs = guarded_chart_samples(chart, n_per_chart)
+        rs = guarded_chart_samples(chart, 128)
         lap = np.asarray(radial_laplacian(*_jets_at(chart.profile, rs)), dtype=float)
         return chart.chart_id, rs, np.abs(chart.collar_scale * lap)
 

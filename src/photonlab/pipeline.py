@@ -68,12 +68,12 @@ class PipelineReport:
     ``reconstructed_mass`` is the neck mass parameter mu_1, one third of
     the boundary audit's area radius; :func:`reconstruct_schwarzschild`
     checks it against the component mass.  The verdict is rigid exactly
-    when ``flatness_max_curvature`` <= ``flat_tol``, every
+    when ``flatness_max_curvature`` <= :data:`FLAT_TOL`, every
     match jump <= ``match_tol``, ``psi_bound.strict_bound``,
     ``compactification.converged``,
-    |``adm_exterior["mass"]`` / mass_i - 1| <= ``mass_tol``,
-    |``adm_conformal_end["mass"]``| / mass_i <= ``mass_tol`` (mass_i from
-    ``boundary_audit``) and every float in the report is finite.
+    |``adm_exterior["mass"]`` / mass_i - 1| <= :data:`MASS_TOL`,
+    |``adm_conformal_end["mass"]``| / mass_i <= :data:`MASS_TOL` (mass_i
+    from ``boundary_audit``) and every float in the report is finite.
     ``psi_harmonicity`` and ``conformal_scalar_max`` are reported for
     independent scrutiny and gate nothing yet: the scalar's tolerance has
     to scale with the mass first (m = 0.1 reads 2.6e-7 against 1e-8).
@@ -106,8 +106,6 @@ class PipelineReport:
 def run_rigidity_pipeline(
     exterior: RadialProfile,
     match_tol: float = MATCH_TOL,
-    flat_tol: float = FLAT_TOL,
-    mass_tol: float = MASS_TOL,
     n_samples: int = 512,
 ) -> PipelineReport:
     """Run every stage on an exterior profile bounded by a photon sphere.
@@ -153,18 +151,18 @@ def run_rigidity_pipeline(
         reconstructed_mass=mu_1,
         tolerances={
             "match_tol": float(match_tol),
-            "flat_tol": float(flat_tol),
-            "mass_tol": float(mass_tol),
+            "flat_tol": FLAT_TOL,
+            "mass_tol": MASS_TOL,
         },
         n_samples=int(n_samples),
     )
     rigid = (
-        flat["max_curvature"] <= flat_tol
+        flat["max_curvature"] <= FLAT_TOL
         and worst_jump <= match_tol
         and bound.strict_bound
         and compact.converged
-        and abs(adm_ext["mass"] / mass_i - 1.0) <= mass_tol
-        and abs(adm_conf["mass"]) / mass_i <= mass_tol
+        and abs(adm_ext["mass"] / mass_i - 1.0) <= MASS_TOL
+        and abs(adm_conf["mass"]) / mass_i <= MASS_TOL
         and _all_finite(fields)
     )
     return PipelineReport(

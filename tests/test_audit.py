@@ -72,6 +72,34 @@ def test_audit_refuses_the_centre_of_a_fluid_ball():
         audit_sphere(make_interior_fluid(1.0, 2.5), 0.0)
 
 
+def _constant(c):
+    return RadialFunction(lambda r: c + 0.0 * r, lambda r: 0.0 * r, lambda r: 0.0 * r)
+
+
+@pytest.mark.parametrize("a", [0.0, 5e-324])
+def test_audit_refuses_an_infinite_shape_operator(wide_m1, a):
+    # inf - inf in the trace-free norm warned; A = 0 raised ZeroDivisionError
+    with pytest.raises(DomainError, match=r"shape operator k .* is infinite at r = 3.0"):
+        audit_sphere(replace(wide_m1, A=_constant(a)), 3.0)
+
+
+def test_audit_refuses_an_infinite_normal_lapse_derivative(wide_m1):
+    # k = 1/(3A) stays finite at A = 1e-300, but N'/A overflows for N = 1e10 N
+    n = wide_m1.N
+    lapse = RadialFunction.expression(lambda r: 1e10 * n(r))
+    profile = replace(wide_m1, N=lapse, A=_constant(1e-300))
+    with pytest.raises(DomainError, match=r"nu\(N\) = N'/A is infinite at r = 3.0"):
+        audit_sphere(profile, 3.0)
+
+
+def test_audit_reads_an_overflowing_residual_as_inf(wide_m1):
+    # (area_radius H)^2 overflows at A = 1e-300: the float power raised
+    rep = audit_sphere(replace(wide_m1, A=_constant(1e-300)), 3.0)
+    assert rep.res_rH == math.inf and rep.res_sigmaR == -math.inf
+    assert rep.res_umbilic == 0.0 and math.isfinite(rep.mass_i)
+    assert rep.worst_residual() == ("res_rH", math.inf)
+
+
 def test_audit_residuals_off_sphere(wide_m1):
     rep29 = audit_sphere(wide_m1, 2.9)
     # (r H)^2 - 4/3 = 4 (1 - 2/2.9) - 4/3, derived by hand

@@ -133,9 +133,9 @@ AUDIT_GOLDEN = {
     "exterior with Rareal=r^1.1": "1e8bc48497e6b101d5cb041f42f23946dfdfc995dc4e88923a4835b2e01f63ef",
     "exterior with N doubled": "e6b60a13505bbba7844d982f02a32fae8586a5f06b66675557f4b33dfc098022",
     "exterior with A infinite": "80b6fa1ff6160f5c7af4f87fd5a0e2eced00f48d95ff1f4d0cb401c2d7d770ea",
-    "exterior with A tiny": "776653fcb2e45b66f312ef6073a95103b3daab88f82daeac208de25ce39294db",
-    "exterior with A subnormal": "ceb9228e7e1afbe4115c0501bc37f226ad4d62bccc241a242ada9c9177b38d3e",
-    "exterior with A zero": "39ea30504282287d27ff18e9bedba892d382e792eeec032c5d1abcb7d08a9da0",
+    "exterior with A tiny": "7bc3712e7f695f1317448f108890a410cc2e8bbb5705c1b15c8e94f87a184f4a",
+    "exterior with A subnormal": "e47675f56edb8148df01b11162d5de89cd371e72cc347133e20bd538633475c3",
+    "exterior with A zero": "e47675f56edb8148df01b11162d5de89cd371e72cc347133e20bd538633475c3",
     "exterior with N nan": "1403d7fabb8fdbe49726c76b4f7b953044076fee07f1b3a1e77dca4ebcb3b01a",
 }
 
@@ -157,9 +157,9 @@ IDENTITY_GOLDEN = {
     "exterior with Rareal=r^1.1": "2b8b4a85d14c25e2f5a0bf999b944a5674f803e743b100f715543ba1e9253771",
     "exterior with N doubled": "2238ec54c286c5174e318f21ba6335f2c3e13ed593d2409461453b252da3abfc",
     "exterior with A infinite": "852531612621e1baf8eb3472f1148e21e8af220df33133ee70146443f3a5d8cf",
-    "exterior with A tiny": "39ea30504282287d27ff18e9bedba892d382e792eeec032c5d1abcb7d08a9da0",
-    "exterior with A subnormal": "39ea30504282287d27ff18e9bedba892d382e792eeec032c5d1abcb7d08a9da0",
-    "exterior with A zero": "39ea30504282287d27ff18e9bedba892d382e792eeec032c5d1abcb7d08a9da0",
+    "exterior with A tiny": "81c757f8713123830b4fead161b6352531e79f1d089b225b13553521ba92e3e7",
+    "exterior with A subnormal": "81c757f8713123830b4fead161b6352531e79f1d089b225b13553521ba92e3e7",
+    "exterior with A zero": "81c757f8713123830b4fead161b6352531e79f1d089b225b13553521ba92e3e7",
     "exterior with N nan": "bfc71525d3ab7c7029c38d302efc2a5cc79ca0deee83fd08836e306d0c836a31",
 }
 

@@ -88,7 +88,7 @@ def _assert_same_scans(got, want):
 def test_harmonicity_equals_the_lapse_laplacian_of_curvature_at(name, monkeypatch):
     doubled, _ = _INPUTS[name]()
     scans = _captured_scans(monkeypatch, gluing)
-    got = psi_harmonicity_max(doubled, n_per_chart=128)
+    got = psi_harmonicity_max(doubled)
     want = []
     for chart in doubled.charts:
         rs = guarded_chart_samples(chart, 128)

@@ -4,10 +4,14 @@ report files, and byte-level determinism."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import photonlab
 from photonlab.cli import (
     EXIT_BUCHDAHL,
     EXIT_CONFIG,
@@ -148,6 +152,52 @@ def test_audit_passes_at_photon_sphere(capsys):
     assert doc["pass"] is True
     assert doc["max_residual"] <= 1e-10
     assert doc["audit"]["area_radius"] == 3.0
+
+
+def _run_subprocess(*argv):
+    """The CLI in a child interpreter with every warning an error."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(photonlab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "photonlab.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _constant_area_document(tmp_path, a):
+    """A table on six nodes of [3, 8] with the exact m = 1 lapse and area
+    radius and the radial factor A = ``a`` at every node."""
+    r = np.linspace(3.0, 8.0, 6)
+    doc = {"kind": "tabulated", "r": r.tolist(), "N": np.sqrt(1.0 - 2.0 / r).tolist(),
+           "A": [a] * 6, "Rareal": r.tolist()}
+    path = tmp_path / "constant_area.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_audit_of_a_tiny_radial_factor_reports_an_infinite_residual(tmp_path):
+    # A = 1e-300 makes (area_radius H)^2 overflow; the float power raised
+    # OverflowError, a traceback under the "verification failed" exit code
+    code, out, err = _run_subprocess(
+        "audit", "--metric", _constant_area_document(tmp_path, 1e-300)
+    )
+    assert (code, err) == (EXIT_VERIFICATION, "")
+    doc = json.loads(out)
+    assert doc["audit"]["res_rH"] == doc["max_residual"] == "Infinity"
+    assert doc["pass"] is False
+
+
+def test_audit_of_a_subnormal_radial_factor_is_refused(tmp_path):
+    # A = 5e-324 makes k infinite; inf - inf and nu(N)'s overflow warned,
+    # and under -W error the warnings became a traceback
+    code, out, err = _run_subprocess(
+        "audit", "--metric", _constant_area_document(tmp_path, 5e-324)
+    )
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("config error: audit_sphere: the shape operator k")
+    assert "Traceback" not in err
 
 
 def test_glue_emits_match_table(capsys, tmp_path):

@@ -3,13 +3,15 @@ the package namespace imports only exported names.
 
 A function deleted from a module but left in its ``__all__``, or imported
 into ``photonlab`` without being exported, fails here, and so does a
-deleted name that reappears in its module or in the package.
+deleted name that reappears in its module or in the package, or a removed
+parameter that reappears in its function's signature.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -52,7 +54,12 @@ DELETED = {
     "conformal": ["conformal_end_mass_estimate", "conformal_scalar_prediction"],
     "curvature": ["SurfaceGeometry", "surface_geometry"],
     "geodesics": ["fermat_profile", "launch_with_momenta", "write_trajectory_csv"],
-    "gluing": ["neck_parameters", "_collar_normal_derivative", "_signed_mean_curvature"],
+    "gluing": [
+        "neck_parameters",
+        "_collar_normal_derivative",
+        "_signed_mean_curvature",
+        "collar_function",
+    ],
     "radial": ["interpolation_error_bound"],
 }
 
@@ -63,6 +70,27 @@ DELETED = {
 def test_deleted_name_stays_gone(module, name):
     assert not hasattr(importlib.import_module(f"photonlab.{module}"), name)
     assert not hasattr(photonlab, name)
+
+
+# Parameters removed from public functions, each fixed at the value every
+# caller passed: a parameter that reappears here fails.
+REMOVED_PARAMETERS = {
+    ("geodesics", "photon_sphere_search"): ["r_lo", "r_hi", "rtol"],
+    ("geodesics", "trapping_report"): ["affine_window", "trap_tol", "tol", "E"],
+    ("geodesics", "tangential_launch"): ["E", "L"],
+    ("pipeline", "run_rigidity_pipeline"): ["flat_tol", "mass_tol"],
+    ("gluing", "psi_bound_check"): ["n_samples"],
+    ("gluing", "psi_harmonicity_max"): ["n_per_chart"],
+    ("curvature", "convergence_study"): ["steps"],
+}
+
+
+@pytest.mark.parametrize("module, function", list(REMOVED_PARAMETERS))
+def test_removed_parameters_stay_gone(module, function):
+    parameters = inspect.signature(
+        getattr(importlib.import_module(f"photonlab.{module}"), function)
+    ).parameters
+    assert [p for p in REMOVED_PARAMETERS[module, function] if p in parameters] == []
 
 
 def test_deleted_members_stay_gone():

@@ -83,12 +83,6 @@ def test_search_scale_covariance():
         assert abs(scaled[0] - m * base[0]) <= 1e-9 * m
 
 
-def test_search_window_validation(wide_m1):
-    with pytest.raises(DomainError):
-        photon_sphere_search(wide_m1, r_lo=50.0, r_hi=10.0)
-    assert photon_sphere_search(wide_m1, r_lo=5.0, r_hi=50.0) == []
-
-
 @pytest.mark.parametrize("n_scan", [1, 0, -3])
 def test_search_refuses_fewer_than_two_scan_radii(wide_m1, n_scan):
     # one radius has no bracket, so [] would falsely read "no photon sphere"
@@ -184,7 +178,7 @@ def test_refiner_failures_raise_domain_error(wide_m1):
 
 
 def test_circular_orbit_conservation(wide_m1):
-    y0 = tangential_launch(wide_m1, 3.0, E=1.0)
+    y0 = tangential_launch(wide_m1, 3.0)
     res = integrate_null_geodesic(wide_m1, y0, 100.0, tol=1e-12)
     assert res.termination == "window"
     assert res.max_constraint <= 1e-10  # null constraint, units of E^2
@@ -205,6 +199,13 @@ def test_trapping_verdicts(wide_m1):
     assert off.max_radial_deviation > 0.1
     inner = trapping_report(wide_m1, 2.5)
     assert inner.verdict == "fell_in"
+
+
+def test_trapping_window_and_budget_scale_with_the_launch_radius(wide_m1):
+    # 50 and 1e-3 in units of r0/3, the mass whose photon sphere is at r0
+    for r0 in (3.0, 6.0):
+        rep, scale = trapping_report(wide_m1, r0), r0 / 3.0
+        assert (rep.affine_window, rep.trap_tol) == (50.0 * scale, 1e-3 * scale)
 
 
 def test_window_end_rounding_is_not_step_underflow():
@@ -312,7 +313,7 @@ def test_non_finite_profile_ends_as_non_finite_and_refuses_a_verdict(wide_m1):
 
 def test_flat_space_ray_escapes():
     flat = make_schwarzschild_family(0.0, 1.0, 1000.0)
-    rep = trapping_report(flat, 7.0, affine_window=100.0)
+    rep = trapping_report(flat, 7.0)
     assert rep.verdict == "escaped"
     y0 = tangential_launch(flat, 7.0)
     res = integrate_null_geodesic(flat, y0, 100.0, tol=1e-12)
@@ -475,27 +476,11 @@ def test_zero_denominator_takes_numpy_values_as_floats(
     assert repr(got) == repr(want + values[::2])
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
-def test_trapping_refuses_affine_window(wide_m1, value):
-    # a zero or NaN window made no step and read "trapped" at r0 = 4
-    with pytest.raises(DomainError, match="affine_window"):
-        trapping_report(wide_m1, 4.0, affine_window=value)
-
-
-@pytest.mark.parametrize("value", [0.0, -1e-3, math.nan, math.inf])
-def test_trapping_refuses_trap_tol(wide_m1, value):
-    # an infinite budget read "trapped" at r0 = 4, 60 away from the launch
-    with pytest.raises(DomainError, match="trap_tol"):
-        trapping_report(wide_m1, 4.0, trap_tol=value)
-
-
 @pytest.mark.parametrize("value", [0.0, -1e-12, math.nan, math.inf])
 def test_integration_refuses_tol_and_window(wide_m1, value, monkeypatch):
     # tol = 0 or NaN rejected every attempt until the step budget ran out
     monkeypatch.setattr(geodesics, "_MAX_STEPS", 50)
     y0 = tangential_launch(wide_m1, 4.0)
-    with pytest.raises(DomainError, match="tol"):
-        trapping_report(wide_m1, 4.0, tol=value)
     with pytest.raises(DomainError, match="tol"):
         integrate_null_geodesic(wide_m1, y0, 10.0, tol=value)
     with pytest.raises(DomainError, match="lam_max"):
@@ -512,20 +497,7 @@ def test_integration_refuses_non_finite_initial_data(wide_m1, index, value):
         integrate_null_geodesic(wide_m1, y0, 1.0)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_launches_refuse_non_finite_momenta(wide_m1, value):
-    # E = NaN launched a ray that trapping_report called "fell_in"
-    with pytest.raises(DomainError, match="E must be finite"):
-        trapping_report(wide_m1, 3.0, E=value)
-    with pytest.raises(DomainError, match="E must be finite"):
-        tangential_launch(wide_m1, 3.0, E=value)
-    with pytest.raises(DomainError, match="L must be finite"):
-        tangential_launch(wide_m1, 3.0, L=value)
-
-
 def test_zero_momentum_launch_is_refused(wide_m1):
     # E = 0 gave a zero tangent vector, and the L drift divided by zero
-    with pytest.raises(DomainError, match="E must be nonzero"):
-        trapping_report(wide_m1, 3.0, E=0.0)
     with pytest.raises(DomainError, match="E must be nonzero"):
         integrate_null_geodesic(wide_m1, [0.0, 3.0, 0.0, 0.0, 0.0, 0.0], 1.0)

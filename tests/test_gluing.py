@@ -14,7 +14,6 @@ from photonlab.gluing import (
     GluingRefusal,
     MatchReport,
     PiecewiseManifold,
-    collar_function,
     double,
     glue_neck,
     guarded_chart_samples,
@@ -53,8 +52,8 @@ def test_glue_structure(glued_m1):
 
 def test_collar_continuity_value(glued_m1):
     neck, ext = glued_m1.charts
-    psi_neck = float(collar_function(neck)(3.0))
-    psi_ext = float(collar_function(ext)(3.0))
+    psi_neck = float(neck.psi_scale * neck.profile.N(3.0))
+    psi_ext = float(ext.psi_scale * ext.profile.N(3.0))
     assert abs(psi_neck - INV_SQRT3) <= 1e-15
     assert psi_neck == psi_ext
 
@@ -64,7 +63,7 @@ def test_glue_scale_covariance():
     man = glue_neck(ext, 6.0)
     neck = man.chart("neck")
     assert (neck.profile.r_lo, neck.profile.r_hi) == (4.0, 6.0)
-    assert abs(float(collar_function(neck)(6.0)) - INV_SQRT3) <= 1e-15
+    assert abs(float(neck.psi_scale * neck.profile.N(6.0)) - INV_SQRT3) <= 1e-15
 
 
 def test_glue_restricts_wider_exterior():
@@ -196,12 +195,10 @@ def test_reflection_antisymmetry_is_exact(doubled_m1, rng):
     for chart_id in ("neck", "exterior"):
         chart = doubled_m1.chart(chart_id)
         mirror = doubled_m1.chart(chart_id + "_reflected")
-        psi = collar_function(chart)
-        psi_m = collar_function(mirror)
         lo, hi = chart.profile.r_lo, chart.profile.r_hi
         rs = rng.uniform(lo, hi, size=1000)
-        vals = np.asarray(psi(rs), dtype=float)
-        vals_m = np.asarray(psi_m(rs), dtype=float)
+        vals = np.asarray(chart.psi_scale * chart.profile.N(rs), dtype=float)
+        vals_m = np.asarray(mirror.psi_scale * mirror.profile.N(rs), dtype=float)
         assert np.all(vals_m == -vals)  # bitwise
         # mirrored points carry identical geometry
         assert np.all(
@@ -234,7 +231,7 @@ def test_double_requires_boundary(doubled_m1):
 
 
 def test_psi_bound(doubled_m1):
-    rep = psi_bound_check(doubled_m1, n_samples=10000)
+    rep = psi_bound_check(doubled_m1)
     assert rep.strict_bound
     assert abs(rep.max_abs_psi - math.sqrt(0.98)) <= 1e-15
     assert rep.argmax[0] in ("exterior", "exterior_reflected")
@@ -246,13 +243,13 @@ def test_psi_bound(doubled_m1):
 def test_neck_psi_range(doubled_m1):
     neck = doubled_m1.chart("neck")
     rs = np.linspace(2.0, 3.0, 500)
-    psi = np.asarray(collar_function(neck)(rs), dtype=float)
+    psi = np.asarray(neck.psi_scale * neck.profile.N(rs), dtype=float)
     assert psi.min() >= 0.0
     assert psi.max() <= INV_SQRT3 + 1e-15
 
 
 def test_psi_harmonicity(doubled_m1):
-    assert psi_harmonicity_max(doubled_m1, n_per_chart=128) <= 1e-10
+    assert psi_harmonicity_max(doubled_m1) <= 1e-10
 
 
 def test_psi_harmonicity_surfaces_nan(doubled_m1):

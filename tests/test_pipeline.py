@@ -127,10 +127,11 @@ def test_unconverged_compactification_is_not_rigid():
     assert report.verdict == VERDICT_NOT_RIGID
 
 
-def test_mass_tolerance_gates_the_verdict(exterior_m1):
+def test_mass_tolerance_gates_the_verdict(exterior_m1, monkeypatch):
     """The measured exterior ADM mass is off by 4.3e-8 relative at m = 1:
-    inside the default mass_tol, outside 1e-9."""
-    report = run_rigidity_pipeline(exterior_m1, mass_tol=1e-9)
+    inside MASS_TOL, outside 1e-9."""
+    monkeypatch.setattr(pipeline, "MASS_TOL", 1e-9)
+    report = run_rigidity_pipeline(exterior_m1)
     assert 1e-9 < abs(report.adm_exterior["mass"] - 1.0) < 1e-7
     assert report.tolerances["mass_tol"] == 1e-9
     assert report.verdict == VERDICT_NOT_RIGID
