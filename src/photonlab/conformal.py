@@ -437,7 +437,7 @@ def flatness_check(conformal: ConformalManifold, n_samples: int = 512) -> dict:
     chart, each chart evaluated as one array.  In the radial family
     vanishing Ricci is vanishing Riemann.  The three come from the Ricci
     assembly of :func:`~photonlab.curvature.curvature_at`, after its
-    checks, with its bits; no lapse quantity is formed.  A non-finite
+    domain checks, with its bits; no lapse quantity is formed.  A non-finite
     sample is reported as the maximum.
     """
     per = _samples_per_chart(conformal.charts, n_samples, 8)

@@ -13,19 +13,23 @@ The oracle works internally in extended precision (:data:`ORACLE_DTYPE`,
 ``np.longdouble``) so its truncation error, not roundoff, dominates down
 to step sizes of 1e-4.  Its 25 stencil points per sample lie on seven
 distinct radii, r, r +- h and (r +- h) +- h: A and Rareal are read once on
-those seven, N once on the central three, and the sines of the seven
-angles pi/2 +- h once per run of equal steps.  The assembly uses only that
-the metric is diagonal and radial: each Christoffel symbol comes from
-d_e g_aa by its index class (13 distinct values of 27), and the metric
-is inverted once at each centre along r.  Only the twelve symbol derivatives the Ricci
-contraction reads are differenced, so the two displaced centres along r
-form only the five symbols their own difference reads, and the two
-along th only the two that read d_th g_phph (g_rr and g_thth do not
-depend on th).  The 54 quadratic terms are products of 28 distinct
-symbol pairs, each formed once, and summed in the order of the full index
-loops.  The curvature is one core, :func:`_fd_ricci`; the oracle adds the
-lapse Hessian to it, and the conformal scalar scan reads only its scalar
-(:func:`_fd_scalar`), with the same bits and no read of N.
+those seven, N once on the central three, and the sines of the six angles
+off the equator, pi/2 +- h and (pi/2 +- h) +- h, once per run of equal
+steps (sin(pi/2) rounds to 1, so g_phph is R^2 on the equator, bit for
+bit).  The assembly uses only that the metric is diagonal and radial: each
+Christoffel symbol comes from d_e g_aa by its index class (13 distinct
+values of 27), and the metric is inverted once at each centre along r.
+Only the twelve symbol derivatives the Ricci contraction reads are
+differenced, so the two displaced centres along r form only the five
+symbols their own difference reads, and the two along th only the two that
+read d_th g_phph (g_rr and g_thth do not depend on th).  The 54 quadratic
+terms are products of 28 distinct symbol pairs, each formed once, and
+summed in the order of the full index loops; while the zero-class symbols
+are exact zeros, the 22 terms that multiply them and the 6 derivatives no
+stencil takes are skipped, which changes no bit of the sum
+(:func:`_ricci_sum`).  The curvature is one core, :func:`_fd_ricci`; the
+oracle adds the lapse Hessian to it, and the conformal scalar scan reads
+only its scalar (:func:`_fd_scalar`), with the same bits and no read of N.
 
 Both routes are array-shaped: given an array of radii (and, for the
 oracle, a matching array of per-sample steps) they evaluate every sample
@@ -50,6 +54,7 @@ from .radial import (
     Jet,
     RadialFunction,
     RadialProfile,
+    _require_normal_square,
     _require_piece,
 )
 
@@ -158,8 +163,8 @@ def _sample(r, n, ric_nn, ric_tt, scalar, hess_nn, hess_tt, lap_n) -> CurvatureS
 
 
 def _jets_at(profile: RadialProfile, r):
-    """Jets of N, A and Rareal at r after :func:`curvature_at`'s checks:
-    the open interior only, and a composite refused by that name."""
+    """Jets of N, A and Rareal at r after :func:`curvature_at`'s domain
+    checks: the open interior only, and a composite refused by that name."""
     try:  # a composite has no ensure_evaluable: refused by name, at no cost here
         profile.ensure_evaluable(r, open_interior=True)
     except AttributeError:
@@ -191,9 +196,13 @@ def curvature_at(profile: RadialProfile, r) -> CurvatureSample:
     """Closed-form curvature sample at radius r (open interior only).
 
     ``r`` may also be an array of radii, evaluated in one pass; the
-    sample's fields are then float arrays of the same shape.
+    sample's fields are then float arrays of the same shape.  A radial
+    factor A whose square underflows (zero or subnormal), where the
+    formulas in 1/A^2 divide by zero or overflow, is refused with a
+    :class:`DomainError` naming A; a NaN passes.
     """
     n, a, rj = _jets_at(profile, r)
+    _require_normal_square("curvature_at", a.v, r)
     r_s, ric_nn, ric_tt, scalar = _ricci(a, rj)
     # proper-radial derivatives of N
     n_s = n.d1 / a.v
@@ -264,8 +273,18 @@ def _nested(x, h):
     return out
 
 
+_EQUATOR = ORACLE_DTYPE(np.pi) / 2.0
+# sin(pi/2) in the oracle's precision: the sine of every stencil's centre
+# angle, row 0 of the nested angles.  Where it rounds to 1, as x87
+# extended and IEEE double both round it, R^2 sin^2 th is R^2 bit for bit.
+_SIN_EQUATOR = np.sin(_EQUATOR)
+_UNIT_EQUATOR = bool(_SIN_EQUATOR == 1.0)
+
+
 def _stencil_sines(h):
-    """sin of the seven nested angles pi/2 +- h of every step in ``h``.
+    """sin of the six nested angles pi/2 +- h and (pi/2 +- h) +- h of every
+    step in ``h``, rows 1-6 of :func:`_nested` (row 0, pi/2 itself, is
+    :data:`_SIN_EQUATOR`), on a leading axis.
 
     Samples of one scan mostly share a step, so the sines are taken once
     per run of equal consecutive steps and spread back with the run index
@@ -276,15 +295,16 @@ def _stencil_sines(h):
     start = np.empty(flat.shape, dtype=bool)
     start[:1] = True
     np.not_equal(flat[1:], flat[:-1], out=start[1:])
-    sines = np.sin(_nested(ORACLE_DTYPE(np.pi) / 2.0, flat[start]))
-    return sines[:, np.cumsum(start) - 1].reshape((7,) + h.shape)
+    sines = np.sin(_nested(_EQUATOR, flat[start])[1:])
+    return sines[:, np.cumsum(start) - 1].reshape((6,) + h.shape)
 
 
 def _metric(a2, r2, sin_th):
-    """diag(A^2, R^2, R^2 sin^2 th) on a leading axis, the radius and angle
-    factors broadcast against each other."""
-    phph = r2 * sin_th * sin_th
-    g = np.empty((3,) + phph.shape, dtype=np.result_type(a2, phph))
+    """diag(A^2, R^2, R^2 sin^2 th) on a leading axis in the oracle's
+    precision, the radius and angle factors broadcast against each other;
+    ``sin_th`` None stands for the equator where sin th rounds to 1."""
+    phph = r2 if sin_th is None else r2 * sin_th * sin_th
+    g = np.empty((3,) + phph.shape, dtype=np.result_type(a2, phph, ORACLE_DTYPE))
     g[0], g[1], g[2] = a2, r2, phph
     return g
 
@@ -396,10 +416,11 @@ _PRODUCT = np.array([_PAIRS.index(p) for p in _QUAD_ROWS]).reshape(3, 3, 2, 3)
 _PAIRS = np.array(_PAIRS)
 
 
-def _products(table, out=None):
+def _products(table, out=None, pairs=_PAIRS):
     """The 28 distinct products behind the 54 quadratic Ricci terms: the
-    term of [c, d, k, a] is row ``_PRODUCT[c, d, k, a]``."""
-    return np.multiply(table[_PAIRS[:, 0]], table[_PAIRS[:, 1]], out=out)
+    term of [c, d, k, a] is row ``_PRODUCT[c, d, k, a]``; given ``pairs``,
+    the products of those rows of ``_PAIRS`` only."""
+    return np.multiply(table[pairs[:, 0]], table[pairs[:, 1]], out=out)
 
 
 # Each ric[a] sums, for c in order, +d_c gamma^c_aa, -d_a gamma^c_ca, and
@@ -418,6 +439,24 @@ _TERMS[:, 2::2] = _PRODUCT[:, :, 0]
 _TERMS[:, 3::2] = _PRODUCT[:, :, 1]
 del _c, _a
 
+# The products of two zero-class symbols (rows 0-2 of the symbol table,
+# g^cc (0 + 0 - 0) / 2) lead the sorted _PAIRS; no other product reads a
+# zero-class symbol.  While those three rows are exact zeros (finite
+# g^cc), the 22 Ricci terms that are such products and the 6 zero terms
+# are +-0, and adding or subtracting +-0 changes no bit of the sum: it
+# starts at +0.0, and in round-to-nearest a sum that is not +0.0 keeps its
+# bits (NaN and infinities included) and one that is stays +0.0.  So
+# _LIVE_TERMS lists only the other 44, as (a, term row, subtract) in the
+# (c, t) order of the full sum.
+_ZERO_PAIRS = int(np.count_nonzero(_PAIRS[:, 0] < 3))
+_LIVE_TERMS = [
+    (a, int(row), t % 2 == 1)
+    for c in range(3)
+    for t in range(8)
+    for a, row in enumerate(_TERMS[c, t])
+    if _ZERO_PAIRS <= row < _ZERO_TERM
+]
+
 
 def _fd_ricci(profile: RadialProfile, r, h):
     """The oracle's shared core: the diagonal Ricci components and scalar
@@ -427,7 +466,9 @@ def _fd_ricci(profile: RadialProfile, r, h):
     diagonal ric[a], the inverse metric diagonal g^aa and the scalar
     sum of ric[a] g^aa at the centre, the symbol table of
     :func:`_christoffel`, the seven nested stencil radii and the steps,
-    all in :data:`ORACLE_DTYPE`.
+    all in :data:`ORACLE_DTYPE`.  The metric keeps that dtype whatever the
+    dtype of the profile's values (a table reads float64); ric is
+    :func:`_ricci_sum`, which skips the terms that are exact zeros.
     """
     profile.ensure_evaluable(r, open_interior=True)
     if not np.all((profile.r_lo < r - 2.0 * h) & (r + 2.0 * h < profile.r_hi)):
@@ -443,9 +484,9 @@ def _fd_ricci(profile: RadialProfile, r, h):
     # The metric at the seven radii on th = pi/2, at radius r on th +- h,
     # and its g_phph at (th +- h) +- h: only g_phph changes along th.  The
     # Christoffel centres are (r, pi/2), (r +- h, pi/2) and (r, th +- h).
-    g_r = _metric(a2, r2, sin_th[0])
-    g_th = _metric(a2[0], r2[0], sin_th[1:3])
-    ph_out = r2[0] * sin_th[3:] * sin_th[3:]
+    g_r = _metric(a2, r2, None if _UNIT_EQUATOR else _SIN_EQUATOR)
+    g_th = _metric(a2[0], r2[0], sin_th[:2])
+    ph_out = r2[0] * sin_th[2:] * sin_th[2:]
     two_h = 2.0 * hl
     d_r = (g_r[:, 1::2] - g_r[:, 2::2]) / two_h
     d_th = (g_th[:, 0] - g_th[:, 1]) / two_h
@@ -454,25 +495,44 @@ def _fd_ricci(profile: RadialProfile, r, h):
     w = 0.5 * inv
 
     table = _christoffel(w, d_r, d_th, 0.5 * (1.0 / g_th[2]), d_ph)
+    ric = _ricci_sum(table, two_h)
+    ginv = inv[:, 0]
+    return ric, ginv, sum(ric[i] * ginv[i] for i in range(3)), table, radii, hl
 
-    # The Ricci terms: the products, the derivatives of the symbols (their
-    # differences between the centres a step above and below) and a zero.
-    # Each ric[a] sums its terms in the order of the index loops over c and d.
+
+def _ricci_sum(table, two_h):
+    """The coordinate Ricci diagonal ric[a] from :func:`_christoffel`'s
+    symbol table and twice the steps.
+
+    The terms are the products, the derivatives of the symbols (their
+    differences between the centres a step above and below) and a zero;
+    each ric[a] sums its terms in the order of the index loops over c and
+    d.  While the three zero-class symbols are exact zeros, the sum adds
+    only :data:`_LIVE_TERMS`, with the same bits; a table where one of them
+    is not (an infinite or NaN g^cc) runs the full gathered sum.
+    """
     n_products = len(_PAIRS)
-    terms = np.empty((_ZERO_TERM + 1,) + hl.shape, dtype=table.dtype)
-    _products(table, out=terms[:n_products])
+    terms = np.empty((_ZERO_TERM + 1,) + two_h.shape, dtype=table.dtype)
     div = terms[n_products:_ZERO_TERM]
     np.subtract(table[13:23], table[23:33], out=div)
     div /= two_h
+    ric = np.zeros((3,) + two_h.shape, dtype=table.dtype)
+    if not table[:3].any():  # all +-0: a NaN is truthy
+        _products(table, out=terms[_ZERO_PAIRS:n_products], pairs=_PAIRS[_ZERO_PAIRS:])
+        for a, row, subtract in _LIVE_TERMS:
+            if subtract:
+                ric[a] -= terms[row]
+            else:
+                ric[a] += terms[row]
+        return ric
+    _products(table, out=terms[:n_products])
     terms[_ZERO_TERM] = 0.0
-    ric = np.zeros((3,) + hl.shape, dtype=table.dtype)
     for c in range(3):
         terms_c = terms[_TERMS[c]]
         for t in range(0, 8, 2):
             ric += terms_c[t]
             ric -= terms_c[t + 1]
-    ginv = inv[:, 0]
-    return ric, ginv, sum(ric[i] * ginv[i] for i in range(3)), table, radii, hl
+    return ric
 
 
 def _fd_scalar(profile: RadialProfile, r, h):
@@ -588,12 +648,12 @@ def identity_residuals(
     """
     _require_piece(profile, "identity_residuals")
     try:
-        sample = curvature_at(profile, r)
+        _, ric_nn, _, scalar = _ricci(*_jets_at(profile, r)[1:])
         a, rr = profile.A.jet(r), profile.Rareal.jet(r)
         k = rr.d1 / (a.v * rr.v)  # the shape operator's one frame eigenvalue
         H = float(k + k)
         h_sq = 2.0 * k * k
-        gauss = (sample.scalar - 2.0 * sample.ric_nn) - (
+        gauss = (float(scalar) - 2.0 * float(ric_nn)) - (
             float(2.0 / (rr.v * rr.v)) - H ** 2 + h_sq
         )
 

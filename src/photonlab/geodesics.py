@@ -30,7 +30,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .radial import DomainError, RadialProfile, _require_piece
+from .radial import (
+    DomainError,
+    RadialProfile,
+    _require_normal_square,
+    _require_piece,
+)
 
 __all__ = [
     "fermat_geodesy_residual",
@@ -50,10 +55,15 @@ def fermat_geodesy_residual(profile: RadialProfile, r):
 
     Simplifies to 2 (R' N - R N') / (A R); the N^2 factors of the optical
     metric g/N^2 cancel.  Zero exactly at photon spheres, positive where spheres
-    bulge outward in the optical geometry.
+    bulge outward in the optical geometry.  A radial factor A whose square
+    underflows (zero or subnormal), which drives the residual and the
+    search's products of residuals past the float range, is refused with
+    a :class:`DomainError` naming A, as
+    :func:`~photonlab.curvature.curvature_at` refuses it; a NaN passes.
     """
     _require_piece(profile, "fermat_geodesy_residual")
     n, dn, a, _, rr, drr = _slopes(profile, r)
+    _require_normal_square("fermat_geodesy_residual", a, r)
     return 2.0 * (drr * n - rr * dn) / (a * rr)
 
 
@@ -167,7 +177,9 @@ def photon_sphere_search(profile: RadialProfile, n_scan: int = 1024) -> list[flo
     to a relative tolerance of 1e-14.  Returns an increasing list of radii;
     an empty list is the definitive "no photon sphere" answer for profiles
     where the residual keeps one sign.  To search part of the domain,
-    search ``profile.restricted(r_lo, r_hi)``.
+    search ``profile.restricted(r_lo, r_hi)``.  A radial factor A whose
+    square underflows on the scan is refused by
+    :func:`fermat_geodesy_residual`.
     """
     _require_piece(profile, "photon_sphere_search")
     if n_scan < 2:

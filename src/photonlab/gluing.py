@@ -198,12 +198,11 @@ def _glue_audited(
         collar_scale=3.0 * report.mass_i / r_i,
         role="neck",
     )
-    ext_profile = exterior
-    if exterior.r_lo < r0:
-        ext_profile = exterior.restricted(float(r0), exterior.r_hi)
     ext = Chart(
         chart_id="exterior",
-        profile=ext_profile,
+        # a profile of the glued manifold's own, whose sample grids are
+        # built afresh however often the exterior is glued
+        profile=exterior.restricted(float(r0), exterior.r_hi),
         orientation="outward",
         collar_scale=1.0,
         role="exterior",
@@ -361,20 +360,49 @@ def guarded_chart_samples(chart: Chart, n: int) -> np.ndarray:
     The inset at each edge is :data:`SAMPLE_GUARD` times the local radius,
     which keeps finite-difference stencils and curvature formulas clear of
     gluing surfaces and horizon endpoints.
+
+    The grid is built once per chart profile, role and ``n`` and kept by
+    the profile: every call for it returns the same read-only array, so
+    the two charts of a mirror pair and the harmonicity, flatness and
+    finite-difference scans share it (and a closed-form read its jets).
+    A copy of the profile (``replace``, ``restricted``) keeps none, and a
+    composite chart's grid is built anew each call.
     """
+    grids = getattr(chart.profile, "_grids", {})
+    rs = grids.get((chart.role, n))
+    if rs is not None:
+        return rs
     lo, hi = chart.profile.r_lo, chart.profile.r_hi
     lo_eff = lo + SAMPLE_GUARD * max(abs(lo), 1.0)
     hi_eff = hi - SAMPLE_GUARD * max(abs(hi), 1.0)
     if not (lo_eff < hi_eff):
         raise DomainError("guard band exhausted the chart interior")
-    if chart.role == "exterior":
-        return np.geomspace(lo_eff, hi_eff, n)
-    return np.linspace(lo_eff, hi_eff, n)
+    space = np.geomspace if chart.role == "exterior" else np.linspace
+    rs = grids[chart.role, n] = space(lo_eff, hi_eff, n)
+    rs.flags.writeable = False
+    return rs
 
 
 def _samples_per_chart(charts, n_samples: int, floor: int) -> int:
     """Even split of ``n_samples`` over ``charts``, at least ``floor`` each."""
     return max(floor, n_samples // max(1, len(charts)))
+
+
+def _mirrored_scans(charts, scan):
+    """(chart id, radii, values) per chart in traversal order, from
+    ``scan(chart)`` -> (radii, values), evaluated once per (profile, collar
+    scale, role): :func:`double` gives a reflected chart its original's
+    profile object, so the two charts of a mirror pair share one
+    evaluation, its arrays read-only.  An equal but distinct profile is
+    evaluated on its own."""
+    done = {}
+    for chart in charts:
+        key = (id(chart.profile), chart.collar_scale, chart.role)
+        if key not in done:
+            done[key] = arrays = scan(chart)
+            for x in arrays:
+                x.flags.writeable = False
+        yield (chart.chart_id, *done[key])
 
 
 def _worst_sample(scans) -> tuple[float, tuple[str, float], int]:
@@ -404,7 +432,8 @@ class PsiBoundReport:
 
 def psi_bound_check(manifold: PiecewiseManifold) -> PsiBoundReport:
     """Verify |psi| < 1 by dense sampling: 10^4 radii split evenly over the
-    charts, at least 16 each (endpoints included where finite).
+    charts, at least 16 each (endpoints included where finite), read once
+    per mirror pair (:func:`_mirrored_scans`).
 
     Also reports the lapse value at each photon-sphere gluing: these are
     the boundary values that the maximum principle propagates inward, so
@@ -421,9 +450,9 @@ def psi_bound_check(manifold: PiecewiseManifold) -> PsiBoundReport:
             hi = np.nextafter(hi, lo)
         rs = np.linspace(lo, hi, per)
         psi = chart.collar_scale * np.asarray(chart.profile.N(rs), dtype=float)
-        return chart.chart_id, rs, np.abs(psi)
+        return rs, np.abs(psi)
 
-    worst, arg, count = _worst_sample(map(scan, manifold.charts))
+    worst, arg, count = _worst_sample(_mirrored_scans(manifold.charts, scan))
     boundary = {}
     for g in manifold.gluings:
         if g.kind == "photon_sphere":
@@ -446,15 +475,16 @@ def psi_harmonicity_max(manifold: PiecewiseManifold) -> float:
     psi restricted to a chart is a constant multiple of that chart's lapse,
     so its Laplacian is the same multiple of the lapse Laplacian, which
     :func:`~photonlab.curvature.curvature_at` reports as ``lap_N``: the
-    scan reads the chart's jets with that function's checks and forms
+    scan reads the chart's jets with that function's domain checks and forms
     only the Laplacian, with its bits.  Each chart is evaluated as one
-    array; the worst sample is taken by :func:`_worst_sample`, so a
-    non-finite sample is reported as the maximum.
+    array, once per mirror pair (:func:`_mirrored_scans`); the worst
+    sample is taken by :func:`_worst_sample`, so a non-finite sample is
+    reported as the maximum.
     """
 
     def scan(chart):
         rs = guarded_chart_samples(chart, 128)
         lap = np.asarray(radial_laplacian(*_jets_at(chart.profile, rs)), dtype=float)
-        return chart.chart_id, rs, np.abs(chart.collar_scale * lap)
+        return rs, np.abs(chart.collar_scale * lap)
 
-    return _worst_sample(map(scan, manifold.charts))[0]
+    return _worst_sample(_mirrored_scans(manifold.charts, scan))[0]

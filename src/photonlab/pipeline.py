@@ -20,6 +20,7 @@ later certificates never see malformed data.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -177,11 +178,20 @@ def _all_finite(obj) -> bool:
         return math.isfinite(obj)
     if isinstance(obj, dict):
         obj = obj.values()
-    elif dataclasses.is_dataclass(obj):
-        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif (names := _field_names(type(obj))) is not None:
+        obj = [getattr(obj, name) for name in names]
     elif not isinstance(obj, (list, tuple)):
         return True
     return all(map(_all_finite, obj))
+
+
+@functools.cache
+def _field_names(cls) -> tuple[str, ...] | None:
+    """Field names of a dataclass, read once per class; None for any other
+    class."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 def reconstruct_schwarzschild(report: PipelineReport) -> tuple[float, float, float]:

@@ -431,6 +431,9 @@ class RadialProfile:
         if keys != [(read, 0), (read, 1), (read, 2)]:
             read = _Channels(*channels)
         object.__setattr__(self, "_reader", read)
+        # sample grids built on this domain, read-only, by key (see
+        # gluing.guarded_chart_samples); a copy starts with none
+        object.__setattr__(self, "_grids", {})
 
     def _read(self) -> _Read:
         """The construction's read while N, A and Rareal are its views,
@@ -468,6 +471,24 @@ def _require_finite(**values) -> None:
     for name, value in values.items():
         if value is not None and not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value!r}")
+
+
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
+
+def _require_normal_square(entry: str, a, r) -> None:
+    """Refuse a radial factor A whose square underflows (zero or subnormal),
+    naming A, ``entry`` and the first such radius: formulas in 1/A and
+    1/A^2 divide by zero or overflow there.  ``a`` is A at ``r``, a number
+    or an array; a NaN passes."""
+    small = a * a < _SMALLEST_NORMAL
+    if small.any() if type(small) is np.ndarray else small:
+        i = int(np.argmax(small)) if np.ndim(small) else 0
+        a_i, r_i = np.ravel(a)[i], np.ravel(r)[i]
+        raise DomainError(
+            f"{entry}: the radial factor A underflows at r = {float(r_i)!r}: "
+            f"A = {float(a_i)!r}, and A*A is below the smallest normal float"
+        )
 
 
 # The closed form's formulas: the lapse n = sqrt(1 - 2m/r) and its two
@@ -511,13 +532,20 @@ class _Schwarzschild(_Read):
     raises (numpy gives NaN or inf and warns) and for float jets that come
     out NaN or infinite, they read in numpy.  ``nu_N`` and
     ``sphere_mean_curvature`` are closed forms finite at the horizon.
+
+    ``channel_jets`` keeps the jets of the last read-only array it read,
+    themselves read-only, and gives them again for that same array object
+    (which it takes not to change while it reads read-only): the charts of
+    a double and the certificates after them read one closed form on one
+    shared sample grid.
     """
 
-    __slots__ = ("m", "m_float")
+    __slots__ = ("m", "m_float", "_kept")
 
     def __init__(self, m):
         self.m = m
         self.m_float = float(m) if isinstance(m, (int, float)) else None
+        self._kept = (None, None)
 
     def _n(self, r):
         return np.sqrt(_lapse_squared(self.m, r))
@@ -540,7 +568,16 @@ class _Schwarzschild(_Read):
         return n, _reciprocal(n), _COORDINATE(r)
 
     def channel_jets(self, r) -> tuple[Jet, Jet, Jet]:
-        return self._jets_of(r, self._n(r))
+        kept, jets = self._kept
+        if r is kept:
+            return jets
+        jets = self._jets_of(r, self._n(r))
+        if type(r) is np.ndarray and r.ndim and not r.flags.writeable:
+            for jet in jets:
+                for x in (jet.v, jet.d1, jet.d2):
+                    x.flags.writeable = False
+            self._kept = (r, jets)
+        return jets
 
     def slopes(self, r):
         m = self.m_float

@@ -1,5 +1,5 @@
 """The oracle's Christoffel and Ricci assembly against the dense tensor
-contraction.
+contraction, and its Ricci sum against the full gathered sum.
 
 ``_dense_christoffel`` is the full contraction the oracle used to run: a
 (3, 3, 3, ...) derivative tensor d_e g_ab with the diagonal filled in, and
@@ -17,32 +17,41 @@ golden oracle digests never reach non-finite inputs.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from photonlab import curvature
 from photonlab.conformal import (
     _inverted_profile,
     _neck_isotropic_profile,
+    conformal_scalar_residual,
     conformal_transform,
 )
 from photonlab.curvature import (
     _GAMMA_ROW,
+    _LIVE_TERMS,
     _PAIRS,
     _PRODUCT,
+    _TERMS,
+    _ZERO_TERM,
     ORACLE_DTYPE,
     _christoffel,
     _christoffel_along,
     _fd_scalar,
     _products,
+    _ricci_sum,
     fd_curvature_oracle,
 )
-from photonlab.gluing import double, glue_neck
-from photonlab.radial import make_schwarzschild_family
+from photonlab.gluing import double, glue_neck, guarded_chart_samples
+from photonlab.radial import RadialFunction, make_schwarzschild_family
 
 
 def _half_inverse_and_derivatives(g0, dg_r, dg_th, h):
@@ -257,3 +266,145 @@ def test_oracle_allocation_peak_stays_small():
         t = np.linspace(profile.r_lo + 0.02 * span, profile.r_hi - 0.02 * span, 128)
         for route in (fd_curvature_oracle, _fd_scalar):
             assert _oracle_peak(route, profile, t, np.full(128, 1e-3 * span)) <= 1000 * 1024
+
+
+# ---------------------------------------------------------------------------
+# The Ricci sum without its exact zeros
+# ---------------------------------------------------------------------------
+
+
+def _full_sum(table, two_h):
+    """Every one of the 72 Ricci terms, gathered per c and summed in (c, t)
+    order: the sum the oracle ran before it skipped its exact zeros."""
+    n_products = len(_PAIRS)
+    terms = np.empty((_ZERO_TERM + 1,) + two_h.shape, dtype=table.dtype)
+    _products(table, out=terms[:n_products])
+    terms[n_products:_ZERO_TERM] = (table[13:23] - table[23:33]) / two_h
+    terms[_ZERO_TERM] = 0.0
+    ric = np.zeros((3,) + two_h.shape, dtype=table.dtype)
+    for c in range(3):
+        terms_c = terms[_TERMS[c]]
+        for t in range(0, 8, 2):
+            ric += terms_c[t]
+            ric -= terms_c[t + 1]
+    return ric
+
+
+@st.composite
+def _symbol_tables(draw, zero_rows=st.sampled_from([0.0, -0.0])):
+    """A symbol table of three centres, (33,) or (33, n), whose zero-class
+    rows 0-2 are drawn from ``zero_rows`` and the rest from the special and
+    random entries, with twice the steps."""
+    n = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=4)))
+    tail = () if n is None else (n,)
+    table = draw(hnp.arrays(np.float64, (33,) + tail, elements=_ENTRIES))
+    table[:3] = draw(hnp.arrays(np.float64, (3,) + tail, elements=zero_rows))
+    two_h = draw(hnp.arrays(np.float64, tail, elements=_ENTRIES))
+    return table.astype(ORACLE_DTYPE), two_h.astype(ORACLE_DTYPE)
+
+
+def test_live_terms_leave_out_exactly_the_exact_zeros():
+    # a product that reads a zero-class symbol (rows 0-2) reads two, so it
+    # is +-0 while those rows are; 22 terms are such products and 6 take
+    # no stencil
+    reads_zero_class = [min(pair) < 3 for pair in _PAIRS.tolist()]
+    assert reads_zero_class == [max(pair) < 3 for pair in _PAIRS.tolist()]
+
+    def dead(row):
+        return row == _ZERO_TERM or (row < len(_PAIRS) and reads_zero_class[row])
+
+    assert sum(map(dead, _TERMS.ravel())) == 28
+    live = [(a, int(row), t % 2 == 1) for c in range(3) for t in range(8)
+            for a, row in enumerate(_TERMS[c, t]) if not dead(row)]
+    assert _LIVE_TERMS == live and len(live) == 44
+
+
+@settings(max_examples=300, deadline=None)
+@given(_symbol_tables())
+def test_ricci_sum_equals_the_full_sum_bit_for_bit(data):
+    # zero-class rows of +-0 take the live terms only; every other entry
+    # may be a signed zero, an infinity, a NaN or any double
+    table, two_h = data
+    with np.errstate(all="ignore"):
+        expected = _full_sum(table, two_h)
+        got = _ricci_sum(table, two_h)
+    _assert_same_bits(got, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_symbol_tables(zero_rows=st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])))
+def test_a_non_zero_class_symbol_takes_the_full_sum(data):
+    # with no live terms, a table whose zero-class rows are all +-0 sums
+    # to zeros, and one holding a NaN or an infinity there still sums in
+    # full
+    table, two_h = data
+    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as patch:
+        expected = _full_sum(table, two_h)
+        patch.setattr(curvature, "_LIVE_TERMS", [])
+        got = _ricci_sum(table, two_h)
+    if table[:3].any():
+        _assert_same_bits(got, expected)
+    else:
+        assert not got.any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_metric_data())
+def test_ricci_sum_of_assembled_tables_equals_the_full_sum(data):
+    g0, dg_r, dg_th, h = data
+    with np.errstate(all="ignore"):
+        w, d_r, d_th = _half_inverse_and_derivatives(g0, dg_r, dg_th, h)
+        table = _christoffel(w[:, :3], d_r[:, :3], d_th[:, 0], w[2, 3:], d_th[2, 3:])
+        two_h = 2.0 * np.broadcast_to(h, table.shape[1:])
+        _assert_same_bits(_ricci_sum(table, two_h), _full_sum(table, two_h))
+
+
+def _checked_sums(monkeypatch):
+    """Wrap the oracle's Ricci sum so that every call is checked against
+    the full sum, recording whether its zero-class rows were all +-0."""
+    ricci_sum, fast = curvature._ricci_sum, []
+
+    def checked(table, two_h):
+        got = ricci_sum(table, two_h)
+        with np.errstate(all="ignore"):
+            _assert_same_bits(got, _full_sum(table, two_h))
+        fast.append(not table[:3].any())
+        return got
+
+    monkeypatch.setattr(curvature, "_ricci_sum", checked)
+    return fast
+
+
+def _window(lo, hi):
+    def leaf(r):
+        return np.where((r > lo) & (r < hi), np.nan, 0.0 * r)
+
+    return RadialFunction(leaf, leaf, leaf)
+
+
+def test_scans_sum_live_terms_with_the_full_sums_bits(monkeypatch):
+    fast = _checked_sums(monkeypatch)
+    for m in (0.5, 1.0, 2.0):
+        exterior = make_schwarzschild_family(m, 3.0 * m, 100.0 * m)
+        conf = conformal_transform(double(glue_neck(exterior, 3.0 * m)))
+        assert conformal_scalar_residual(conf)["max_abs_scalar"] <= 1e-8
+    assert fast == [True] * 12  # four presentations each
+
+
+@pytest.mark.parametrize("centred", [True, False])
+def test_a_nan_window_in_the_profile_surfaces_in_the_scan(monkeypatch, centred):
+    # a NaN of A at a sample centre makes its zero-class symbols NaN (the
+    # full sum); one that only the stencil radius r + h reaches leaves them
+    # zero (the live terms); both surface as the scan's worst sample
+    base = make_schwarzschild_family(1.0, 3.0, 100.0)
+    rs = guarded_chart_samples(double(glue_neck(base, 3.0)).chart("exterior"), 128)
+    r = float(rs[np.searchsorted(rs, 40.0)])
+    h = 2e-5 * r
+    lo, hi = (r - 0.5 * h, r + 0.5 * h) if centred else (r + 0.5 * h, r + 1.5 * h)
+    nan_a = RadialFunction.expression(lambda x: base.A(x) + _window(lo, hi)(x))
+    conf = conformal_transform(double(glue_neck(dataclasses.replace(base, A=nan_a), 3.0)))
+    fast = _checked_sums(monkeypatch)
+    scalar = conformal_scalar_residual(conf)
+    assert math.isnan(scalar["max_abs_scalar"])
+    assert scalar["argmax"] == ("exterior", r)
+    assert fast == [True, True, True, not centred]  # the exterior pass is last

@@ -200,6 +200,24 @@ def test_audit_of_a_subnormal_radial_factor_is_refused(tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("a", [1e-300, 5e-324])
+@pytest.mark.parametrize(
+    ("command", "entry"),
+    [("verify", "curvature_at"), ("photon-search", "fermat_geodesy_residual")],
+)
+def test_scans_of_an_underflowing_radial_factor_are_refused(tmp_path, a, command, entry):
+    # A*A underflows to 0: numpy's division and overflow warnings became a
+    # traceback under -W error (exit 1, "verification failed")
+    code, out, err = _run_subprocess(
+        command, "--metric", _constant_area_document(tmp_path, a)
+    )
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith(
+        f"config error: {entry}: the radial factor A underflows at r = 3."
+    )
+    assert f"A = {a!r}" in err and "Traceback" not in err
+
+
 def test_glue_emits_match_table(capsys, tmp_path):
     out_path = tmp_path / "glue.json"
     code, out, _ = _run(capsys, "glue", "--mass", "1.0", "--out", str(out_path))

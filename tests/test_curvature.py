@@ -7,6 +7,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from photonlab.conformal import (
     conformal_transform,
 )
 from photonlab.curvature import (
+    _SIN_EQUATOR,
     ORACLE_DTYPE,
     VACUUM_FIELDS,
     CurvatureSample,
@@ -28,6 +30,7 @@ from photonlab.curvature import (
     identity_residuals,
     vacuum_residual_scan,
 )
+from photonlab.geodesics import fermat_geodesy_residual, photon_sphere_search
 from photonlab.gluing import double, glue_neck
 from photonlab.radial import (
     DomainError,
@@ -322,13 +325,16 @@ def test_stencil_sines_take_one_sine_per_run_of_equal_steps(monkeypatch):
     sines = []
     np_sin = np.sin
     monkeypatch.setattr(np, "sin", lambda x: sines.append(x.size) or np_sin(x))
+    # the six angles off the equator only: the sine of pi/2 itself is the
+    # oracle's one constant
+    x = ld(np.pi) / 2.0
+    assert _SIN_EQUATOR == np_sin(np.full(3, x))[0] == 1.0
     for steps, runs in ((h, 6), (h.reshape(2, 5), 6), (h[0], 1), (h[:0], 0)):
         sines.clear()
         got = _stencil_sines(steps)
-        assert sines == [7 * runs]
-        x = ld(np.pi) / 2.0
+        assert sines == [6 * runs]
         xp, xm = x + steps, x - steps
-        angles = (x, xp, xm, xp + steps, xp - steps, xm + steps, xm - steps)
+        angles = (xp, xm, xp + steps, xp - steps, xm + steps, xm - steps)
         want = np_sin(np.stack(np.broadcast_arrays(*angles)))
         assert got.shape == want.shape and got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
@@ -535,3 +541,64 @@ def test_identity_residuals_refuse_a_vanishing_radial_factor(a):
     profile = dataclasses.replace(base, A=RadialFunction(leaf, leaf, leaf))
     with pytest.raises(DomainError, match="^identity_residuals: .* at r = 5.0$"):
         identity_residuals(profile, 5.0)
+
+
+def _constant_a(a):
+    """The m = 1 exterior on [2.1, 100] with A replaced by the constant a,
+    a leaf whose value keeps the radius's type and shape."""
+    def leaf(r):
+        return a + 0.0 * r
+
+    base = make_schwarzschild_family(1.0, 2.1, 100.0)
+    return dataclasses.replace(base, A=RadialFunction(leaf, leaf, leaf))
+
+
+_UNDERFLOW = "the radial factor A underflows at r = {r}: A = {a!r}, and A\\*A is below"
+
+
+@pytest.mark.parametrize("a", [0.0, 5e-324, 1e-300, 1e-160])
+def test_curvature_at_refuses_an_underflowing_radial_factor(a):
+    # A*A zero or subnormal: a float call raised a bare ZeroDivisionError
+    # (or returned infinities), an array call warned of a division by zero
+    # or an overflow and returned infinities and NaNs
+    profile = _constant_a(a)
+    rs = np.array([4.0, 5.0, 6.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (5.0, np.float64(5.0), rs):
+            first = r if np.ndim(r) == 0 else 4.0
+            match = "^curvature_at: " + _UNDERFLOW.format(r=first, a=a)
+            with pytest.raises(DomainError, match=match):
+                curvature_at(profile, r)
+        with pytest.raises(DomainError, match="^curvature_at: the radial factor A"):
+            vacuum_residual_scan(profile, 16)
+        for r in (5.0, rs):
+            with pytest.raises(DomainError, match="^fermat_geodesy_residual: the radial"):
+                fermat_geodesy_residual(profile, r)
+        with pytest.raises(DomainError, match="^fermat_geodesy_residual: the radial"):
+            photon_sphere_search(profile)
+
+
+def test_a_normal_square_and_a_nan_radial_factor_are_not_refused():
+    # A*A = 1e-300 is a normal float, so 1/A^2 stays finite
+    sample = curvature_at(_constant_a(1e-150), np.array([4.0, 5.0]))
+    assert np.all(np.isfinite(sample.scalar))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nan = _constant_a(math.nan)
+        for r in (5.0, np.array([4.0, 5.0])):
+            assert np.all(np.isnan(curvature_at(nan, r).scalar))
+            assert np.all(np.isnan(fermat_geodesy_residual(nan, r)))
+        assert np.isnan(vacuum_residual_scan(nan, 8).worst[2])
+
+
+def test_the_first_underflowing_radius_is_named():
+    base = make_schwarzschild_family(1.0, 2.1, 100.0)
+
+    def leaf(r):
+        return np.where(r > 5.5, 1e-200, 1.0 + 0.0 * r)
+
+    profile = dataclasses.replace(base, A=RadialFunction(leaf, leaf, leaf))
+    rs = np.array([[4.0, 5.0], [6.0, 7.0]])
+    with pytest.raises(DomainError, match=_UNDERFLOW.format(r=6.0, a=1e-200)):
+        curvature_at(profile, rs)

@@ -3,6 +3,7 @@ then reconstruct the unique exterior the certificates allow."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -144,3 +145,16 @@ def test_finiteness_gate_reaches_nested_floats(pipeline_m1):
         assert not _all_finite(replace(pipeline_m1, compactification=compact))
         adm = dict(pipeline_m1.adm_exterior, integrand=[1.0, bad])
         assert not _all_finite(replace(pipeline_m1, adm_exterior=adm))
+
+
+def test_finiteness_gate_reads_field_names_once_per_class(pipeline_m1, monkeypatch):
+    # the gate visits ~170 values a report; dataclasses.fields ran at every
+    # dataclass among them
+    assert _all_finite(pipeline_m1)
+    calls = []
+    fields = dataclasses.fields
+    monkeypatch.setattr(dataclasses, "fields", lambda obj: calls.append(obj) or fields(obj))
+    assert _all_finite(pipeline_m1)
+    compact = replace(pipeline_m1.compactification, rate=math.nan)
+    assert not _all_finite(replace(pipeline_m1, compactification=compact))
+    assert calls == []
