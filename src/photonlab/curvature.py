@@ -278,7 +278,6 @@ _EQUATOR = ORACLE_DTYPE(np.pi) / 2.0
 # angle, row 0 of the nested angles.  Where it rounds to 1, as x87
 # extended and IEEE double both round it, R^2 sin^2 th is R^2 bit for bit.
 _SIN_EQUATOR = np.sin(_EQUATOR)
-_UNIT_EQUATOR = bool(_SIN_EQUATOR == 1.0)
 
 
 def _stencil_sines(h):
@@ -301,9 +300,8 @@ def _stencil_sines(h):
 
 def _metric(a2, r2, sin_th):
     """diag(A^2, R^2, R^2 sin^2 th) on a leading axis in the oracle's
-    precision, the radius and angle factors broadcast against each other;
-    ``sin_th`` None stands for the equator where sin th rounds to 1."""
-    phph = r2 if sin_th is None else r2 * sin_th * sin_th
+    precision, the radius and angle factors broadcast against each other."""
+    phph = r2 * sin_th * sin_th
     g = np.empty((3,) + phph.shape, dtype=np.result_type(a2, phph, ORACLE_DTYPE))
     g[0], g[1], g[2] = a2, r2, phph
     return g
@@ -429,7 +427,7 @@ def _products(table, out=None, pairs=_PAIRS):
 # the 28 products, the ten symbol differences (row j of
 # _christoffel_along along e is difference 5 e + j, that is its symbol
 # row less 3) and a zero for the derivatives that no stencil takes (along
-# ph, and of gamma^c_c ph).
+# ph, and of gamma^c_c ph), which the sum leaves out.
 _ZERO_TERM = len(_PAIRS) + 10
 _c, _a = np.indices((3, 3))
 _TERMS = np.empty((3, 8, 3), dtype=int)
@@ -446,16 +444,24 @@ del _c, _a
 # are +-0, and adding or subtracting +-0 changes no bit of the sum: it
 # starts at +0.0, and in round-to-nearest a sum that is not +0.0 keeps its
 # bits (NaN and infinities included) and one that is stays +0.0.  So
-# _LIVE_TERMS lists only the other 44, as (a, term row, subtract) in the
-# (c, t) order of the full sum.
+# _LIVE_TERMS lists only the other 44, and _ALL_TERMS, for a table where
+# a zero-class symbol is NaN or infinite, all but the 6 zero terms, as
+# (a, term row, subtract) in the (c, t) order of the full sum.
 _ZERO_PAIRS = int(np.count_nonzero(_PAIRS[:, 0] < 3))
-_LIVE_TERMS = [
-    (a, int(row), t % 2 == 1)
-    for c in range(3)
-    for t in range(8)
-    for a, row in enumerate(_TERMS[c, t])
-    if _ZERO_PAIRS <= row < _ZERO_TERM
-]
+
+
+def _term_list(first_row):
+    return [
+        (a, int(row), t % 2 == 1)
+        for c in range(3)
+        for t in range(8)
+        for a, row in enumerate(_TERMS[c, t])
+        if first_row <= row < _ZERO_TERM
+    ]
+
+
+_LIVE_TERMS = _term_list(_ZERO_PAIRS)
+_ALL_TERMS = _term_list(0)
 
 
 def _fd_ricci(profile: RadialProfile, r, h):
@@ -484,7 +490,7 @@ def _fd_ricci(profile: RadialProfile, r, h):
     # The metric at the seven radii on th = pi/2, at radius r on th +- h,
     # and its g_phph at (th +- h) +- h: only g_phph changes along th.  The
     # Christoffel centres are (r, pi/2), (r +- h, pi/2) and (r, th +- h).
-    g_r = _metric(a2, r2, None if _UNIT_EQUATOR else _SIN_EQUATOR)
+    g_r = _metric(a2, r2, _SIN_EQUATOR)
     g_th = _metric(a2[0], r2[0], sin_th[:2])
     ph_out = r2[0] * sin_th[2:] * sin_th[2:]
     two_h = 2.0 * hl
@@ -507,31 +513,27 @@ def _ricci_sum(table, two_h):
     The terms are the products, the derivatives of the symbols (their
     differences between the centres a step above and below) and a zero;
     each ric[a] sums its terms in the order of the index loops over c and
-    d.  While the three zero-class symbols are exact zeros, the sum adds
-    only :data:`_LIVE_TERMS`, with the same bits; a table where one of them
-    is not (an infinite or NaN g^cc) runs the full gathered sum.
+    d.  The sum leaves out the zero terms, and while the three zero-class
+    symbols are exact zeros it adds only :data:`_LIVE_TERMS`, with the
+    same bits; a table where one of them is not (an infinite or NaN g^cc)
+    adds :data:`_ALL_TERMS`.
     """
     n_products = len(_PAIRS)
-    terms = np.empty((_ZERO_TERM + 1,) + two_h.shape, dtype=table.dtype)
-    div = terms[n_products:_ZERO_TERM]
+    terms = np.empty((_ZERO_TERM,) + two_h.shape, dtype=table.dtype)
+    div = terms[n_products:]
     np.subtract(table[13:23], table[23:33], out=div)
     div /= two_h
+    if table[:3].any():  # not all +-0: a NaN is truthy
+        first, term_list = 0, _ALL_TERMS
+    else:
+        first, term_list = _ZERO_PAIRS, _LIVE_TERMS
+    _products(table, out=terms[first:n_products], pairs=_PAIRS[first:])
     ric = np.zeros((3,) + two_h.shape, dtype=table.dtype)
-    if not table[:3].any():  # all +-0: a NaN is truthy
-        _products(table, out=terms[_ZERO_PAIRS:n_products], pairs=_PAIRS[_ZERO_PAIRS:])
-        for a, row, subtract in _LIVE_TERMS:
-            if subtract:
-                ric[a] -= terms[row]
-            else:
-                ric[a] += terms[row]
-        return ric
-    _products(table, out=terms[:n_products])
-    terms[_ZERO_TERM] = 0.0
-    for c in range(3):
-        terms_c = terms[_TERMS[c]]
-        for t in range(0, 8, 2):
-            ric += terms_c[t]
-            ric -= terms_c[t + 1]
+    for a, row, subtract in term_list:
+        if subtract:
+            ric[a] -= terms[row]
+        else:
+            ric[a] += terms[row]
     return ric
 
 

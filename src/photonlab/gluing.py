@@ -365,8 +365,10 @@ def guarded_chart_samples(chart: Chart, n: int) -> np.ndarray:
     the profile: every call for it returns the same read-only array, so
     the two charts of a mirror pair and the harmonicity, flatness and
     finite-difference scans share it (and a closed-form read its jets).
-    A copy of the profile (``replace``, ``restricted``) keeps none, and a
-    composite chart's grid is built anew each call.
+    Its memory is a ``bytes`` object, so neither the array nor any view of
+    it can be made writeable.  A copy of the profile (``replace``,
+    ``restricted``) keeps none, and a composite chart's grid is built anew
+    each call.
     """
     grids = getattr(chart.profile, "_grids", {})
     rs = grids.get((chart.role, n))
@@ -378,8 +380,8 @@ def guarded_chart_samples(chart: Chart, n: int) -> np.ndarray:
     if not (lo_eff < hi_eff):
         raise DomainError("guard band exhausted the chart interior")
     space = np.geomspace if chart.role == "exterior" else np.linspace
-    rs = grids[chart.role, n] = space(lo_eff, hi_eff, n)
-    rs.flags.writeable = False
+    grid = space(lo_eff, hi_eff, n)
+    rs = grids[chart.role, n] = np.frombuffer(grid.tobytes(), dtype=grid.dtype)
     return rs
 
 

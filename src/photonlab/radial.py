@@ -473,15 +473,18 @@ def _require_finite(**values) -> None:
             raise DomainError(f"{name} must be finite, got {value!r}")
 
 
-_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+# The square root of the smallest normal float: |A| below it is exactly
+# an A whose square A*A is zero or subnormal.
+_SQRT_SMALLEST_NORMAL = 2.0 ** -511
 
 
 def _require_normal_square(entry: str, a, r) -> None:
     """Refuse a radial factor A whose square underflows (zero or subnormal),
     naming A, ``entry`` and the first such radius: formulas in 1/A and
     1/A^2 divide by zero or overflow there.  ``a`` is A at ``r``, a number
-    or an array; a NaN passes."""
-    small = a * a < _SMALLEST_NORMAL
+    or an array; a NaN passes.  The test reads |A|, not A*A, so no finite
+    A overflows in it."""
+    small = abs(a) < _SQRT_SMALLEST_NORMAL
     if small.any() if type(small) is np.ndarray else small:
         i = int(np.argmax(small)) if np.ndim(small) else 0
         a_i, r_i = np.ravel(a)[i], np.ravel(r)[i]
@@ -533,11 +536,13 @@ class _Schwarzschild(_Read):
     out NaN or infinite, they read in numpy.  ``nu_N`` and
     ``sphere_mean_curvature`` are closed forms finite at the horizon.
 
-    ``channel_jets`` keeps the jets of the last read-only array it read,
-    themselves read-only, and gives them again for that same array object
-    (which it takes not to change while it reads read-only): the charts of
-    a double and the certificates after them read one closed form on one
-    shared sample grid.
+    ``channel_jets`` keeps the jets of the last array it read on immutable
+    memory (a ``bytes`` buffer, as the shared sample grids of
+    :func:`~photonlab.gluing.guarded_chart_samples` are), themselves
+    read-only, and gives them again for that same array object: the
+    charts of a double and the certificates after them read one closed
+    form on one shared sample grid.  No other array is kept, since a
+    read-only array may still be a view of memory that changes.
     """
 
     __slots__ = ("m", "m_float", "_kept")
@@ -572,7 +577,7 @@ class _Schwarzschild(_Read):
         if r is kept:
             return jets
         jets = self._jets_of(r, self._n(r))
-        if type(r) is np.ndarray and r.ndim and not r.flags.writeable:
+        if type(r) is np.ndarray and r.ndim and type(r.base) is bytes:
             for jet in jets:
                 for x in (jet.v, jet.d1, jet.d2):
                     x.flags.writeable = False

@@ -36,6 +36,7 @@ from photonlab.conformal import (
     conformal_transform,
 )
 from photonlab.curvature import (
+    _ALL_TERMS,
     _GAMMA_ROW,
     _LIVE_TERMS,
     _PAIRS,
@@ -317,6 +318,10 @@ def test_live_terms_leave_out_exactly_the_exact_zeros():
     live = [(a, int(row), t % 2 == 1) for c in range(3) for t in range(8)
             for a, row in enumerate(_TERMS[c, t]) if not dead(row)]
     assert _LIVE_TERMS == live and len(live) == 44
+    # a NaN or infinite zero-class symbol adds every term but the zeros
+    every = [(a, int(row), t % 2 == 1) for c in range(3) for t in range(8)
+             for a, row in enumerate(_TERMS[c, t]) if row != _ZERO_TERM]
+    assert _ALL_TERMS == every and len(every) == 66
 
 
 @settings(max_examples=300, deadline=None)

@@ -590,6 +590,11 @@ def test_a_normal_square_and_a_nan_radial_factor_are_not_refused():
             assert np.all(np.isnan(curvature_at(nan, r).scalar))
             assert np.all(np.isnan(fermat_geodesy_residual(nan, r)))
         assert np.isnan(vacuum_residual_scan(nan, 8).worst[2])
+        # |A| is tested, not A*A, which would overflow (and warn) here
+        huge = _constant_a(1e200)
+        for r in (5.0, np.array([4.0, 5.0])):
+            assert np.all(np.isfinite(fermat_geodesy_residual(huge, r)))
+        assert photon_sphere_search(huge) == []
 
 
 def test_the_first_underflowing_radius_is_named():

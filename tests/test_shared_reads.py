@@ -3,8 +3,8 @@ closed-form jets and one evaluation per mirror pair.
 
 :func:`~photonlab.gluing.double` gives every reflected chart its
 original's profile object.  So a run builds each chart geometry's guarded
-grid once (kept by the profile, read-only), the closed-form read keeps the
-jets of the last read-only grid it read, and ``psi_bound_check`` and
+grid once (kept by the profile on immutable memory), the closed-form read
+keeps the jets of the last such grid it read, and ``psi_bound_check`` and
 ``psi_harmonicity_max`` evaluate each (profile, collar scale) once and
 hand the same arrays to both charts of the pair.  Here the reads are
 counted per ``run_rigidity_pipeline``, the shared arrays checked to be
@@ -102,6 +102,9 @@ def test_guarded_grids_are_shared_read_only(doubled):
         assert not rs.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             rs[0] = 0.0
+        for x in (rs, rs[1:]):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                x.flags.writeable = True
         other = guarded_chart_samples(chart, 64)
         assert other is not rs and other.size == 64
 
@@ -117,11 +120,14 @@ def test_kept_jets_are_read_only_and_given_again(doubled):
             assert isinstance(x, np.ndarray) and not x.flags.writeable
 
 
+def _immutable(x):
+    return np.frombuffer(x.tobytes())
+
+
 def test_jets_are_kept_by_array_object_not_by_value(counts):
     read = make_schwarzschild_family(1.0, 3.0, 100.0)._read()
-    first = np.linspace(4.0, 90.0, 16)
-    second = first.copy()
-    first.flags.writeable = second.flags.writeable = False
+    first = _immutable(np.linspace(4.0, 90.0, 16))
+    second = _immutable(first)
     for r in (first, first, second, second, first):
         read.jets(r)
     assert counts["array jets"] == 3
@@ -136,6 +142,38 @@ def test_jets_are_kept_by_array_object_not_by_value(counts):
     for k, f in zip(kept, fresh):
         for x, y in ((k.v, f.v), (k.d1, f.d1), (k.d2, f.d2)):
             assert x.tobytes() == y.tobytes()
+
+
+def _mutable_read_only_arrays():
+    """(read-only array, change to its values): a view of writeable
+    memory, a broadcast of it, and an owning array made writeable again."""
+    base = np.linspace(4.0, 90.0, 16)
+    view = base[:]
+    view.flags.writeable = False
+    yield view, lambda: base.__setitem__(3, 50.0)
+    row = np.linspace(4.0, 90.0, 16)
+    yield np.broadcast_to(row, (2, 16)), lambda: row.__setitem__(3, 50.0)
+    owner = np.linspace(4.0, 90.0, 16)
+    owner.flags.writeable = False
+
+    def rewrite():
+        owner.flags.writeable = True
+        owner[3] = 50.0
+        owner.flags.writeable = False
+
+    yield owner, rewrite
+
+
+def test_jets_of_a_read_only_array_whose_memory_changes_are_read_again():
+    read = make_schwarzschild_family(1.0, 3.0, 100.0)._read()
+    for r, change in _mutable_read_only_arrays():
+        read.jets(r)
+        change()
+        got = read.jets(r)
+        fresh = read.jets(np.array(r))
+        for g, f in zip(got, fresh):
+            for x, y in ((g.v, f.v), (g.d1, f.d1), (g.d2, f.d2)):
+                assert x.tobytes() == y.tobytes()
 
 
 def test_copies_of_a_profile_keep_their_own_grids(doubled):
