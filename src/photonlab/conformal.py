@@ -30,14 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import _fd_scalar, _jets_at, _ricci
+from .curvature import _fd_scalar, _ricci
 from .gluing import (
     SAMPLE_GUARD,
     Chart,
     PiecewiseManifold,
+    _sample_plan,
     _samples_per_chart,
     _worst_sample,
-    guarded_chart_samples,
 )
 from .radial import (
     _UNIT,
@@ -47,6 +47,7 @@ from .radial import (
     RadialFunction,
     RadialProfile,
     _Read,
+    _require_normal_square,
     _Schwarzschild,
     _View,
     _profile,
@@ -153,7 +154,7 @@ class _Rescaled(_Seeded):
     """Read of a chart rescaled by u^4: A u^2 and Rareal u^2 of the chart's
     read ``base``, u = ``u_of(N, r)`` (+ ``perturbation(r)``).  ``values``
     and ``jets`` read the base's channels together: on a closed-form chart
-    one n = sqrt(1 - 2m/r) per radius gives them all."""
+    one n = sqrt(1 - 2m/r) per radius gives them all, or ``base_jets`` does."""
 
     __slots__ = ("base", "u_of", "perturbation")
 
@@ -179,8 +180,8 @@ class _Rescaled(_Seeded):
         c = self._square(n, r)
         return c * a, c * rareal
 
-    def jets(self, r) -> tuple[Jet, Jet, Jet]:
-        n, a, rareal = self.base.channel_jets(r)
+    def jets(self, r, base_jets=None) -> tuple[Jet, Jet, Jet]:
+        n, a, rareal = self.base.channel_jets(r) if base_jets is None else base_jets
         c = self._square(n, Jet(r, 1.0, 0.0, seed=True))
         return _UNIT.jet(r), c * a, c * rareal
 
@@ -391,25 +392,34 @@ def conformal_scalar_residual(conformal: ConformalManifold, n_samples: int = 512
     manifold coordinates (chart id, r).
     """
     per = _samples_per_chart(conformal.charts, n_samples, 8)
+    return _scalar_residual(conformal, _sample_plan(
+        conformal.source.charts, per,
+        sampled=lambda c: c.role != "neck" and c.orientation != "reflected",
+    ))
+
+
+def _scalar_residual(conformal: ConformalManifold, plan) -> dict:
+    """:func:`conformal_scalar_residual` on a plan of the charts' bases
+    with radii on each outward chart that is not a neck."""
     coverage: dict[str, tuple[float, float]] = {}
 
-    def scan(cc):
+    def scan(i, cc):
         cid = cc.base.chart_id
         if cc.base.role == "neck":
             prof, to_r = _neck_isotropic_profile(cc)
             lo, hi = prof.r_lo, prof.r_hi
             pad = SAMPLE_GUARD * (hi - lo)
-            t = np.linspace(lo + pad, hi - pad, per)
-            h, refined = np.full(per, FD_ISO_STEP * prof.mass), True
+            t = np.linspace(lo + pad, hi - pad, plan.n)
+            h, refined = np.full(plan.n, FD_ISO_STEP * prof.mass), True
         elif cc.base.orientation == "reflected":
             prof = _inverted_profile(cc)
             m = prof.mass if prof.mass else 1.0
             xi_hi = m * prof.r_hi * (1.0 - SAMPLE_GUARD)
             xi_lo = max(FD_INV_XI_MIN, m * prof.r_lo * (1.0 + SAMPLE_GUARD))
-            t = np.geomspace(xi_lo, xi_hi, per) / m
-            h, to_r, refined = np.full(per, FD_INV_STEP / m), lambda x: 1.0 / x, True
+            t = np.geomspace(xi_lo, xi_hi, plan.n) / m
+            h, to_r, refined = np.full(plan.n, FD_INV_STEP / m), lambda x: 1.0 / x, True
         else:
-            prof, t = cc.hat, guarded_chart_samples(cc.base, per)
+            prof, t = cc.hat, plan.radii[i]
             h, to_r, refined = FD_REL_STEP * t, lambda r: r, False
         h = np.minimum(np.minimum(h, 0.45 * (t - prof.r_lo)), 0.45 * (prof.r_hi - t))
         if refined:
@@ -420,7 +430,7 @@ def conformal_scalar_residual(conformal: ConformalManifold, n_samples: int = 512
         coverage[cid] = (float(np.min(rs)), float(np.max(rs)))
         return cid, rs, val
 
-    worst, arg, count = _worst_sample(map(scan, conformal.charts))
+    worst, arg, count = _worst_sample(scan(i, cc) for i, cc in enumerate(conformal.charts))
     return {
         "max_abs_scalar": worst,
         "argmax": arg,
@@ -437,19 +447,26 @@ def flatness_check(conformal: ConformalManifold, n_samples: int = 512) -> dict:
     chart, each chart evaluated as one array.  In the radial family
     vanishing Ricci is vanishing Riemann.  The three come from the Ricci
     assembly of :func:`~photonlab.curvature.curvature_at`, after its
-    domain checks, with its bits; no lapse quantity is formed.  A non-finite
+    checks, with its bits; no lapse quantity is formed.  A non-finite
     sample is reported as the maximum.
     """
     per = _samples_per_chart(conformal.charts, n_samples, 8)
+    return _flatness(conformal, _sample_plan(conformal.source.charts, per, "flatness_check"))
 
-    def scan(cc):
-        rs = guarded_chart_samples(cc.base, per)
-        _, a, rj = _jets_at(cc.hat, rs)
+
+def _flatness(conformal: ConformalManifold, plan) -> dict:
+    """:func:`flatness_check` on a plan of the charts' bases with radii
+    and jets on every chart, which the rescaled read takes as its base's."""
+
+    def scan(i, cc):
+        rs = plan.radii[i]
+        _, a, rj = cc.hat._read().jets(rs, plan.jets[i])
+        _require_normal_square("flatness_check", a.v, rs)
         _, ric_nn, ric_tt, scalar = _ricci(a, rj)
         mag = np.maximum(np.maximum(np.abs(ric_nn), np.abs(ric_tt)), np.abs(scalar))
         return cc.base.chart_id, rs, mag
 
-    worst, arg, count = _worst_sample(map(scan, conformal.charts))
+    worst, arg, count = _worst_sample(scan(i, cc) for i, cc in enumerate(conformal.charts))
     return {"max_curvature": worst, "argmax": arg, "n_samples": count}
 
 

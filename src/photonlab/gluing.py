@@ -29,6 +29,7 @@ from .curvature import _jets_at, _max_or_nan, radial_laplacian
 from .radial import (
     DomainError,
     RadialProfile,
+    _require_normal_square,
     _require_piece,
     make_schwarzschild_neck,
 )
@@ -200,8 +201,6 @@ def _glue_audited(
     )
     ext = Chart(
         chart_id="exterior",
-        # a profile of the glued manifold's own, whose sample grids are
-        # built afresh however often the exterior is glued
         profile=exterior.restricted(float(r0), exterior.r_hi),
         orientation="outward",
         collar_scale=1.0,
@@ -324,18 +323,9 @@ def _side_values(chart: Chart, r: float) -> dict:
         dpsi_g_tangent = h * area_radius ** 2 / nu_psi
         g_psipsi = 1.0 / (nu_psi * nu_psi)
     else:
-        dpsi_g_tangent = math.inf
-        g_psipsi = math.inf
-    dpsi_g_psipsi = 2.0 * h * nu_psi ** 3
-    return {
-        "psi": psi,
-        "nu_psi": nu_psi,
-        "area_radius": area_radius,
-        "H": h,
-        "dpsi_g_tangent": dpsi_g_tangent,
-        "g_psipsi": g_psipsi,
-        "dpsi_g_psipsi": dpsi_g_psipsi,
-    }
+        dpsi_g_tangent = g_psipsi = math.inf
+    values = (psi, nu_psi, area_radius, h, dpsi_g_tangent, g_psipsi, 2.0 * h * nu_psi ** 3)
+    return dict(zip(MATCH_FIELDS, values))
 
 
 def match_report(manifold: PiecewiseManifold, surface_id: str) -> MatchReport:
@@ -360,29 +350,14 @@ def guarded_chart_samples(chart: Chart, n: int) -> np.ndarray:
     The inset at each edge is :data:`SAMPLE_GUARD` times the local radius,
     which keeps finite-difference stencils and curvature formulas clear of
     gluing surfaces and horizon endpoints.
-
-    The grid is built once per chart profile, role and ``n`` and kept by
-    the profile: every call for it returns the same read-only array, so
-    the two charts of a mirror pair and the harmonicity, flatness and
-    finite-difference scans share it (and a closed-form read its jets).
-    Its memory is a ``bytes`` object, so neither the array nor any view of
-    it can be made writeable.  A copy of the profile (``replace``,
-    ``restricted``) keeps none, and a composite chart's grid is built anew
-    each call.
     """
-    grids = getattr(chart.profile, "_grids", {})
-    rs = grids.get((chart.role, n))
-    if rs is not None:
-        return rs
     lo, hi = chart.profile.r_lo, chart.profile.r_hi
     lo_eff = lo + SAMPLE_GUARD * max(abs(lo), 1.0)
     hi_eff = hi - SAMPLE_GUARD * max(abs(hi), 1.0)
     if not (lo_eff < hi_eff):
         raise DomainError("guard band exhausted the chart interior")
     space = np.geomspace if chart.role == "exterior" else np.linspace
-    grid = space(lo_eff, hi_eff, n)
-    rs = grids[chart.role, n] = np.frombuffer(grid.tobytes(), dtype=grid.dtype)
-    return rs
+    return space(lo_eff, hi_eff, n)
 
 
 def _samples_per_chart(charts, n_samples: int, floor: int) -> int:
@@ -390,21 +365,44 @@ def _samples_per_chart(charts, n_samples: int, floor: int) -> int:
     return max(floor, n_samples // max(1, len(charts)))
 
 
-def _mirrored_scans(charts, scan):
-    """(chart id, radii, values) per chart in traversal order, from
-    ``scan(chart)`` -> (radii, values), evaluated once per (profile, collar
-    scale, role): :func:`double` gives a reflected chart its original's
-    profile object, so the two charts of a mirror pair share one
-    evaluation, its arrays read-only.  An equal but distinct profile is
-    evaluated on its own."""
-    done = {}
-    for chart in charts:
-        key = (id(chart.profile), chart.collar_scale, chart.role)
-        if key not in done:
-            done[key] = arrays = scan(chart)
-            for x in arrays:
-                x.flags.writeable = False
-        yield (chart.chart_id, *done[key])
+@dataclass(frozen=True)
+class _SamplePlan:
+    """What a run's whole-manifold scans read, fixed before they run: per
+    chart, ``first``, the first chart of its profile object, role and
+    collar scale, whose scans it repeats (:func:`double` gives a mirror
+    chart its original's profile object), and that chart's ``n`` guarded
+    radii and their jets of N, A and Rareal, or None."""
+
+    n: int
+    first: tuple[int, ...]
+    radii: tuple
+    jets: tuple
+
+
+def _sample_plan(charts, n: int = 0, reader: str | None = None, sampled=None) -> _SamplePlan:
+    """The plan of ``charts``: radii where ``sampled(chart)`` (all if None,
+    none if n is 0), and their jets if ``reader`` names the entry reading
+    them, which refuses an A whose square underflows as curvature_at does."""
+    first = tuple(next(j for j, d in enumerate(charts) if d is c or (
+        d.profile is c.profile and d.role == c.role and d.collar_scale == c.collar_scale
+    )) for c in charts)
+    radii, jets = {}, {}
+    for chart, j in zip(charts, first):
+        if n and j not in radii and (sampled is None or sampled(chart)):
+            radii[j] = rs = guarded_chart_samples(chart, n)
+            if reader is not None:
+                jets[j] = _jets_at(chart.profile, rs)
+                _require_normal_square(reader, jets[j][1].v, rs)
+    return _SamplePlan(n, first, tuple(map(radii.get, first)), tuple(map(jets.get, first)))
+
+
+def _planned_scans(charts, plan: _SamplePlan, scan):
+    """(chart id, radii, values) per chart, from ``scan(i, chart)`` ->
+    (radii, values) on each chart that is its own ``plan.first``."""
+    done = []
+    for i, (chart, j) in enumerate(zip(charts, plan.first)):
+        done.append(scan(i, chart) if j == i else done[j])
+        yield (chart.chart_id, *done[i])
 
 
 def _worst_sample(scans) -> tuple[float, tuple[str, float], int]:
@@ -435,16 +433,21 @@ class PsiBoundReport:
 def psi_bound_check(manifold: PiecewiseManifold) -> PsiBoundReport:
     """Verify |psi| < 1 by dense sampling: 10^4 radii split evenly over the
     charts, at least 16 each (endpoints included where finite), read once
-    per mirror pair (:func:`_mirrored_scans`).
+    per mirror pair (:class:`_SamplePlan`).
 
     Also reports the lapse value at each photon-sphere gluing: these are
     the boundary values that the maximum principle propagates inward, so
     each must itself be below 1.  A non-finite sample is reported as the
     maximum and fails the bound.
     """
+    return _psi_bound(manifold, _sample_plan(manifold.charts))
+
+
+def _psi_bound(manifold: PiecewiseManifold, plan: _SamplePlan) -> PsiBoundReport:
+    """:func:`psi_bound_check` on a plan of the charts."""
     per = _samples_per_chart(manifold.charts, 10000, 16)
 
-    def scan(chart):
+    def scan(_, chart):
         lo, hi = chart.profile.r_lo, chart.profile.r_hi
         if chart.profile.degenerate_lo:
             lo = np.nextafter(lo, hi)
@@ -454,7 +457,7 @@ def psi_bound_check(manifold: PiecewiseManifold) -> PsiBoundReport:
         psi = chart.collar_scale * np.asarray(chart.profile.N(rs), dtype=float)
         return rs, np.abs(psi)
 
-    worst, arg, count = _worst_sample(_mirrored_scans(manifold.charts, scan))
+    worst, arg, count = _worst_sample(_planned_scans(manifold.charts, plan, scan))
     boundary = {}
     for g in manifold.gluings:
         if g.kind == "photon_sphere":
@@ -477,16 +480,21 @@ def psi_harmonicity_max(manifold: PiecewiseManifold) -> float:
     psi restricted to a chart is a constant multiple of that chart's lapse,
     so its Laplacian is the same multiple of the lapse Laplacian, which
     :func:`~photonlab.curvature.curvature_at` reports as ``lap_N``: the
-    scan reads the chart's jets with that function's domain checks and forms
-    only the Laplacian, with its bits.  Each chart is evaluated as one
-    array, once per mirror pair (:func:`_mirrored_scans`); the worst
-    sample is taken by :func:`_worst_sample`, so a non-finite sample is
-    reported as the maximum.
+    scan reads the chart's jets with that function's checks and forms only
+    the Laplacian, with its bits.  Each chart is evaluated as one array,
+    once per mirror pair (:class:`_SamplePlan`); the worst sample is taken
+    by :func:`_worst_sample`, so a non-finite sample is reported as the
+    maximum.
     """
+    plan = _sample_plan(manifold.charts, 128, "psi_harmonicity_max")
+    return _psi_harmonicity(manifold, plan)
 
-    def scan(chart):
-        rs = guarded_chart_samples(chart, 128)
-        lap = np.asarray(radial_laplacian(*_jets_at(chart.profile, rs)), dtype=float)
-        return rs, np.abs(chart.collar_scale * lap)
 
-    return _worst_sample(_mirrored_scans(manifold.charts, scan))[0]
+def _psi_harmonicity(manifold: PiecewiseManifold, plan: _SamplePlan) -> float:
+    """:func:`psi_harmonicity_max` on a plan of 128 radii with jets."""
+
+    def scan(i, chart):
+        lap = np.asarray(radial_laplacian(*plan.jets[i]), dtype=float)
+        return plan.radii[i], np.abs(chart.collar_scale * lap)
+
+    return _worst_sample(_planned_scans(manifold.charts, plan, scan))[0]

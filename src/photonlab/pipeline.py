@@ -20,18 +20,17 @@ later certificates never see malformed data.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 
 from .audit import IdentityReport, audit_sphere
 from .conformal import (
     CompactificationReport,
+    _flatness,
+    _scalar_residual,
     adm_mass_estimate,
     compactification_check,
-    conformal_scalar_residual,
     conformal_transform,
-    flatness_check,
 )
 from .curvature import _max_or_nan
 from .gluing import (
@@ -39,11 +38,13 @@ from .gluing import (
     MatchReport,
     PsiBoundReport,
     _glue_audited,
+    _psi_bound,
+    _psi_harmonicity,
+    _sample_plan,
+    _samples_per_chart,
     double,
     largest_jump,
     match_report,
-    psi_bound_check,
-    psi_harmonicity_max,
 )
 from .radial import DomainError, RadialProfile, _require_piece
 
@@ -123,18 +124,21 @@ def run_rigidity_pipeline(
     doubled = double(glued)
 
     matches = tuple(match_report(doubled, g.surface_id) for g in doubled.gluings)
-    bound = psi_bound_check(doubled)
-    harmonicity = psi_harmonicity_max(doubled)
+    plan = _sample_plan(doubled.charts, 128, "psi_harmonicity_max")
+    bound = _psi_bound(doubled, plan)
+    harmonicity = _psi_harmonicity(doubled, plan)
 
     conformal = conformal_transform(doubled)
-    scalar = conformal_scalar_residual(conformal, n_samples=n_samples)
+    if (per := _samples_per_chart(doubled.charts, n_samples, 8)) != plan.n:
+        plan = _sample_plan(doubled.charts, per, "flatness_check")
+    scalar = _scalar_residual(conformal, plan)
 
     mass_i = float(boundary_audit.mass_i)
     schedule = tuple(50.0 * mass_i * 2.0 ** k for k in range(4))
     adm_ext = adm_mass_estimate(doubled, doubled.end("outward"), schedule)
     adm_conf = adm_mass_estimate(conformal, doubled.end("reflected"), schedule)
     compact = compactification_check(conformal)
-    flat = flatness_check(conformal, n_samples=n_samples)
+    flat = _flatness(conformal, plan)
 
     mu_1 = float(doubled.chart("neck").profile.mass)
     worst_jump = largest_jump(matches)
@@ -178,20 +182,11 @@ def _all_finite(obj) -> bool:
         return math.isfinite(obj)
     if isinstance(obj, dict):
         obj = obj.values()
-    elif (names := _field_names(type(obj))) is not None:
-        obj = [getattr(obj, name) for name in names]
+    elif dataclasses.is_dataclass(obj):
+        obj = vars(obj).values()  # the fields, in order
     elif not isinstance(obj, (list, tuple)):
         return True
     return all(map(_all_finite, obj))
-
-
-@functools.cache
-def _field_names(cls) -> tuple[str, ...] | None:
-    """Field names of a dataclass, read once per class; None for any other
-    class."""
-    if not dataclasses.is_dataclass(cls):
-        return None
-    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 def reconstruct_schwarzschild(report: PipelineReport) -> tuple[float, float, float]:

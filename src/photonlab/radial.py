@@ -431,9 +431,6 @@ class RadialProfile:
         if keys != [(read, 0), (read, 1), (read, 2)]:
             read = _Channels(*channels)
         object.__setattr__(self, "_reader", read)
-        # sample grids built on this domain, read-only, by key (see
-        # gluing.guarded_chart_samples); a copy starts with none
-        object.__setattr__(self, "_grids", {})
 
     def _read(self) -> _Read:
         """The construction's read while N, A and Rareal are its views,
@@ -535,22 +532,13 @@ class _Schwarzschild(_Read):
     raises (numpy gives NaN or inf and warns) and for float jets that come
     out NaN or infinite, they read in numpy.  ``nu_N`` and
     ``sphere_mean_curvature`` are closed forms finite at the horizon.
-
-    ``channel_jets`` keeps the jets of the last array it read on immutable
-    memory (a ``bytes`` buffer, as the shared sample grids of
-    :func:`~photonlab.gluing.guarded_chart_samples` are), themselves
-    read-only, and gives them again for that same array object: the
-    charts of a double and the certificates after them read one closed
-    form on one shared sample grid.  No other array is kept, since a
-    read-only array may still be a view of memory that changes.
     """
 
-    __slots__ = ("m", "m_float", "_kept")
+    __slots__ = ("m", "m_float")
 
     def __init__(self, m):
         self.m = m
         self.m_float = float(m) if isinstance(m, (int, float)) else None
-        self._kept = (None, None)
 
     def _n(self, r):
         return np.sqrt(_lapse_squared(self.m, r))
@@ -573,16 +561,7 @@ class _Schwarzschild(_Read):
         return n, _reciprocal(n), _COORDINATE(r)
 
     def channel_jets(self, r) -> tuple[Jet, Jet, Jet]:
-        kept, jets = self._kept
-        if r is kept:
-            return jets
-        jets = self._jets_of(r, self._n(r))
-        if type(r) is np.ndarray and r.ndim and type(r.base) is bytes:
-            for jet in jets:
-                for x in (jet.v, jet.d1, jet.d2):
-                    x.flags.writeable = False
-            self._kept = (r, jets)
-        return jets
+        return self._jets_of(r, self._n(r))
 
     def slopes(self, r):
         m = self.m_float

@@ -137,3 +137,39 @@ def test_harmonicity_refuses_a_composite_as_curvature_at_does():
         psi_harmonicity_max(manifold)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("curvature_at takes one RadialProfile")
+
+
+@pytest.mark.parametrize("scan, n", [("psi_harmonicity_max", 128), ("flatness_check", 512)])
+def test_scans_refuse_an_underflowing_A_as_curvature_at_does(scan, n):
+    # the m = 1 exterior with A = 1e-300, whose square underflows to 0:
+    # the Laplacian and the Ricci assembly divide by A^2
+    exterior = make_schwarzschild_family(1.0, 3.0, 100.0)
+    tiny = dataclasses.replace(exterior, A=RadialFunction.constant(1e-300))
+    chart = Chart("exterior", tiny, "outward", 1.0, "exterior")
+    manifold = PiecewiseManifold(
+        charts=(chart,), gluings=(), ends=("exterior",), boundary=None
+    )
+    with pytest.raises(DomainError) as want:
+        curvature_at(tiny, guarded_chart_samples(chart, n))
+    with pytest.raises(DomainError) as got:
+        if scan == "psi_harmonicity_max":
+            psi_harmonicity_max(manifold)
+        else:
+            flatness_check(conformal_transform(manifold))
+    assert str(got.value) == str(want.value).replace("curvature_at", scan)
+    assert str(got.value).startswith(f"{scan}: the radial factor A underflows")
+
+
+def test_flatness_refuses_a_rescaled_A_that_underflows():
+    # a reflected closed-form chart out to r = 1e77: its own A stays near
+    # 1, but the sealed u ~ m / (2 r) takes the rescaled A = u^2 A below
+    # 2^-511 past r ~ 4e76, where 1/A^2 reads a curvature of order 1e156
+    far = make_schwarzschild_family(1.0, 3.0, 1e77)
+    chart = Chart("exterior_reflected", far, "reflected", 1.0, "exterior")
+    manifold = PiecewiseManifold(
+        charts=(chart,), gluings=(), ends=("exterior_reflected",), boundary=None
+    )
+    conf = conformal_transform(manifold)
+    assert psi_harmonicity_max(manifold) <= 1e-10  # the chart's own A passes
+    with pytest.raises(DomainError, match="^flatness_check: the radial factor A underflows"):
+        flatness_check(conf)

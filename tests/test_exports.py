@@ -59,7 +59,9 @@ DELETED = {
         "_collar_normal_derivative",
         "_signed_mean_curvature",
         "collar_function",
+        "_mirrored_scans",
     ],
+    "pipeline": ["_field_names"],
     "radial": ["interpolation_error_bound"],
 }
 

@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from photonlab import gluing, pipeline
 from photonlab.audit import audit_sphere
-from photonlab.gluing import GluingRefusal
+from photonlab.gluing import GluingRefusal, double, glue_neck, guarded_chart_samples
 from photonlab.pipeline import (
     FLAT_TOL,
     MASS_TOL,
@@ -21,7 +23,7 @@ from photonlab.pipeline import (
     reconstruct_schwarzschild,
     run_rigidity_pipeline,
 )
-from photonlab.radial import DomainError, make_schwarzschild_family
+from photonlab.radial import DomainError, RadialFunction, make_schwarzschild_family
 
 INV_SQRT3 = 0.5773502691896258
 
@@ -147,9 +149,40 @@ def test_finiteness_gate_reaches_nested_floats(pipeline_m1):
         assert not _all_finite(replace(pipeline_m1, adm_exterior=adm))
 
 
-def test_finiteness_gate_reads_field_names_once_per_class(pipeline_m1, monkeypatch):
-    # the gate visits ~170 values a report; dataclasses.fields ran at every
-    # dataclass among them
+def test_finiteness_alone_gates_a_nan_only_the_fd_scalar_reads():
+    # A is NaN on (r + h/2, r + 3h/2), r the first guarded exterior radius
+    # >= 40 and h = 2e-5 r its finite-difference step: only the FD scalar's
+    # stencil radius r + h reaches it, so every other condition passes and
+    # the NaN scalar, which gates nothing itself, is caught by finiteness
+    base = make_schwarzschild_family(1.0, 3.0, 100.0)
+    rs = guarded_chart_samples(double(glue_neck(base, 3.0)).chart("exterior"), 128)
+    r = float(rs[np.searchsorted(rs, 40.0)])
+    h = 2e-5 * r
+
+    def window(x):
+        return np.where((x > r + 0.5 * h) & (x < r + 1.5 * h), np.nan, 0.0 * x)
+
+    nan_a = RadialFunction.expression(lambda x: base.A(x) + RadialFunction(
+        window, window, window)(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_rigidity_pipeline(replace(base, A=nan_a))
+    mass_i = report.boundary_audit.mass_i
+    assert 0.0 < report.flatness_max_curvature <= 1e-9 < FLAT_TOL
+    assert 0.0 < report.psi_harmonicity <= 1e-15
+    assert report.max_match_jump == 0.0
+    assert report.psi_bound.strict_bound
+    assert report.compactification.converged
+    assert abs(report.adm_exterior["mass"] / mass_i - 1.0) <= 1e-7 < MASS_TOL
+    assert abs(report.adm_conformal_end["mass"]) / mass_i <= 1e-8 < MASS_TOL
+    assert math.isnan(report.conformal_scalar_max)
+    assert report.conformal_scalar_argmax == ("exterior", r)
+    assert report.verdict == VERDICT_NOT_RIGID
+
+
+def test_finiteness_gate_builds_no_field_list(pipeline_m1, monkeypatch):
+    # the gate visits ~170 values a report and reads a dataclass's fields
+    # from its instance dictionary; dataclasses.fields ran at every one
     assert _all_finite(pipeline_m1)
     calls = []
     fields = dataclasses.fields

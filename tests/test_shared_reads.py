@@ -1,16 +1,15 @@
-"""Reads the verdict path makes once per run: shared guarded grids, kept
-closed-form jets and one evaluation per mirror pair.
+"""One sample plan per rigidity run.
 
 :func:`~photonlab.gluing.double` gives every reflected chart its
-original's profile object.  So a run builds each chart geometry's guarded
-grid once (kept by the profile on immutable memory), the closed-form read
-keeps the jets of the last such grid it read, and ``psi_bound_check`` and
-``psi_harmonicity_max`` evaluate each (profile, collar scale) once and
-hand the same arrays to both charts of the pair.  Here the reads are
-counted per ``run_rigidity_pipeline``, the shared arrays checked to be
-read-only, copies checked to start empty, and a double whose reflected
-charts hold equal but distinct profiles checked to evaluate both, with
-the same reports.
+original's profile object.  ``run_rigidity_pipeline`` builds one plan of
+the double (``gluing._sample_plan``): per chart, the first chart whose
+scans it repeats, and that chart's guarded radii and jets.  So a run reads
+each chart geometry's grid and jets once, and scans |psi| and the
+harmonicity once per mirror pair.  Here the reads are counted per run, a
+run is checked to change no attribute of a profile or of its read, equal
+but distinct mirror profiles are checked to be read each on their own,
+and each public scan, called alone, is checked to give the pipeline's
+numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -22,8 +21,9 @@ import numpy as np
 import pytest
 
 from photonlab import gluing, radial
-from photonlab.conformal import conformal_transform, flatness_check
+from photonlab.conformal import conformal_scalar_residual, conformal_transform, flatness_check
 from photonlab.gluing import (
+    Chart,
     PiecewiseManifold,
     double,
     glue_neck,
@@ -32,7 +32,7 @@ from photonlab.gluing import (
     psi_harmonicity_max,
 )
 from photonlab.pipeline import run_rigidity_pipeline
-from photonlab.radial import make_schwarzschild_family
+from photonlab.radial import RadialFunction, make_schwarzschild_family
 
 # Per run_rigidity_pipeline at m = 1: one guarded grid per chart geometry
 # (exterior, neck) plus the inverted end's and the two isotropic necks'
@@ -67,10 +67,6 @@ def counts(monkeypatch):
     return seen
 
 
-def _per_run(seen) -> dict:
-    return {key: seen[key] for key in PER_RUN}
-
-
 @pytest.mark.parametrize("same_exterior", [False, True])
 def test_each_read_runs_once_per_run_on_the_first_and_the_fiftieth(counts, same_exterior):
     # nothing carries over from one run to the next, whether each run gets
@@ -83,7 +79,7 @@ def test_each_read_runs_once_per_run_on_the_first_and_the_fiftieth(counts, same_
         counts.clear()
         reports.append(repr(run_rigidity_pipeline(exterior)))
         if run in (0, 49):
-            assert _per_run(counts) == PER_RUN, run
+            assert {key: counts[key] for key in PER_RUN} == PER_RUN, run
     assert reports[0] == reports[-1]
 
 
@@ -92,112 +88,96 @@ def doubled():
     return double(glue_neck(make_schwarzschild_family(1.0, 3.0, 100.0), 3.0))
 
 
-def test_guarded_grids_are_shared_read_only(doubled):
-    by_id = {c.chart_id: c for c in doubled.charts}
-    for name in ("exterior", "neck"):
-        chart, mirror = by_id[name], by_id[name + "_reflected"]
-        assert mirror.profile is chart.profile
-        rs = guarded_chart_samples(chart, 128)
-        assert guarded_chart_samples(mirror, 128) is rs
-        assert not rs.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            rs[0] = 0.0
-        for x in (rs, rs[1:]):
-            with pytest.raises(ValueError, match="WRITEABLE"):
-                x.flags.writeable = True
-        other = guarded_chart_samples(chart, 64)
-        assert other is not rs and other.size == 64
+def _captured_scans(monkeypatch) -> list:
+    """The (chart id, radii, values) triples each gluing scan hands to
+    ``_worst_sample``, one list per scan."""
+    captured = []
+    worst_sample = gluing._worst_sample
+
+    def capture(scans):
+        captured.append(list(scans))
+        return worst_sample(captured[-1])
+
+    monkeypatch.setattr(gluing, "_worst_sample", capture)
+    return captured
 
 
-def test_kept_jets_are_read_only_and_given_again(doubled):
-    chart = doubled.chart("exterior")
-    rs = guarded_chart_samples(chart, 128)
-    read = chart.profile._read()
-    jets = read.jets(rs)
-    assert read.jets(rs) is jets
-    for jet in jets:
-        for x in (jet.v, jet.d1, jet.d2):
-            assert isinstance(x, np.ndarray) and not x.flags.writeable
-
-
-def _immutable(x):
-    return np.frombuffer(x.tobytes())
-
-
-def test_jets_are_kept_by_array_object_not_by_value(counts):
-    read = make_schwarzschild_family(1.0, 3.0, 100.0)._read()
-    first = _immutable(np.linspace(4.0, 90.0, 16))
-    second = _immutable(first)
-    for r in (first, first, second, second, first):
-        read.jets(r)
-    assert counts["array jets"] == 3
-    writeable = np.linspace(4.0, 90.0, 16)
-    a = read.jets(writeable)
-    b = read.jets(writeable)  # a writeable array is never kept
-    assert counts["array jets"] == 5 and a is not b
-    assert all(x.flags.writeable for x in (a[0].v, a[1].d2))
-    # the kept jets equal a fresh read's, bit for bit
-    kept = read.jets(first)
-    fresh = read.jets(np.linspace(4.0, 90.0, 16))
-    for k, f in zip(kept, fresh):
-        for x, y in ((k.v, f.v), (k.d1, f.d1), (k.d2, f.d2)):
-            assert x.tobytes() == y.tobytes()
-
-
-def _mutable_read_only_arrays():
-    """(read-only array, change to its values): a view of writeable
-    memory, a broadcast of it, and an owning array made writeable again."""
-    base = np.linspace(4.0, 90.0, 16)
-    view = base[:]
-    view.flags.writeable = False
-    yield view, lambda: base.__setitem__(3, 50.0)
-    row = np.linspace(4.0, 90.0, 16)
-    yield np.broadcast_to(row, (2, 16)), lambda: row.__setitem__(3, 50.0)
-    owner = np.linspace(4.0, 90.0, 16)
-    owner.flags.writeable = False
-
-    def rewrite():
-        owner.flags.writeable = True
-        owner[3] = 50.0
-        owner.flags.writeable = False
-
-    yield owner, rewrite
-
-
-def test_jets_of_a_read_only_array_whose_memory_changes_are_read_again():
-    read = make_schwarzschild_family(1.0, 3.0, 100.0)._read()
-    for r, change in _mutable_read_only_arrays():
-        read.jets(r)
-        change()
-        got = read.jets(r)
-        fresh = read.jets(np.array(r))
-        for g, f in zip(got, fresh):
-            for x, y in ((g.v, f.v), (g.d1, f.d1), (g.d2, f.d2)):
+def test_the_plan_of_a_double_shares_each_geometrys_reads(doubled, monkeypatch):
+    plan = gluing._sample_plan(doubled.charts, 128, "psi_harmonicity_max")
+    ids = [c.chart_id for c in doubled.charts]
+    assert ids == ["exterior_reflected", "neck_reflected", "neck", "exterior"]
+    assert plan.first == (0, 1, 1, 0)
+    for i, chart in enumerate(doubled.charts):
+        j = plan.first[i]
+        assert plan.radii[i] is plan.radii[j] and plan.jets[i] is plan.jets[j]
+        want = guarded_chart_samples(chart, 128)
+        assert plan.radii[i].tobytes() == want.tobytes()
+        fresh = chart.profile._read().jets(want)
+        for got, jet in zip(plan.jets[i], fresh):
+            for x, y in ((got.v, jet.v), (got.d1, jet.d1), (got.d2, jet.d2)):
                 assert x.tobytes() == y.tobytes()
+    assert gluing._sample_plan(doubled.charts).radii == (None,) * 4
+    # the two charts of a mirror pair are handed one scan's arrays
+    captured = _captured_scans(monkeypatch)
+    psi_bound_check(doubled)
+    psi_harmonicity_max(doubled)
+    for scans in captured:
+        by_id = {cid: (rs, vals) for cid, rs, vals in scans}
+        for name in ("exterior", "neck"):
+            original, mirror = by_id[name], by_id[name + "_reflected"]
+            assert original[0] is mirror[0] and original[1] is mirror[1]
 
 
-def test_copies_of_a_profile_keep_their_own_grids(doubled):
-    chart = doubled.chart("neck")
-    rs = guarded_chart_samples(chart, 128)
-    p = chart.profile
-    copies = (
-        dataclasses.replace(p, meta=dict(p.meta)),
-        p.restricted(p.r_lo, p.r_hi),
+def test_a_chart_of_another_collar_scale_is_scanned_on_its_own(monkeypatch):
+    profile = make_schwarzschild_family(1.0, 3.0, 100.0)
+    charts = tuple(
+        Chart(f"c{i}", profile, "outward", scale, "exterior")
+        for i, scale in enumerate((1.0, 0.5, 1.0))
     )
-    for copy in copies:
-        assert copy._grids == {}
-        own = guarded_chart_samples(dataclasses.replace(chart, profile=copy), 128)
-        assert own is not rs and own.tobytes() == rs.tobytes()
-    assert p._grids[("neck", 128)] is rs
+    assert gluing._sample_plan(charts).first == (0, 1, 0)
+    manifold = PiecewiseManifold(charts=charts, gluings=(), ends=("c0",), boundary=None)
+    captured = _captured_scans(monkeypatch)
+    psi_bound_check(manifold)
+    psi_harmonicity_max(manifold)
+    for (_, r0, v0), (_, r1, v1), (_, r2, v2) in captured:
+        assert r1.tobytes() == r0.tobytes() and r2 is r0 and v2 is v0
+        assert v1.tobytes() == (0.5 * v0).tobytes()
 
 
-def test_glued_exterior_chart_holds_a_profile_of_its_own():
+def _attributes(obj) -> dict:
+    """Every attribute an object holds: its instance dictionary and its
+    slots."""
+    names = set(getattr(obj, "__dict__", ()))
+    for cls in type(obj).__mro__:
+        names.update(getattr(cls, "__slots__", ()))
+    return {name: getattr(obj, name) for name in names if hasattr(obj, name)}
+
+
+def _wrapped_lapse(profile):
+    n = profile.N
+    lapse = RadialFunction(lambda r: n(r), lambda r: n(r, 1), lambda r: n(r, 2))
+    return dataclasses.replace(profile, N=lapse)
+
+
+@pytest.mark.parametrize("wrap", [False, True])
+def test_a_run_changes_no_attribute_of_a_profile_or_its_read(wrap):
     exterior = make_schwarzschild_family(1.0, 3.0, 100.0)
-    glued = glue_neck(exterior, 3.0)
-    chart = glued.chart("exterior")
-    assert chart.profile is not exterior and chart.profile == exterior
-    guarded_chart_samples(chart, 128)
-    assert exterior._grids == {}
+    if wrap:  # read channel by channel
+        exterior = _wrapped_lapse(exterior)
+    manifold = double(glue_neck(exterior, 3.0))
+    objects = [exterior, exterior._read()]
+    for chart in manifold.charts:
+        objects += [chart.profile, chart.profile._read()]
+    before = [_attributes(obj) for obj in objects]
+    for _ in range(2):
+        run_rigidity_pipeline(exterior)
+        conformal = conformal_transform(manifold)
+        psi_bound_check(manifold), psi_harmonicity_max(manifold)
+        conformal_scalar_residual(conformal), flatness_check(conformal)
+    for obj, attrs in zip(objects, before):
+        now = _attributes(obj)
+        assert now.keys() == attrs.keys()
+        assert all(now[name] is value for name, value in attrs.items()), type(obj)
 
 
 def _distinct_mirrors(manifold: PiecewiseManifold) -> PiecewiseManifold:
@@ -216,21 +196,18 @@ def test_equal_but_distinct_mirror_profiles_are_both_evaluated(doubled, counts):
     for a, b in zip(distinct.charts, doubled.charts):
         assert a.profile == b.profile
         assert (a.profile is b.profile) == (a.orientation == "outward")
+    assert gluing._sample_plan(distinct.charts).first == (0, 1, 2, 3)
 
     counts.clear()
     bound = psi_bound_check(distinct)
     assert counts["linspace(2500)"] == 4
     assert repr(bound) == repr(psi_bound_check(doubled))
 
-    fresh = double(glue_neck(make_schwarzschild_family(1.0, 3.0, 100.0), 3.0))
     counts.clear()
-    shared = psi_harmonicity_max(fresh)
+    shared = psi_harmonicity_max(doubled)
     assert counts["array jets"] == 2 and counts["geomspace"] == 1
-    fresh_distinct = _distinct_mirrors(
-        double(glue_neck(make_schwarzschild_family(1.0, 3.0, 100.0), 3.0))
-    )
     counts.clear()
-    separate = psi_harmonicity_max(fresh_distinct)
+    separate = psi_harmonicity_max(distinct)
     assert counts["array jets"] == 4 and counts["geomspace"] == 2
     assert repr(separate) == repr(shared)
 
@@ -238,21 +215,26 @@ def test_equal_but_distinct_mirror_profiles_are_both_evaluated(doubled, counts):
     assert repr(flatness_check(conformal_transform(distinct))) == repr(flat)
 
 
-def test_mirror_pairs_share_one_read_only_scan(doubled, monkeypatch):
-    captured = []
-    worst_sample = gluing._worst_sample
+_EXTERIORS = {
+    "m=1": lambda: make_schwarzschild_family(1.0, 3.0, 100.0),
+    "m=0.5": lambda: make_schwarzschild_family(0.5, 1.5, 50.0),
+    "m=2, wrapped lapse": lambda: _wrapped_lapse(make_schwarzschild_family(2.0, 6.0, 200.0)),
+}
 
-    def capture(scans):
-        scans = list(scans)
-        captured.append(scans)
-        return worst_sample(scans)
 
-    monkeypatch.setattr(gluing, "_worst_sample", capture)
-    psi_bound_check(doubled)
-    psi_harmonicity_max(doubled)
-    for scans in captured:
-        by_id = {cid: (rs, vals) for cid, rs, vals in scans}
-        for name in ("exterior", "neck"):
-            original, mirror = by_id[name], by_id[name + "_reflected"]
-            assert original[0] is mirror[0] and original[1] is mirror[1]
-            assert not original[0].flags.writeable and not original[1].flags.writeable
+@pytest.mark.parametrize("n_samples", [512, 64])
+@pytest.mark.parametrize("name", sorted(_EXTERIORS))
+def test_each_public_scan_alone_gives_the_pipelines_numbers(name, n_samples):
+    # the pipeline reads one plan (two where n_samples gives the conformal
+    # scans other than 128 radii a chart); each public scan builds its own
+    exterior = _EXTERIORS[name]()
+    report = run_rigidity_pipeline(exterior, n_samples=n_samples)
+    manifold = double(glue_neck(exterior, exterior.r_lo))
+    conformal = conformal_transform(manifold)
+    scalar = conformal_scalar_residual(conformal, n_samples=n_samples)
+    flat = flatness_check(conformal, n_samples=n_samples)
+    assert repr(psi_bound_check(manifold)) == repr(report.psi_bound)
+    assert psi_harmonicity_max(manifold).hex() == report.psi_harmonicity.hex()
+    assert scalar["max_abs_scalar"].hex() == report.conformal_scalar_max.hex()
+    assert tuple(scalar["argmax"]) == report.conformal_scalar_argmax
+    assert flat["max_curvature"].hex() == report.flatness_max_curvature.hex()
