@@ -27,9 +27,21 @@ terms are products of 28 distinct symbol pairs, each formed once, and
 summed in the order of the full index loops; while the zero-class symbols
 are exact zeros, the 22 terms that multiply them and the 6 derivatives no
 stencil takes are skipped, which changes no bit of the sum
-(:func:`_ricci_sum`).  The curvature is one core, :func:`_fd_ricci`; the
-oracle adds the lapse Hessian to it, and the conformal scalar scan reads
-only its scalar (:func:`_fd_scalar`), with the same bits and no read of N.
+(:func:`_ricci_sum`).  The curvature is one core, :func:`_fd_ricci`,
+over one or more parts (profile, radii, steps): each part is read on its
+own, and every later step runs once over all their samples.  The oracle
+is its one-part case and adds the lapse Hessian; the conformal scalar
+scan passes its four charts' presentations in one call and reads only the
+scalar (:func:`_fd_scalars`), with the same bits and no read of N.
+
+The core writes the metric, sines, differences, inverse, symbol table,
+Ricci terms and sums into views of one workspace block, allocated per
+call, whose rows the Ricci sum reuses once the table is formed.  That is
+for glibc's allocator: freeing an mmapped block raises its mmap threshold
+to the block's size and its trim threshold to twice that, so a pass whose
+heap peak stays below twice its largest block keeps its heap between
+calls, where many large temporaries would be handed back to the kernel
+and faulted in again on every pass.
 
 Both routes are array-shaped: given an array of radii (and, for the
 oracle, a matching array of per-sample steps) they evaluate every sample
@@ -44,6 +56,7 @@ vectorized float64 ``**`` does not round exactly like the scalar one.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -280,10 +293,11 @@ _EQUATOR = ORACLE_DTYPE(np.pi) / 2.0
 _SIN_EQUATOR = np.sin(_EQUATOR)
 
 
-def _stencil_sines(h):
+def _stencil_sines(h, out=None):
     """sin of the six nested angles pi/2 +- h and (pi/2 +- h) +- h of every
     step in ``h``, rows 1-6 of :func:`_nested` (row 0, pi/2 itself, is
-    :data:`_SIN_EQUATOR`), on a leading axis.
+    :data:`_SIN_EQUATOR`), on a leading axis; into ``out``, if given, a
+    (6, h.size) block.
 
     Samples of one scan mostly share a step, so the sines are taken once
     per run of equal consecutive steps and spread back with the run index
@@ -295,16 +309,8 @@ def _stencil_sines(h):
     start[:1] = True
     np.not_equal(flat[1:], flat[:-1], out=start[1:])
     sines = np.sin(_nested(_EQUATOR, flat[start])[1:])
-    return sines[:, np.cumsum(start) - 1].reshape((6,) + h.shape)
-
-
-def _metric(a2, r2, sin_th):
-    """diag(A^2, R^2, R^2 sin^2 th) on a leading axis in the oracle's
-    precision, the radius and angle factors broadcast against each other."""
-    phph = r2 * sin_th * sin_th
-    g = np.empty((3,) + phph.shape, dtype=np.result_type(a2, phph, ORACLE_DTYPE))
-    g[0], g[1], g[2] = a2, r2, phph
-    return g
+    sines = sines.take(np.cumsum(start) - 1, axis=1, out=out, mode="clip")
+    return sines.reshape((6,) + h.shape)
 
 
 # The two coordinates besides e, in order, for e = 0 (r) and e = 1 (th).
@@ -338,7 +344,7 @@ def _christoffel_along(w, d, e, out):
     np.multiply(w[e], (d[e] + d[e]) - d[e], out=out[4:])
 
 
-def _christoffel(w, d_r, d_th, w_ph, d_ph):
+def _christoffel(w, d_r, d_th, w_ph, d_ph, table=None):
     """Christoffel symbols of a radial metric from its derivatives, at the
     oracle's centres.
 
@@ -365,10 +371,12 @@ def _christoffel(w, d_r, d_th, w_ph, d_ph):
     0-12 are the 13 distinct values of the 27 symbols at centre 0:
     gamma[c, a, b] is row ``_GAMMA_ROW[c, a, b]``.  At the centres k > 0
     along th, rows 0, 2 and 4 read only what centre 0's do and are
-    copied; rows 1 and 3 read d_th g_phph.
+    copied; rows 1 and 3 read d_th g_phph.  ``table``, if given, receives
+    the rows.
     """
     k = d_r.shape[1]
-    table = np.empty((3 + 10 * k,) + d_th.shape[1:], dtype=d_r.dtype)
+    if table is None:
+        table = np.empty((3 + 10 * k,) + d_th.shape[1:], dtype=d_r.dtype)
     np.multiply(w[:, 0], 0.0, out=table[:3])
     along = table[3:].reshape((k, 2, 5) + d_th.shape[1:])
     _christoffel_along(w, d_r, 0, along[:, 0].swapaxes(0, 1))
@@ -414,11 +422,15 @@ _PRODUCT = np.array([_PAIRS.index(p) for p in _QUAD_ROWS]).reshape(3, 3, 2, 3)
 _PAIRS = np.array(_PAIRS)
 
 
-def _products(table, out=None, pairs=_PAIRS):
+def _products(table, out=None, pairs=_PAIRS, second=None):
     """The 28 distinct products behind the 54 quadratic Ricci terms: the
     term of [c, d, k, a] is row ``_PRODUCT[c, d, k, a]``; given ``pairs``,
-    the products of those rows of ``_PAIRS`` only."""
-    return np.multiply(table[pairs[:, 0]], table[pairs[:, 1]], out=out)
+    the products of those rows of ``_PAIRS`` only.  The first factors are
+    gathered into ``out`` and the second into ``second``, whole rows at a
+    time, each a new array where it is not given."""
+    out = table.take(pairs[:, 0], axis=0, out=out, mode="clip")
+    second = table.take(pairs[:, 1], axis=0, out=second, mode="clip")
+    return np.multiply(out, second, out=out)
 
 
 # Each ric[a] sums, for c in order, +d_c gamma^c_aa, -d_a gamma^c_ca, and
@@ -464,49 +476,14 @@ _LIVE_TERMS = _term_list(_ZERO_PAIRS)
 _ALL_TERMS = _term_list(0)
 
 
-def _fd_ricci(profile: RadialProfile, r, h):
-    """The oracle's shared core: the diagonal Ricci components and scalar
-    curvature of the metric values at r, with what the lapse Hessian reads.
-
-    Returns (ric, ginv, scalar, table, radii, hl): the coordinate Ricci
-    diagonal ric[a], the inverse metric diagonal g^aa and the scalar
-    sum of ric[a] g^aa at the centre, the symbol table of
-    :func:`_christoffel`, the seven nested stencil radii and the steps,
-    all in :data:`ORACLE_DTYPE`.  The metric keeps that dtype whatever the
-    dtype of the profile's values (a table reads float64); ric is
-    :func:`_ricci_sum`, which skips the terms that are exact zeros.
-    """
-    profile.ensure_evaluable(r, open_interior=True)
-    if not np.all((profile.r_lo < r - 2.0 * h) & (r + 2.0 * h < profile.r_hi)):
-        raise DomainError("finite-difference stencil leaves the profile domain")
-
-    rl, hl = np.broadcast_arrays(
-        np.asarray(r, dtype=ORACLE_DTYPE), np.asarray(h, dtype=ORACLE_DTYPE)
-    )
-    radii = _nested(rl, hl)
-    a_val, r_val = profile._read().values(radii)
-    a2, r2 = a_val * a_val, r_val * r_val
-    sin_th = _stencil_sines(hl)
-    # The metric at the seven radii on th = pi/2, at radius r on th +- h,
-    # and its g_phph at (th +- h) +- h: only g_phph changes along th.  The
-    # Christoffel centres are (r, pi/2), (r +- h, pi/2) and (r, th +- h).
-    g_r = _metric(a2, r2, _SIN_EQUATOR)
-    g_th = _metric(a2[0], r2[0], sin_th[:2])
-    ph_out = r2[0] * sin_th[2:] * sin_th[2:]
-    two_h = 2.0 * hl
-    d_r = (g_r[:, 1::2] - g_r[:, 2::2]) / two_h
-    d_th = (g_th[:, 0] - g_th[:, 1]) / two_h
-    d_ph = (ph_out[::2] - ph_out[1::2]) / two_h
-    inv = 1.0 / g_r[:, :3]
-    w = 0.5 * inv
-
-    table = _christoffel(w, d_r, d_th, 0.5 * (1.0 / g_th[2]), d_ph)
-    ric = _ricci_sum(table, two_h)
-    ginv = inv[:, 0]
-    return ric, ginv, sum(ric[i] * ginv[i] for i in range(3)), table, radii, hl
+# The Ricci sum's work rows: the term table (the 28 products, then the 10
+# differences), with the gathered second factors of the products in the
+# rows after the products, where the differences and ric go once the
+# products are formed.
+_SUM_ROWS = 2 * len(_PAIRS)
 
 
-def _ricci_sum(table, two_h):
+def _ricci_sum(table, two_h, work=None):
     """The coordinate Ricci diagonal ric[a] from :func:`_christoffel`'s
     symbol table and twice the steps.
 
@@ -516,19 +493,24 @@ def _ricci_sum(table, two_h):
     d.  The sum leaves out the zero terms, and while the three zero-class
     symbols are exact zeros it adds only :data:`_LIVE_TERMS`, with the
     same bits; a table where one of them is not (an infinite or NaN g^cc)
-    adds :data:`_ALL_TERMS`.
+    adds :data:`_ALL_TERMS`.  The terms and ric are written to ``work``,
+    :data:`_SUM_ROWS` rows shaped like the steps, or to a new block.
     """
     n_products = len(_PAIRS)
-    terms = np.empty((_ZERO_TERM,) + two_h.shape, dtype=table.dtype)
-    div = terms[n_products:]
-    np.subtract(table[13:23], table[23:33], out=div)
-    div /= two_h
+    if work is None:
+        work = np.empty((_SUM_ROWS,) + two_h.shape, dtype=table.dtype)
+    terms = work[:_ZERO_TERM]
     if table[:3].any():  # not all +-0: a NaN is truthy
         first, term_list = 0, _ALL_TERMS
     else:
         first, term_list = _ZERO_PAIRS, _LIVE_TERMS
-    _products(table, out=terms[first:n_products], pairs=_PAIRS[first:])
-    ric = np.zeros((3,) + two_h.shape, dtype=table.dtype)
+    second = work[n_products:2 * n_products - first]
+    _products(table, out=terms[first:n_products], pairs=_PAIRS[first:], second=second)
+    div = terms[n_products:]
+    np.subtract(table[13:23], table[23:33], out=div)
+    div /= two_h
+    ric = work[_ZERO_TERM:_ZERO_TERM + 3]
+    ric[...] = 0.0
     for a, row, subtract in term_list:
         if subtract:
             ric[a] -= terms[row]
@@ -537,12 +519,121 @@ def _ricci_sum(table, two_h):
     return ric
 
 
-def _fd_scalar(profile: RadialProfile, r, h):
-    """The oracle's scalar curvature alone, as :func:`fd_curvature_oracle`
-    gives it (same bits), without reading N: a float for a number ``r``, a
-    float array for an array."""
-    scalar = _fd_ricci(profile, r, h)[2]
-    return np.array(scalar, dtype=float) if isinstance(r, np.ndarray) else float(scalar)
+def _fd_read(profile: RadialProfile, r, h):
+    """The oracle's read of one part: after the domain checks, the seven
+    nested stencil radii and the steps in :data:`ORACLE_DTYPE`, and A^2
+    and Rareal^2 on the radii, squared in the read's own dtype (a table
+    reads float64)."""
+    profile.ensure_evaluable(r, open_interior=True)
+    if not np.all((profile.r_lo < r - 2.0 * h) & (r + 2.0 * h < profile.r_hi)):
+        raise DomainError("finite-difference stencil leaves the profile domain")
+    rl, hl = np.broadcast_arrays(
+        np.asarray(r, dtype=ORACLE_DTYPE), np.asarray(h, dtype=ORACLE_DTYPE)
+    )
+    radii = _nested(rl, hl)
+    a_val, r_val = profile._read().values(radii)
+    return radii, hl, a_val * a_val, r_val * r_val
+
+
+def _layout(start, counts):
+    """Views of consecutive workspace rows, ``count`` rows each from row
+    ``start`` on, as indices: a count of 1 is that row alone."""
+    out = []
+    for count in counts:
+        out.append((start, ...) if count == 1 else slice(start, start + count))
+        start += count
+    return tuple(out), start
+
+
+# The core's workspace, one block per pass: its rows, each shaped like the
+# pass's samples, by lifetime.  Kept through the pass: twice the steps,
+# g^aa at the centre and the symbol table.  Phase one, dead once the table
+# is formed: the steps, g_aa on the seven radii, the six stencil sines,
+# g_phph at radius r off the equator, the differences along r, th and ph,
+# and the halved inverses.  Phase two, the Ricci sum, reuses its rows.
+_KEPT, _PHASE = _layout(0, (1, 3, 33))
+_PHASE_ONE, _PHASE_ONE_END = _layout(_PHASE, (1, 21, 6, 6, 9, 3, 2, 9, 2))
+_RICCI_SUM = slice(_PHASE, _PHASE + _SUM_ROWS)
+_WORK_ROWS = max(_PHASE_ONE_END, _RICCI_SUM.stop)
+
+
+def _fd_ricci(parts):
+    """The oracle's shared core, one pass over the samples of every part
+    (profile, r, h): the mixed Ricci components and the scalar curvature
+    of the metric values at r, with what the lapse Hessian reads.
+
+    Each part is read on its own (:func:`_fd_read`); its A^2, Rareal^2
+    and steps, widened to :data:`ORACLE_DTYPE`, fill its samples of one
+    workspace block of :data:`_WORK_ROWS` rows, and every later step runs
+    once over all samples, writing into views of the block.  One part
+    keeps its samples' shape; several lie flat, one after another.  Each
+    step is elementwise, so every sample has the bits of its own call,
+    and the one pass-wide branch, the Ricci sum's term list, changes no
+    bit (:func:`_ricci_sum`).  Returns (stencils, mixed, ginv, scalar,
+    table): per part its nested radii, its steps and the index of its
+    samples, then ric[a] g^aa, the inverse metric diagonal g^aa and the
+    sum 0 + ric[0] g^00 + ... at the centre, and the symbol table of
+    :func:`_christoffel`.
+    """
+    shapes = [np.broadcast(r, h).shape for _, r, h in parts]
+    shape = shapes[0] if len(parts) == 1 else (sum(map(math.prod, shapes)),)
+    work = np.empty((_WORK_ROWS,) + shape, dtype=ORACLE_DTYPE)
+    two_h, ginv, table = map(work.__getitem__, _KEPT)
+    hl, g, sines, ph, d_r, d_th, d_ph, w, w_ph = map(work.__getitem__, _PHASE_ONE)
+    g = g.reshape((3, 7) + shape)
+    d_r, w = d_r.reshape((3, 3) + shape), w.reshape((3, 3) + shape)
+
+    stencils, start = [], 0
+    for profile, r, h in parts:
+        radii, steps, a2, r2 = _fd_read(profile, r, h)
+        index = ...
+        if len(parts) > 1:
+            index, start = slice(start, start + steps.size), start + steps.size
+            a2, r2 = a2.reshape(7, steps.size), r2.reshape(7, steps.size)
+        g[0][:, index], g[1][:, index] = a2, r2
+        hl[index] = steps.reshape(hl[index].shape)
+        stencils.append((radii, steps, index))
+        del a2, r2  # before the next part's read
+
+    # The metric at the seven radii on th = pi/2, at radius r on th +- h,
+    # and its g_phph at (th +- h) +- h: only g_phph changes along th.  The
+    # Christoffel centres are (r, pi/2), (r +- h, pi/2) and (r, th +- h).
+    np.multiply(g[1], _SIN_EQUATOR, out=g[2])
+    g[2] *= _SIN_EQUATOR
+    _stencil_sines(hl, out=sines.reshape(6, hl.size))
+    np.multiply(g[1, 0], sines, out=ph)
+    ph *= sines
+    np.multiply(2.0, hl, out=two_h)
+    np.subtract(g[:, 1::2], g[:, 2::2], out=d_r)
+    d_r /= two_h
+    np.subtract(g[:2, 0], g[:2, 0], out=d_th[:2])
+    np.subtract(ph[0], ph[1], out=d_th[2, ...])
+    d_th /= two_h
+    np.subtract(ph[2::2], ph[3::2], out=d_ph)
+    d_ph /= two_h
+    np.divide(1.0, g[:, :3], out=w)
+    ginv[...] = w[:, 0]
+    w *= 0.5
+    np.divide(1.0, ph[:2], out=w_ph)
+    w_ph *= 0.5
+
+    _christoffel(w, d_r, d_th, w_ph, d_ph, table)
+    mixed = _ricci_sum(table, two_h, work[_RICCI_SUM])
+    mixed *= ginv
+    return stencils, mixed, ginv, sum(mixed), table
+
+
+def _fd_scalars(parts):
+    """The oracle's scalar curvature on every part (profile, r, h), as
+    :func:`fd_curvature_oracle` gives it (same bits), from one pass of
+    :func:`_fd_ricci` without reading N: per part a float for a number
+    ``r``, a float array for an array."""
+    stencils, _, _, scalar, _ = _fd_ricci(parts)
+    return [
+        np.array(scalar[index].reshape(steps.shape), dtype=float)
+        if isinstance(r, np.ndarray) else float(scalar[index])
+        for (_, r, _), (_, steps, index) in zip(parts, stencils)
+    ]
 
 
 def fd_curvature_oracle(profile: RadialProfile, r, h=1e-3) -> CurvatureSample:
@@ -563,8 +654,8 @@ def fd_curvature_oracle(profile: RadialProfile, r, h=1e-3) -> CurvatureSample:
     (r, th), (r +- h, th) and along th at (r, th), (r, th +- h); the
     centre forms every Christoffel symbol, each displaced centre along r
     the five its own difference reads and each along th the two that read
-    d_th g_phph.  The curvature is :func:`_fd_ricci`, which the scalar scan
-    also reads; this adds the lapse.
+    d_th g_phph.  The curvature is :func:`_fd_ricci` on this one part,
+    the core the scalar scan also reads; this adds the lapse.
 
     ``r`` may be an array of radii and ``h`` a matching array of
     per-sample steps (or one step for all).  Every stencil is then one
@@ -574,7 +665,7 @@ def fd_curvature_oracle(profile: RadialProfile, r, h=1e-3) -> CurvatureSample:
     same values its samples would each compute.
     """
     _require_piece(profile, "fd_curvature_oracle")
-    ric, ginv, scalar, gam, radii, hl = _fd_ricci(profile, r, h)
+    ((radii, hl, _),), mixed, ginv, scalar, gam = _fd_ricci([(profile, r, h)])
 
     # Lapse derivatives on the central stencil, whose theta-neighbours sit
     # at radius r (theta-differences vanish by symmetry but are computed,
@@ -595,8 +686,8 @@ def fd_curvature_oracle(profile: RadialProfile, r, h=1e-3) -> CurvatureSample:
     return _sample(
         r,
         n0,
-        ric[0] * ginv[0],
-        ric[1] * ginv[1],
+        mixed[0],
+        mixed[1],
         scalar,
         hess[0] * ginv[0],
         hess[1] * ginv[1],

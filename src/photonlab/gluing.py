@@ -417,8 +417,10 @@ def _worst_sample(scans) -> tuple[float, tuple[str, float], int]:
     chart_ids, radii, vals = zip(*scans)
     vals = np.concatenate(vals)
     i = int(np.argmax(vals))
-    ids = np.repeat(chart_ids, [len(r) for r in radii])
-    return float(vals[i]), (str(ids[i]), float(np.concatenate(radii)[i])), len(vals)
+    # the chart of sample i is the last whose first sample is not after it
+    starts = np.cumsum([0] + [len(r) for r in radii])
+    k = int(np.searchsorted(starts, i, side="right")) - 1
+    return float(vals[i]), (str(chart_ids[k]), float(radii[k][i - starts[k]])), len(vals)
 
 
 @dataclass(frozen=True)

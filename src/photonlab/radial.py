@@ -503,8 +503,32 @@ def _lapse_d1(m, r, n):
     return m / (r * r * n)
 
 
+# Beyond this radius N'' takes its far form: r ** 4 overflows above about 1.16e77.
+_R4_FAR = 1e77
+
+
 def _lapse_d2(m, r, n):
-    return -2.0 * m / (r ** 3 * n) - m * m / (r ** 4 * n ** 3)
+    if type(r) is float:  # float ** raises where it overflows
+        try:
+            return -2.0 * m / (r ** 3 * n) - m * m / (r ** 4 * n ** 3)
+        except OverflowError:
+            return _lapse_d2_far(m, r, n)
+    far = r > _R4_FAR
+    if not (far.any() if type(far) is np.ndarray else far):
+        return -2.0 * m / (r ** 3 * n) - m * m / (r ** 4 * n ** 3)
+    if not np.ndim(far):
+        return _lapse_d2_far(m, r, n)
+    d2 = _lapse_d2(m, np.where(far, 1.0, r), n)
+    d2[far] = _lapse_d2_far(m, r[far], n[far])
+    return d2
+
+
+def _lapse_d2_far(m, r, n):
+    """:func:`_lapse_d2` beyond :data:`_R4_FAR`, from q = m / r / r, which
+    only shrinks there: -2 q / (r n) - q^2 / n^3, the same derivative,
+    whose second term underflows to zero."""
+    q = m / r / r
+    return -2.0 * q / (r * n) - q * q / n ** 3
 
 
 def _reciprocal(n):

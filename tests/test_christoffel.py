@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from photonlab import curvature
+from photonlab import conformal, curvature
 from photonlab.conformal import (
     _inverted_profile,
     _neck_isotropic_profile,
@@ -42,17 +42,18 @@ from photonlab.curvature import (
     _PAIRS,
     _PRODUCT,
     _TERMS,
+    _WORK_ROWS,
     _ZERO_TERM,
     ORACLE_DTYPE,
     _christoffel,
     _christoffel_along,
-    _fd_scalar,
+    _fd_scalars,
     _products,
     _ricci_sum,
     fd_curvature_oracle,
 )
 from photonlab.gluing import double, glue_neck, guarded_chart_samples
-from photonlab.radial import RadialFunction, make_schwarzschild_family
+from photonlab.radial import RadialFunction, make_schwarzschild_family, make_tabulated
 
 
 def _half_inverse_and_derivatives(g0, dg_r, dg_th, h):
@@ -237,6 +238,12 @@ def test_symbol_table_at_displaced_centres_matches_dense_contraction(data):
             _assert_same_bits(along_th, np.stack([dense[i] for i in _along_entries(1)]))
 
 
+def _fd_scalar(profile, r, h):
+    """The scan's scalar route on one part (profile, r, h)."""
+    (scalar,) = _fd_scalars([(profile, r, h)])
+    return scalar
+
+
 def _oracle_peak(route, profile, r, h) -> int:
     route(profile, r, h)  # warm caches outside the trace
     tracemalloc.start()
@@ -365,12 +372,13 @@ def test_ricci_sum_of_assembled_tables_equals_the_full_sum(data):
 
 
 def _checked_sums(monkeypatch):
-    """Wrap the oracle's Ricci sum so that every call is checked against
-    the full sum, recording whether its zero-class rows were all +-0."""
+    """Wrap the oracle's Ricci sum so that every call (one per core pass)
+    is checked against the full sum, recording whether its zero-class
+    rows were all +-0."""
     ricci_sum, fast = curvature._ricci_sum, []
 
-    def checked(table, two_h):
-        got = ricci_sum(table, two_h)
+    def checked(table, two_h, work=None):
+        got = ricci_sum(table, two_h, work)
         with np.errstate(all="ignore"):
             _assert_same_bits(got, _full_sum(table, two_h))
         fast.append(not table[:3].any())
@@ -393,14 +401,15 @@ def test_scans_sum_live_terms_with_the_full_sums_bits(monkeypatch):
         exterior = make_schwarzschild_family(m, 3.0 * m, 100.0 * m)
         conf = conformal_transform(double(glue_neck(exterior, 3.0 * m)))
         assert conformal_scalar_residual(conf)["max_abs_scalar"] <= 1e-8
-    assert fast == [True] * 12  # four presentations each
+    assert fast == [True] * 3  # one pass over the four presentations each
 
 
 @pytest.mark.parametrize("centred", [True, False])
 def test_a_nan_window_in_the_profile_surfaces_in_the_scan(monkeypatch, centred):
-    # a NaN of A at a sample centre makes its zero-class symbols NaN (the
-    # full sum); one that only the stencil radius r + h reaches leaves them
-    # zero (the live terms); both surface as the scan's worst sample
+    # a NaN of A at a sample centre makes its zero-class symbols NaN, which
+    # sends the scan's one pass over all four presentations to the full
+    # sum; one that only the stencil radius r + h reaches leaves them zero
+    # (the live terms); both surface as the scan's worst sample
     base = make_schwarzschild_family(1.0, 3.0, 100.0)
     rs = guarded_chart_samples(double(glue_neck(base, 3.0)).chart("exterior"), 128)
     r = float(rs[np.searchsorted(rs, 40.0)])
@@ -412,4 +421,90 @@ def test_a_nan_window_in_the_profile_surfaces_in_the_scan(monkeypatch, centred):
     scalar = conformal_scalar_residual(conf)
     assert math.isnan(scalar["max_abs_scalar"])
     assert scalar["argmax"] == ("exterior", r)
-    assert fast == [True, True, True, not centred]  # the exterior pass is last
+    assert fast == [not centred]  # one pass, the exterior's samples in it
+
+
+# ---------------------------------------------------------------------------
+# The scalar scan's one pass
+# ---------------------------------------------------------------------------
+
+
+def _sealed_double(case):
+    """The sealed double of the m = case exterior on [3m, 100m], or of a
+    400-node geometric table of m = 1 on [2.1, 100] (which reads float64)."""
+    if case == "table":
+        ext = make_schwarzschild_family(1.0, 2.1, 100.0)
+        r = np.geomspace(2.1, 100.0, 400)
+        table = make_tabulated(r, ext.N(r), ext.A(r), ext.Rareal(r))
+        return conformal_transform(double(glue_neck(table, 3.0, match_tol=1e-6)))
+    ext = make_schwarzschild_family(case, 3.0 * case, 100.0 * case)
+    return conformal_transform(double(glue_neck(ext, 3.0 * case)))
+
+
+def _scan_pass(monkeypatch, conf):
+    """Run the scalar scan on ``conf``; return the parts of its one pass
+    of the oracle's scalar route, the scalars that pass gave them and the
+    scan's result."""
+    fd_scalars, seen = conformal._fd_scalars, []
+
+    def recorded(parts):
+        got = fd_scalars(parts)
+        seen.append((parts, got))
+        return got
+
+    monkeypatch.setattr(conformal, "_fd_scalars", recorded)
+    result = conformal_scalar_residual(conf)
+    ((parts, got),) = seen
+    return parts, got, result
+
+
+@pytest.mark.parametrize("case", [0.5, 1.0, 2.0, "table"])
+def test_the_scans_one_pass_equals_each_part_alone_bit_for_bit(monkeypatch, case):
+    # four presentations of 128 samples, the refined neck, reflected neck
+    # and inverted end passing theirs at h and h/2: 896 sample evaluations
+    # in one core pass, each part with the bits of its own pass and of the
+    # oracle's scalar field
+    parts, got, _ = _scan_pass(monkeypatch, _sealed_double(case))
+    assert [r.size for _, r, _ in parts] == [256, 256, 256, 128]
+    for (profile, r, h), scalar in zip(parts, got):
+        assert scalar.dtype == np.float64
+        assert scalar.tobytes() == _fd_scalar(profile, r, h).tobytes()
+        assert scalar.tobytes() == fd_curvature_oracle(profile, r, h).scalar.tobytes()
+
+
+def test_a_centred_nan_in_one_part_sends_the_whole_pass_to_the_full_sum(monkeypatch):
+    # the NaN-window exterior of the scan test above joins the m = 1 scan's
+    # parts: its zero-class symbols are NaN at one sample, so the one pass
+    # adds every term for every part, and every part keeps its own bits
+    parts, got, _ = _scan_pass(monkeypatch, _sealed_double(1.0))
+    base = make_schwarzschild_family(1.0, 3.0, 100.0)
+    r = 40.0
+    h = 2e-5 * r
+    nan_a = RadialFunction.expression(lambda x: base.A(x) + _window(r - 0.5 * h, r + 0.5 * h)(x))
+    t = np.array([20.0, r, 60.0])
+    nan_part = (dataclasses.replace(base, A=nan_a), t, 2e-5 * t)
+    alone = _fd_scalar(*nan_part)
+    assert np.isnan(alone).tolist() == [False, True, False]
+    fast = _checked_sums(monkeypatch)
+    merged = _fd_scalars(parts + [nan_part])
+    assert fast == [False]
+    for scalar, want in zip(merged, got + [alone]):
+        assert np.array_equal(scalar, want, equal_nan=True)
+        assert np.signbit(scalar).tolist() == np.signbit(want).tolist()
+
+
+def test_the_scans_pass_peaks_below_one_and_a_half_workspaces():
+    # one workspace block holds the pass's metric, differences, symbol
+    # table and Ricci terms; what else the scan allocates at once stays
+    # below half of it
+    conf = _sealed_double(1.0)
+    conformal_scalar_residual(conf)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        conformal_scalar_residual(conf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    workspace = _WORK_ROWS * 896 * np.dtype(ORACLE_DTYPE).itemsize
+    assert peak < 1.5 * workspace
+

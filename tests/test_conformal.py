@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from photonlab.conformal import (
-    _fd_scalar_refined,
     _inverted_profile,
     _neck_isotropic_profile,
+    _richardson,
     adm_mass_estimate,
     compactification_check,
     conformal_scalar_residual,
@@ -20,7 +20,7 @@ from photonlab.conformal import (
     flatness_check,
     richardson_limit,
 )
-from photonlab.curvature import CurvatureSample, fd_curvature_oracle
+from photonlab.curvature import CurvatureSample, _fd_scalars, fd_curvature_oracle
 from photonlab.gluing import Chart, PiecewiseManifold, double, glue_neck
 from photonlab.pipeline import FLAT_TOL
 from photonlab.radial import (
@@ -280,11 +280,12 @@ def test_oracle_runs_of_equal_steps_match_per_radius_calls(conformal_m1, chart_i
     for i in range(both_t.size):
         one = fd_curvature_oracle(prof, float(both_t[i]), float(both_h[i]))
         assert _sample_bytes(arr, i) == _sample_bytes(one)
-    # the refined scalar is the Richardson step on two separate passes
+    # the refined scalar, the Richardson step on the scalar route's one
+    # pass at h and h/2, is the step on two separate passes
     d1 = fd_curvature_oracle(prof, t, h).scalar
     d2 = fd_curvature_oracle(prof, t, 0.5 * h).scalar
-    refined = _fd_scalar_refined(prof, t, h)
-    assert refined.tobytes() == ((4.0 * d2 - d1) / 3.0).tobytes()
+    (both,) = _fd_scalars([(prof, both_t, both_h)])
+    assert _richardson(both).tobytes() == ((4.0 * d2 - d1) / 3.0).tobytes()
     # one scalar step broadcast against the radii
     inner = t[2:-2]
     arr = fd_curvature_oracle(prof, inner, step)

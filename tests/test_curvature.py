@@ -22,7 +22,7 @@ from photonlab.curvature import (
     ORACLE_DTYPE,
     VACUUM_FIELDS,
     CurvatureSample,
-    _fd_scalar,
+    _fd_scalars,
     _stencil_sines,
     convergence_study,
     curvature_at,
@@ -220,6 +220,12 @@ def test_oracle_reads_metric_values_only(case):
     )
     r = float(rs[4])
     assert fd_curvature_oracle(blind, r, 1e-3) == fd_curvature_oracle(profile, r, 1e-3)
+
+
+def _fd_scalar(profile, r, h):
+    """The scan's scalar route on one part (profile, r, h)."""
+    (scalar,) = _fd_scalars([(profile, r, h)])
+    return scalar
 
 
 def _counted(f: RadialFunction, log: list) -> RadialFunction:

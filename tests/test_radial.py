@@ -7,11 +7,13 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import photonlab as pl
+from photonlab.curvature import curvature_at
 from photonlab.radial import (
     BuchdahlError,
     CompositeProfile,
@@ -82,6 +84,24 @@ def test_family_derivatives_match_finite_differences():
             fd2 = (float(fn(r + h)) - 2 * float(fn(r)) + float(fn(r - h))) / h**2
             assert abs(float(fn(r, 1)) - fd1) <= 1e-8 * max(1.0, abs(fd1))
             assert abs(float(fn(r, 2)) - fd2) <= 1e-3 * max(1.0, abs(fd2))
+
+
+def test_far_lapse_second_derivative_reads_its_finite_limit():
+    # r ** 4 overflows above ~1.16e77, where N'' = -2m/(r^3 N) - m^2/(r^4 N^3)
+    # is a tiny finite number: a float radius neither raises nor warns, an
+    # array radius does not warn, and radii short of the bound keep the
+    # closed form's bits
+    p = make_schwarzschild_family(1.0, 3.0, 1e150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = float(p.N(1e100, 2))
+        on_array = p.N(np.array([1e100, 5.0, 1e140]), 2)
+        for r in (1e100, np.array([1e100, 1e140])):
+            sample = curvature_at(p, r)
+            assert np.all(np.isfinite([sample.scalar, sample.lap_N, sample.hess_nn]))
+    assert far == pytest.approx(-2e-300, rel=1e-15)
+    assert on_array[0] == far and on_array[2] == 0.0
+    assert on_array[1] == p.N(np.array([5.0]), 2)[0]
 
 
 def test_neck_profile_domain_and_values():

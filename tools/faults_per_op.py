@@ -7,8 +7,9 @@ workload, seed and duration, and reads ``resource.getrusage`` of this
 process (``RUSAGE_SELF``: the set-up children it starts are not counted)
 before and after it.  Prints the run's own last line, then the minor page
 faults (``ru_minflt``) and the system CPU time (``ru_stime``) per attempted
-operation, and exits 1 if the run was not correct or the faults exceed
-``--max-faults``.
+operation and the process's peak resident set (``ru_maxrss`` in MB, the
+benchmark's ``peak_rss_mb``), and exits 1 if the run was not correct or
+the faults exceed ``--max-faults``.
 
 A few faults an operation is a process that keeps its temporaries on the
 heap.  Hundreds, with about a millisecond of system time, mean the
@@ -60,7 +61,8 @@ def main(argv=None) -> int:
     stime_us = 1e6 * (after.ru_stime - before.ru_stime) / ops
     print(last)
     print(f"{args.workload} seed {args.seed}, {args.seconds:g} s: {ops} operations, "
-          f"{faults:.2f} minor faults and {stime_us:.1f} us system time per operation")
+          f"{faults:.2f} minor faults and {stime_us:.1f} us system time per operation, "
+          f"peak RSS {after.ru_maxrss / 1024.0:.2f} MB")
     ok = code == 0 and result["correct"] and faults <= args.max_faults
     if faults > args.max_faults:
         print(f"more than {args.max_faults:g} minor faults per operation", file=sys.stderr)
