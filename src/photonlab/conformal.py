@@ -230,7 +230,9 @@ def conformal_transform(
 # ---------------------------------------------------------------------------
 
 
-def _neck_isotropic_profile(cc: ConformalChart) -> tuple[RadialProfile, RadialFunction]:
+def _neck_isotropic_profile(
+    cc: ConformalChart, mirrors: tuple[ConformalChart, ...] = ()
+) -> tuple[RadialProfile, RadialFunction]:
     """Rescaled neck chart in the isotropic radial coordinate.
 
     For the Schwarzschild neck of parameter mu, rho = (r - mu +
@@ -241,31 +243,34 @@ def _neck_isotropic_profile(cc: ConformalChart) -> tuple[RadialProfile, RadialFu
     components stay order one, so finite differencing is uniformly
     conditioned across the whole chart.  Returns the profile in rho plus
     the map back to r (for reporting sample locations).
+
+    ``mirrors`` are rescaled charts of the same neck profile that differ
+    from ``cc`` only in the collar factor (and hold its perturbation):
+    the profile then presents all of them on one grid, for the scalar
+    scan's finite-difference pass alone.  Its read forms n_iso, Omega
+    and the perturbation once per radius and stacks A and Rareal per
+    chart on a leading axis (:class:`_IsotropicCharts`).
     """
     p = cc.base.profile
     if p.kind is not ProfileKind.SCHWARZSCHILD_NECK or p.mass is None:
         raise DomainError("isotropic presentation requires a closed-form neck chart")
     mu = p.mass
-    s_signed = cc.base.psi_scale
-
     n_iso = RadialFunction(
         lambda rho: (2.0 * rho - mu) / (2.0 * rho + mu),
         lambda rho: 4.0 * mu / (2.0 * rho + mu) ** 2,
         lambda rho: -16.0 * mu / (2.0 * rho + mu) ** 3,
     )
-    perturbation = cc.perturbation
     r_of_rho = RadialFunction.expression(lambda rho: rho + mu + 0.25 * mu * mu * _INV(rho))
-
-    def conf2(rho):
-        u = 0.5 * s_signed * n_iso(rho) + 0.5
-        if perturbation is not None:
-            u = u + perturbation(r_of_rho(rho))
-        conf = u * (0.5 * mu * _INV(rho) + 1.0)
-        return conf * conf
+    read = _Isotropic(mu, n_iso, r_of_rho, cc.perturbation, cc.base.psi_scale)
+    if mirrors:
+        read = _IsotropicCharts((read, *(
+            _Isotropic(mu, n_iso, r_of_rho, cc.perturbation, m.base.psi_scale)
+            for m in mirrors
+        )))
 
     r_hi = p.r_hi
     profile = _profile(
-        _Isotropic(conf2),
+        read,
         kind=ProfileKind.COMPOSITE_REFERENCE,
         r_lo=0.5 * mu,
         r_hi=0.5 * (r_hi - mu + math.sqrt(r_hi * (r_hi - 2.0 * mu))),
@@ -277,12 +282,36 @@ def _neck_isotropic_profile(cc: ConformalChart) -> tuple[RadialProfile, RadialFu
 
 class _Isotropic(_Seeded):
     """Read of :func:`_neck_isotropic_profile`: A = c and Rareal = c rho,
-    c = ``conf2(rho)`` once per radius for ``values`` and ``jets``."""
+    c = (u Omega)^2 with u = s n_iso / 2 + 1/2 (+ the perturbation at
+    r(rho)) for the signed collar factor s, once per radius for
+    ``values`` and ``jets``."""
 
-    __slots__ = ("conf2",)
+    __slots__ = ("mu", "n_iso", "r_of_rho", "perturbation", "s_signed")
 
-    def __init__(self, conf2):
-        self.conf2 = conf2
+    def __init__(self, mu, n_iso, r_of_rho, perturbation, s_signed):
+        self.mu, self.n_iso, self.r_of_rho = mu, n_iso, r_of_rho
+        self.perturbation, self.s_signed = perturbation, s_signed
+
+    def factors(self, rho):
+        """What c reads besides s: n_iso, Omega and the perturbation at
+        r(rho) (None without one)."""
+        perturbation = self.perturbation
+        if perturbation is not None:
+            perturbation = perturbation(self.r_of_rho(rho))
+        return self.n_iso(rho), 0.5 * self.mu * _INV(rho) + 1.0, perturbation
+
+    def conf2(self, rho, factors=None):
+        """c at rho, from ``factors`` if given.  An array c is formed in
+        one array: the augmented steps run in place on arrays and rebind
+        on numbers and jets, with the same bits."""
+        n_iso, omega, perturbation = self.factors(rho) if factors is None else factors
+        u = 0.5 * self.s_signed * n_iso
+        u += 0.5
+        if perturbation is not None:
+            u += perturbation
+        u *= omega
+        u *= u
+        return u
 
     def at(self, rho, ch):
         if ch == 0:
@@ -298,6 +327,30 @@ class _Isotropic(_Seeded):
         seed = Jet(rho, 1.0, 0.0, seed=True)
         c = self.conf2(seed)
         return _UNIT.jet(rho), c, c * seed
+
+
+class _IsotropicCharts(_Read):
+    """The :class:`_Isotropic` reads of neck charts that differ only in
+    the collar factor, on one grid: ``values`` forms their shared factors
+    once and gives A and Rareal of each, in order, on a leading axis.
+    Only the finite-difference pass reads it."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self, reads):
+        self.reads = reads
+
+    @property
+    def presentations(self) -> int:
+        return len(self.reads)
+
+    def values(self, rho):
+        factors = self.reads[0].factors(rho)
+        c = np.empty((len(self.reads),) + np.shape(rho), dtype=np.result_type(rho, 1.0))
+        for out, read in zip(c, self.reads):
+            out[...] = read.conf2(rho, factors)
+        del factors  # before c * rho, which sets the read's peak
+        return c, c * rho
 
 
 def _pulled_back(j: Jet, x) -> Jet:
@@ -375,7 +428,9 @@ def conformal_scalar_residual(conformal: ConformalManifold, n_samples: int = 512
     share one array pass of the oracle's scalar route (its scalar, bit for
     bit, without the lapse) over all their samples, refined charts taking
     theirs twice, at h and h/2: 896 sample evaluations at the default 512
-    samples.  A non-finite sample is reported as the maximum.
+    samples.  The two neck charts of a double differ only in the collar
+    sign, so they share one grid and one read of what the sign does not
+    change.  A non-finite sample is reported as the maximum.
 
     Reflected-end coverage: close to the puncture the sphere areal radius
     R_hat -> 0 and assembling the scalar divides by R_hat^2, so *any*
@@ -389,20 +444,26 @@ def conformal_scalar_residual(conformal: ConformalManifold, n_samples: int = 512
     manifold coordinates (chart id, r).
     """
     per = _samples_per_chart(conformal.charts, n_samples, 8)
-    return _scalar_residual(conformal, _sample_plan(
+    result, samples = _scalar_residual(conformal, _sample_plan(
         conformal.source.charts, per,
         sampled=lambda c: c.role != "neck" and c.orientation != "reflected",
     ))
+    coverage = {}
+    for chart_id, t, to_r in samples:
+        rs = np.asarray(to_r(t), dtype=float)
+        coverage[chart_id] = (float(np.min(rs)), float(np.max(rs)))
+    return {**result, "fd_coverage": coverage}
 
 
-def _presentation(cc: ConformalChart, n: int, radii):
+def _presentation(cc: ConformalChart, n: int, radii, mirrors=()):
     """The well-conditioned presentation of one rescaled chart that the
     scalar scan samples: (profile, samples, steps, map back to r, refined),
     ``n`` samples, which are ``radii``, the plan's, on an outward chart
-    that is not a neck.  Each step is shrunk to 0.45 times its sample's
-    distance from the nearer edge."""
+    that is not a neck.  On a neck the profile also presents ``mirrors``
+    (see :func:`_neck_isotropic_profile`).  Each step is shrunk to 0.45
+    times its sample's distance from the nearer edge."""
     if cc.base.role == "neck":
-        prof, to_r = _neck_isotropic_profile(cc)
+        prof, to_r = _neck_isotropic_profile(cc, mirrors)
         lo, hi = prof.r_lo, prof.r_hi
         pad = SAMPLE_GUARD * (hi - lo)
         t = np.linspace(lo + pad, hi - pad, n)
@@ -421,32 +482,42 @@ def _presentation(cc: ConformalChart, n: int, radii):
     return prof, t, h, to_r, refined
 
 
-def _scalar_residual(conformal: ConformalManifold, plan) -> dict:
+def _scalar_residual(conformal: ConformalManifold, plan) -> tuple[dict, list]:
     """:func:`conformal_scalar_residual` on a plan of the charts' bases
-    with radii on each outward chart that is not a neck."""
-    shown = [
-        _presentation(cc, plan.n, plan.radii[i]) for i, cc in enumerate(conformal.charts)
-    ]
-    scalars = _fd_scalars([
-        (prof, np.concatenate([t, t]), np.concatenate([h, 0.5 * h])) if refined
-        else (prof, t, h)
-        for prof, t, h, _, refined in shown
-    ])
-    coverage: dict[str, tuple[float, float]] = {}
+    with radii on each outward chart that is not a neck, without
+    ``fd_coverage``; and per chart (chart id, samples, map back to r).
 
-    def scans():
-        for cc, (_, t, _, to_r, refined), scalar in zip(conformal.charts, shown, scalars):
-            rs = np.asarray(to_r(t), dtype=float)
-            coverage[cc.base.chart_id] = (float(np.min(rs)), float(np.max(rs)))
-            yield cc.base.chart_id, rs, np.abs(_richardson(scalar) if refined else scalar)
+    A neck chart whose ``plan.first`` is another chart with the same
+    perturbation is that chart's mirror, and one part of the pass
+    presents both.  Only the worst sample is mapped back to r."""
+    charts = conformal.charts
+    groups: dict[int, list[int]] = {}  # first chart -> the charts its part presents
+    for i, (cc, j) in enumerate(zip(charts, plan.first)):
+        mirror = j != i and cc.base.role == "neck" and cc.perturbation is charts[j].perturbation
+        groups.setdefault(j if mirror else i, []).append(i)
+    shown, parts = {}, []
+    for i, group in groups.items():
+        prof, t, h, to_r, refined = _presentation(
+            charts[i], plan.n, plan.radii[i], [charts[k] for k in group[1:]]
+        )
+        shown.update((k, (t, to_r, refined)) for k in group)
+        parts.append(
+            (prof, np.concatenate([t, t]), np.concatenate([h, 0.5 * h])) if refined
+            else (prof, t, h)
+        )
+    scalars = {}
+    for group, scalar in zip(groups.values(), _fd_scalars(parts)):
+        scalars.update(zip(group, scalar if len(group) > 1 else [scalar]))
 
-    worst, arg, count = _worst_sample(scans())
-    return {
-        "max_abs_scalar": worst,
-        "argmax": arg,
-        "n_samples": count,
-        "fd_coverage": coverage,
-    }
+    samples = [(cc.base.chart_id, *shown[k][:2]) for k, cc in enumerate(charts)]
+    worst, (chart_id, t_worst), count = _worst_sample(
+        (chart_id, t, np.abs(_richardson(scalars[k]) if shown[k][2] else scalars[k]))
+        for k, (chart_id, t, _) in enumerate(samples)
+    )
+    to_r = next(to_r for c, _, to_r in samples if c == chart_id)
+    r_worst = float(np.asarray(to_r(np.array([t_worst])), dtype=float)[0])
+    result = {"max_abs_scalar": worst, "argmax": (chart_id, r_worst), "n_samples": count}
+    return result, samples
 
 
 def flatness_check(conformal: ConformalManifold, n_samples: int = 512) -> dict:
@@ -488,26 +559,31 @@ def _flatness(conformal: ConformalManifold, plan) -> dict:
 def richardson_limit(x: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
     """Limit of vals(x) as x -> 0 assuming a power series in x.
 
-    ``x`` must decrease by a constant factor (checked); classical
+    ``x`` must be finite and non-zero and decrease by a constant factor
+    (checked, as ``np.allclose`` with rtol 1e-10 would); classical
     Richardson extrapolation, error bar from the last two diagonal
-    entries.
+    entries.  The few nodes are Python floats: each step is one IEEE
+    operation, with numpy's bits.
     """
-    x = np.asarray(x, dtype=float)
-    vals = np.asarray(vals, dtype=float)
+    x = [float(v) for v in x]
+    vals = [float(v) for v in vals]
     if len(x) < 2:
         raise DomainError("need at least two extrapolation nodes")
-    ratios = x[:-1] / x[1:]
-    ratio = float(ratios[0])
-    if not np.allclose(ratios, ratio, rtol=1e-10):
+    if not all(math.isfinite(v) and v != 0.0 for v in x):
+        raise DomainError(f"extrapolation nodes must be finite and non-zero, got {x}")
+    ratios = [a / b for a, b in zip(x, x[1:])]
+    ratio = ratios[0]
+    if not all(abs(q - ratio) <= 1e-8 + 1e-10 * abs(ratio) for q in ratios):
         raise DomainError("extrapolation nodes must form a geometric schedule")
-    table = [vals.copy()]
+    if abs(ratio) == 1.0:  # its powers would divide by zero
+        raise DomainError("extrapolation nodes must differ in magnitude")
+    table = [vals]
     for j in range(1, len(x)):
         prev = table[-1]
         fac = ratio ** j
-        table.append((fac * prev[1:] - prev[:-1]) / (fac - 1.0))
-    limit = float(table[-1][-1])
-    prev_diag = float(table[-2][-1])
-    return limit, abs(limit - prev_diag)
+        table.append([(fac * b - a) / (fac - 1.0) for a, b in zip(prev, prev[1:])])
+    limit = table[-1][-1]
+    return limit, abs(limit - table[-2][-1])
 
 
 def _adm_integrand(a, rr, drr, r: float) -> float:
@@ -532,17 +608,12 @@ def _adm_from_metric_functions(a_fn: RadialFunction, r_fn: RadialFunction, radii
     radius schedule and Richardson-extrapolates in 1/r; the error bar is
     the gap between the last two extrapolants.
     """
-    radii = np.array(radii)
-    jets = [(r, r_fn.jet(r)) for r in radii.tolist()]
-    vals = np.array([_adm_integrand(a_fn(r), j.v, j.d1, r) for r, j in jets])
-    x = 1.0 / radii[::-1]
-    limit, err = richardson_limit(x, vals[::-1])
-    return {
-        "mass": limit,
-        "error": err,
-        "radii": radii.tolist(),
-        "integrand": vals.tolist(),
-    }
+    radii, vals = [float(r) for r in radii], []
+    for r in radii:
+        j = r_fn.jet(r)
+        vals.append(_adm_integrand(a_fn(r), j.v, j.d1, r))
+    limit, err = richardson_limit([1.0 / r for r in reversed(radii)], vals[::-1])
+    return {"mass": limit, "error": err, "radii": radii, "integrand": vals}
 
 
 def _validate_schedule(radii) -> tuple[float, ...]:
@@ -603,24 +674,16 @@ def adm_mass_estimate(space, end_id: str, radii=(50.0, 100.0, 200.0, 400.0)) -> 
         return _adm_from_metric_functions(cc.hat.A, cc.hat.Rareal, radii)
     inverted = _inverted_profile(cc)
     a_x, r_x = inverted.A, inverted.Rareal
-    xs = 1.0 / np.array(radii[::-1])  # increasing
+    xs = [1.0 / r for r in reversed(radii)]  # increasing
     # kappa = lim r_x / x, extrapolated linearly from the two smallest nodes
     k1, k2 = float(r_x(xs[0])) / xs[0], float(r_x(xs[1])) / xs[1]
     kappa = _limit_at_zero(xs[0], k1, xs[1], k2)
-    ys = kappa * xs
-    jets = [(y, r_x.jet(y / kappa)) for y in ys.tolist()]
-    vals = np.array([
-        _adm_integrand(float(a_x(y / kappa)) / kappa, j.v, float(j.d1) / kappa, y)
-        for y, j in jets
-    ])
+    ys, vals = [kappa * x for x in xs], []
+    for y in ys:
+        j = r_x.jet(y / kappa)
+        vals.append(_adm_integrand(float(a_x(y / kappa)) / kappa, j.v, float(j.d1) / kappa, y))
     limit, err = richardson_limit(ys[::-1], vals[::-1])
-    return {
-        "mass": limit,
-        "error": err,
-        "kappa": float(kappa),
-        "schedule_x": xs.tolist(),
-        "integrand": vals.tolist(),
-    }
+    return {"mass": limit, "error": err, "kappa": kappa, "schedule_x": xs, "integrand": vals}
 
 
 @dataclass(frozen=True)
@@ -664,16 +727,16 @@ def compactification_check(
     raises :class:`DomainError`.
     """
     cc = conformal.chart(conformal.source.end("reflected"))
-    xs = np.asarray(sorted(R_schedule, reverse=True), dtype=float)
-    if not np.all(np.isfinite(xs)):
+    xs = sorted((float(x) for x in R_schedule), reverse=True)
+    if not all(map(math.isfinite, xs)):
         raise DomainError(
             f"inverted-coordinate schedule must be finite, got {tuple(R_schedule)}"
         )
-    if not (xs.size >= 2 and np.all(xs[1:] < xs[:-1])):
+    if not (len(xs) >= 2 and all(b < a for a, b in zip(xs, xs[1:]))):
         raise DomainError("inverted-coordinate schedule needs >= 2 distinct nodes")
     if xs[-1] <= 0.0:
         raise DomainError("inverted-coordinate schedule must be positive")
-    _reach(cc.base, 1.0 / float(xs[-1]))
+    _reach(cc.base, 1.0 / xs[-1])
     if cc.base.profile.mass is None:
         raise DomainError(
             "compactification_check needs mass_reference, the mass parameter "
@@ -683,8 +746,8 @@ def compactification_check(
     mass_reference = float(cc.base.profile.mass)
     inverted = _inverted_profile(cc)
     a_x, r_x = inverted.A, inverted.Rareal
-    f_rad = np.array([float(a_x(x)) ** 2 for x in xs])
-    f_tan = np.array([(float(r_x(x)) / x) ** 2 for x in xs])
+    f_rad = [float(a_x(x)) ** 2 for x in xs]
+    f_tan = [(float(r_x(x)) / x) ** 2 for x in xs]
     # limit from linear-in-x extrapolation of the two smallest nodes
     lim_r = _limit_at_zero(xs[-1], f_rad[-1], xs[-2], f_rad[-2])
     lim_t = _limit_at_zero(xs[-1], f_tan[-1], xs[-2], f_tan[-2])
@@ -692,12 +755,13 @@ def compactification_check(
     spread = abs(lim_r - lim_t)
     rates = []
     for f in (f_rad, f_tan):
-        err = np.abs(f - limit)
-        if np.any(err == 0.0):
+        err = [abs(v - limit) for v in f]
+        if 0.0 in err:
             continue
+        # the logs stay numpy's (its SIMD log is not libm's)
         slope = np.polyfit(np.log(xs), np.log(err), 1)[0]
         rates.append(float(slope))
-    rate = float(np.mean(rates)) if rates else math.nan
+    rate = sum(rates) / len(rates) if rates else math.nan  # np.mean's bits
     mass_hat = 2.0 * limit ** 0.25 if limit > 0.0 else math.nan
     mass_gap = (
         abs(mass_hat - mass_reference) if math.isfinite(mass_hat) else math.inf
@@ -710,13 +774,13 @@ def compactification_check(
     )
     return CompactificationReport(
         end_id=cc.base.chart_id,
-        schedule=tuple(float(x) for x in xs),
-        radial_factor=tuple(float(v) for v in f_rad),
-        tangential_factor=tuple(float(v) for v in f_tan),
-        limit=float(limit),
-        mass_hat=float(mass_hat),
+        schedule=tuple(xs),
+        radial_factor=tuple(f_rad),
+        tangential_factor=tuple(f_tan),
+        limit=limit,
+        mass_hat=mass_hat,
         mass_reference=mass_reference,
-        mass_gap=float(mass_gap),
+        mass_gap=mass_gap,
         rate=rate,
         converged=converged,
     )

@@ -322,11 +322,18 @@ def _christoffel_reading(w_c, d_c, w_e, out):
     d_c = d_e g_cc for a c != e: w_c (d_c + 0) and w_e ((0 + 0) - d_c),
     with w_c = g^cc / 2 and w_e = g^ee / 2, on the leading axis of
     ``out`` (for a stack of c, all of the first kind, then the second).
-    (d + 0) - 0 is d + 0 bit for bit.
+    (d + 0) - 0 is d + 0 bit for bit.  Each sum is formed in ``out`` and
+    multiplied there, and w_e row by row: a ufunc that broadcasts, or
+    writes through a strided view, buffers its operands.
     """
     half = len(out) // 2
-    np.multiply(w_c, d_c + 0.0, out=out[:half])
-    np.multiply(w_e, 0.0 - d_c, out=out[half:])
+    first, second = out[:half], out[half:]
+    np.add(d_c, 0.0, out=first)
+    first *= w_c
+    np.subtract(0.0, d_c, out=second)
+    for i in range(half):
+        row = second[i, ...]
+        row *= w_e
 
 
 def _christoffel_along(w, d, e, out):
@@ -341,10 +348,13 @@ def _christoffel_along(w, d, e, out):
     """
     others = _OTHERS[e]
     _christoffel_reading(w[others], d[others], w[e], out[:4])
-    np.multiply(w[e], (d[e] + d[e]) - d[e], out=out[4:])
+    last = out[4, ...]
+    np.add(d[e], d[e], out=last)
+    last -= d[e]
+    last *= w[e]
 
 
-def _christoffel(w, d_r, d_th, w_ph, d_ph, table=None):
+def _christoffel(w, d_r, d_th, w_ph, d_ph, table=None, scratch=None):
     """Christoffel symbols of a radial metric from its derivatives, at the
     oracle's centres.
 
@@ -373,16 +383,28 @@ def _christoffel(w, d_r, d_th, w_ph, d_ph, table=None):
     along th, rows 0, 2 and 4 read only what centre 0's do and are
     copied; rows 1 and 3 read d_th g_phph.  ``table``, if given, receives
     the rows.
+
+    The symbols of all centres along r, and the two of the centres k > 0
+    along th, are formed symbol by centre in contiguous rows of
+    ``scratch`` (5 K rows shaped like the samples, or a new block) and
+    copied to their rows centre by centre.
     """
     k = d_r.shape[1]
+    shape = d_th.shape[1:]
     if table is None:
-        table = np.empty((3 + 10 * k,) + d_th.shape[1:], dtype=d_r.dtype)
+        table = np.empty((3 + 10 * k,) + shape, dtype=d_r.dtype)
+    if scratch is None:
+        scratch = np.empty((5 * k,) + shape, dtype=d_r.dtype)
     np.multiply(w[:, 0], 0.0, out=table[:3])
-    along = table[3:].reshape((k, 2, 5) + d_th.shape[1:])
-    _christoffel_along(w, d_r, 0, along[:, 0].swapaxes(0, 1))
+    along = table[3:].reshape((k, 2, 5) + shape)
+    by_symbol = scratch[:5 * k].reshape((5, k) + shape)
+    _christoffel_along(w, d_r, 0, by_symbol)
+    along[:, 0] = by_symbol.swapaxes(0, 1)
     _christoffel_along(w[:, 0], d_th, 1, along[0, 1])
     along[1:, 1, ::2] = along[:1, 1, ::2]
-    _christoffel_reading(w_ph, d_ph, w[1, 0], along[1:, 1, 1::2].swapaxes(0, 1))
+    by_symbol = scratch[:2 * (k - 1)].reshape((2, k - 1) + shape)
+    _christoffel_reading(w_ph, d_ph, w[1, 0], by_symbol)
+    along[1:, 1, 1::2] = by_symbol.swapaxes(0, 1)
     return table
 
 
@@ -417,7 +439,23 @@ _QUAD_ROWS = [
     ))
     for c, d, k, a in itertools.product(range(3), range(3), range(2), range(3))
 ]
-_PAIRS = sorted(set(_QUAD_ROWS))
+# At centre 0, the symbols along th that read d_th g_rr or d_th g_thth
+# (rows 0, 2 and 4 of _christoffel_along along th), and the two that read
+# d_th g_phph (rows 1 and 3).
+_TH_FLAT = slice(8, 13, 2)
+_TH_PHPH = slice(9, 12, 2)
+
+
+def _pair_class(pair):
+    """0 for a product of zero-class symbols (rows 0-2; a sorted pair that
+    reads one reads two), 1 for one that reads a row of :data:`_TH_FLAT`,
+    2 for the others."""
+    if pair[0] < 3:
+        return 0
+    return 1 if set(pair) & set(range(13)[_TH_FLAT]) else 2
+
+
+_PAIRS = sorted(set(_QUAD_ROWS), key=lambda pair: (_pair_class(pair), pair))
 _PRODUCT = np.array([_PAIRS.index(p) for p in _QUAD_ROWS]).reshape(3, 3, 2, 3)
 _PAIRS = np.array(_PAIRS)
 
@@ -449,17 +487,26 @@ _TERMS[:, 2::2] = _PRODUCT[:, :, 0]
 _TERMS[:, 3::2] = _PRODUCT[:, :, 1]
 del _c, _a
 
-# The products of two zero-class symbols (rows 0-2 of the symbol table,
-# g^cc (0 + 0 - 0) / 2) lead the sorted _PAIRS; no other product reads a
-# zero-class symbol.  While those three rows are exact zeros (finite
-# g^cc), the 22 Ricci terms that are such products and the 6 zero terms
-# are +-0, and adding or subtracting +-0 changes no bit of the sum: it
-# starts at +0.0, and in round-to-nearest a sum that is not +0.0 keeps its
-# bits (NaN and infinities included) and one that is stays +0.0.  So
-# _LIVE_TERMS lists only the other 44, and _ALL_TERMS, for a table where
-# a zero-class symbol is NaN or infinite, all but the 6 zero terms, as
-# (a, term row, subtract) in the (c, t) order of the full sum.
-_ZERO_PAIRS = int(np.count_nonzero(_PAIRS[:, 0] < 3))
+# _PAIRS runs by class: first the products of two zero-class symbols
+# (rows 0-2 of the symbol table, g^cc (0 + 0 - 0) / 2), then those that
+# read a row of _TH_FLAT, then the rest.  While the zero-class rows are
+# exact zeros (finite g^cc), the 22 Ricci terms that are their products
+# and the 6 zero terms are +-0, and adding or subtracting +-0 changes no
+# bit of the sum: it starts at +0.0, and in round-to-nearest a sum that is
+# not +0.0 keeps its bits (NaN and infinities included) and one that is
+# stays +0.0.  So _LIVE_TERMS lists only the other 44, and _ALL_TERMS, for
+# a table where a zero-class symbol is NaN or infinite, all but the 6 zero
+# terms, as (a, term row, subtract) in the (c, t) order of the full sum.
+#
+# g_rr and g_thth do not depend on th, so the rows of _TH_FLAT read a
+# difference x - x of one metric value, +0 where it is finite, and are +-0
+# where g^rr, g^thth and the steps are finite too.  A product that reads
+# one of them reads only rows 8-12, so while those three rows are +-0 and
+# the two of _TH_PHPH are finite, its 9 products and their 12 terms are
+# +-0 as well (0 times an infinity would be NaN), and _LEAN_TERMS leaves
+# them out: 32 terms of 13 products.
+_ZERO_PAIRS = sum(_pair_class(pair) == 0 for pair in _PAIRS.tolist())
+_TH_PAIRS = sum(_pair_class(pair) < 2 for pair in _PAIRS.tolist())
 
 
 def _term_list(first_row):
@@ -472,6 +519,7 @@ def _term_list(first_row):
     ]
 
 
+_LEAN_TERMS = _term_list(_TH_PAIRS)
 _LIVE_TERMS = _term_list(_ZERO_PAIRS)
 _ALL_TERMS = _term_list(0)
 
@@ -490,10 +538,13 @@ def _ricci_sum(table, two_h, work=None):
     The terms are the products, the derivatives of the symbols (their
     differences between the centres a step above and below) and a zero;
     each ric[a] sums its terms in the order of the index loops over c and
-    d.  The sum leaves out the zero terms, and while the three zero-class
-    symbols are exact zeros it adds only :data:`_LIVE_TERMS`, with the
-    same bits; a table where one of them is not (an infinite or NaN g^cc)
-    adds :data:`_ALL_TERMS`.  The terms and ric are written to ``work``,
+    d.  The sum leaves out the zero terms, and forms and adds only the
+    products that are not +-0 on the whole table, with the same bits:
+    :data:`_LEAN_TERMS` while the three zero-class symbols and the three
+    of :data:`_TH_FLAT` are +-0 and the two of :data:`_TH_PHPH` finite,
+    else :data:`_LIVE_TERMS` while the zero-class symbols are +-0, else (an
+    infinite or NaN g^cc) :data:`_ALL_TERMS`.  All ten differences are
+    formed.  The terms and ric are written to ``work``,
     :data:`_SUM_ROWS` rows shaped like the steps, or to a new block.
     """
     n_products = len(_PAIRS)
@@ -502,8 +553,10 @@ def _ricci_sum(table, two_h, work=None):
     terms = work[:_ZERO_TERM]
     if table[:3].any():  # not all +-0: a NaN is truthy
         first, term_list = 0, _ALL_TERMS
-    else:
+    elif table[_TH_FLAT].any() or not np.isfinite(table[_TH_PHPH]).all():
         first, term_list = _ZERO_PAIRS, _LIVE_TERMS
+    else:
+        first, term_list = _TH_PAIRS, _LEAN_TERMS
     second = work[n_products:2 * n_products - first]
     _products(table, out=terms[first:n_products], pairs=_PAIRS[first:], second=second)
     div = terms[n_products:]
@@ -521,9 +574,8 @@ def _ricci_sum(table, two_h, work=None):
 
 def _fd_read(profile: RadialProfile, r, h):
     """The oracle's read of one part: after the domain checks, the seven
-    nested stencil radii and the steps in :data:`ORACLE_DTYPE`, and A^2
-    and Rareal^2 on the radii, squared in the read's own dtype (a table
-    reads float64)."""
+    nested stencil radii and the steps in :data:`ORACLE_DTYPE`, and A and
+    Rareal on the radii in the read's own dtype (a table reads float64)."""
     profile.ensure_evaluable(r, open_interior=True)
     if not np.all((profile.r_lo < r - 2.0 * h) & (r + 2.0 * h < profile.r_hi)):
         raise DomainError("finite-difference stencil leaves the profile domain")
@@ -531,8 +583,7 @@ def _fd_read(profile: RadialProfile, r, h):
         np.asarray(r, dtype=ORACLE_DTYPE), np.asarray(h, dtype=ORACLE_DTYPE)
     )
     radii = _nested(rl, hl)
-    a_val, r_val = profile._read().values(radii)
-    return radii, hl, a_val * a_val, r_val * r_val
+    return (radii, hl, *profile._read().values(radii))
 
 
 def _layout(start, counts):
@@ -562,38 +613,51 @@ def _fd_ricci(parts):
     (profile, r, h): the mixed Ricci components and the scalar curvature
     of the metric values at r, with what the lapse Hessian reads.
 
-    Each part is read on its own (:func:`_fd_read`); its A^2, Rareal^2
-    and steps, widened to :data:`ORACLE_DTYPE`, fill its samples of one
-    workspace block of :data:`_WORK_ROWS` rows, and every later step runs
-    once over all samples, writing into views of the block.  One part
-    keeps its samples' shape; several lie flat, one after another.  Each
-    step is elementwise, so every sample has the bits of its own call,
-    and the one pass-wide branch, the Ricci sum's term list, changes no
-    bit (:func:`_ricci_sum`).  Returns (stencils, mixed, ginv, scalar,
-    table): per part its nested radii, its steps and the index of its
-    samples, then ric[a] g^aa, the inverse metric diagonal g^aa and the
-    sum 0 + ric[0] g^00 + ... at the centre, and the symbol table of
-    :func:`_christoffel`.
+    Each part is read on its own (:func:`_fd_read`); its A^2 and
+    Rareal^2, squared in the read's dtype, and its steps, widened to
+    :data:`ORACLE_DTYPE`, fill its samples of one workspace block of
+    :data:`_WORK_ROWS` rows, and every later step runs
+    once over all samples, writing into views of the block.  One part of
+    one presentation keeps its samples' shape; otherwise they lie flat,
+    one part after another, and a part whose read presents several
+    geometries on its grid (``presentations``) fills one run of samples
+    per geometry.  Each step is elementwise, so every sample has the bits
+    of its own call, and the one pass-wide branch, the Ricci sum's term
+    list, changes no bit (:func:`_ricci_sum`).  Returns (stencils, mixed,
+    ginv, scalar, table): per part its nested radii (one part only; None
+    where there are several, whose radii no caller reads), its steps and
+    the index of its samples, then ric[a] g^aa, the inverse metric
+    diagonal g^aa and the sum 0 + ric[0] g^00 + ... at the centre, and
+    the symbol table of :func:`_christoffel`.
     """
+    counts = [p._read().presentations for p, _, _ in parts]
     shapes = [np.broadcast(r, h).shape for _, r, h in parts]
-    shape = shapes[0] if len(parts) == 1 else (sum(map(math.prod, shapes)),)
+    flat = len(parts) > 1 or counts[0] > 1
+    shape = (sum(k * math.prod(sh) for k, sh in zip(counts, shapes)),) if flat else shapes[0]
     work = np.empty((_WORK_ROWS,) + shape, dtype=ORACLE_DTYPE)
     two_h, ginv, table = map(work.__getitem__, _KEPT)
-    hl, g, sines, ph, d_r, d_th, d_ph, w, w_ph = map(work.__getitem__, _PHASE_ONE)
-    g = g.reshape((3, 7) + shape)
+    hl, g_rows, sines, ph, d_r, d_th, d_ph, w, w_ph = map(work.__getitem__, _PHASE_ONE)
+    g = g_rows.reshape((3, 7) + shape)
     d_r, w = d_r.reshape((3, 3) + shape), w.reshape((3, 3) + shape)
 
     stencils, start = [], 0
     for profile, r, h in parts:
-        radii, steps, a2, r2 = _fd_read(profile, r, h)
+        radii, steps, a_val, r_val = _fd_read(profile, r, h)
         index = ...
-        if len(parts) > 1:
-            index, start = slice(start, start + steps.size), start + steps.size
-            a2, r2 = a2.reshape(7, steps.size), r2.reshape(7, steps.size)
-        g[0][:, index], g[1][:, index] = a2, r2
-        hl[index] = steps.reshape(hl[index].shape)
+        if flat:
+            first, n = start, steps.size
+            for a_k, r_k in zip(a_val.reshape(-1, 7, n), r_val.reshape(-1, 7, n)):
+                run, start = slice(start, start + n), start + n
+                np.multiply(a_k, a_k, out=g[0][:, run])
+                np.multiply(r_k, r_k, out=g[1][:, run])
+                hl[run] = steps.reshape(n)
+            index, radii = slice(first, start), None
+        else:
+            np.multiply(a_val, a_val, out=g[0])
+            np.multiply(r_val, r_val, out=g[1])
+            hl[...] = steps
         stencils.append((radii, steps, index))
-        del a2, r2  # before the next part's read
+        del a_val, r_val, radii  # before the next part's read
 
     # The metric at the seven radii on th = pi/2, at radius r on th +- h,
     # and its g_phph at (th +- h) +- h: only g_phph changes along th.  The
@@ -604,7 +668,8 @@ def _fd_ricci(parts):
     np.multiply(g[1, 0], sines, out=ph)
     ph *= sines
     np.multiply(2.0, hl, out=two_h)
-    np.subtract(g[:, 1::2], g[:, 2::2], out=d_r)
+    for a in range(3):  # per a: numpy's buffers for the 3-d strided operands are 3x larger
+        np.subtract(g[a, 1::2], g[a, 2::2], out=d_r[a])
     d_r /= two_h
     np.subtract(g[:2, 0], g[:2, 0], out=d_th[:2])
     np.subtract(ph[0], ph[1], out=d_th[2, ...])
@@ -617,7 +682,7 @@ def _fd_ricci(parts):
     np.divide(1.0, ph[:2], out=w_ph)
     w_ph *= 0.5
 
-    _christoffel(w, d_r, d_th, w_ph, d_ph, table)
+    _christoffel(w, d_r, d_th, w_ph, d_ph, table, scratch=g_rows)
     mixed = _ricci_sum(table, two_h, work[_RICCI_SUM])
     mixed *= ginv
     return stencils, mixed, ginv, sum(mixed), table
@@ -627,13 +692,19 @@ def _fd_scalars(parts):
     """The oracle's scalar curvature on every part (profile, r, h), as
     :func:`fd_curvature_oracle` gives it (same bits), from one pass of
     :func:`_fd_ricci` without reading N: per part a float for a number
-    ``r``, a float array for an array."""
+    ``r``, a float array for an array, with a leading axis of its read's
+    ``presentations`` where there are several."""
     stencils, _, _, scalar, _ = _fd_ricci(parts)
-    return [
-        np.array(scalar[index].reshape(steps.shape), dtype=float)
-        if isinstance(r, np.ndarray) else float(scalar[index])
-        for (_, r, _), (_, steps, index) in zip(parts, stencils)
-    ]
+    out = []
+    for (profile, r, h), (_, steps, index) in zip(parts, stencils):
+        count = profile._read().presentations
+        if count > 1:
+            out.append(np.array(scalar[index].reshape((count,) + steps.shape), dtype=float))
+        elif isinstance(r, np.ndarray):
+            out.append(np.array(scalar[index].reshape(steps.shape), dtype=float))
+        else:
+            out.append(float(scalar[index]))
+    return out
 
 
 def fd_curvature_oracle(profile: RadialProfile, r, h=1e-3) -> CurvatureSample:

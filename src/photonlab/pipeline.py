@@ -131,7 +131,7 @@ def run_rigidity_pipeline(
     conformal = conformal_transform(doubled)
     if (per := _samples_per_chart(doubled.charts, n_samples, 8)) != plan.n:
         plan = _sample_plan(doubled.charts, per, "flatness_check")
-    scalar = _scalar_residual(conformal, plan)
+    scalar, _ = _scalar_residual(conformal, plan)
 
     mass_i = float(boundary_audit.mass_i)
     schedule = tuple(50.0 * mass_i * 2.0 ** k for k in range(4))

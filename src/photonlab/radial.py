@@ -253,6 +253,8 @@ class _Read:
 
     __slots__ = ()
     knots = np.empty(0)  # a table's nodes, between which its channels are cubic
+    # geometries ``values`` gives on one grid, on a leading axis where more than one
+    presentations = 1
 
     def jet(self, r, ch) -> Jet:
         return Jet(self.order(r, ch, 0), self.order(r, ch, 1), self.order(r, ch, 2))

@@ -38,6 +38,7 @@ from photonlab.conformal import (
 from photonlab.curvature import (
     _ALL_TERMS,
     _GAMMA_ROW,
+    _LEAN_TERMS,
     _LIVE_TERMS,
     _PAIRS,
     _PRODUCT,
@@ -298,15 +299,21 @@ def _full_sum(table, two_h):
     return ric
 
 
+_SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+
+
 @st.composite
-def _symbol_tables(draw, zero_rows=st.sampled_from([0.0, -0.0])):
+def _symbol_tables(draw, zero_rows=_SIGNED_ZEROS, th_flat_rows=None):
     """A symbol table of three centres, (33,) or (33, n), whose zero-class
-    rows 0-2 are drawn from ``zero_rows`` and the rest from the special and
-    random entries, with twice the steps."""
+    rows 0-2 are drawn from ``zero_rows``, rows 8, 10 and 12 from
+    ``th_flat_rows`` if given, and the rest from the special and random
+    entries, with twice the steps."""
     n = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=4)))
     tail = () if n is None else (n,)
     table = draw(hnp.arrays(np.float64, (33,) + tail, elements=_ENTRIES))
     table[:3] = draw(hnp.arrays(np.float64, (3,) + tail, elements=zero_rows))
+    if th_flat_rows is not None:
+        table[8:13:2] = draw(hnp.arrays(np.float64, (3,) + tail, elements=th_flat_rows))
     two_h = draw(hnp.arrays(np.float64, tail, elements=_ENTRIES))
     return table.astype(ORACLE_DTYPE), two_h.astype(ORACLE_DTYPE)
 
@@ -331,6 +338,23 @@ def test_live_terms_leave_out_exactly_the_exact_zeros():
     assert _ALL_TERMS == every and len(every) == 66
 
 
+def test_lean_terms_leave_out_exactly_the_products_of_the_th_flat_symbols():
+    # the symbols along th at centre 0 that read d_th g_rr or d_th g_thth
+    # are rows 8, 10 and 12, and those that read d_th g_phph rows 9 and 11
+    flat = [_GAMMA_ROW[0, 0, 1], _GAMMA_ROW[1, 0, 0], _GAMMA_ROW[1, 1, 1]]
+    assert flat == [8, 10, 12] == list(range(33)[curvature._TH_FLAT])
+    assert [_GAMMA_ROW[2, 2, 1], _GAMMA_ROW[1, 2, 2]] == list(range(33)[curvature._TH_PHPH])
+    # a live product that reads one of them reads only rows 8-12, so it is
+    # +-0 while they are +-0 and rows 9 and 11 are finite
+    pairs = _PAIRS.tolist()
+    reads_flat = [min(p) >= 3 and bool(set(p) & set(flat)) for p in pairs]
+    assert all(set(p) <= set(range(8, 13)) for p, f in zip(pairs, reads_flat) if f)
+    assert sum(reads_flat) == 9
+    live = [term for term in _LIVE_TERMS if not (term[1] < len(pairs) and reads_flat[term[1]])]
+    assert _LEAN_TERMS == live and len(live) == 32
+    assert len({row for _, row, _ in _LEAN_TERMS if row < len(pairs)}) == 13
+
+
 @settings(max_examples=300, deadline=None)
 @given(_symbol_tables())
 def test_ricci_sum_equals_the_full_sum_bit_for_bit(data):
@@ -353,11 +377,47 @@ def test_a_non_zero_class_symbol_takes_the_full_sum(data):
     with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as patch:
         expected = _full_sum(table, two_h)
         patch.setattr(curvature, "_LIVE_TERMS", [])
+        patch.setattr(curvature, "_LEAN_TERMS", [])
         got = _ricci_sum(table, two_h)
     if table[:3].any():
         _assert_same_bits(got, expected)
     else:
         assert not got.any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_symbol_tables(th_flat_rows=_SIGNED_ZEROS))
+def test_ricci_sum_without_the_th_flat_products_equals_the_full_sum(data):
+    # zero-class rows and rows 8, 10 and 12 of +-0 take the lean terms
+    # where rows 9 and 11 are finite, and the live terms where one of them
+    # is an infinity or a NaN (0 times an infinity is NaN)
+    table, two_h = data
+    with np.errstate(all="ignore"):
+        expected = _full_sum(table, two_h)
+        got = _ricci_sum(table, two_h)
+    _assert_same_bits(got, expected)
+
+
+def test_the_lean_sum_forms_13_products_and_needs_finite_phph_symbols():
+    products, formed = curvature._products, []
+
+    def recorded(table, out=None, pairs=_PAIRS, second=None):
+        formed.append(len(pairs))
+        return products(table, out, pairs, second)
+
+    table = np.linspace(1.0, 2.0, 33).astype(ORACLE_DTYPE)
+    table[:3] = table[8:13:2] = [0.0, -0.0, 0.0]
+    two_h = ORACLE_DTYPE(2e-3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(curvature, "_products", recorded)
+        for phph, count in ((1.5, 13), (np.inf, 22), (np.nan, 22)):
+            table[11] = phph
+            with np.errstate(all="ignore"):
+                _assert_same_bits(_ricci_sum(table, two_h), _full_sum(table, two_h))
+            assert formed.pop() == count
+        table[11], table[10] = 1.5, 1e-300
+        _ricci_sum(table, two_h)
+        assert formed.pop() == 22
 
 
 @settings(max_examples=200, deadline=None)
@@ -397,11 +457,20 @@ def _window(lo, hi):
 
 def test_scans_sum_live_terms_with_the_full_sums_bits(monkeypatch):
     fast = _checked_sums(monkeypatch)
+    products, formed = curvature._products, []
+
+    def recorded(table, out=None, pairs=_PAIRS, second=None):
+        formed.append(len(pairs))
+        return products(table, out, pairs, second)
+
+    monkeypatch.setattr(curvature, "_products", recorded)
     for m in (0.5, 1.0, 2.0):
         exterior = make_schwarzschild_family(m, 3.0 * m, 100.0 * m)
         conf = conformal_transform(double(glue_neck(exterior, 3.0 * m)))
         assert conformal_scalar_residual(conf)["max_abs_scalar"] <= 1e-8
     assert fast == [True] * 3  # one pass over the four presentations each
+    # each pass forms only the 13 products that are not +-0 on its table
+    assert formed == [13] * 3
 
 
 @pytest.mark.parametrize("centred", [True, False])
@@ -460,13 +529,21 @@ def _scan_pass(monkeypatch, conf):
 
 @pytest.mark.parametrize("case", [0.5, 1.0, 2.0, "table"])
 def test_the_scans_one_pass_equals_each_part_alone_bit_for_bit(monkeypatch, case):
-    # four presentations of 128 samples, the refined neck, reflected neck
-    # and inverted end passing theirs at h and h/2: 896 sample evaluations
-    # in one core pass, each part with the bits of its own pass and of the
-    # oracle's scalar field
-    parts, got, _ = _scan_pass(monkeypatch, _sealed_double(case))
-    assert [r.size for _, r, _ in parts] == [256, 256, 256, 128]
+    # four presentations of 128 samples, the refined necks and inverted end
+    # passing theirs at h and h/2: 896 sample evaluations in one core pass,
+    # the two necks in one part that presents both on one grid; each part
+    # has the bits of its own pass, and each chart those of its own
+    # presentation's pass and of the oracle's scalar field
+    conf = _sealed_double(case)
+    parts, got, _ = _scan_pass(monkeypatch, conf)
+    shapes = [(r.size, profile._read().presentations) for profile, r, _ in parts]
+    assert shapes == [(256, 1), (256, 2), (128, 1)]
     for (profile, r, h), scalar in zip(parts, got):
+        assert scalar.tobytes() == _fd_scalar(profile, r, h).tobytes()
+    (_, r, h) = parts[1]
+    necks = [(_neck_isotropic_profile(conf.chart(name))[0], r, h)
+             for name in ("neck_reflected", "neck")]
+    for (profile, r, h), scalar in zip([parts[0], *necks, parts[2]], [got[0], *got[1], got[2]]):
         assert scalar.dtype == np.float64
         assert scalar.tobytes() == _fd_scalar(profile, r, h).tobytes()
         assert scalar.tobytes() == fd_curvature_oracle(profile, r, h).scalar.tobytes()
@@ -493,18 +570,32 @@ def test_a_centred_nan_in_one_part_sends_the_whole_pass_to_the_full_sum(monkeypa
         assert np.signbit(scalar).tolist() == np.signbit(want).tolist()
 
 
-def test_the_scans_pass_peaks_below_one_and_a_half_workspaces():
+def test_the_scans_pass_holds_no_part_radii_and_peaks_below_1_24_workspaces(monkeypatch):
     # one workspace block holds the pass's metric, differences, symbol
-    # table and Ricci terms; what else the scan allocates at once stays
-    # below half of it
+    # table and Ricci terms.  Once the parts are read, what else is live
+    # (the parts and their steps) stays below 7% of it: a pass of several
+    # parts drops each part's nested radii with its read (kept, they made
+    # it 10.6%).  What the scan allocates at once beside the block stays
+    # below 24% of it: the pair of neck presentations' read sets it at
+    # 21.2% (a strided write of the Christoffel symbols set 29.5%, and
+    # numpy's buffers for the 3-d difference along r 23.2%)
     conf = _sealed_double(1.0)
     conformal_scalar_residual(conf)  # warm caches outside the trace
+    christoffel, live = curvature._christoffel, []
+
+    def traced(*args, **kwargs):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return christoffel(*args, **kwargs)
+
+    monkeypatch.setattr(curvature, "_christoffel", traced)
     tracemalloc.start()
     try:
+        start = tracemalloc.get_traced_memory()[0]
         conformal_scalar_residual(conf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     workspace = _WORK_ROWS * 896 * np.dtype(ORACLE_DTYPE).itemsize
-    assert peak < 1.5 * workspace
-
+    (at_christoffel,) = live
+    assert at_christoffel - start < 1.07 * workspace
+    assert peak - start < 1.24 * workspace

@@ -541,3 +541,17 @@ def test_richardson_limit_strips_leading_order():
 def test_richardson_limit_requires_geometric_schedule():
     with pytest.raises(DomainError):
         richardson_limit(np.array([1.0, 0.5, 0.3]), np.zeros(3))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [[0.0, 0.0, 0.0], [1.0, 0.5, 0.0], [math.inf] * 3, [1.0, math.nan, 0.25]])
+def test_richardson_limit_refuses_a_zero_infinite_or_nan_node_by_name(x):
+    # dividing by such a node would warn and send NaN to the schedule check
+    with pytest.raises(DomainError, match="finite and non-zero"):
+        richardson_limit(np.array(x), np.zeros(3))
+
+
+@pytest.mark.parametrize("x", [[1.0, 1.0, 1.0], [1.0, -1.0, 1.0]])
+def test_richardson_limit_refuses_nodes_of_one_magnitude(x):
+    with pytest.raises(DomainError, match="differ in magnitude"):
+        richardson_limit(x, [1.0, 2.0, 3.0])

@@ -35,10 +35,11 @@ from photonlab.pipeline import run_rigidity_pipeline
 from photonlab.radial import RadialFunction, make_schwarzschild_family
 
 # Per run_rigidity_pipeline at m = 1: one guarded grid per chart geometry
-# (exterior, neck) plus the inverted end's and the two isotropic necks'
-# scan grids, one psi-bound scan per mirror pair, and one closed-form jet
-# read per chart geometry.  Before the reads were shared: 6, 6, 4 and 8.
-PER_RUN = {"geomspace": 2, "linspace(128)": 3, "linspace(2500)": 2, "array jets": 2}
+# (exterior, neck) plus the inverted end's scan grid and one grid the two
+# isotropic necks share, one psi-bound scan per mirror pair, and one
+# closed-form jet read per chart geometry.  Before the reads were shared:
+# 6, 6, 4 and 8; before the mirror necks shared their grid, 3 of 128.
+PER_RUN = {"geomspace": 2, "linspace(128)": 2, "linspace(2500)": 2, "array jets": 2}
 
 
 @pytest.fixture
