@@ -1,15 +1,10 @@
-"""Auditing a candidate photon sphere: the four defining identities, the
-mass it sees, and the monotone quantity that pins the sphere's location
-from outside.
+"""Auditing a candidate photon sphere: the four defining identities and
+the mass it sees.
 
 Run:  python3 demos/03_sphere_audit.py
 """
 
-from photonlab import (
-    audit_sphere,
-    make_schwarzschild_family,
-    monotonicity_scan,
-)
+from photonlab import audit_sphere, make_schwarzschild_family
 
 
 def section(title):
@@ -43,14 +38,6 @@ def main():
     section("quasi-local mass is radius-independent in vacuum")
     for r in (3.0, 10.0, 77.0):
         print(f"  r = {r:5.1f}   component mass = {audit_sphere(wide, r).mass_i:.12f}")
-
-    section("H/N decreases monotonically along the outward flow")
-    scan = monotonicity_scan(wide, 3.0, 100.0, n=256)
-    print(f"  ratio at r = 3:    {scan.ratio[0]:.12f}")
-    print(f"  ratio at r = 100:  {scan.ratio[-1]:.12f}")
-    print(f"  arclength of the flow: {scan.flow_parameter[-1]:.4f}")
-    print(f"  upward violations: {scan.max_upward_violation:.1e} "
-          f"(nonincreasing: {scan.nonincreasing})")
 
 
 if __name__ == "__main__":

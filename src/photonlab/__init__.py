@@ -7,8 +7,8 @@ The package is organized bottom-up:
     Radial metric profiles (closed-form families, fluid interiors,
     tabulated data) with exact first and second derivatives.
 ``curvature``
-    Closed-form curvature in an orthonormal frame, a finite-difference
-    oracle that consumes only metric values, and identity residuals.
+    Closed-form curvature in an orthonormal frame and a finite-difference
+    oracle that consumes only metric values.
 ``geodesics``
     Null geodesic integration, trapping verdicts, and photon-sphere root
     search by the optical mean curvature.
@@ -30,7 +30,6 @@ The package is organized bottom-up:
 from .audit import (
     IdentityReport,
     audit_sphere,
-    monotonicity_scan,
 )
 from .conformal import (
     CompactificationReport,
@@ -45,10 +44,8 @@ from .conformal import (
 from .curvature import (
     CurvatureSample,
     VacuumResidualScan,
-    convergence_study,
     curvature_at,
     fd_curvature_oracle,
-    identity_residuals,
     vacuum_residual_scan,
 )
 from .geodesics import (

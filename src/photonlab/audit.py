@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .radial import (
-    CompositeProfile,
     DomainError,
     ProfileKind,
     RadialProfile,
@@ -27,8 +26,6 @@ from .radial import (
 __all__ = [
     "IdentityReport",
     "audit_sphere",
-    "MonotonicityScan",
-    "monotonicity_scan",
 ]
 
 SQRT3 = math.sqrt(3.0)
@@ -152,103 +149,4 @@ def audit_sphere(profile: RadialProfile, r0: float) -> IdentityReport:
 def _refuse_infinite(name: str, value: float, r0) -> None:
     if math.isinf(value):
         raise DomainError(f"audit_sphere: {name} is infinite at r = {r0!r}")
-
-
-# ---------------------------------------------------------------------------
-# Monotonicity of H/N along the outward flow
-# ---------------------------------------------------------------------------
-
-
-# The flow parameter's Gauss-Legendre rule (Golub & Welsch, Math. Comp. 23
-# (1969) 221): nodes per segment, the gap between a segment's estimate and its
-# halves' allowed relative to its sample interval, halvings per segment.
-_GAUSS_NODES = 10
-_HALVING_RTOL = 1e-13
-_MAX_HALVINGS = 50
-
-
-@dataclass(frozen=True)
-class MonotonicityScan:
-    """Sampled H/N sequence along the outward normal flow.
-
-    ``flow_parameter`` is metric arclength (integral of A dr, adaptive
-    Gauss-Legendre); ``max_upward_violation`` is the largest positive
-    increment between consecutive samples, exactly 0.0 for a monotone sequence.
-    """
-
-    r: np.ndarray
-    flow_parameter: np.ndarray
-    ratio: np.ndarray
-    max_upward_violation: float
-    nonincreasing: bool
-
-
-def _arclength(pieces, r_values):
-    """Integral of A from r_values[0] to each radius: each piece splits the
-    sample intervals clipped to its domain at its read's knots (inside one
-    knot interval a table's A is a cubic, which the rule integrates
-    exactly), then halves them, one read of A a round, until the halves
-    agree within ``_HALVING_RTOL`` of the interval (A's rounding near a
-    horizon exceeds that per segment).  A NaN estimate stays, unsplit."""
-    from numpy.polynomial.legendre import leggauss
-
-    x, w = leggauss(_GAUSS_NODES)
-
-    def rule(A, a, b):  # estimates of the integral of A over each [a, b]
-        half = 0.5 * (b - a)
-        return half * (A((a + half)[:, None] + half[:, None] * x) @ w)
-
-    total = np.zeros(r_values.size - 1)
-    for p in pieces:
-        ends, knots = r_values.clip(p.r_lo, p.r_hi), p._read().knots
-        ends = np.unique(np.r_[ends, knots[(knots > ends[0]) & (knots < ends[-1])]])
-        a, b, owner = ends[:-1], ends[1:], np.searchsorted(r_values, ends[1:]) - 1
-        whole = rule(p.A, a, b)
-        tol = _HALVING_RTOL * np.abs(np.bincount(owner, whole, total.size))
-        for _ in range(_MAX_HALVINGS):
-            k, mid = whole.size, 0.5 * (a + b)
-            a, b, owner = np.r_[a, mid], np.r_[mid, b], np.tile(owner, 2)
-            halves = rule(p.A, a, b)
-            fine = np.where(np.isnan(whole), whole, halves[:k] + halves[k:])
-            done = ~(np.abs(fine - whole) > tol[owner[:k]])  # NaN: done
-            total += np.bincount(owner[:k][done], fine[done], total.size)
-            if done.all():
-                break
-            go = np.tile(~done, 2)
-            a, b, owner, whole = a[go], b[go], owner[go], halves[go]
-        else:
-            raise DomainError(f"flow parameter did not converge on [{a[0]}, {b[0]}]")
-    return np.r_[0.0, np.cumsum(total)]
-
-
-def monotonicity_scan(
-    profile: RadialProfile | CompositeProfile,
-    r_start: float,
-    r_end: float,
-    n: int = 256,
-) -> MonotonicityScan:
-    """Sample H/N at ``n`` >= 2 radii of [r_start, r_end] against the
-    arclength flow parameter, reading each piece once on its radii."""
-    if not (r_start < r_end):
-        raise DomainError("need r_start < r_end")
-    if n < 2:
-        raise DomainError(f"n must be at least 2, got {n}")
-    rs = np.linspace(r_start, r_end, int(n))
-    pieces = profile.pieces if isinstance(profile, CompositeProfile) else (profile,)
-    # a breakpoint (its left piece's r_hi) belongs to that piece, as in piece_at
-    which = np.searchsorted([p.r_hi for p in pieces[:-1]], rs, side="left")
-    ratios = np.empty(rs.size)
-    for k, p in enumerate(pieces):
-        at = which == k
-        p.ensure_evaluable(rs[at])
-        ratios[at] = p.sphere_mean_curvature(rs[at]) / p.N(rs[at])
-    rise = float(np.diff(ratios).max())
-    worst = max(0.0, rise) if rise == rise else rise  # a NaN ratio fails the scan
-    return MonotonicityScan(
-        r=rs,
-        flow_parameter=_arclength(pieces, rs),
-        ratio=ratios,
-        max_upward_violation=worst,
-        nonincreasing=worst == 0.0,
-    )
 

@@ -65,7 +65,6 @@ import numpy as np
 from .radial import (
     DomainError,
     Jet,
-    RadialFunction,
     RadialProfile,
     _require_normal_square,
     _require_piece,
@@ -77,9 +76,7 @@ __all__ = [
     "curvature_at",
     "vacuum_residual_scan",
     "fd_curvature_oracle",
-    "identity_residuals",
     "radial_laplacian",
-    "convergence_study",
 ]
 
 # The oracle's working precision: x87 80-bit extended where numpy's
@@ -88,7 +85,6 @@ ORACLE_DTYPE = np.longdouble
 
 # The static vacuum residuals, in the order scans report them and break ties.
 VACUUM_FIELDS = ("vac_residual_nn", "vac_residual_tt", "scalar_residual", "lap_residual")
-_FIELDS = ("ric_nn", "ric_tt", "scalar", "hess_nn", "hess_tt", "lap_N", *VACUUM_FIELDS)
 _vacuum_residuals = operator.attrgetter(*VACUUM_FIELDS)
 
 
@@ -125,10 +121,6 @@ class CurvatureSample:
         """Largest residual magnitude of a scalar sample; NaN if any is NaN."""
         a, b, c, d = _vacuum_residuals(self)
         return _max_or_nan((abs(a), abs(b), abs(c), abs(d)))
-
-    def difference(self, other: "CurvatureSample") -> float:
-        """Largest field-wise deviation from another sample (same radius)."""
-        return _max_or_nan([abs(getattr(self, f) - getattr(other, f)) for f in _FIELDS])
 
 
 def radial_laplacian(f: Jet, a: Jet, rr: Jet):
@@ -713,10 +705,10 @@ def fd_curvature_oracle(profile: RadialProfile, r, h=1e-3) -> CurvatureSample:
     Centered differences everywhere: Christoffel symbols from first
     differences of the metric, their derivatives from differences of
     Christoffel symbols at displaced stencils, the lapse Hessian from
-    second differences of N on the central stencil.  Requires
-    [r - 2h, r + 2h] inside the domain.  Truncation error is O(h^2);
-    internals run in extended precision so the O(eps/h^2) roundoff floor
-    sits well below truncation for h >= 1e-4.
+    second differences of N on the central stencil.  Requires a
+    finite step h > 0 and [r - 2h, r + 2h] inside the domain.  Truncation
+    error is O(h^2); internals run in extended precision so the
+    O(eps/h^2) roundoff floor sits well below truncation for h >= 1e-4.
 
     The 25 stencil points lie on seven distinct radii, r, r +- h and
     (r +- h) +- h, so each sample reads A and Rareal once on those seven
@@ -736,6 +728,11 @@ def fd_curvature_oracle(profile: RadialProfile, r, h=1e-3) -> CurvatureSample:
     same values its samples would each compute.
     """
     _require_piece(profile, "fd_curvature_oracle")
+    steps = np.asarray(h)
+    if not np.all(np.isfinite(steps) & (steps > 0.0)):
+        raise DomainError(
+            f"fd_curvature_oracle: the step h must be finite and positive, got {h!r}"
+        )
     ((radii, hl, _),), mixed, ginv, scalar, gam = _fd_ricci([(profile, r, h)])
 
     # Lapse derivatives on the central stencil, whose theta-neighbours sit
@@ -764,67 +761,3 @@ def fd_curvature_oracle(profile: RadialProfile, r, h=1e-3) -> CurvatureSample:
         hess[1] * ginv[1],
         sum(hess[i] * ginv[i] for i in range(3)),
     )
-
-
-def convergence_study(profile: RadialProfile, r: float) -> dict:
-    """Measure the oracle's convergence against the closed form.
-
-    Returns the worst field errors at steps h = 1e-2, 1e-3 and 1e-4, the
-    least-squares convergence rate in log-log, and the implied constant C
-    of the error model C h^2 taken at the middle step.
-    """
-    _require_piece(profile, "convergence_study")
-    exact = curvature_at(profile, r)
-    steps = (1e-2, 1e-3, 1e-4)
-    errors = [fd_curvature_oracle(profile, r, h).difference(exact) for h in steps]
-    logs_h = np.log(np.asarray(steps))
-    logs_e = np.log(np.asarray(errors))
-    rate = float(np.polyfit(logs_h, logs_e, 1)[0])
-    mid = len(steps) // 2
-    return {
-        "steps": steps,
-        "errors": tuple(errors),
-        "rate": rate,
-        "constant": errors[mid] / steps[mid] ** 2,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Coordinate spheres
-# ---------------------------------------------------------------------------
-
-
-def identity_residuals(
-    profile: RadialProfile, r: float, f: RadialFunction | None = None
-) -> dict:
-    """Residuals of two chart-independent identities at radius r.
-
-    * contracted Gauss:  Scal - 2 Ric(nu, nu) =
-      (sphere scalar) - H^2 + |h|^2, with |h|^2 summed from the actual
-      frame components;
-    * surface splitting of the Laplacian for a radial test function f:
-      Lap f = Hess f(nu, nu) + H nu(f)  (the sphere Laplacian of a radial
-      function vanishes).
-
-    ``f`` defaults to the lapse; pass e.g. the coordinate function or its
-    square for independent checks.  A float division by zero or overflow
-    (A zero or subnormal) is refused.
-    """
-    _require_piece(profile, "identity_residuals")
-    try:
-        _, ric_nn, _, scalar = _ricci(*_jets_at(profile, r)[1:])
-        a, rr = profile.A.jet(r), profile.Rareal.jet(r)
-        k = rr.d1 / (a.v * rr.v)  # the shape operator's one frame eigenvalue
-        H = float(k + k)
-        h_sq = 2.0 * k * k
-        gauss = (float(scalar) - 2.0 * float(ric_nn)) - (
-            float(2.0 / (rr.v * rr.v)) - H ** 2 + h_sq
-        )
-
-        fj = (profile.N if f is None else f).jet(r)
-        hess_f_nn = _proper_second(fj, a)
-        surf = radial_laplacian(fj, a, rr) - (hess_f_nn + H * fj.d1 / a.v)
-    except ArithmeticError as exc:  # floats raise where numpy gives inf or NaN
-        raise DomainError(f"identity_residuals: {exc} at r = {r!r}") from None
-
-    return {"gauss": float(gauss), "surface_laplacian": float(surf)}

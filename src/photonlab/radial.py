@@ -252,7 +252,6 @@ class _Read:
     """
 
     __slots__ = ()
-    knots = np.empty(0)  # a table's nodes, between which its channels are cubic
     # geometries ``values`` gives on one grid, on a leading axis where more than one
     presentations = 1
 

@@ -6,6 +6,7 @@ quantity next to its tolerance, then asserts, so a verbose run reads as a
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -15,13 +16,13 @@ import numpy as np
 import pytest
 
 import photonlab
-from photonlab.audit import audit_sphere, monotonicity_scan
+from photonlab.audit import audit_sphere
 from photonlab.conformal import (
     adm_mass_estimate,
     compactification_check,
     conformal_scalar_residual,
 )
-from photonlab.curvature import convergence_study, curvature_at
+from photonlab.curvature import curvature_at, fd_curvature_oracle
 from photonlab.geodesics import photon_sphere_search
 from photonlab.gluing import (
     glue_neck,
@@ -62,8 +63,13 @@ def test_criterion_01_static_vacuum_residuals():
 
 
 def test_criterion_02_oracle_second_order_convergence(exterior_m1):
-    study = convergence_study(exterior_m1, 5.0)
-    rate = study["rate"]
+    exact = dataclasses.astuple(curvature_at(exterior_m1, 5.0))
+    steps = (1e-2, 1e-3, 1e-4)
+    errors = []
+    for h in steps:  # the worst field error at each step; np.max keeps a NaN
+        sample = dataclasses.astuple(fd_curvature_oracle(exterior_m1, 5.0, h))
+        errors.append(np.max(np.abs(np.subtract(sample, exact))))
+    rate = float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
     _report(2, 1.8 <= rate <= 2.2, f"finite-difference rate {rate:.4f} in [1.8, 2.2]")
 
 
@@ -93,10 +99,13 @@ def test_criterion_05_mass_identities(exterior_m1):
 
 
 def test_criterion_06_ratio_monotonicity(exterior_m1):
-    scan = monotonicity_scan(exterior_m1, 3.0, 100.0, n=256)
-    ok = scan.nonincreasing and scan.max_upward_violation == 0.0
+    # arclength increases with r (A > 0), so nonincreasing along the flow
+    # is nonincreasing in r
+    rs = np.linspace(3.0, 100.0, 256)
+    rise = float(np.diff(exterior_m1.sphere_mean_curvature(rs) / exterior_m1.N(rs)).max())
+    ok = rise <= 0.0  # a NaN ratio makes the rise NaN, which fails
     _report(6, ok, "H/N nonincreasing along the flow, 256 samples, "
-            f"max upward violation {scan.max_upward_violation:.3e}")
+            f"max upward violation {max(rise, 0.0):.3e}")
 
 
 def test_criterion_07_neck_match(glued_m1):

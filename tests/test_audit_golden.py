@@ -32,7 +32,6 @@ import numpy as np
 import pytest
 
 from photonlab.audit import audit_sphere
-from photonlab.curvature import identity_residuals
 from photonlab.radial import (
     RadialFunction,
     make_interior_fluid,
@@ -40,6 +39,7 @@ from photonlab.radial import (
     make_schwarzschild_neck,
     make_tabulated,
 )
+from selfchecks import identity_residuals
 
 MASSES = [1e-3, 0.1, 0.5, 0.5085834761425084, 1.0, 2.0, 10.0, 33.6]
 

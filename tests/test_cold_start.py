@@ -1,8 +1,7 @@
-"""Cold start: importing the package, every closed-form verdict, every read
-of a tabulated profile and the H/N monotonicity scan load numpy but not
-scipy, which only the tests' reference checks use.  The import loads no
-``numpy.polynomial`` either: the scan takes its Gauss-Legendre nodes when
-it runs."""
+"""Cold start: importing the package, every closed-form verdict and every
+read of a tabulated profile load numpy but not scipy, which only the
+tests' reference checks use.  The import loads no ``numpy.polynomial``
+either."""
 
 from __future__ import annotations
 
@@ -45,10 +44,6 @@ pl.curvature_at(loaded, 7.0)
 (root,) = pl.photon_sphere_search(loaded)
 assert pl.trapping_report(loaded, root).verdict == "trapped"
 print("tabulated", scipy_modules())
-
-assert pl.monotonicity_scan(wide, 3.0, 100.0).nonincreasing
-assert pl.monotonicity_scan(pl.make_composite_star(1.0, 2.5), 0.5, 100.0).nonincreasing
-print("monotonicity", scipy_modules())
 """
 
 
@@ -83,7 +78,7 @@ def test_closed_form_verdicts_do_not_import_scipy():
         capture_output=True, text=True, env=_env(), check=True,
     )
     assert proc.stdout.splitlines() == [
-        "import [] False", "closed-form []", "tabulated []", "monotonicity []",
+        "import [] False", "closed-form []", "tabulated []",
     ]
 
 

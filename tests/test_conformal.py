@@ -296,14 +296,14 @@ def test_oracle_runs_of_equal_steps_match_per_radius_calls(conformal_m1, chart_i
 
 
 def test_oracle_refuses_a_nan_step_in_an_array_pass(conformal_m1):
-    # a NaN step leaves no stencil to check, as in a scalar call
+    # a NaN step is refused by name, as in a scalar call
     prof = _presentation(conformal_m1.chart("neck"))
     t = np.linspace(prof.r_lo, prof.r_hi, 6)[1:-1]
     h = np.full(t.size, 1e-4)
     h[2] = np.nan
-    with pytest.raises(DomainError, match="stencil leaves"):
+    with pytest.raises(DomainError, match="the step h must be finite and positive"):
         fd_curvature_oracle(prof, t, h)
-    with pytest.raises(DomainError, match="stencil leaves"):
+    with pytest.raises(DomainError, match="the step h must be finite and positive"):
         fd_curvature_oracle(prof, float(t[2]), math.nan)
 
 

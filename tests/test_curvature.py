@@ -24,10 +24,8 @@ from photonlab.curvature import (
     CurvatureSample,
     _fd_scalars,
     _stencil_sines,
-    convergence_study,
     curvature_at,
     fd_curvature_oracle,
-    identity_residuals,
     vacuum_residual_scan,
 )
 from photonlab.geodesics import fermat_geodesy_residual, photon_sphere_search
@@ -41,6 +39,7 @@ from photonlab.radial import (
     make_schwarzschild_neck,
     make_tabulated,
 )
+from selfchecks import identity_residuals
 
 # Frozen closed-form targets at (m=1, r=3), derived independently:
 # with areal radius r the normal-normal Ricci is -2m/r^3 and the
@@ -105,10 +104,14 @@ def test_fluid_interior_scalar_is_constant_positive():
 
 def test_oracle_agrees_quadratically():
     p = make_schwarzschild_family(1.0, 2.5, 100.0)
-    study = convergence_study(p, 5.0)
-    assert 1.8 <= study["rate"] <= 2.2
-    # error at h=1e-3 consistent with the fitted model C h^2
-    assert study["errors"][1] <= 10.0 * study["constant"] * 1e-6
+    exact = dataclasses.astuple(curvature_at(p, 5.0))
+    steps = (1e-2, 1e-3, 1e-4)
+    errors = []
+    for h in steps:  # the worst field error at each step; np.max keeps a NaN
+        sample = dataclasses.astuple(fd_curvature_oracle(p, 5.0, h))
+        errors.append(np.max(np.abs(np.subtract(sample, exact))))
+    rate = np.polyfit(np.log(steps), np.log(errors), 1)[0]
+    assert 1.8 <= rate <= 2.2
 
 
 def test_oracle_flat_space_quiet():
@@ -124,6 +127,33 @@ def test_oracle_stencil_domain_guard():
     p = make_schwarzschild_family(1.0, 3.0, 10.0)
     with pytest.raises(Exception):
         fd_curvature_oracle(p, 3.0005, 1e-3)  # stencil exits below r_lo
+
+
+def _geometric_table(n, r_lo, r_hi):
+    src = make_schwarzschild_family(1.0, r_lo, r_hi)
+    r = np.geomspace(r_lo, r_hi, n)
+    return make_tabulated(r, src.N(r), src.A(r), src.Rareal(r))
+
+
+@pytest.mark.parametrize(
+    "profile, r, h",
+    [
+        # a negative step passed the stencil check and read the end cubic's
+        # extrapolation below the first node
+        (_geometric_table(40, 3.0, 100.0), 3.0015, -1e-3),
+        # ... or the closed form's lapse below r = 2, with numpy's warning
+        (make_schwarzschild_family(1.0, 2.0005, 100.0), 2.0015, -1e-3),
+        (make_schwarzschild_family(1.0, 3.0, 100.0), 5.0, 0.0),
+        (make_schwarzschild_family(1.0, 3.0, 100.0), 5.0, math.inf),
+        (make_schwarzschild_family(1.0, 3.0, 100.0), np.array([5.0, 6.0]), np.array([1e-3, -1e-3])),
+    ],
+    ids=["negative-table", "negative-closed-form", "zero", "inf", "one-negative-of-two"],
+)
+def test_oracle_refuses_a_step_that_is_not_finite_and_positive(profile, r, h):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^fd_curvature_oracle: the step h must be finite"):
+            fd_curvature_oracle(profile, r, h)
 
 
 def test_oracle_on_tabulated_profile_within_interpolation_bound():
@@ -504,9 +534,6 @@ def test_scalar_maxima_keep_a_nan_in_any_place():
     holed = dataclasses.replace(sample, lap_residual=math.nan)
     assert sample.max_vacuum_residual() <= 1e-12
     assert math.isnan(holed.max_vacuum_residual())
-    assert sample.difference(sample) == 0.0
-    assert math.isnan(holed.difference(sample))
-    assert math.isnan(sample.difference(holed))
 
 
 # ---------------------------------------------------------------------------

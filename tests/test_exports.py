@@ -50,9 +50,14 @@ def test_star_import_works(name):
 # Names deleted from the library, by the module that defined them: each
 # must stay gone from that module and from the package namespace.
 DELETED = {
-    "audit": ["component_mass"],
+    "audit": ["component_mass", "monotonicity_scan", "MonotonicityScan"],
     "conformal": ["conformal_end_mass_estimate", "conformal_scalar_prediction"],
-    "curvature": ["SurfaceGeometry", "surface_geometry"],
+    "curvature": [
+        "SurfaceGeometry",
+        "surface_geometry",
+        "convergence_study",
+        "identity_residuals",
+    ],
     "geodesics": ["fermat_profile", "launch_with_momenta", "write_trajectory_csv"],
     "gluing": [
         "neck_parameters",
@@ -83,7 +88,6 @@ REMOVED_PARAMETERS = {
     ("pipeline", "run_rigidity_pipeline"): ["flat_tol", "mass_tol"],
     ("gluing", "psi_bound_check"): ["n_samples"],
     ("gluing", "psi_harmonicity_max"): ["n_per_chart"],
-    ("curvature", "convergence_study"): ["steps"],
 }
 
 
@@ -97,12 +101,17 @@ def test_removed_parameters_stay_gone(module, function):
 
 def test_deleted_members_stay_gone():
     from photonlab.conformal import __all__ as conformal_exports
+    from photonlab.curvature import CurvatureSample
     from photonlab.pipeline import PipelineReport
-    from photonlab.radial import _View
+    from photonlab.radial import _Read, _View
 
     assert not hasattr(PipelineReport, "psi_bound_ok")
+    # the oracle's convergence study was the field-wise difference's one caller
+    assert not hasattr(CurvatureSample, "difference")
     # a view reads its construction's read; it holds no leaf callables
     assert "_d" not in vars(_View)
+    # a table's read keeps its own knots; no other read has any
+    assert "knots" not in vars(_Read)
     # the ADM extrapolation's helper is private to photonlab.conformal
     assert "richardson_limit" not in conformal_exports
     assert not hasattr(photonlab, "richardson_limit")

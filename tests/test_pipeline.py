@@ -180,6 +180,115 @@ def test_finiteness_alone_gates_a_nan_only_the_fd_scalar_reads():
     assert report.verdict == VERDICT_NOT_RIGID
 
 
+def _bumped(profile, channel, rp, width, height):
+    """``profile`` with height * (1 - t^2)^3, t = (r - rp)/width, added to
+    one channel on |t| < 1, a C^2 bump given with both derivatives."""
+    base = getattr(profile, channel)
+
+    def leaf(nu):
+        def f(r):
+            t = np.clip((r - rp) / width, -1.0, 1.0)
+            q = 1.0 - t * t
+            bump = (q ** 3, -6.0 * t * q * q / width, 6.0 * (4.0 * t * t * q - q * q) / width ** 2)
+            return base(r, nu) + height * bump[nu]
+        return f
+
+    return replace(profile, **{channel: RadialFunction(leaf(0), leaf(1), leaf(2))})
+
+
+def _quiet_pipeline(exterior, **kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return run_rigidity_pipeline(exterior, **kwargs)
+
+
+@pytest.mark.parametrize("delta, verdict", [(6e-13, VERDICT_NOT_RIGID), (2e-13, VERDICT_RIGID)])
+def test_match_jump_alone_gates_a_lapse_tilted_at_the_sphere(delta, verdict):
+    # N gains delta s (1 - s)^3 on s = r - 3 in [0, 1]: N' grows by delta
+    # at the sphere, so the audit reads res_NH = -2 delta / sqrt(3) and the
+    # collar value psi jumps by 3 delta across the neck.  At match_tol =
+    # 1e-12, delta = 6e-13 passes the gluing audit (6.9e-13) but not the
+    # jump (1.8e-12); 2e-13 passes both.  The tolerance is small because
+    # the flatness scan amplifies the tilt's N'' (-6 delta at the sphere)
+    # about 2.7e3-fold: at the default 1e-8, delta = 6e-9 reads flatness
+    # 9.8e-5, and the flatness bound fails too.
+    base = make_schwarzschild_family(1.0, 3.0, 100.0)
+
+    def tilted(nu):
+        def f(r):
+            s = np.clip(r - 3.0, 0.0, 1.0)
+            c = 1.0 - s
+            tilt = (s * c ** 3, c * c * (1.0 - 4.0 * s), 12.0 * s * c - 6.0 * c)
+            return base.N(r, nu) + delta * tilt[nu]
+        return f
+
+    tol = 1e-12
+    tilted_n = RadialFunction(tilted(0), tilted(1), tilted(2))
+    report = _quiet_pipeline(replace(base, N=tilted_n), match_tol=tol)
+    mass_i = report.boundary_audit.mass_i
+    assert report.boundary_audit.max_residual() <= tol
+    assert (report.max_match_jump > tol) == (verdict == VERDICT_NOT_RIGID)
+    assert report.flatness_max_curvature <= 1e-7 < FLAT_TOL
+    assert report.psi_bound.strict_bound
+    assert report.compactification.converged
+    assert abs(report.adm_exterior["mass"] / mass_i - 1.0) <= 1e-7 < MASS_TOL
+    assert abs(report.adm_conformal_end["mass"]) / mass_i <= 1e-8 < MASS_TOL
+    assert _all_finite(report)
+    assert report.verdict == verdict
+
+
+def test_psi_bound_alone_gates_a_lapse_lifted_between_flatness_samples():
+    # N gains 0.02 within 1e-3 of the point rp of the |psi| scan's exterior
+    # grid in (60, 80) farthest from the flatness and FD scalar samples
+    # (1.07 away): N(rp) = 0.987 + 0.02 > 1, so only the |psi| scan reads
+    # psi = +-N above 1; the sphere at 3 and the mass schedule radii 50,
+    # 100, 200 and 400 are far from the bump
+    base = make_schwarzschild_family(1.0, 3.0, 100.0)
+    rs = guarded_chart_samples(double(glue_neck(base, 3.0)).chart("exterior"), 128)
+    grid = np.linspace(3.0, 100.0, 2500)
+    grid = grid[(grid > 60.0) & (grid < 80.0)]
+    rp = float(grid[np.argmax(np.min(np.abs(grid[:, None] - rs), axis=1))])
+    report = _quiet_pipeline(_bumped(base, "N", rp, 1e-3, 0.02))
+    mass_i = report.boundary_audit.mass_i
+    assert report.psi_bound.max_abs_psi > 1.0
+    assert report.psi_bound.argmax == ("exterior_reflected", rp)
+    assert report.max_match_jump == 0.0
+    assert report.flatness_max_curvature <= 1e-8 < FLAT_TOL
+    assert report.compactification.converged
+    assert abs(report.adm_exterior["mass"] / mass_i - 1.0) <= 1e-7 < MASS_TOL
+    assert abs(report.adm_conformal_end["mass"]) / mass_i <= 1e-8 < MASS_TOL
+    assert _all_finite(report)
+    assert report.verdict == VERDICT_NOT_RIGID
+
+
+@pytest.mark.parametrize(
+    "channel, rp, height, failing",
+    [("A", 50.0, 1e-3, "exterior"), ("N", 400.0, 5e-4, "conformal_end")],
+)
+def test_each_mass_condition_alone_gates_a_bump_on_a_schedule_radius(channel, rp, height, failing):
+    # Both masses read the schedule radii 50, 100, 200 and 400, but weigh
+    # them differently.  A bump on A at 50, narrower (1e-3 rp) than the
+    # flatness samples' spacing there, moves the exterior mass by 2.4e-3
+    # and the conformal-end mass by 2.6e-7.  A bump on N at 400, beyond the
+    # chart's r_hi where no scan but the masses reads, moves only the
+    # conformal-end mass, through u = (1 - N)/2: by 1.4e-3.
+    base = make_schwarzschild_family(1.0, 3.0, 100.0)
+    report = _quiet_pipeline(_bumped(base, channel, rp, 1e-3 * rp, height))
+    mass_i = report.boundary_audit.mass_i
+    gaps = {
+        "exterior": abs(report.adm_exterior["mass"] / mass_i - 1.0),
+        "conformal_end": abs(report.adm_conformal_end["mass"]) / mass_i,
+    }
+    assert gaps.pop(failing) > MASS_TOL
+    assert max(gaps.values()) <= 1e-6
+    assert report.psi_bound.strict_bound
+    assert report.max_match_jump == 0.0
+    assert report.flatness_max_curvature <= 1e-8 < FLAT_TOL
+    assert report.compactification.converged
+    assert _all_finite(report)
+    assert report.verdict == VERDICT_NOT_RIGID
+
+
 def test_finiteness_gate_builds_no_field_list(pipeline_m1, monkeypatch):
     # the gate visits ~170 values a report and reads a dataclass's fields
     # from its instance dictionary; dataclasses.fields ran at every one

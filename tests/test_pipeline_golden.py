@@ -43,9 +43,9 @@ PIPELINE_GOLDEN = {
 }
 
 DEMO_GOLDEN = {
-    "01_curvature_verification.py": "a11b1334f63d23fea8c7d3af382be1b272422042c604bc0f211a029134f3d3ef",
+    "01_curvature_verification.py": "2c9d50b657bc42a528904f5b5c2152e46b4bfaf3420851e88508db9e50667815",
     "02_photon_sphere_hunt.py": "e4bee2a257d9c14c91ce405bcbf4148b71d421313973fa10e9ea65296847eb47",
-    "03_sphere_audit.py": "1cbe4e2fb5618948648e5d703ef7ae6d1b7d4ea01ff4189fb82b380914a36da4",
+    "03_sphere_audit.py": "730a0f7f71d5d2b58544498b20419830366dcdde31eeae665b4fcdae2752c291",
     "04_rigidity_walkthrough.py": "a169bc775439325ca1e680c7c1ff99768874ecddb1e7ad72ce806c6a806e2b29",
     "05_compact_star.py": "0d00162475fb90050767aabb07a4c253d15e2c92aa179e2737819a6d2781ab58",
 }

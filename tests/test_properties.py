@@ -8,7 +8,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonlab.curvature import curvature_at, identity_residuals
+from photonlab.curvature import curvature_at
 from photonlab.geodesics import photon_sphere_search
 from photonlab.gluing import double, glue_neck
 from photonlab.radial import (
@@ -19,6 +19,7 @@ from photonlab.radial import (
     make_schwarzschild_exterior,
     make_schwarzschild_family,
 )
+from selfchecks import identity_residuals
 
 MASSES = st.floats(min_value=0.3, max_value=4.0, allow_nan=False)
 

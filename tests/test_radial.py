@@ -424,8 +424,6 @@ _ONE_PROFILE_ENTRIES = {
     "photon_sphere_search": lambda star: pl.photon_sphere_search(star),
     "trapping_report": lambda star: pl.trapping_report(star, 3.0),
     "run_rigidity_pipeline": lambda star: pl.run_rigidity_pipeline(star),
-    "identity_residuals": lambda star: pl.identity_residuals(star, 5.0),
-    "convergence_study": lambda star: pl.convergence_study(star, 5.0),
     "glue_neck": lambda star: pl.glue_neck(star, 3.0),
     "tangential_launch": lambda star: pl.tangential_launch(star, 3.0),
     "fermat_geodesy_residual": lambda star: pl.fermat_geodesy_residual(star, 3.0),
@@ -436,14 +434,13 @@ _ONE_PROFILE_ENTRIES = {
 
 @pytest.mark.parametrize("entry", list(_ONE_PROFILE_ENTRIES))
 def test_one_profile_entry_points_refuse_a_composite_by_name(entry):
-    # each names itself and says what to pass; monotonicity_scan takes one
+    # each names itself and says what to pass
     star = make_composite_star(1.0, 2.5)
     name = entry.split()[0]
     with pytest.raises(DomainError, match=rf"^{name} takes one RadialProfile, "
                        r"not a CompositeProfile; pass one of its pieces") as err:
         _ONE_PROFILE_ENTRIES[entry](star)
     assert err.value.__suppress_context__
-    assert pl.monotonicity_scan(star, 0.5, 100.0).nonincreasing
 
 
 # ---------------------------------------------------------------------------
