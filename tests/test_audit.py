@@ -162,6 +162,63 @@ def test_monotonicity_flat_and_composite():
         assert np.all(np.diff(profile.sphere_mean_curvature(rs) / profile.N(rs)) < 0.0)
 
 
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("start", [3.0, 2.1, 2.0001])
+def test_ratio_is_two_over_r_down_to_the_horizon(m, start):
+    # A > 0 on the range, so the outward flow orders the spheres as r does;
+    # H/N = 2/(r A N) = 2/r since A N = 1, also where A is large
+    lo, hi = start * m, 100.0 * m
+    p = make_schwarzschild_family(m, lo, hi)
+    rs = np.linspace(lo, hi, 256)
+    assert np.all(p.A(rs) > 0.0)
+    ratio = p.sphere_mean_curvature(rs) / p.N(rs)
+    assert np.all(np.abs(ratio * rs / 2.0 - 1.0) <= 1e-14)
+    assert np.all(np.diff(ratio) < 0.0)
+
+
+def test_monotonicity_fails_on_a_nan_ratio():
+    # a NaN lapse reads through to H/N, and the criterion's largest rise
+    # of the ratio is then NaN, which fails ``rise <= 0``
+    base = make_schwarzschild_family(1.0, 3.0, 100.0)
+
+    def holed(order):
+        def f(r):
+            return np.where((r > 40.0) & (r < 50.0), np.nan, base.N(r, order))
+        return f
+
+    profile = replace(base, N=RadialFunction(holed(0), holed(1), holed(2)))
+    rs = np.linspace(3.0, 100.0, 64)
+    ratio = profile.sphere_mean_curvature(rs) / profile.N(rs)
+    assert np.isnan(ratio).any() and not np.isnan(ratio[0])
+    rise = float(np.diff(ratio).max())
+    assert math.isnan(rise)
+    assert not rise <= 0.0
+
+
+def test_monotonicity_ratios_match_a_per_radius_read():
+    # the array read of H/N is the float read at each radius, bit for bit;
+    # a composite is read piece by piece
+    cases = (
+        (make_schwarzschild_family(1.0, 3.0, 100.0), 3.0, 100.0),
+        (make_schwarzschild_family(-1.0, 1.0, 100.0), 1.0, 100.0),
+        (make_composite_star(1.0, 2.5), 0.5, 100.0),
+        (make_composite_star(1.0, 3.5), 0.5, 100.0),
+    )
+    for profile, lo, hi in cases:
+        rs = np.linspace(lo, hi, 97)
+        piece_at = getattr(profile, "piece_at", lambda r: profile)
+        pieces = [piece_at(r) for r in map(float, rs)]
+        ratio = np.empty_like(rs)
+        for piece in {id(q): q for q in pieces}.values():
+            on = np.array([q is piece for q in pieces])
+            ratio[on] = piece.sphere_mean_curvature(rs[on]) / piece.N(rs[on])
+        ref = [
+            float(q.sphere_mean_curvature(r) / q.N(r))
+            for q, r in zip(pieces, map(float, rs))
+        ]
+        assert np.array_equal(ratio, ref)
+
+
 def test_mass_routes_share_one_formula(wide_m1):
     r = np.geomspace(3.0, 100.0, 300)
     tab = make_tabulated(r, wide_m1.N(r), wide_m1.A(r), wide_m1.Rareal(r))

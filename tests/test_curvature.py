@@ -146,8 +146,14 @@ def _geometric_table(n, r_lo, r_hi):
         (make_schwarzschild_family(1.0, 3.0, 100.0), 5.0, 0.0),
         (make_schwarzschild_family(1.0, 3.0, 100.0), 5.0, math.inf),
         (make_schwarzschild_family(1.0, 3.0, 100.0), np.array([5.0, 6.0]), np.array([1e-3, -1e-3])),
+        (make_schwarzschild_family(1.0, 3.0, 100.0), 5.0, math.nan),
+        (make_schwarzschild_family(1.0, 3.0, 100.0), 5.0, -math.inf),
+        (make_schwarzschild_family(1.0, 3.0, 100.0), 5.0, -0.0),
     ],
-    ids=["negative-table", "negative-closed-form", "zero", "inf", "one-negative-of-two"],
+    ids=[
+        "negative-table", "negative-closed-form", "zero", "inf", "one-negative-of-two",
+        "nan", "negative-inf", "negative-zero",
+    ],
 )
 def test_oracle_refuses_a_step_that_is_not_finite_and_positive(profile, r, h):
     with warnings.catch_warnings():

@@ -31,6 +31,7 @@ from photonlab.radial import (
     make_tabulated,
 )
 from photonlab.radial import _gtsv, _spline_coefficients
+from selfchecks import identity_residuals
 
 INV_SQRT3 = 0.5773502691896258  # 1/sqrt(3)
 SQRT3 = 1.7320508075688772
@@ -424,6 +425,8 @@ _ONE_PROFILE_ENTRIES = {
     "photon_sphere_search": lambda star: pl.photon_sphere_search(star),
     "trapping_report": lambda star: pl.trapping_report(star, 3.0),
     "run_rigidity_pipeline": lambda star: pl.run_rigidity_pipeline(star),
+    # the tests' own self-check keeps the refusal it had in the library
+    "identity_residuals": lambda star: identity_residuals(star, 5.0),
     "glue_neck": lambda star: pl.glue_neck(star, 3.0),
     "tangential_launch": lambda star: pl.tangential_launch(star, 3.0),
     "fermat_geodesy_residual": lambda star: pl.fermat_geodesy_residual(star, 3.0),
